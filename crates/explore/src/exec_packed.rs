@@ -1,11 +1,13 @@
-//! Packed-space step execution for the unreduced explorer.
+//! Packed-space step execution: the explorer's one step kernel.
 //!
-//! The unreduced hot loop used to pay, per candidate successor: decode the
-//! parent into a [`NetworkState`] (dozens of `Route` clones), clone it,
-//! run [`execute_step`](routelab_engine::exec::execute_step), and re-encode
-//! — all to produce one flat `u16` buffer differing from the parent in a
-//! handful of slots. This module applies a [`CanonicalStep`] *directly on
-//! the packed words*.
+//! Expanding a state through the engine costs, per candidate successor:
+//! decode the parent into a [`NetworkState`] (dozens of `Route` clones),
+//! clone it, run [`execute_step`](routelab_engine::exec::execute_step), and
+//! re-encode — all to produce one flat `u16` buffer differing from the
+//! parent in a handful of slots. This module instead applies a
+//! [`CanonicalStep`] *directly on the packed words*, for unreduced and
+//! reduced builds alike (reduced builds then run the reduction layer's
+//! word-level normal form, `Reducer::normalize_words` in [`crate::reduce`]).
 //!
 //! The key observation: in packed space, one activation step is pure
 //! integer lookups. Processing a channel effect `(consume i, keep j)` sets
@@ -16,8 +18,8 @@
 //! the codec's universe, so the table is total); announcing appends one
 //! word to each out-channel queue. No routes are ever materialized.
 //!
-//! Equivalence with the engine (pinned by the differential test below and
-//! the graph-level suites):
+//! Equivalence with the engine (pinned by the differential tests below and
+//! in [`crate::graph`], and by the graph-level suites):
 //!
 //! * `choose_best` takes the minimum by `(rank, path)`; the table stores
 //!   each candidate's ordinal within the node's `Path`-sorted permitted
@@ -25,7 +27,7 @@
 //! * ρ is updated only when a message is kept (`keep = Some(j)`), exactly
 //!   when `FifoChannel::process` reports a learned route.
 //! * π and the announcement are written under the same conditions as
-//!   `execute_step` phase 3, and the newest-collapse abstraction for
+//!   `execute_step` phase 3, and the unreduced build's newest-collapse for
 //!   reliable policy-`A` models is applied per queue, as
 //!   [`NetworkState::collapse_queues_to_newest`] does.
 //!
@@ -35,7 +37,7 @@
 use routelab_engine::index::ChannelIndex;
 use routelab_spp::{Path, Route, SppInstance};
 
-use crate::effects::{CanonicalStep, Spec};
+use crate::effects::CanonicalStep;
 use crate::pack::StateCodec;
 
 /// One candidate entry: extending a learned route at the reading node
@@ -56,7 +58,8 @@ pub(crate) struct ExecTables {
     m: usize,
     dest: usize,
     trivial_id: u16,
-    /// Apply the queue-to-newest abstraction (reliable, all-policy models).
+    /// Apply the whole-model queue-to-newest abstraction (unreduced builds
+    /// of reliable, all-policy models; reduced builds collapse per channel).
     collapse: bool,
     in_channels: Vec<Vec<usize>>,
     out_channels: Vec<Vec<usize>>,
@@ -98,7 +101,7 @@ impl ExecTables {
         inst: &SppInstance,
         index: &ChannelIndex,
         codec: &StateCodec,
-        spec: Spec<'_>,
+        collapse: bool,
     ) -> Self {
         let n = inst.node_count();
         let m = index.len();
@@ -137,7 +140,7 @@ impl ExecTables {
             m,
             dest: inst.dest().index(),
             trivial_id,
-            collapse: spec.collapsible(),
+            collapse,
             in_channels: inst.nodes().map(|v| index.in_channels(v).to_vec()).collect(),
             out_channels: inst.nodes().map(|v| index.out_channels(v).to_vec()).collect(),
             cand,
@@ -172,7 +175,8 @@ impl ExecTables {
     /// Applies `cs` to `node`, appending the successor's words to `out`.
     /// On [`Applied::Capped`] the caller must truncate `out` back to its
     /// pre-call length. `scratch` must hold `node`'s offsets (see
-    /// [`ExecTables::prepare`]).
+    /// [`ExecTables::prepare`]). A queue longer than `cap`, or than a
+    /// packed length word can hold, caps the step.
     pub(crate) fn apply(
         &self,
         node: &[u16],
@@ -280,7 +284,7 @@ impl ExecTables {
             } else {
                 rem + usize::from(t.append)
             };
-            if new_len > cap {
+            if new_len > cap.min(usize::from(u16::MAX)) {
                 return Applied::Capped;
             }
             out[qbase + t.c] = new_len as u16;
@@ -320,7 +324,7 @@ mod tests {
     use routelab_engine::state::NetworkState;
     use routelab_spp::gadgets;
 
-    use crate::effects::all_steps;
+    use crate::effects::{all_steps, Spec};
 
     /// Differential mini-BFS: every candidate successor computed in packed
     /// space must equal the engine's decode → clone → execute_step →
@@ -335,8 +339,8 @@ mod tests {
                 let spec = Spec::Uniform(model.parse().unwrap());
                 let index = ChannelIndex::new(inst.graph());
                 let codec = StateCodec::new(&inst, &index, "diff-cell").unwrap();
-                let tables = ExecTables::new(&inst, &index, &codec, spec);
                 let collapse = spec.collapsible();
+                let tables = ExecTables::new(&inst, &index, &codec, collapse);
                 let root = codec.encode(&NetworkState::initial(&inst, &index)).unwrap();
 
                 let mut seen: HashSet<Vec<u16>> = HashSet::new();

@@ -8,25 +8,23 @@
 //! sequential reference ([`build_spec_reference`]) that the differential
 //! tests compare against.
 //!
-//! Unreduced builds run on the packed fast path
+//! Both modes expand states through one packed kernel
 //! ([`crate::exec_packed`]): successors are computed directly on the packed
 //! words, never materializing a [`NetworkState`] per candidate. Reduced
-//! builds keep the engine-executed path — the reduction layer's normal
-//! forms operate on decoded states, and reduced spaces are small enough
-//! that decode cost is irrelevant there.
+//! builds then run the reduction layer's word-level normal form and
+//! symmetry canonicalization ([`crate::reduce`]) on the same words.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use routelab_core::model::CommModel;
-use routelab_engine::exec::execute_step;
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
 use routelab_spp::SppInstance;
 
 use crate::arena::{MatScratch, NodeArena};
-use crate::effects::{all_steps, all_steps_with, Spec};
+use crate::effects::{all_steps_with, Spec};
 use crate::error::ExploreError;
 use crate::exec_packed::{Applied, ExecTables, PackedScratch};
 use crate::frontier::{self, BfsOptions, BfsResult, FrontierStats, SuccBuf};
@@ -85,8 +83,8 @@ impl ExploreConfig {
 
 /// The state-independent payload of an edge label: the canonical step and
 /// the channel sets derived from it. Shared behind an [`Arc`] — the
-/// unreduced fast path interns one `StepInfo` per distinct step and hands
-/// out handles, so labeling millions of edges costs reference counts, not
+/// expansion interns one `StepInfo` per distinct step and hands out
+/// handles, so labeling millions of edges costs reference counts, not
 /// allocations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepInfo {
@@ -224,8 +222,8 @@ struct ProfileSteps {
     capped: bool,
 }
 
-/// Per-worker memo of the fast path's step enumeration. The step set is a
-/// pure function of the parent's queue-length profile, so states sharing a
+/// Per-worker memo of the step enumeration. The step set is a pure
+/// function of the parent's queue-length profile, so states sharing a
 /// profile share one enumeration and one set of `Arc<StepInfo>` labels —
 /// the hot loop allocates nothing per candidate.
 #[derive(Default)]
@@ -253,12 +251,30 @@ impl StepCatalog {
     }
 }
 
+impl StepInfo {
+    /// This descriptor with absorbed reads merged in: the reduced edge
+    /// attends (and keeps on) the channels its normal form drained.
+    fn absorbing(&self, absorbed: &[usize]) -> StepInfo {
+        let merge = |base: &[usize]| {
+            let mut v = [base, absorbed].concat();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        StepInfo {
+            step: self.step.clone(),
+            attended: merge(&self.attended),
+            kept: merge(&self.kept),
+            dropped: self.dropped.clone(),
+        }
+    }
+}
+
 /// Reusable per-worker expansion scratch.
 #[derive(Default)]
 pub(crate) struct GraphScratch {
     packed: PackedScratch,
     absorbed: Vec<usize>,
-    enc: Vec<u16>,
     catalog: StepCatalog,
 }
 
@@ -282,157 +298,102 @@ impl Drop for GraphScratch {
     }
 }
 
+/// What one canonical step does to a parent under the build's normal forms.
+enum Successor {
+    /// A queue would exceed the channel cap: the transition is cut.
+    Capped,
+    /// The step preserves the state (covered by noop annotations).
+    SelfLoop,
+    /// A transition; its target's words were appended to the buffer.
+    Edge(EdgePayload),
+}
+
 /// The frontier-engine client for state-graph construction.
 struct GraphExpand<'a> {
     inst: &'a SppInstance,
     index: &'a ChannelIndex,
     spec: Spec<'a>,
-    codec: &'a StateCodec,
-    collapse: bool,
     cfg: &'a ExploreConfig,
+    /// The packed step kernel, shared by both modes.
+    tables: ExecTables,
+    /// The reduction layer; `None` builds the literal unreduced graph.
     reduce: Option<&'a Reducer>,
-    /// Packed-space execution tables; `Some` exactly when the build runs
-    /// unreduced (the fast path produces the raw graph bit-identically).
-    fast: Option<ExecTables>,
 }
 
 impl GraphExpand<'_> {
-    /// The packed fast path: canonical steps resolved through the
-    /// per-worker [`StepCatalog`] (keyed on the packed queue-length
-    /// header), successors written straight into the expansion buffer. No
-    /// `NetworkState` is ever built and no label data is allocated per
-    /// candidate.
-    fn expand_fast(
-        &self,
-        tables: &ExecTables,
-        node: &[u16],
-        out: &mut SuccBuf<EdgePayload>,
-        scratch: &mut GraphScratch,
-    ) -> Result<bool, ExploreError> {
-        let profile = match scratch.catalog.by_profile.get(tables.qlen_profile(node)) {
-            Some(p) => {
-                scratch.catalog.profile_hits += 1;
-                Arc::clone(p)
-            }
-            None => {
-                scratch.catalog.profile_misses += 1;
-                let (steps, capped) = all_steps_with(
-                    self.spec,
-                    self.index,
-                    &|c| tables.queue_len(node, c),
-                    self.inst.node_count(),
-                    self.cfg.max_steps_per_state,
-                );
-                let steps =
-                    steps.into_iter().map(|cs| scratch.catalog.info_of(cs, self.spec)).collect();
-                let p = Arc::new(ProfileSteps { steps, capped });
-                if scratch.catalog.by_profile.len() < PROFILE_CAP {
-                    scratch
-                        .catalog
-                        .by_profile
-                        .insert(tables.qlen_profile(node).to_vec(), Arc::clone(&p));
-                }
-                p
-            }
-        };
-        let mut truncated = profile.capped;
-        tables.prepare(node, &mut scratch.packed);
-        for info in &profile.steps {
-            let cs = &info.step;
-            let mark = out.mark();
-            match tables.apply(node, &mut scratch.packed, cs, self.cfg.channel_cap, out.words()) {
-                Applied::Capped => {
-                    truncated = true;
-                    out.cancel(mark);
-                }
-                Applied::Ok { new_rid, announcing: _ } => {
-                    if out.since(mark) == node {
-                        out.cancel(mark); // state-preserving: noop annotations
-                        continue;
-                    }
-                    let changes_pi = new_rid != node[cs.node.index()];
-                    out.commit(mark, EdgePayload { info: Arc::clone(info), changes_pi, sym: 0 });
-                }
-            }
+    /// The canonical steps of `node`, resolved through the per-worker
+    /// [`StepCatalog`] (keyed on the packed queue-length header).
+    fn steps(&self, node: &[u16], catalog: &mut StepCatalog) -> Arc<ProfileSteps> {
+        let profile = self.tables.qlen_profile(node);
+        if let Some(p) = catalog.by_profile.get(profile) {
+            catalog.profile_hits += 1;
+            return Arc::clone(p);
         }
-        Ok(truncated)
-    }
-
-    /// The engine-executed path, used by reduced builds: decode, run
-    /// `execute_step`, apply the reduction normal forms, re-encode.
-    fn expand_general(
-        &self,
-        node: &[u16],
-        out: &mut SuccBuf<EdgePayload>,
-        scratch: &mut GraphScratch,
-    ) -> Result<bool, ExploreError> {
-        let state = self.codec.decode_words(node)?;
-        let (steps, capped) = all_steps(
+        catalog.profile_misses += 1;
+        let (steps, capped) = all_steps_with(
             self.spec,
             self.index,
-            &state,
+            &|c| self.tables.queue_len(node, c),
             self.inst.node_count(),
             self.cfg.max_steps_per_state,
         );
-        let mut truncated = capped;
-        for cs in steps {
-            let activation = cs.to_activation(self.spec, self.index);
-            let mut next = state.clone();
-            let effect = execute_step(self.inst, self.index, &mut next, &activation);
-            if let Some(red) = self.reduce {
-                red.normalize(&mut next, &mut scratch.absorbed);
-                if red.exceeds_cap(&next, self.cfg.channel_cap) {
-                    truncated = true;
-                    continue;
-                }
-            } else {
-                if self.collapse {
-                    // Exact abstraction for R·A models: only the newest
-                    // queued message can ever be learned.
-                    next.collapse_queues_to_newest();
-                }
-                if next.max_queue_len() > self.cfg.channel_cap {
-                    truncated = true;
-                    continue;
-                }
-            }
-            self.codec.encode_into(&next, &mut scratch.enc)?;
-            // The self-loop test runs *before* canonicalization: a real
-            // transition whose canonical image happens to equal the source
-            // is a genuine quotient self-loop and must be kept.
-            if scratch.enc.as_slice() == node {
-                continue; // state-preserving: handled by noop annotations
-            }
-            let (canon, sym) = match self.reduce {
-                Some(red) => red.canonicalize_words(&scratch.enc),
-                None => (None, 0),
-            };
-            let mut attended = cs.attended(self.spec);
-            let mut kept = effect.kept_on;
-            if self.reduce.is_some() && !scratch.absorbed.is_empty() {
-                // Absorbed reads fire inside this merged edge: the edge
-                // attends (and keeps on) the channels it drained.
-                attended.extend_from_slice(&scratch.absorbed);
-                attended.sort_unstable();
-                attended.dedup();
-                kept.extend_from_slice(&scratch.absorbed);
-                kept.sort_unstable();
-                kept.dedup();
-            }
-            // Reduced labels are state-dependent (absorbed reads extend the
-            // attended/kept sets), so each edge gets a fresh descriptor —
-            // reduced spaces are small enough for that not to matter.
-            let payload = EdgePayload {
-                info: Arc::new(StepInfo { step: cs, attended, kept, dropped: effect.dropped_on }),
-                changes_pi: !effect.changed.is_empty(),
-                sym,
-            };
-            match canon {
-                Some(ws) => out.push(&ws, payload),
-                None => out.push(&scratch.enc, payload),
+        let steps = steps.into_iter().map(|cs| catalog.info_of(cs, self.spec)).collect();
+        let p = Arc::new(ProfileSteps { steps, capped });
+        if catalog.by_profile.len() < PROFILE_CAP {
+            catalog.by_profile.insert(profile.to_vec(), Arc::clone(&p));
+        }
+        p
+    }
+
+    /// Applies one step to `node` (whose offsets `scratch.packed` holds),
+    /// appending the successor's words to `words`; on anything but
+    /// [`Successor::Edge`] the caller discards them. Reduced builds
+    /// normalize the raw successor, cap-check it (set channels exempt),
+    /// and canonicalize it under the symmetry group.
+    fn successor(
+        &self,
+        node: &[u16],
+        info: &Arc<StepInfo>,
+        words: &mut Vec<u16>,
+        scratch: &mut GraphScratch,
+    ) -> Successor {
+        let cs = &info.step;
+        let mark = words.len();
+        // Reduced builds cap after the normal form, which may shrink queues.
+        let cap = if self.reduce.is_some() { usize::MAX } else { self.cfg.channel_cap };
+        let Applied::Ok { new_rid, .. } =
+            self.tables.apply(node, &mut scratch.packed, cs, cap, words)
+        else {
+            return Successor::Capped;
+        };
+        let changes_pi = new_rid != node[cs.node.index()];
+        if let Some(red) = self.reduce {
+            red.normalize_words(words, mark, &mut scratch.absorbed);
+            if red.exceeds_cap_words(&words[mark..], self.cfg.channel_cap) {
+                return Successor::Capped;
             }
         }
-        Ok(truncated)
+        // The self-loop test runs *before* canonicalization: a real
+        // transition whose canonical image happens to equal the source is a
+        // genuine quotient self-loop and must be kept.
+        if &words[mark..] == node {
+            return Successor::SelfLoop;
+        }
+        let Some(red) = self.reduce else {
+            return Successor::Edge(EdgePayload { info: Arc::clone(info), changes_pi, sym: 0 });
+        };
+        let (canon, sym) = red.canonicalize_words(&words[mark..]);
+        if let Some(ws) = canon {
+            words.truncate(mark);
+            words.extend_from_slice(&ws);
+        }
+        // Absorbed reads make the label state-dependent; only those edges
+        // get a descriptor of their own.
+        let info = match scratch.absorbed.as_slice() {
+            [] => Arc::clone(info),
+            absorbed => Arc::new(info.absorbing(absorbed)),
+        };
+        Successor::Edge(EdgePayload { info, changes_pi, sym })
     }
 }
 
@@ -440,6 +401,10 @@ impl frontier::Expand for GraphExpand<'_> {
     type Label = EdgePayload;
     type Scratch = GraphScratch;
 
+    /// Canonical steps come from the step catalog and successors are
+    /// written straight into the expansion buffer. No `NetworkState` is
+    /// ever built and, unless a head was absorbed, no label data is
+    /// allocated per candidate.
     fn expand(
         &self,
         _id: u32,
@@ -447,10 +412,21 @@ impl frontier::Expand for GraphExpand<'_> {
         out: &mut SuccBuf<EdgePayload>,
         scratch: &mut GraphScratch,
     ) -> Result<bool, ExploreError> {
-        match &self.fast {
-            Some(tables) => self.expand_fast(tables, node, out, scratch),
-            None => self.expand_general(node, out, scratch),
+        let profile = self.steps(node, &mut scratch.catalog);
+        let mut truncated = profile.capped;
+        self.tables.prepare(node, &mut scratch.packed);
+        for info in &profile.steps {
+            let mark = out.mark();
+            match self.successor(node, info, out.words(), scratch) {
+                Successor::Edge(payload) => out.commit(mark, payload),
+                Successor::Capped => {
+                    truncated = true;
+                    out.cancel(mark);
+                }
+                Successor::SelfLoop => out.cancel(mark),
+            }
         }
+        Ok(truncated)
     }
 }
 
@@ -609,17 +585,11 @@ fn build_with(
         Some(red) => red.canonicalize(root).0,
         None => root,
     };
-    let fast = reducer.is_none().then(|| ExecTables::new(inst, &index, &codec, spec));
-    let exp = GraphExpand {
-        inst,
-        index: &index,
-        spec,
-        codec: &codec,
-        collapse: spec.collapsible(),
-        cfg,
-        reduce: reducer.as_ref(),
-        fast,
-    };
+    // Reduced builds collapse queues per channel in their normal form; the
+    // whole-model newest-collapse is the unreduced build's.
+    let collapse = reducer.is_none() && spec.collapsible();
+    let tables = ExecTables::new(inst, &index, &codec, collapse);
+    let exp = GraphExpand { inst, index: &index, spec, cfg, tables, reduce: reducer.as_ref() };
     let opts = BfsOptions {
         threads: cfg.resolved_threads(),
         max_nodes: cfg.max_states,
@@ -802,6 +772,102 @@ mod tests {
                 assert_eq!(g.truncated, reference.truncated, "{model} @{threads}");
             }
         }
+    }
+
+    /// Checks every parent × canonical step of one budgeted reduced BFS
+    /// against the oracle: decode → `execute_step` → the `NetworkState`
+    /// normal form → encode → canonicalize must give the packed successor,
+    /// with the same cap verdict, absorbed channels, symmetry element,
+    /// label and reduction counters.
+    fn check_reduced_steps(name: &str, inst: &SppInstance, model: CommModel, cap: usize) {
+        use crate::effects::all_steps;
+        use routelab_engine::exec::execute_step;
+
+        let spec = Spec::Uniform(model);
+        let cell = format!("{name} × {model} @cap {cap}");
+        let cfg = ExploreConfig {
+            channel_cap: cap,
+            max_states: 2_000,
+            threads: Some(1),
+            ..ExploreConfig::default()
+        };
+        let g = try_build_spec(inst, spec, &cfg).unwrap();
+        let (index, codec) = (&g.index, &g.codec);
+        let packed = Reducer::new(inst, index, codec, spec);
+        let oracle = Reducer::new(inst, index, codec, spec);
+        let exp = GraphExpand {
+            inst,
+            index,
+            spec,
+            cfg: &cfg,
+            tables: ExecTables::new(inst, index, codec, false),
+            reduce: Some(&packed),
+        };
+        let mut scratch = GraphScratch::default();
+        let (mut words, mut absorbed, mut enc) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..g.len() {
+            let node = g.nodes.node_vec(i as u32);
+            let state = codec.decode_words(&node).unwrap();
+            let (steps, capped) =
+                all_steps(spec, index, &state, inst.node_count(), cfg.max_steps_per_state);
+            let profile = exp.steps(&node, &mut scratch.catalog);
+            assert_eq!(profile.capped, capped, "{cell}");
+            assert_eq!(profile.steps.len(), steps.len(), "{cell}");
+            exp.tables.prepare(&node, &mut scratch.packed);
+            for (info, cs) in profile.steps.iter().zip(steps) {
+                assert_eq!(info.step, cs, "{cell}");
+                let mut next = state.clone();
+                let effect = execute_step(inst, index, &mut next, &cs.to_activation(spec, index));
+                oracle.normalize(&mut next, &mut absorbed);
+                words.clear();
+                let got = exp.successor(&node, info, &mut words, &mut scratch);
+                assert_eq!(scratch.absorbed, absorbed, "{cell} {cs:?}");
+                let capped = oracle.exceeds_cap(&next, cap);
+                codec.encode_into(&next, &mut enc).unwrap();
+                match got {
+                    Successor::Capped => assert!(capped, "{cell} {cs:?}"),
+                    Successor::SelfLoop => assert!(!capped && enc == node, "{cell} {cs:?}"),
+                    Successor::Edge(payload) => {
+                        assert!(!capped && enc != node, "{cell} {cs:?}");
+                        let (canon, sym) = oracle.canonicalize_words(&enc);
+                        assert_eq!(words, canon.unwrap_or(enc.clone()), "{cell} {cs:?}");
+                        assert_eq!(payload.sym, sym, "{cell} {cs:?}");
+                        let changes_pi = !effect.changed.is_empty();
+                        assert_eq!(payload.changes_pi, changes_pi, "{cell} {cs:?}");
+                        let (mut attended, mut kept) = (cs.attended(spec), effect.kept_on);
+                        if !absorbed.is_empty() {
+                            for set in [&mut attended, &mut kept] {
+                                set.extend_from_slice(&absorbed);
+                                set.sort_unstable();
+                                set.dedup();
+                            }
+                        }
+                        let dropped = effect.dropped_on;
+                        let want = StepInfo { step: cs, attended, kept, dropped };
+                        assert_eq!(*payload.info, want, "{cell}");
+                    }
+                }
+                assert_eq!(packed.stats(), oracle.stats(), "{cell}");
+            }
+        }
+    }
+
+    /// The packed reduced step against its oracle on every corpus gadget ×
+    /// the 24 models at channel caps 2 and 3, one thread per gadget.
+    #[test]
+    fn reduced_packed_step_matches_the_engine_oracle() {
+        let corpus = gadgets::corpus();
+        std::thread::scope(|s| {
+            for (name, inst) in &corpus {
+                s.spawn(move || {
+                    for model in CommModel::all() {
+                        for cap in [2, 3] {
+                            check_reduced_steps(name, inst, model, cap);
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -59,6 +59,7 @@ use std::sync::Arc;
 
 use routelab_core::dims::{MessagePolicy, NeighborScope, Reliability};
 use routelab_engine::index::ChannelIndex;
+#[cfg(test)]
 use routelab_engine::state::NetworkState;
 use routelab_spp::{automorphisms, Channel, NodeId, Route, SppInstance};
 
@@ -116,16 +117,24 @@ fn mode_for(spec: Spec<'_>, index: &ChannelIndex, c: usize) -> ChannelMode {
 /// Per-build reduction state: channel modes, symmetry tables, counters.
 #[derive(Debug)]
 pub(crate) struct Reducer {
+    n: usize,
+    m: usize,
     modes: Vec<ChannelMode>,
-    /// Per channel `c = (u, v)`: the sorted set of routes whose extension
-    /// by `v` is permitted at `v` — every other route (including ε) is
-    /// observationally ⊥ there and projects onto ε.
-    usable: Vec<Vec<Route>>,
+    /// Per channel `c = (u, v)`, indexed by route id: `true` for the routes
+    /// whose extension by `v` is permitted at `v` — every other route
+    /// (including ε) is observationally ⊥ there and projects onto ε.
+    usable: Vec<Vec<bool>>,
+    /// `order[id]`: the position of route `id` in the route order, the
+    /// sort key of set-collapsed queues.
+    order: Vec<u32>,
     pub(crate) sym: Option<Arc<SymTables>>,
     canon_rewrites: AtomicU64,
     pops: AtomicU64,
     set_collapses: AtomicU64,
     sym_hits: AtomicU64,
+    /// The usable sets as routes, for the [`NetworkState`] oracle.
+    #[cfg(test)]
+    usable_routes: Vec<Vec<Route>>,
 }
 
 /// The per-channel usable-route sets of the class projection: for
@@ -151,6 +160,22 @@ fn usable_routes(inst: &SppInstance, index: &ChannelIndex) -> Vec<Vec<Route>> {
         .collect()
 }
 
+/// `order[id]` = the position of route `id` when the codec's universe is
+/// sorted by [`Route`]'s ordering: the one route-order key of the reduction
+/// layer, by which the set collapse sorts queues and symmetry images
+/// re-sort them.
+fn route_order(codec: &StateCodec) -> Vec<u32> {
+    let mut by_route: Vec<u16> = (0..codec.route_count() as u16).collect();
+    by_route.sort_unstable_by(|&a, &b| {
+        codec.routes()[usize::from(a)].cmp(&codec.routes()[usize::from(b)])
+    });
+    let mut order = vec![0u32; by_route.len()];
+    for (k, &id) in by_route.iter().enumerate() {
+        order[usize::from(id)] = k as u32;
+    }
+    order
+}
+
 impl Reducer {
     pub(crate) fn new(
         inst: &SppInstance,
@@ -158,46 +183,106 @@ impl Reducer {
         codec: &StateCodec,
         spec: Spec<'_>,
     ) -> Self {
+        let routes = usable_routes(inst, index);
+        let usable = routes
+            .iter()
+            .map(|u| codec.routes().iter().map(|r| u.binary_search(r).is_ok()).collect())
+            .collect();
         Reducer {
+            n: codec.n(),
+            m: codec.m(),
             modes: (0..index.len()).map(|c| mode_for(spec, index, c)).collect(),
-            usable: usable_routes(inst, index),
+            usable,
+            order: route_order(codec),
             sym: SymTables::detect(inst, index, codec, spec).map(Arc::new),
             canon_rewrites: AtomicU64::new(0),
             pops: AtomicU64::new(0),
             set_collapses: AtomicU64::new(0),
             sym_hits: AtomicU64::new(0),
+            #[cfg(test)]
+            usable_routes: routes,
         }
     }
 
-    /// Rewrites `next` into its queue normal form. Channels whose head was
-    /// absorbed (popped) are appended to `absorbed` — the caller must
-    /// annotate the edge as attending and keeping on them.
-    pub(crate) fn normalize(&self, next: &mut NetworkState, absorbed: &mut Vec<usize>) {
+    /// Rewrites the packed successor `words[mark..]` into its queue normal
+    /// form, per channel: class projection of ρ and the queue, then the
+    /// newest or set collapse, then absorbed-head pops. Queues only shrink,
+    /// so the buffer is compacted in place and truncated at the end.
+    /// Channels whose head was absorbed (popped) are written to `absorbed`
+    /// — the caller must annotate the edge as attending and keeping on them.
+    pub(crate) fn normalize_words(
+        &self,
+        words: &mut Vec<u16>,
+        mark: usize,
+        absorbed: &mut Vec<usize>,
+    ) {
         absorbed.clear();
-        let mut rewrites = 0u64;
-        let mut pops = 0u64;
-        let mut collapses = 0u64;
+        let (n, m) = (self.n, self.m);
+        let (mut rewrites, mut pops, mut collapses) = (0u64, 0u64, 0u64);
+        let ws = &mut words[mark..];
+        let (mut read, mut write) = (2 * n + 2 * m, 2 * n + 2 * m);
         for (c, mode) in self.modes.iter().enumerate() {
             // Class projection first: it can only create further absorb,
-            // newest and set-dedup opportunities, never destroy them.
+            // newest and set-dedup opportunities, never destroy them. The
+            // queue moves down to the write cursor as it is projected.
             let usable = &self.usable[c];
-            rewrites += next.rewrite_channel_routes(c, |r| {
-                (!r.is_epsilon() && usable.binary_search(r).is_err()).then(Route::empty)
-            }) as u64;
-            if mode.newest {
-                next.collapse_queue_to_newest(c);
+            let mut project = |id: u16| {
+                if id != 0 && !usable[usize::from(id)] {
+                    rewrites += 1;
+                    0
+                } else {
+                    id
+                }
+            };
+            let rho = project(ws[2 * n + c]);
+            ws[2 * n + c] = rho;
+            let mut len = usize::from(ws[2 * n + m + c]);
+            for k in 0..len {
+                ws[write + k] = project(ws[read + k]);
             }
-            if mode.set && next.collapse_queue_to_set(c) {
+            read += len;
+            let q = &mut ws[write..write + len];
+            if mode.newest && len > 1 {
+                q[0] = q[len - 1];
+                len = 1;
+            }
+            let key = |id: &u16| self.order[usize::from(*id)];
+            if mode.set && !q.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+                q.sort_unstable_by_key(key);
+                len = 1;
+                for k in 1..q.len() {
+                    if q[k] != q[len - 1] {
+                        q[len] = q[k];
+                        len += 1;
+                    }
+                }
                 collapses += 1;
             }
             if mode.absorb {
-                let popped = next.absorb_queue_head(c);
+                let popped = q[..len].iter().take_while(|&&id| id == rho).count();
                 if popped > 0 {
+                    q.copy_within(popped..len, 0);
+                    len -= popped;
                     pops += popped as u64;
                     absorbed.push(c);
                 }
             }
+            ws[2 * n + m + c] = len as u16;
+            write += len;
         }
+        words.truncate(mark + write);
+        self.count(rewrites, pops, collapses);
+    }
+
+    /// The channel-cap test on packed words, skipping set-collapsed
+    /// channels (their size is bounded by the sender's announcement
+    /// universe, not the cap).
+    pub(crate) fn exceeds_cap_words(&self, ws: &[u16], cap: usize) -> bool {
+        let lens = &ws[2 * self.n + self.m..2 * self.n + 2 * self.m];
+        self.modes.iter().zip(lens).any(|(mode, &len)| !mode.set && usize::from(len) > cap)
+    }
+
+    fn count(&self, rewrites: u64, pops: u64, collapses: u64) {
         if rewrites > 0 {
             self.canon_rewrites.fetch_add(rewrites, Ordering::Relaxed);
         }
@@ -207,12 +292,6 @@ impl Reducer {
         if collapses > 0 {
             self.set_collapses.fetch_add(collapses, Ordering::Relaxed);
         }
-    }
-
-    /// The channel-cap test, skipping set-collapsed channels (their size is
-    /// bounded by the sender's announcement universe, not the cap).
-    pub(crate) fn exceeds_cap(&self, s: &NetworkState, cap: usize) -> bool {
-        self.modes.iter().enumerate().any(|(c, m)| !m.set && s.queue(c).len() > cap)
     }
 
     /// Canonicalizes a packed state under the symmetry group; returns the
@@ -260,6 +339,44 @@ impl Reducer {
     }
 }
 
+/// The [`NetworkState`] forms of the normal form and the cap test: the
+/// oracle the packed forms are differentially tested against.
+#[cfg(test)]
+impl Reducer {
+    /// [`Reducer::normalize_words`] on a decoded state.
+    pub(crate) fn normalize(&self, next: &mut NetworkState, absorbed: &mut Vec<usize>) {
+        absorbed.clear();
+        let mut rewrites = 0u64;
+        let mut pops = 0u64;
+        let mut collapses = 0u64;
+        for (c, mode) in self.modes.iter().enumerate() {
+            let usable = &self.usable_routes[c];
+            rewrites += next.rewrite_channel_routes(c, |r| {
+                (!r.is_epsilon() && usable.binary_search(r).is_err()).then(Route::empty)
+            }) as u64;
+            if mode.newest {
+                next.collapse_queue_to_newest(c);
+            }
+            if mode.set && next.collapse_queue_to_set(c) {
+                collapses += 1;
+            }
+            if mode.absorb {
+                let popped = next.absorb_queue_head(c);
+                if popped > 0 {
+                    pops += popped as u64;
+                    absorbed.push(c);
+                }
+            }
+        }
+        self.count(rewrites, pops, collapses);
+    }
+
+    /// [`Reducer::exceeds_cap_words`] on a decoded state.
+    pub(crate) fn exceeds_cap(&self, s: &NetworkState, cap: usize) -> bool {
+        self.modes.iter().enumerate().any(|(c, m)| !m.set && s.queue(c).len() > cap)
+    }
+}
+
 /// Precomputed packed-layout action of the instance's automorphism group:
 /// per group element, the node, channel, and route-id permutations, plus
 /// the group's multiplication and inverse tables.
@@ -274,8 +391,8 @@ pub(crate) struct SymTables {
     /// queue segments are re-sorted after a transform so images stay in
     /// normal form and lex-minimization compares like with like.
     set_channels: Vec<bool>,
-    /// `sort_key[id]` = position of route `id` under the route ordering
-    /// (the order the set collapse sorts queues by).
+    /// The reduction layer's route order (see [`route_order`]), the order
+    /// the set collapse sorts queues by.
     sort_key: Vec<u32>,
 }
 
@@ -358,15 +475,7 @@ impl SymTables {
         let mult: Vec<Vec<usize>> =
             auts.iter().map(|a| auts.iter().map(|b| pos(&a.compose(b))).collect()).collect();
         let set_channels: Vec<bool> = (0..m).map(|c| mode_for(spec, index, c).set).collect();
-        let mut by_route: Vec<u16> = (0..codec.route_count() as u16).collect();
-        by_route.sort_unstable_by(|&a, &b| {
-            codec.routes()[usize::from(a)].cmp(&codec.routes()[usize::from(b)])
-        });
-        let mut sort_key = vec![0u32; by_route.len()];
-        for (k, &id) in by_route.iter().enumerate() {
-            sort_key[usize::from(id)] = k as u32;
-        }
-        Some(SymTables { n, m, elems, inv, mult, set_channels, sort_key })
+        Some(SymTables { n, m, elems, inv, mult, set_channels, sort_key: route_order(codec) })
     }
 
     /// Group order.
@@ -701,6 +810,37 @@ mod tests {
         }
     }
 
+    /// Normalizes the initial state with `queues` in flight under both
+    /// forms, asserts that they agree on the words, the absorbed channels
+    /// and the counters, and returns the oracle's state, absorbed channels
+    /// and counters.
+    fn normalize_both(
+        inst: &SppInstance,
+        spec: Spec<'_>,
+        queues: Vec<Vec<Route>>,
+    ) -> (NetworkState, Vec<usize>, ReductionStats) {
+        let index = ChannelIndex::new(inst.graph());
+        let codec = StateCodec::new(inst, &index, "t").unwrap();
+        let (packed, oracle) =
+            (Reducer::new(inst, &index, &codec, spec), Reducer::new(inst, &index, &codec, spec));
+        let init = NetworkState::initial(inst, &index);
+        let mut s = NetworkState::from_parts(
+            init.assignment(),
+            inst.nodes().map(|v| init.announced(v).clone()).collect(),
+            (0..index.len()).map(|c| init.learned(c).clone()).collect(),
+            queues,
+        );
+        let mut words = Vec::new();
+        codec.encode_into(&s, &mut words).unwrap();
+        let (mut absorbed, mut packed_absorbed) = (Vec::new(), Vec::new());
+        packed.normalize_words(&mut words, 0, &mut packed_absorbed);
+        oracle.normalize(&mut s, &mut absorbed);
+        assert_eq!(words, codec.encode(&s).unwrap().as_u16s());
+        assert_eq!(packed_absorbed, absorbed);
+        assert_eq!(packed.stats(), oracle.stats());
+        (s, absorbed, oracle.stats())
+    }
+
     #[test]
     fn class_projection_rewrites_unusable_routes_to_epsilon() {
         // FIG6: on channel (x, a) the route xd is usable (axd is permitted
@@ -709,36 +849,46 @@ mod tests {
         // onto ε, where the absorbed-read normalization then pops it.
         let inst = gadgets::fig6();
         let index = ChannelIndex::new(inst.graph());
-        let codec = StateCodec::new(&inst, &index, "t").unwrap();
-        let red = Reducer::new(&inst, &index, &codec, uniform());
         let x = inst.node_by_name("x").unwrap();
         let a = inst.node_by_name("a").unwrap();
         let d = inst.dest();
         let xa = index.id(Channel::new(x, a)).unwrap();
         let xd = Route::path(inst.parse_path("xd").unwrap());
         let xd_chan = index.id(Channel::new(x, d)).unwrap();
-        let init = NetworkState::initial(&inst, &index);
         let mut queues = vec![Vec::new(); index.len()];
         // Usable on (x, a): survives the projection. Unusable on (x, d):
         // x's announcement can never extend at the destination.
         queues[xa].push(xd.clone());
         queues[xd_chan].push(xd.clone());
-        let mut s = NetworkState::from_parts(
-            init.assignment(),
-            inst.nodes().map(|v| init.announced(v).clone()).collect(),
-            (0..index.len()).map(|c| init.learned(c).clone()).collect(),
-            queues,
-        );
-        let mut absorbed = Vec::new();
-        red.normalize(&mut s, &mut absorbed);
+        let (s, absorbed, stats) = normalize_both(&inst, uniform(), queues);
         assert_eq!(s.queue(xa).peek(1), Some(&xd));
         // The unusable announcement became ε and was then absorbed against
         // the channel's ε ρ — the queue is empty and the edge must attend.
         assert!(s.queue(xd_chan).is_empty());
         assert_eq!(absorbed, vec![xd_chan]);
-        let stats = red.stats();
         assert_eq!(stats.canon_rewrites, 1);
         assert_eq!(stats.absorb_pops, 1);
+    }
+
+    #[test]
+    fn set_collapse_sorts_by_route_order() {
+        // FIG6 under U1A: v reads the unreliable channel (u, v) on policy
+        // A, so its queue is a set. u ranks uazd above uaxd, so uazd has
+        // the smaller route id, but uaxd is the smaller route.
+        let inst = gadgets::fig6();
+        let index = ChannelIndex::new(inst.graph());
+        let codec = StateCodec::new(&inst, &index, "t").unwrap();
+        let u = inst.node_by_name("u").unwrap();
+        let v = inst.node_by_name("v").unwrap();
+        let uv = index.id(Channel::new(u, v)).unwrap();
+        let uazd = Route::path(inst.parse_path("uazd").unwrap());
+        let uaxd = Route::path(inst.parse_path("uaxd").unwrap());
+        assert!(codec.route_id(&uazd) < codec.route_id(&uaxd) && uaxd < uazd);
+        let mut queues = vec![Vec::new(); index.len()];
+        queues[uv] = vec![uazd.clone(), uaxd.clone(), uazd.clone()];
+        let (s, _, stats) = normalize_both(&inst, Spec::Uniform("U1A".parse().unwrap()), queues);
+        assert_eq!(s.queue(uv).iter().collect::<Vec<_>>(), vec![&uaxd, &uazd]);
+        assert_eq!(stats.set_collapses, 1);
     }
 
     #[test]
