@@ -7,8 +7,8 @@
 //! messages are `Copy` and an activation step allocates nothing in steady
 //! state. [`execute_step_interned`] is a line-for-line mirror of
 //! [`crate::exec::execute_step`]: phase 1 processes channels with the
-//! `(f, g)` rule, phase 2 re-chooses via the precomputed extension tables
-//! (a min over in-channels of preference positions), and phase 3 announces
+//! `(f, g)` rule, phase 2 re-chooses through [`RouteTable::choose`] (a min
+//! over in-channels of preference positions), and phase 3 announces
 //! changes. The [`crate::runner::Runner`] decodes ids back to routes only
 //! at the rendering/trace boundary, keeping all visible output
 //! byte-identical to the route-value engine.
@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use routelab_core::step::{ActivationStep, Take};
-use routelab_spp::{NodeId, RouteId, RouteTable, NO_CANDIDATE};
+use routelab_spp::{NodeId, RouteId, RouteTable};
 
 use crate::index::ChannelIndex;
 
@@ -230,15 +230,7 @@ pub fn execute_step_interned(
     // min over in-channels of precomputed preference positions.
     for update in &step.updates {
         let v = update.node;
-        let choice = if v == table.dest() {
-            table.dest_choice()
-        } else {
-            let mut best = NO_CANDIDATE;
-            for &cid in index.in_channels(v) {
-                best = best.min(table.candidate_pos(cid, state.learned[cid]));
-            }
-            table.decide(v, best)
-        };
+        let choice = table.choose(v, index.in_channels(v), |c| state.learned[c]);
         effect.decisions.push((v, choice));
     }
 

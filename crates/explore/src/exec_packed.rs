@@ -5,25 +5,23 @@
 //! clone it, run [`execute_step`](routelab_engine::exec::execute_step), and
 //! re-encode — all to produce one flat `u16` buffer differing from the
 //! parent in a handful of slots. This module instead applies a
-//! [`CanonicalStep`] *directly on the packed words*, for unreduced and
-//! reduced builds alike (reduced builds then run the reduction layer's
-//! word-level normal form, `Reducer::normalize_words` in [`crate::reduce`]).
+//! [`CanonicalStep`] *directly on the packed words*, for unreduced builds,
+//! reduced builds (which then run the reduction layer's word-level normal
+//! form, `Reducer::normalize_words` in [`crate::reduce`]) and witness
+//! search ([`crate::trace_search`]) alike.
 //!
 //! The key observation: in packed space, one activation step is pure
 //! integer lookups. Processing a channel effect `(consume i, keep j)` sets
 //! ρ to the queue word at offset `j-1` and drops the first `i` queue words;
-//! the re-choice is a minimum over per-channel candidate entries of a table
-//! precomputed from the instance (`route id → (rank, tie-break ordinal,
-//! extended route id)` — the extension of a permitted route is itself in
-//! the codec's universe, so the table is total); announcing appends one
+//! the re-choice is [`RouteTable::choose`] over the codec's table, the
+//! same rule the engine's interned kernel runs; announcing appends one
 //! word to each out-channel queue. No routes are ever materialized.
 //!
 //! Equivalence with the engine (pinned by the differential tests below and
 //! in [`crate::graph`], and by the graph-level suites):
 //!
-//! * `choose_best` takes the minimum by `(rank, path)`; the table stores
-//!   each candidate's ordinal within the node's `Path`-sorted permitted
-//!   set, so `(rank, ordinal)` induces the same order.
+//! * [`RouteTable::choose`] reproduces `choose_best` (its own tests pin
+//!   it to that oracle).
 //! * ρ is updated only when a message is kept (`keep = Some(j)`), exactly
 //!   when `FifoChannel::process` reports a learned route.
 //! * π and the announcement are written under the same conditions as
@@ -35,37 +33,21 @@
 //! [`NetworkState::collapse_queues_to_newest`]: routelab_engine::state::NetworkState::collapse_queues_to_newest
 
 use routelab_engine::index::ChannelIndex;
-use routelab_spp::{Path, Route, SppInstance};
+use routelab_spp::{RouteId, RouteTable};
 
-use crate::effects::CanonicalStep;
+use crate::effects::{all_steps_with, CanonicalStep, Spec};
 use crate::pack::StateCodec;
 
-/// One candidate entry: extending a learned route at the reading node
-/// yields the permitted path with this rank and route id. `ord` is the
-/// path's position in the node's `Path`-sorted permitted set, the proxy for
-/// `choose_best`'s lexicographic tie-break.
-#[derive(Debug, Clone, Copy)]
-struct Cand {
-    rank: u32,
-    ord: u32,
-    ext: u16,
-}
-
-/// Precompiled packed-space execution tables for one instance × codec.
+/// Packed-space execution over one codec's route table and channel index.
 #[derive(Debug)]
-pub(crate) struct ExecTables {
+pub(crate) struct ExecTables<'a> {
     n: usize,
     m: usize,
-    dest: usize,
-    trivial_id: u16,
+    table: &'a RouteTable,
+    index: &'a ChannelIndex,
     /// Apply the whole-model queue-to-newest abstraction (unreduced builds
     /// of reliable, all-policy models; reduced builds collapse per channel).
     collapse: bool,
-    in_channels: Vec<Vec<usize>>,
-    out_channels: Vec<Vec<usize>>,
-    /// `cand[v][rid]`: the candidate `v` obtains by extending route `rid`,
-    /// `None` when the extension is ε, loops, or is not permitted.
-    cand: Vec<Vec<Option<Cand>>>,
 }
 
 /// Reusable per-worker scratch: queue start offsets of the current parent,
@@ -96,55 +78,9 @@ pub(crate) enum Applied {
     Capped,
 }
 
-impl ExecTables {
-    pub(crate) fn new(
-        inst: &SppInstance,
-        index: &ChannelIndex,
-        codec: &StateCodec,
-        collapse: bool,
-    ) -> Self {
-        let n = inst.node_count();
-        let m = index.len();
-        let trivial_id = codec
-            .route_id(&Route::path(Path::trivial(inst.dest())))
-            .expect("the trivial route is interned by construction");
-        let cand = inst
-            .nodes()
-            .map(|v| {
-                if v == inst.dest() {
-                    return vec![None; codec.route_count()];
-                }
-                let mut sorted: Vec<Path> =
-                    inst.permitted(v).iter().map(|rp| rp.path.clone()).collect();
-                sorted.sort_unstable();
-                codec
-                    .routes()
-                    .iter()
-                    .map(|r| {
-                        inst.candidate(v, r).map(|(ext, rank)| {
-                            let ord = sorted
-                                .binary_search(&ext)
-                                .expect("candidate extensions are permitted paths")
-                                as u32;
-                            let ext = codec
-                                .route_id(&Route::path(ext))
-                                .expect("permitted paths are in the route universe");
-                            Cand { rank, ord, ext }
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        ExecTables {
-            n,
-            m,
-            dest: inst.dest().index(),
-            trivial_id,
-            collapse,
-            in_channels: inst.nodes().map(|v| index.in_channels(v).to_vec()).collect(),
-            out_channels: inst.nodes().map(|v| index.out_channels(v).to_vec()).collect(),
-            cand,
-        }
+impl<'a> ExecTables<'a> {
+    pub(crate) fn new(index: &'a ChannelIndex, codec: &'a StateCodec, collapse: bool) -> Self {
+        ExecTables { n: codec.n(), m: codec.m(), table: codec.table(), index, collapse }
     }
 
     /// Computes the queue start offsets of `node` into `scratch` — once per
@@ -164,11 +100,21 @@ impl ExecTables {
         usize::from(node[2 * self.n + self.m + c])
     }
 
+    /// The canonical steps of `node` and whether `max_steps` cut them.
+    pub(crate) fn all_steps(
+        &self,
+        spec: Spec<'_>,
+        node: &[u16],
+        max_steps: usize,
+    ) -> (Vec<CanonicalStep>, bool) {
+        all_steps_with(spec, self.index, &|c| self.queue_len(node, c), self.n, max_steps)
+    }
+
     /// The queue-length profile of `node`: one word per channel, already
     /// contiguous in the packed layout. States with equal profiles
     /// enumerate equal canonical-step sets, which is what the expansion
     /// catalog keys on.
-    pub(crate) fn qlen_profile<'a>(&self, node: &'a [u16]) -> &'a [u16] {
+    pub(crate) fn qlen_profile<'w>(&self, node: &'w [u16]) -> &'w [u16] {
         &node[2 * self.n + self.m..2 * self.n + 2 * self.m]
     }
 
@@ -192,32 +138,20 @@ impl ExecTables {
         // Phase 2 (choice) first — it only reads the parent. ρ' on an
         // in-channel is the kept queue word when the step keeps one there,
         // else the parent's ρ.
-        let new_rid = if v == self.dest {
-            self.trivial_id
-        } else {
-            let mut best: Option<Cand> = None;
-            for &c in &self.in_channels[v] {
-                let mut rho = node[2 * n + c];
-                for e in &cs.effects {
-                    if e.channel == c {
-                        if let Some(j) = e.keep {
-                            rho = node[scratch.qstart[c] + j - 1];
-                        }
-                        break;
+        let rho = |c: usize| {
+            let mut rho = node[2 * n + c];
+            for e in &cs.effects {
+                if e.channel == c {
+                    if let Some(j) = e.keep {
+                        rho = node[scratch.qstart[c] + j - 1];
                     }
-                }
-                if let Some(cand) = self.cand[v][usize::from(rho)] {
-                    let better = match best {
-                        None => true,
-                        Some(b) => (cand.rank, cand.ord) < (b.rank, b.ord),
-                    };
-                    if better {
-                        best = Some(cand);
-                    }
+                    break;
                 }
             }
-            best.map_or(0, |c| c.ext) // route id 0 is ε
+            RouteId(u32::from(rho))
         };
+        // The codec's overflow check makes the narrowing lossless.
+        let new_rid = self.table.choose(cs.node, self.index.in_channels(cs.node), rho).0 as u16;
         let announcing = new_rid != node[n + v];
 
         // Header: chosen (π'ᵥ = the new choice — writing it unconditionally
@@ -247,7 +181,7 @@ impl ExecTables {
             }
         }
         if announcing {
-            for &c in &self.out_channels[v] {
+            for &c in self.index.out_channels(cs.node) {
                 match scratch.touch.iter_mut().find(|t| t.c == c) {
                     Some(t) => t.append = true,
                     None => scratch.touch.push(Touch { c, consume: 0, append: true }),
@@ -324,101 +258,106 @@ mod tests {
     use routelab_engine::state::NetworkState;
     use routelab_spp::gadgets;
 
-    use crate::effects::{all_steps, Spec};
+    use crate::effects::all_steps;
 
     /// Differential mini-BFS: every candidate successor computed in packed
     /// space must equal the engine's decode → clone → execute_step →
     /// (collapse) → encode result word for word, including the cap verdict
     /// and the kept/changed metadata, over a few hundred reachable states
-    /// per gadget × model.
+    /// per gadget × model × collapse mode (witness search runs collapsible
+    /// models uncollapsed).
     #[test]
     fn packed_execution_matches_the_engine_differentially() {
         let cap = 3usize;
         for (name, inst) in gadgets::corpus() {
             for model in ["R1O", "RMA", "REA", "RES", "U1O", "UMA"] {
                 let spec = Spec::Uniform(model.parse().unwrap());
-                let index = ChannelIndex::new(inst.graph());
-                let codec = StateCodec::new(&inst, &index, "diff-cell").unwrap();
-                let collapse = spec.collapsible();
-                let tables = ExecTables::new(&inst, &index, &codec, collapse);
-                let root = codec.encode(&NetworkState::initial(&inst, &index)).unwrap();
+                for collapse in [false, true] {
+                    if collapse && !spec.collapsible() {
+                        continue;
+                    }
+                    let index = ChannelIndex::new(inst.graph());
+                    let codec = StateCodec::new(&inst, &index, "diff-cell").unwrap();
+                    let tables = ExecTables::new(&index, &codec, collapse);
+                    let root = codec.encode(&NetworkState::initial(&inst, &index)).unwrap();
 
-                let mut seen: HashSet<Vec<u16>> = HashSet::new();
-                let mut frontier: Vec<Vec<u16>> = Vec::new();
-                let root_words: Vec<u16> = {
-                    let s = codec.decode(&root).unwrap();
-                    let mut w = Vec::new();
-                    codec.encode_into(&s, &mut w).unwrap();
-                    w
-                };
-                seen.insert(root_words.clone());
-                frontier.push(root_words);
+                    let mut seen: HashSet<Vec<u16>> = HashSet::new();
+                    let mut frontier: Vec<Vec<u16>> = Vec::new();
+                    let root_words: Vec<u16> = {
+                        let s = codec.decode(&root).unwrap();
+                        let mut w = Vec::new();
+                        codec.encode_into(&s, &mut w).unwrap();
+                        w
+                    };
+                    seen.insert(root_words.clone());
+                    frontier.push(root_words);
 
-                let mut scratch = PackedScratch::default();
-                let mut fast = Vec::new();
-                let mut head = 0;
-                while head < frontier.len() && seen.len() < 200 {
-                    let words = frontier[head].clone();
-                    head += 1;
-                    let state = codec.decode_words(&words).unwrap();
-                    let (steps, _) = all_steps(spec, &index, &state, inst.node_count(), 10_000);
-                    tables.prepare(&words, &mut scratch);
-                    for cs in steps {
-                        // Engine oracle.
-                        let activation = cs.to_activation(spec, &index);
-                        let mut next = state.clone();
-                        let effect = execute_step(&inst, &index, &mut next, &activation);
-                        if collapse {
-                            next.collapse_queues_to_newest();
-                        }
-                        let capped = next.max_queue_len() > cap;
+                    let mut scratch = PackedScratch::default();
+                    let mut fast = Vec::new();
+                    let mut head = 0;
+                    while head < frontier.len() && seen.len() < 200 {
+                        let words = frontier[head].clone();
+                        head += 1;
+                        let state = codec.decode_words(&words).unwrap();
+                        let (steps, _) = all_steps(spec, &index, &state, inst.node_count(), 10_000);
+                        tables.prepare(&words, &mut scratch);
+                        for cs in steps {
+                            // Engine oracle.
+                            let activation = cs.to_activation(spec, &index);
+                            let mut next = state.clone();
+                            let effect = execute_step(&inst, &index, &mut next, &activation);
+                            if collapse {
+                                next.collapse_queues_to_newest();
+                            }
+                            let capped = next.max_queue_len() > cap;
 
-                        // Packed fast path.
-                        fast.clear();
-                        let applied = tables.apply(&words, &mut scratch, &cs, cap, &mut fast);
-                        if capped {
-                            assert_eq!(applied, Applied::Capped, "{name} {model} {cs:?}");
-                            continue;
-                        }
-                        let mut oracle = Vec::new();
-                        codec.encode_into(&next, &mut oracle).unwrap();
-                        match applied {
-                            Applied::Capped => panic!("{name} {model} {cs:?}: spurious cap"),
-                            Applied::Ok { new_rid, announcing } => {
-                                assert_eq!(fast, oracle, "{name} {model} {cs:?}");
-                                let changed = !effect.changed.is_empty();
-                                assert_eq!(
-                                    new_rid != words[cs.node.index()],
-                                    changed,
-                                    "{name} {model} {cs:?}"
-                                );
-                                assert_eq!(
-                                    announcing,
-                                    next.announced(cs.node) != state.announced(cs.node),
-                                    "{name} {model} {cs:?}"
-                                );
-                                let kept: Vec<usize> = cs
-                                    .effects
-                                    .iter()
-                                    .filter(|e| e.keep.is_some())
-                                    .map(|e| e.channel)
-                                    .collect();
-                                assert_eq!(kept, effect.kept_on, "{name} {model} {cs:?}");
-                                let dropped: Vec<usize> = cs
-                                    .effects
-                                    .iter()
-                                    .filter(|e| e.dropped() > 0)
-                                    .map(|e| e.channel)
-                                    .collect();
-                                assert_eq!(dropped, effect.dropped_on, "{name} {model} {cs:?}");
-                                if seen.insert(oracle.clone()) {
-                                    frontier.push(oracle);
+                            // Packed fast path.
+                            fast.clear();
+                            let applied = tables.apply(&words, &mut scratch, &cs, cap, &mut fast);
+                            if capped {
+                                assert_eq!(applied, Applied::Capped, "{name} {model} {cs:?}");
+                                continue;
+                            }
+                            let mut oracle = Vec::new();
+                            codec.encode_into(&next, &mut oracle).unwrap();
+                            match applied {
+                                Applied::Capped => panic!("{name} {model} {cs:?}: spurious cap"),
+                                Applied::Ok { new_rid, announcing } => {
+                                    assert_eq!(fast, oracle, "{name} {model} {cs:?}");
+                                    let changed = !effect.changed.is_empty();
+                                    assert_eq!(
+                                        new_rid != words[cs.node.index()],
+                                        changed,
+                                        "{name} {model} {cs:?}"
+                                    );
+                                    assert_eq!(
+                                        announcing,
+                                        next.announced(cs.node) != state.announced(cs.node),
+                                        "{name} {model} {cs:?}"
+                                    );
+                                    let kept: Vec<usize> = cs
+                                        .effects
+                                        .iter()
+                                        .filter(|e| e.keep.is_some())
+                                        .map(|e| e.channel)
+                                        .collect();
+                                    assert_eq!(kept, effect.kept_on, "{name} {model} {cs:?}");
+                                    let dropped: Vec<usize> = cs
+                                        .effects
+                                        .iter()
+                                        .filter(|e| e.dropped() > 0)
+                                        .map(|e| e.channel)
+                                        .collect();
+                                    assert_eq!(dropped, effect.dropped_on, "{name} {model} {cs:?}");
+                                    if seen.insert(oracle.clone()) {
+                                        frontier.push(oracle);
+                                    }
                                 }
                             }
                         }
                     }
+                    assert!(seen.len() > 1, "{name} {model}: walk never left the root");
                 }
-                assert!(seen.len() > 1, "{name} {model}: walk never left the root");
             }
         }
     }

@@ -24,7 +24,7 @@ use routelab_engine::state::NetworkState;
 use routelab_spp::SppInstance;
 
 use crate::arena::{MatScratch, NodeArena};
-use crate::effects::{all_steps_with, Spec};
+use crate::effects::Spec;
 use crate::error::ExploreError;
 use crate::exec_packed::{Applied, ExecTables, PackedScratch};
 use crate::frontier::{self, BfsOptions, BfsResult, FrontierStats, SuccBuf};
@@ -217,9 +217,9 @@ const PROFILE_CAP: usize = 1 << 15;
 
 /// The canonical steps of one queue-length profile, pre-resolved to shared
 /// [`StepInfo`] handles.
-struct ProfileSteps {
-    steps: Vec<Arc<StepInfo>>,
-    capped: bool,
+pub(crate) struct ProfileSteps {
+    pub(crate) steps: Vec<Arc<StepInfo>>,
+    pub(crate) capped: bool,
 }
 
 /// Per-worker memo of the step enumeration. The step set is a pure
@@ -227,16 +227,40 @@ struct ProfileSteps {
 /// profile share one enumeration and one set of `Arc<StepInfo>` labels —
 /// the hot loop allocates nothing per candidate.
 #[derive(Default)]
-struct StepCatalog {
+pub(crate) struct StepCatalog {
     by_profile: HashMap<Vec<u16>, Arc<ProfileSteps>>,
     infos: HashMap<crate::effects::CanonicalStep, Arc<StepInfo>>,
-    /// Profile-memo hit/miss tallies, flushed to telemetry when the scratch
-    /// drops (plain integers: the catalog is worker-private).
+    /// Profile-memo hit/miss tallies, flushed to telemetry when a graph
+    /// build's scratch drops (plain integers: the catalog is
+    /// worker-private).
     profile_hits: u64,
     profile_misses: u64,
 }
 
 impl StepCatalog {
+    /// The canonical steps of `node`, memoized on its queue-length profile.
+    pub(crate) fn steps(
+        &mut self,
+        tables: &ExecTables<'_>,
+        spec: Spec<'_>,
+        max_steps: usize,
+        node: &[u16],
+    ) -> Arc<ProfileSteps> {
+        let profile = tables.qlen_profile(node);
+        if let Some(p) = self.by_profile.get(profile) {
+            self.profile_hits += 1;
+            return Arc::clone(p);
+        }
+        self.profile_misses += 1;
+        let (steps, capped) = tables.all_steps(spec, node, max_steps);
+        let steps = steps.into_iter().map(|cs| self.info_of(cs, spec)).collect();
+        let p = Arc::new(ProfileSteps { steps, capped });
+        if self.by_profile.len() < PROFILE_CAP {
+            self.by_profile.insert(profile.to_vec(), Arc::clone(&p));
+        }
+        p
+    }
+
     /// The shared descriptor of `cs`, interning it on first sight.
     fn info_of(&mut self, cs: crate::effects::CanonicalStep, spec: Spec<'_>) -> Arc<StepInfo> {
         if let Some(info) = self.infos.get(&cs) {
@@ -310,41 +334,15 @@ enum Successor {
 
 /// The frontier-engine client for state-graph construction.
 struct GraphExpand<'a> {
-    inst: &'a SppInstance,
-    index: &'a ChannelIndex,
     spec: Spec<'a>,
     cfg: &'a ExploreConfig,
     /// The packed step kernel, shared by both modes.
-    tables: ExecTables,
+    tables: ExecTables<'a>,
     /// The reduction layer; `None` builds the literal unreduced graph.
-    reduce: Option<&'a Reducer>,
+    reduce: Option<&'a Reducer<'a>>,
 }
 
 impl GraphExpand<'_> {
-    /// The canonical steps of `node`, resolved through the per-worker
-    /// [`StepCatalog`] (keyed on the packed queue-length header).
-    fn steps(&self, node: &[u16], catalog: &mut StepCatalog) -> Arc<ProfileSteps> {
-        let profile = self.tables.qlen_profile(node);
-        if let Some(p) = catalog.by_profile.get(profile) {
-            catalog.profile_hits += 1;
-            return Arc::clone(p);
-        }
-        catalog.profile_misses += 1;
-        let (steps, capped) = all_steps_with(
-            self.spec,
-            self.index,
-            &|c| self.tables.queue_len(node, c),
-            self.inst.node_count(),
-            self.cfg.max_steps_per_state,
-        );
-        let steps = steps.into_iter().map(|cs| catalog.info_of(cs, self.spec)).collect();
-        let p = Arc::new(ProfileSteps { steps, capped });
-        if catalog.by_profile.len() < PROFILE_CAP {
-            catalog.by_profile.insert(profile.to_vec(), Arc::clone(&p));
-        }
-        p
-    }
-
     /// Applies one step to `node` (whose offsets `scratch.packed` holds),
     /// appending the successor's words to `words`; on anything but
     /// [`Successor::Edge`] the caller discards them. Reduced builds
@@ -412,7 +410,8 @@ impl frontier::Expand for GraphExpand<'_> {
         out: &mut SuccBuf<EdgePayload>,
         scratch: &mut GraphScratch,
     ) -> Result<bool, ExploreError> {
-        let profile = self.steps(node, &mut scratch.catalog);
+        let profile =
+            scratch.catalog.steps(&self.tables, self.spec, self.cfg.max_steps_per_state, node);
         let mut truncated = profile.capped;
         self.tables.prepare(node, &mut scratch.packed);
         for info in &profile.steps {
@@ -588,8 +587,8 @@ fn build_with(
     // Reduced builds collapse queues per channel in their normal form; the
     // whole-model newest-collapse is the unreduced build's.
     let collapse = reducer.is_none() && spec.collapsible();
-    let tables = ExecTables::new(inst, &index, &codec, collapse);
-    let exp = GraphExpand { inst, index: &index, spec, cfg, tables, reduce: reducer.as_ref() };
+    let tables = ExecTables::new(&index, &codec, collapse);
+    let exp = GraphExpand { spec, cfg, tables, reduce: reducer.as_ref() };
     let opts = BfsOptions {
         threads: cfg.resolved_threads(),
         max_nodes: cfg.max_states,
@@ -796,11 +795,9 @@ mod tests {
         let packed = Reducer::new(inst, index, codec, spec);
         let oracle = Reducer::new(inst, index, codec, spec);
         let exp = GraphExpand {
-            inst,
-            index,
             spec,
             cfg: &cfg,
-            tables: ExecTables::new(inst, index, codec, false),
+            tables: ExecTables::new(index, codec, false),
             reduce: Some(&packed),
         };
         let mut scratch = GraphScratch::default();
@@ -810,7 +807,7 @@ mod tests {
             let state = codec.decode_words(&node).unwrap();
             let (steps, capped) =
                 all_steps(spec, index, &state, inst.node_count(), cfg.max_steps_per_state);
-            let profile = exp.steps(&node, &mut scratch.catalog);
+            let profile = scratch.catalog.steps(&exp.tables, spec, cfg.max_steps_per_state, &node);
             assert_eq!(profile.capped, capped, "{cell}");
             assert_eq!(profile.steps.len(), steps.len(), "{cell}");
             exp.tables.prepare(&node, &mut scratch.packed);

@@ -5,9 +5,9 @@
 //! every route a state can ever mention is drawn from a fixed universe
 //! derivable from the instance alone: ε plus the permitted paths of every
 //! node (a node only ever chooses/announces permitted paths, and ρ/queue
-//! entries are neighbors' announcements). Interning that universe once
-//! yields a dense route-id space, and a state becomes one flat `u16`
-//! buffer:
+//! entries are neighbors' announcements). The engine's [`RouteTable`]
+//! interns exactly that universe, so a state becomes one flat buffer of
+//! its [`RouteId`]s narrowed to `u16`:
 //!
 //! ```text
 //! [chosen: n][announced: n][learned: m][queue lens: m][queue contents…]
@@ -16,16 +16,19 @@
 //! (`n` nodes, `m` dense channel ids, queues oldest-first.) The encoding is
 //! injective — equal buffers iff equal states — so hash-dedup over
 //! [`PackedState`] is exact, at a fraction of the memory of the 654k-state
-//! Appendix A.2 sweeps. Route-table construction is deterministic (node
-//! order, then rank order), so packed bytes are reproducible across runs
-//! and thread counts.
+//! Appendix A.2 sweeps. Each word holds ε or a route of one fixed source
+//! node (the node for π and announcements, the sender for ρ and queues),
+//! which is what lets the step kernel ([`crate::exec_packed`]) and the
+//! reducer read the table's per-channel extension entries directly. One
+//! table is built per codec and shared by `Arc`; its ids depend on the
+//! instance alone, so packed bytes are reproducible across runs and thread
+//! counts.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
-use routelab_spp::{NodeId, Path, Route, SppInstance};
+use routelab_spp::{NodeId, Route, RouteId, RouteTable, SppInstance};
 
 use crate::error::ExploreError;
 
@@ -55,21 +58,20 @@ impl PackedState {
     }
 }
 
-/// The per-instance codec: route universe + layout dimensions.
+/// The per-instance codec: the instance's route table plus the layout
+/// dimensions.
 #[derive(Debug, Clone)]
 pub struct StateCodec {
     n: usize,
     m: usize,
-    routes: Vec<Route>,
-    ids: HashMap<Route, u16>,
+    table: Arc<RouteTable>,
     /// Instance × model descriptor used to attribute errors to their cell.
     cell: String,
 }
 
 impl StateCodec {
-    /// Builds the codec for an instance. The route table is ε followed by
-    /// every node's permitted paths in (node id, rank) order — a canonical
-    /// enumeration independent of exploration order.
+    /// Builds the codec for an instance: interns its [`RouteTable`], whose
+    /// ids the packed words are.
     ///
     /// # Errors
     ///
@@ -81,31 +83,14 @@ impl StateCodec {
         cell: impl Into<String>,
     ) -> Result<Self, ExploreError> {
         let cell = cell.into();
-        let mut routes = vec![Route::empty()];
-        let mut ids = HashMap::new();
-        ids.insert(Route::empty(), 0u16);
-        let intern = |r: Route, routes: &mut Vec<Route>, ids: &mut HashMap<Route, u16>| {
-            if !ids.contains_key(&r) {
-                let id = routes.len();
-                ids.insert(r.clone(), id as u16);
-                routes.push(r);
-            }
-        };
-        // The destination's trivial path first (its π in every state), then
-        // each node's permitted paths in preference order.
-        intern(Route::path(Path::trivial(inst.dest())), &mut routes, &mut ids);
-        for v in inst.nodes() {
-            for rp in inst.permitted(v) {
-                intern(Route::path(rp.path.clone()), &mut routes, &mut ids);
-            }
-        }
-        if routes.len() > usize::from(u16::MAX) {
+        let table = RouteTable::new(inst);
+        if table.len() > usize::from(u16::MAX) {
             return Err(ExploreError {
                 cell,
-                kind: crate::error::ExploreErrorKind::RouteTableOverflow { routes: routes.len() },
+                kind: crate::error::ExploreErrorKind::RouteTableOverflow { routes: table.len() },
             });
         }
-        Ok(StateCodec { n: inst.node_count(), m: index.len(), routes, ids, cell })
+        Ok(StateCodec { n: inst.node_count(), m: index.len(), table: Arc::new(table), cell })
     }
 
     /// The cell descriptor errors are attributed to.
@@ -123,26 +108,19 @@ impl StateCodec {
         self.m
     }
 
-    /// The interned route universe, id order.
-    pub(crate) fn routes(&self) -> &[Route] {
-        &self.routes
-    }
-
-    /// Number of interned routes.
-    pub fn route_count(&self) -> usize {
-        self.routes.len()
+    /// The route table whose ids the packed words are.
+    pub(crate) fn table(&self) -> &RouteTable {
+        &self.table
     }
 
     /// The id of `r` within this instance's route universe, if interned.
     pub fn route_id(&self, r: &Route) -> Option<u16> {
-        self.ids.get(r).copied()
+        // The overflow check in `new` makes the narrowing lossless.
+        self.table.intern_route(r).map(|id| id.0 as u16)
     }
 
     fn rid(&self, r: &Route) -> Result<u16, ExploreError> {
-        self.ids
-            .get(r)
-            .copied()
-            .ok_or_else(|| ExploreError::unknown_route(&self.cell, format!("{r:?}")))
+        self.route_id(r).ok_or_else(|| ExploreError::unknown_route(&self.cell, format!("{r:?}")))
     }
 
     /// Encodes a state.
@@ -189,15 +167,13 @@ impl StateCodec {
     }
 
     fn route(&self, id: u16, ws: &[u16]) -> Result<Route, ExploreError> {
-        self.routes.get(usize::from(id)).cloned().ok_or_else(|| {
-            ExploreError::corrupt(
+        if usize::from(id) >= self.table.len() {
+            return Err(ExploreError::corrupt(
                 &self.cell,
-                format!(
-                    "route id {id} out of range ({} routes, buffer {ws:?})",
-                    self.routes.len(),
-                ),
-            )
-        })
+                format!("route id {id} out of range ({} routes, buffer {ws:?})", self.table.len()),
+            ));
+        }
+        Ok(self.table.route(RouteId(u32::from(id))).clone())
     }
 
     /// Decodes a packed state back into a [`NetworkState`].
@@ -336,7 +312,7 @@ mod tests {
     use super::*;
     use routelab_core::step::{ActivationStep, ChannelAction, NodeUpdate};
     use routelab_engine::exec::execute_step;
-    use routelab_spp::gadgets;
+    use routelab_spp::{gadgets, Path};
 
     fn codec_for(inst: &SppInstance) -> (ChannelIndex, StateCodec) {
         let index = ChannelIndex::new(inst.graph());

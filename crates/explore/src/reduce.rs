@@ -61,7 +61,11 @@ use routelab_core::dims::{MessagePolicy, NeighborScope, Reliability};
 use routelab_engine::index::ChannelIndex;
 #[cfg(test)]
 use routelab_engine::state::NetworkState;
-use routelab_spp::{automorphisms, Channel, NodeId, Route, SppInstance};
+#[cfg(test)]
+use routelab_spp::Route;
+use routelab_spp::{
+    automorphisms, Channel, NodeId, RouteId, RouteTable, SppInstance, NO_CANDIDATE,
+};
 
 use crate::arena::NodeArena;
 use crate::effects::Spec;
@@ -116,14 +120,15 @@ fn mode_for(spec: Spec<'_>, index: &ChannelIndex, c: usize) -> ChannelMode {
 
 /// Per-build reduction state: channel modes, symmetry tables, counters.
 #[derive(Debug)]
-pub(crate) struct Reducer {
+pub(crate) struct Reducer<'a> {
     n: usize,
     m: usize,
     modes: Vec<ChannelMode>,
-    /// Per channel `c = (u, v)`, indexed by route id: `true` for the routes
-    /// whose extension by `v` is permitted at `v` — every other route
-    /// (including ε) is observationally ⊥ there and projects onto ε.
-    usable: Vec<Vec<bool>>,
+    /// The codec's route table. A route on channel `c = (u, v)` is usable
+    /// there iff it has a candidate position (its extension by `v` is
+    /// permitted at `v`); every other route (including ε) is
+    /// observationally ⊥ there and projects onto ε.
+    table: &'a RouteTable,
     /// `order[id]`: the position of route `id` in the route order, the
     /// sort key of set-collapsed queues.
     order: Vec<u32>,
@@ -137,12 +142,14 @@ pub(crate) struct Reducer {
     usable_routes: Vec<Vec<Route>>,
 }
 
-/// The per-channel usable-route sets of the class projection: for
-/// `c = (u, v)`, the tails of `v`'s permitted paths whose next hop is `u`.
-/// On reachable states (channel contents are announcements of `u`, i.e.
-/// routes sourced at `u`, or ε) membership coincides exactly with
-/// [`SppInstance::candidate`] succeeding at `v`. Channels into the
-/// destination get the empty set: `d`'s choice is always `(d)`.
+/// The per-channel usable-route sets of the class projection, the oracle
+/// of the table's candidate positions: for `c = (u, v)`, the tails of
+/// `v`'s permitted paths whose next hop is `u`. On reachable states
+/// (channel contents are announcements of `u`, i.e. routes sourced at `u`,
+/// or ε) membership coincides exactly with [`SppInstance::candidate`]
+/// succeeding at `v`. Channels into the destination get the empty set:
+/// `d`'s choice is always `(d)`.
+#[cfg(test)]
 fn usable_routes(inst: &SppInstance, index: &ChannelIndex) -> Vec<Vec<Route>> {
     (0..index.len())
         .map(|c| {
@@ -160,47 +167,42 @@ fn usable_routes(inst: &SppInstance, index: &ChannelIndex) -> Vec<Vec<Route>> {
         .collect()
 }
 
-/// `order[id]` = the position of route `id` when the codec's universe is
-/// sorted by [`Route`]'s ordering: the one route-order key of the reduction
-/// layer, by which the set collapse sorts queues and symmetry images
-/// re-sort them.
-fn route_order(codec: &StateCodec) -> Vec<u32> {
-    let mut by_route: Vec<u16> = (0..codec.route_count() as u16).collect();
-    by_route.sort_unstable_by(|&a, &b| {
-        codec.routes()[usize::from(a)].cmp(&codec.routes()[usize::from(b)])
-    });
+/// `order[id]` = the position of route `id` when the table's universe is
+/// sorted by [`routelab_spp::Route`]'s ordering: the one route-order key
+/// of the reduction layer, by which the set collapse sorts queues and
+/// symmetry images re-sort them.
+fn route_order(table: &RouteTable) -> Vec<u32> {
+    let route = |id: u32| table.route(RouteId(id));
+    let mut by_route: Vec<u32> = (0..table.len() as u32).collect();
+    by_route.sort_unstable_by(|&a, &b| route(a).cmp(route(b)));
     let mut order = vec![0u32; by_route.len()];
     for (k, &id) in by_route.iter().enumerate() {
-        order[usize::from(id)] = k as u32;
+        order[id as usize] = k as u32;
     }
     order
 }
 
-impl Reducer {
+impl<'a> Reducer<'a> {
     pub(crate) fn new(
         inst: &SppInstance,
         index: &ChannelIndex,
-        codec: &StateCodec,
+        codec: &'a StateCodec,
         spec: Spec<'_>,
     ) -> Self {
-        let routes = usable_routes(inst, index);
-        let usable = routes
-            .iter()
-            .map(|u| codec.routes().iter().map(|r| u.binary_search(r).is_ok()).collect())
-            .collect();
+        let table = codec.table();
         Reducer {
             n: codec.n(),
             m: codec.m(),
             modes: (0..index.len()).map(|c| mode_for(spec, index, c)).collect(),
-            usable,
-            order: route_order(codec),
+            table,
+            order: route_order(table),
             sym: SymTables::detect(inst, index, codec, spec).map(Arc::new),
             canon_rewrites: AtomicU64::new(0),
             pops: AtomicU64::new(0),
             set_collapses: AtomicU64::new(0),
             sym_hits: AtomicU64::new(0),
             #[cfg(test)]
-            usable_routes: routes,
+            usable_routes: usable_routes(inst, index),
         }
     }
 
@@ -225,9 +227,8 @@ impl Reducer {
             // Class projection first: it can only create further absorb,
             // newest and set-dedup opportunities, never destroy them. The
             // queue moves down to the write cursor as it is projected.
-            let usable = &self.usable[c];
             let mut project = |id: u16| {
-                if id != 0 && !usable[usize::from(id)] {
+                if id != 0 && self.table.candidate_pos(c, RouteId(u32::from(id))) == NO_CANDIDATE {
                     rewrites += 1;
                     0
                 } else {
@@ -342,7 +343,7 @@ impl Reducer {
 /// The [`NetworkState`] forms of the normal form and the cap test: the
 /// oracle the packed forms are differentially tested against.
 #[cfg(test)]
-impl Reducer {
+impl Reducer<'_> {
     /// [`Reducer::normalize_words`] on a decoded state.
     pub(crate) fn normalize(&self, next: &mut NetworkState, absorbed: &mut Vec<usize>) {
         absorbed.clear();
@@ -437,8 +438,7 @@ impl SymTables {
         if auts.len() <= 1 {
             return None;
         }
-        let n = codec.n();
-        let m = codec.m();
+        let (n, m, table) = (codec.n(), codec.m(), codec.table());
         let elems = auts
             .iter()
             .map(|a| {
@@ -456,12 +456,10 @@ impl SymTables {
                 for (c, &cc) in channel_map.iter().enumerate() {
                     channel_unmap[cc] = c;
                 }
-                let route_map: Vec<u16> = codec
-                    .routes()
-                    .iter()
-                    .map(|r| {
+                let route_map: Vec<u16> = (0..table.len() as u32)
+                    .map(|id| {
                         codec
-                            .route_id(&a.map_route(r))
+                            .route_id(&a.map_route(table.route(RouteId(id))))
                             .expect("automorphisms preserve the route universe")
                     })
                     .collect();
@@ -475,7 +473,7 @@ impl SymTables {
         let mult: Vec<Vec<usize>> =
             auts.iter().map(|a| auts.iter().map(|b| pos(&a.compose(b))).collect()).collect();
         let set_channels: Vec<bool> = (0..m).map(|c| mode_for(spec, index, c).set).collect();
-        Some(SymTables { n, m, elems, inv, mult, set_channels, sort_key: route_order(codec) })
+        Some(SymTables { n, m, elems, inv, mult, set_channels, sort_key: route_order(table) })
     }
 
     /// Group order.
@@ -868,6 +866,24 @@ mod tests {
         assert_eq!(absorbed, vec![xd_chan]);
         assert_eq!(stats.canon_rewrites, 1);
         assert_eq!(stats.absorb_pops, 1);
+    }
+
+    #[test]
+    fn usable_routes_are_those_with_a_candidate_position() {
+        // The class projection's test on the table against its oracle, for
+        // every route a channel's sender can announce.
+        for (name, inst) in gadgets::corpus() {
+            let index = ChannelIndex::new(inst.graph());
+            let codec = StateCodec::new(&inst, &index, "t").unwrap();
+            let (table, usable) = (codec.table(), usable_routes(&inst, &index));
+            for (c, ch) in index.channels().iter().enumerate() {
+                for pos in 0..table.route_count(ch.from) as u32 {
+                    let id = table.route_id(ch.from, pos);
+                    let oracle = usable[c].binary_search(table.route(id)).is_ok();
+                    assert_eq!(table.candidate_pos(c, id) != NO_CANDIDATE, oracle, "{name} {ch}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,20 +4,22 @@
 //! Runs on the sharded frontier engine ([`crate::frontier`]): search nodes
 //! are `(packed state, matched-prefix-length)` pairs, so the closure is
 //! deterministic at every thread count and a found witness is always the
-//! breadth-first shortest one.
+//! breadth-first shortest one. Successors come from the explorer's packed
+//! step kernel ([`crate::exec_packed`]) on the literal model: no queue
+//! collapse, the configured channel cap.
 
 use routelab_core::model::CommModel;
 use routelab_core::step::{ActivationSeq, ActivationStep};
-use routelab_engine::exec::execute_step;
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
 use routelab_engine::trace::PathTrace;
 use routelab_spp::SppInstance;
 
-use crate::effects::{all_steps, Spec};
+use crate::effects::Spec;
 use crate::error::ExploreError;
+use crate::exec_packed::{Applied, ExecTables, PackedScratch};
 use crate::frontier::{bfs, BfsOptions, Expand, SuccBuf};
-use crate::graph::{cell_of, ExploreConfig};
+use crate::graph::{cell_of, ExploreConfig, StepCatalog};
 use crate::pack::StateCodec;
 
 /// Which Definition 3.2 relation the found sequence must induce.
@@ -69,10 +71,10 @@ fn split_node(node: &[u16]) -> (&[u16], u32) {
 }
 
 struct SearchExpand<'a> {
-    inst: &'a SppInstance,
     index: &'a ChannelIndex,
-    model: CommModel,
+    spec: Spec<'a>,
     codec: &'a StateCodec,
+    tables: ExecTables<'a>,
     /// Per target entry, the π of that entry as codec route ids — `None`
     /// when the entry mentions a route outside the instance's universe (no
     /// reachable state can ever match it).
@@ -87,12 +89,30 @@ impl SearchExpand<'_> {
     fn matches_at(&self, t: u32, pi: &[u16]) -> bool {
         self.target_ids.get(t as usize).and_then(Option::as_deref) == Some(pi)
     }
+
+    /// The matched-prefix length after a step into a state with
+    /// assignment `pi`, or `None` when that step leaves the target.
+    fn progress_after(&self, progress: u32, pi: &[u16]) -> Option<u32> {
+        match self.goal {
+            // Settling phase: the infinite tail of the base is constant,
+            // so every extra entry must repeat it.
+            SearchGoal::Exact if progress == self.last => {
+                self.matches_at(self.last, pi).then_some(self.last)
+            }
+            SearchGoal::Exact => self.matches_at(progress + 1, pi).then_some(progress + 1),
+            SearchGoal::Repetition if self.matches_at(progress + 1, pi) => Some(progress + 1),
+            SearchGoal::Repetition => self.matches_at(progress, pi).then_some(progress),
+            SearchGoal::Subsequence if self.matches_at(progress + 1, pi) => Some(progress + 1),
+            SearchGoal::Subsequence => Some(progress),
+        }
+    }
 }
 
-/// Reusable per-worker encode buffer.
+/// Reusable per-worker expansion scratch.
 #[derive(Default)]
 struct SearchScratch {
-    enc: Vec<u16>,
+    packed: PackedScratch,
+    catalog: StepCatalog,
 }
 
 impl Expand for SearchExpand<'_> {
@@ -107,61 +127,27 @@ impl Expand for SearchExpand<'_> {
         scratch: &mut SearchScratch,
     ) -> Result<bool, ExploreError> {
         let (packed, progress) = split_node(node);
-        let state = self.codec.decode_words(packed)?;
-        let spec = Spec::Uniform(self.model);
-        let (steps, capped) = all_steps(
-            spec,
-            self.index,
-            &state,
-            self.inst.node_count(),
-            self.cfg.max_steps_per_state,
-        );
-        let mut truncated = capped;
-        for cs in steps {
-            let activation = cs.to_activation(spec, self.index);
-            let mut next = state.clone();
-            execute_step(self.inst, self.index, &mut next, &activation);
-            if next.max_queue_len() > self.cfg.channel_cap {
+        let profile =
+            scratch.catalog.steps(&self.tables, self.spec, self.cfg.max_steps_per_state, packed);
+        let mut truncated = profile.capped;
+        self.tables.prepare(packed, &mut scratch.packed);
+        let cap = self.cfg.channel_cap;
+        for info in &profile.steps {
+            let mark = out.mark();
+            let applied =
+                self.tables.apply(packed, &mut scratch.packed, &info.step, cap, out.words());
+            if applied == Applied::Capped {
                 truncated = true;
+                out.cancel(mark);
                 continue;
             }
-            self.codec.encode_into(&next, &mut scratch.enc)?;
-            let pi = self.codec.pi_ids_words(&scratch.enc);
-            let next_progress = match self.goal {
-                SearchGoal::Exact => {
-                    if progress == self.last {
-                        // Settling phase: the infinite tail of the base is
-                        // constant, so every extra entry must repeat it.
-                        if !self.matches_at(self.last, pi) {
-                            continue;
-                        }
-                        self.last
-                    } else if self.matches_at(progress + 1, pi) {
-                        progress + 1
-                    } else {
-                        continue;
-                    }
-                }
-                SearchGoal::Repetition => {
-                    if self.matches_at(progress + 1, pi) {
-                        progress + 1
-                    } else if self.matches_at(progress, pi) {
-                        progress
-                    } else {
-                        continue;
-                    }
-                }
-                SearchGoal::Subsequence => {
-                    if self.matches_at(progress + 1, pi) {
-                        progress + 1
-                    } else {
-                        progress
-                    }
-                }
+            let pi = self.codec.pi_ids_words(out.since(mark));
+            let Some(next) = self.progress_after(progress, pi) else {
+                out.cancel(mark);
+                continue;
             };
-            scratch.enc.push((next_progress & 0xFFFF) as u16);
-            scratch.enc.push((next_progress >> 16) as u16);
-            out.push(&scratch.enc, activation);
+            out.words().extend_from_slice(&[(next & 0xFFFF) as u16, (next >> 16) as u16]);
+            out.commit(mark, info.step.to_activation(self.spec, self.index));
         }
         Ok(truncated)
     }
@@ -226,10 +212,10 @@ pub fn try_search(
         })
         .collect();
     let exp = SearchExpand {
-        inst,
         index: &index,
-        model,
+        spec: Spec::Uniform(model),
         codec: &codec,
+        tables: ExecTables::new(&index, &codec, false),
         target_ids: &target_ids,
         goal,
         last: (target.len() - 1) as u32,

@@ -739,6 +739,29 @@ mod tests {
     }
 
     #[test]
+    fn fairly_converged_runs_end_stable() {
+        // A run that quiesces along a fair prefix has processed every
+        // message, so its final π must be a stable assignment. Unfair
+        // quiescence is left out on purpose: a run that went quiet only
+        // because its last message was dropped can freeze on a stale ρ
+        // (DISAGREE × UMS quiesces unfairly in most runs and ends unstable
+        // in some of them).
+        let cfg = pinned::config(3);
+        let mut fair = 0;
+        for (name, inst) in pinned::instances() {
+            let table = RouteTable::new(&inst);
+            for model in pinned::models() {
+                for run in 0..cfg.runs {
+                    let r = run_one_with(&inst, &table, model, &cfg, run);
+                    assert!(!r.converged || r.stable_outcome, "{name} × {model} run {run}");
+                    fair += usize::from(r.converged);
+                }
+            }
+        }
+        assert!(fair > 0, "some pinned runs converge fairly");
+    }
+
+    #[test]
     fn run_seed_is_offset_addition() {
         assert_eq!(run_seed(10, 0), 10);
         assert_eq!(run_seed(10, 5), 15);

@@ -15,7 +15,9 @@
 //!
 //! * Paths in `prefs` lines are most preferred first, written in the
 //!   [`SppInstance::fmt_path`] style (single-character names concatenated,
-//!   multi-character names joined by `-`).
+//!   multi-character names joined by `-`), so node names cannot contain
+//!   `-`.
+//! * `dest` must name a node of the instance.
 //! * `#` begins a comment; blank lines are ignored.
 
 use crate::error::SppError;
@@ -64,7 +66,7 @@ pub fn to_text(inst: &SppInstance) -> String {
 /// errors for well-formed but inconsistent data.
 pub fn from_text(text: &str) -> Result<SppInstance, SppError> {
     let mut builder = SppBuilder::new();
-    let mut dest_name: Option<String> = None;
+    let mut dest: Option<(String, usize)> = None;
     let mut prefs: Vec<(String, Vec<String>)> = Vec::new();
     let mut saw_header = false;
 
@@ -76,6 +78,7 @@ pub fn from_text(text: &str) -> Result<SppInstance, SppError> {
         let mut tokens = line.split_whitespace();
         let keyword = tokens.next().expect("non-empty line has a token");
         let err = |message: &str| SppError::Parse { line: ln + 1, message: message.to_string() };
+        let name = |token| node_name(token, ln + 1);
         match keyword {
             "spp" => {
                 if tokens.next() != Some("v1") {
@@ -84,17 +87,16 @@ pub fn from_text(text: &str) -> Result<SppInstance, SppError> {
                 saw_header = true;
             }
             "node" => {
-                let name = tokens.next().ok_or_else(|| err("node needs a name"))?;
-                builder.node(name);
+                builder.node(name(tokens.next().ok_or_else(|| err("node needs a name"))?)?);
             }
             "edge" => {
                 let a = tokens.next().ok_or_else(|| err("edge needs two endpoints"))?;
                 let b = tokens.next().ok_or_else(|| err("edge needs two endpoints"))?;
-                builder.edge(a, b)?;
+                builder.edge(name(a)?, name(b)?)?;
             }
             "dest" => {
-                let name = tokens.next().ok_or_else(|| err("dest needs a name"))?;
-                dest_name = Some(name.to_string());
+                let d = tokens.next().ok_or_else(|| err("dest needs a name"))?;
+                dest = Some((d.to_string(), ln + 1));
             }
             "prefs" => {
                 let v = tokens.next().ok_or_else(|| err("prefs needs a node"))?;
@@ -116,15 +118,28 @@ pub fn from_text(text: &str) -> Result<SppInstance, SppError> {
     if !saw_header {
         return Err(SppError::Parse { line: 1, message: "missing `spp v1` header".into() });
     }
-    let dest_name =
-        dest_name.ok_or(SppError::Parse { line: 1, message: "missing `dest` line".into() })?;
+    let (dest, line) =
+        dest.ok_or(SppError::Parse { line: 1, message: "missing `dest` line".into() })?;
+    let d = builder.node_id(&dest).map_err(|_| SppError::Parse {
+        line,
+        message: format!("dest {dest:?} is not a declared node"),
+    })?;
+    builder.dest(d)?;
     for (v, paths) in &prefs {
         let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
         builder.prefer_named(v, &refs)?;
     }
-    let d = builder.node(&dest_name); // name must already exist; `node` is idempotent
-    builder.dest(d)?;
     builder.build()
+}
+
+/// A node-name token of line `line`. `-` joins names in paths, so a name
+/// holding it could never be written in a `prefs` line.
+fn node_name(token: &str, line: usize) -> Result<&str, SppError> {
+    if token.contains('-') {
+        let message = format!("node name {token:?} contains the path separator `-`");
+        return Err(SppError::Parse { line, message });
+    }
+    Ok(token)
 }
 
 #[cfg(test)]
@@ -181,6 +196,25 @@ prefs y yxd yd
     fn malformed_lines_rejected() {
         for bad in ["spp v1\nnode\n", "spp v1\nedge x\n", "spp v1\nprefs x\n", "spp v2\n"] {
             assert!(from_text(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn undeclared_dest_rejected() {
+        // Used to add an isolated destination node `q` silently.
+        let e = from_text("spp v1\nnode d\ndest q\n").unwrap_err();
+        assert!(matches!(e, SppError::Parse { line: 3, .. }), "{e}");
+    }
+
+    #[test]
+    fn path_separator_in_node_name_rejected() {
+        // A `-` in a name made the node unwritable in `prefs` lines, and its
+        // printed form did not parse back.
+        for (bad, line) in
+            [("spp v1\nnode d\nnode a-b\ndest d\n", 3), ("spp v1\nnode d\nedge a-b d\ndest d\n", 3)]
+        {
+            let e = from_text(bad).unwrap_err();
+            assert!(matches!(e, SppError::Parse { line: l, .. } if l == line), "{bad:?}: {e}");
         }
     }
 

@@ -335,6 +335,15 @@ impl SppBuilder {
         id
     }
 
+    /// The id of an already added node.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SppError::UnknownName`] for names not yet added.
+    pub(crate) fn node_id(&self, name: &str) -> Result<NodeId, SppError> {
+        self.by_name.get(name).copied().ok_or_else(|| SppError::UnknownName { name: name.into() })
+    }
+
     /// Adds the undirected edge `{a, b}`.
     ///
     /// # Errors
@@ -387,11 +396,7 @@ impl SppBuilder {
     ///
     /// Returns [`SppError::UnknownName`] for names not yet added.
     pub fn prefer_named(&mut self, v: &str, paths: &[&str]) -> Result<&mut Self, SppError> {
-        let vid = self
-            .by_name
-            .get(v)
-            .copied()
-            .ok_or_else(|| SppError::UnknownName { name: v.to_string() })?;
+        let vid = self.node_id(v)?;
         let mut parsed = Vec::with_capacity(paths.len());
         for s in paths {
             let names: Vec<String> = if s.contains('-') {
@@ -401,12 +406,7 @@ impl SppBuilder {
             };
             let mut ids = Vec::with_capacity(names.len());
             for n in &names {
-                let id = self
-                    .by_name
-                    .get(n)
-                    .copied()
-                    .ok_or_else(|| SppError::UnknownName { name: n.clone() })?;
-                ids.push(id);
+                ids.push(self.node_id(n)?);
             }
             parsed.push(ids);
         }

@@ -18,7 +18,8 @@
 //!   permitted path of `u`), the local preference position at `v` of the
 //!   extension `v·p` — or [`NO_CANDIDATE`] when the extension loops or is
 //!   not permitted. The paper's algorithm action 2 (extend, filter, rank)
-//!   costs one indexed load per in-channel.
+//!   costs one indexed load per in-channel, and [`RouteTable::choose`] is
+//!   Definition 2.3's best-route choice for every fast kernel.
 //!
 //! Routes decode back to [`Route`] values by reference ([`RouteTable::route`]),
 //! so rendering, traces and the flight recorder stay byte-identical to the
@@ -73,12 +74,14 @@ pub struct RouteTable {
     /// Directed channels in [`crate::Graph::channels`] order — the same
     /// dense ids the engine's channel index assigns.
     channels: Vec<Channel>,
-    /// Per channel `(u, v)`: slot 0 is ε, slot `1 + j` the local preference
-    /// position at `v` of extending `u`'s `j`-th permitted path (or
-    /// [`NO_CANDIDATE`]).
-    ext: Vec<Box<[u32]>>,
-    /// Per channel: `base(from)`, to map a [`RouteId`] to its ext slot.
-    ext_base: Vec<u32>,
+    /// The extension entries of every channel, one flat run per channel.
+    /// For channel `(u, v)`, slot 0 of its run is ε and slot `1 + j` the
+    /// local preference position at `v` of extending `u`'s `j`-th
+    /// permitted path (or [`NO_CANDIDATE`]).
+    ext: Vec<u32>,
+    /// Per channel: the offset of its run in `ext`, and `base(from)`, which
+    /// maps a [`RouteId`] to its slot.
+    ext_at: Vec<(u32, u32)>,
     dest: NodeId,
     /// The destination's constant choice: its trivial path.
     dest_choice: RouteId,
@@ -102,23 +105,20 @@ impl RouteTable {
             }
         }
         let channels: Vec<Channel> = inst.graph().channels().collect();
-        let mut ext = Vec::with_capacity(channels.len());
-        let mut ext_base = Vec::with_capacity(channels.len());
+        let mut ext =
+            Vec::with_capacity(channels.iter().map(|ch| count[ch.from.index()] as usize + 1).sum());
+        let mut ext_at = Vec::with_capacity(channels.len());
         for ch in &channels {
             let u = ch.from.index();
             let v = ch.to;
-            let mut t = vec![NO_CANDIDATE; count[u] as usize + 1];
+            ext_at.push((ext.len() as u32, base[u]));
+            ext.push(NO_CANDIDATE); // ε never extends
             for j in 0..count[u] as usize {
                 let p = routes[base[u] as usize + j].as_path().expect("non-ε block entry");
-                if let Ok(extended) = p.prepend(v) {
-                    if let Some(&rid) = intern.get(&extended) {
-                        // Extended paths start at v, so rid lies in v's block.
-                        t[j + 1] = rid.0 - base[v.index()];
-                    }
-                }
+                let pos = p.prepend(v).ok().and_then(|extended| intern.get(&extended));
+                // Extended paths start at v, so the id lies in v's block.
+                ext.push(pos.map_or(NO_CANDIDATE, |rid| rid.0 - base[v.index()]));
             }
-            ext.push(t.into_boxed_slice());
-            ext_base.push(base[u]);
         }
         let dest = inst.dest();
         // Validation guarantees the destination's block is exactly its
@@ -129,7 +129,7 @@ impl RouteTable {
             Some(true),
             "destination block must start with the trivial path"
         );
-        RouteTable { routes, base, count, intern, channels, ext, ext_base, dest, dest_choice }
+        RouteTable { routes, base, count, intern, channels, ext, ext_at, dest, dest_choice }
     }
 
     /// Total number of interned routes (including ε).
@@ -199,21 +199,40 @@ impl RouteTable {
     /// (the route ρ holds for channel `cid` — ε or a permitted path of
     /// `from(cid)`), or [`NO_CANDIDATE`]. This is the hot-path form of
     /// [`SppInstance::candidate`]: one indexed load, no `Path` built.
+    #[inline]
     pub fn candidate_pos(&self, cid: usize, learned: RouteId) -> u32 {
-        let slot =
-            if learned.is_epsilon() { 0 } else { (learned.0 - self.ext_base[cid] + 1) as usize };
-        self.ext[cid][slot]
+        let (offset, base) = self.ext_at[cid];
+        debug_assert!(
+            learned.is_epsilon()
+                || (base..base + self.count[self.channels[cid].from.index()]).contains(&learned.0),
+            "channel {cid} carries a route its sender cannot announce"
+        );
+        let slot = if learned.is_epsilon() { 0 } else { learned.0 - base + 1 };
+        self.ext[(offset + slot) as usize]
     }
 
-    /// Completes a choice at `v` from the minimal candidate position
-    /// returned by scanning [`RouteTable::candidate_pos`] over `v`'s
-    /// in-channels: ε when nothing was feasible. The destination never
-    /// scans — its choice is [`RouteTable::dest_choice`].
-    pub fn decide(&self, v: NodeId, best_pos: u32) -> RouteId {
-        if best_pos == NO_CANDIDATE {
+    /// Definition 2.3's best-route choice at `v`: the minimum of
+    /// [`RouteTable::candidate_pos`] over the in-channels `ins` (dense ids,
+    /// `learned(c)` giving ρ on channel `c`), decoded in `v`'s block — ε
+    /// when no candidate is feasible. The destination always takes
+    /// [`RouteTable::dest_choice`]. [`SppInstance::choose_best`] is the
+    /// oracle this is tested against.
+    #[inline]
+    pub fn choose(
+        &self,
+        v: NodeId,
+        ins: &[usize],
+        mut learned: impl FnMut(usize) -> RouteId,
+    ) -> RouteId {
+        if v == self.dest {
+            return self.dest_choice;
+        }
+        let best =
+            ins.iter().fold(NO_CANDIDATE, |best, &c| best.min(self.candidate_pos(c, learned(c))));
+        if best == NO_CANDIDATE {
             RouteId::EPSILON
         } else {
-            RouteId(self.base[v.index()] + best_pos)
+            RouteId(self.base[v.index()] + best)
         }
     }
 }
@@ -273,7 +292,7 @@ mod tests {
                         None => assert_eq!(got, NO_CANDIDATE, "{name} {ch}"),
                         Some((p, _rank)) => {
                             assert_ne!(got, NO_CANDIDATE, "{name} {ch}");
-                            let decoded = t.route(t.decide(v, got));
+                            let decoded = t.route(t.route_id(v, got));
                             assert_eq!(decoded.as_path(), Some(&p), "{name} {ch}");
                         }
                     }
@@ -316,15 +335,8 @@ mod tests {
                     }
                 }
                 for cfg in configs {
-                    let interned = if v == t.dest() {
-                        t.dest_choice()
-                    } else {
-                        let mut best = NO_CANDIDATE;
-                        for (k, &cid) in ins.iter().enumerate() {
-                            best = best.min(t.candidate_pos(cid, cfg[k]));
-                        }
-                        t.decide(v, best)
-                    };
+                    let k = |c: usize| ins.iter().position(|&i| i == c).expect("an in-channel");
+                    let interned = t.choose(v, &ins, |c| cfg[k(c)]);
                     let routes: Vec<Route> = cfg.iter().map(|&id| t.route(id).clone()).collect();
                     let naive = inst.choose_best(v, routes.iter());
                     assert_eq!(t.route(interned), &naive, "{name} node {v}");

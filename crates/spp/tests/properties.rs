@@ -159,7 +159,7 @@ proptest! {
                 match inst.candidate(v, &learned) {
                     None => prop_assert_eq!(fast, NO_CANDIDATE),
                     Some((ext, rank)) => {
-                        prop_assert_eq!(t.route(t.decide(v, fast)).as_path(), Some(&ext));
+                        prop_assert_eq!(t.route(t.route_id(v, fast)).as_path(), Some(&ext));
                         prop_assert_eq!(inst.rank(v, &ext), Some(rank));
                     }
                 }
@@ -191,15 +191,8 @@ proptest! {
                     }
                 })
                 .collect();
-            let interned = if v == t.dest() {
-                t.dest_choice()
-            } else {
-                let mut best = NO_CANDIDATE;
-                for (k, &c) in ins.iter().enumerate() {
-                    best = best.min(t.candidate_pos(c, learned[k]));
-                }
-                t.decide(v, best)
-            };
+            let k = |c: usize| ins.iter().position(|&i| i == c).expect("an in-channel");
+            let interned = t.choose(v, &ins, |c| learned[k(c)]);
             let routes: Vec<Route> = learned.iter().map(|&id| t.route(id).clone()).collect();
             prop_assert_eq!(t.route(interned), &inst.choose_best(v, routes.iter()));
         }
