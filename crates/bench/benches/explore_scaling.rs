@@ -64,7 +64,6 @@ fn main() {
                     max_steps_per_state: 20_000,
                     threads: Some(threads),
                     reduce,
-                    ..ExploreConfig::default()
                 };
                 let t0 = Instant::now();
                 let g = try_build_spec(&inst, spec, &cfg)
@@ -96,7 +95,6 @@ fn main() {
                     ("dedup_hits", Json::int(g.stats.dedup_hits as usize)),
                     ("peak_frontier", Json::int(g.stats.peak_frontier)),
                     ("bytes_resident", Json::int(g.stats.bytes_resident as usize)),
-                    ("bytes_spilled", Json::int(g.stats.bytes_spilled as usize)),
                     ("shard_min", Json::int(g.stats.shard_min)),
                     ("shard_max", Json::int(g.stats.shard_max)),
                     ("identical_to_single_thread", Json::Bool(same)),

@@ -1,722 +1,111 @@
-//! Delta-compressed, spill-capable storage for interned frontier nodes.
+//! Flat storage for interned frontier nodes.
 //!
-//! The frontier engine used to keep every interned state as its own
-//! `Arc<[u16]>` — one heap allocation plus a 16-byte refcount header per
-//! state, and the full flat buffer resident forever. But successive routing
-//! states differ in a handful of `u16` slots (one π entry, one ρ entry, a
-//! queue head consumed, an announcement appended), so [`NodeArena`] interns
-//! each node as a **sparse diff against its first-discovery parent**,
-//! bump-allocated into fixed-size pages. A chain of diffs is cut by a full
-//! keyframe every [`KEY_EVERY`] levels, bounding materialization cost, and
-//! a diff that fails to compress is stored as a keyframe too.
-//!
-//! Pages are sealed in order; with a spill directory configured, sealed
-//! pages beyond the resident budget are written to an unlinked temp file
-//! and read back with positioned reads (`pread`) on demand. All writes
-//! happen in the frontier's serial merge phase, so the parallel expand and
-//! dedup phases only ever read — `&NodeArena` is freely shared across
-//! worker threads.
-//!
-//! Diff encoding: a sequence of `u16` ops, `op = word >> 14`,
-//! `len = word & 0x3FFF`:
-//!
-//! * `0` **COPY** — copy `len` words from the parent cursor (advances both)
-//! * `1` **LIT** — emit the next `len` literal words (advances output only)
-//! * `2` **SKIP** — advance the parent cursor by `len` words
-//!
-//! Materialization replays the op sequence bottom-up from the keyframe.
-//! Equality of arenas is defined by materialized content, so the
-//! differential suites compare delta-compressed, spilled, and plain
-//! storage bit-for-bit.
+//! Every interned node is a run of `u16` words in one contiguous buffer,
+//! appended in id order; node `id` is the slice between its predecessor's
+//! end offset and its own. All writes happen in the frontier's serial merge
+//! phase, so the parallel expand and dedup phases only ever read —
+//! `&NodeArena` is freely shared across worker threads.
 
-use std::fs::File;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-
-use crate::error::ExploreError;
-
-/// Default words per sealed page (64 Ki words = 128 KiB). Oversized
-/// entries get a dedicated page of exactly their size; entries never span
-/// pages. Spill-backed arenas shrink the page so the resident budget holds
-/// at least two sealed pages — otherwise a budget smaller than one page
-/// could never trigger a spill (the open page never spills).
-const PAGE_WORDS: usize = 1 << 16;
-
-/// Smallest page a spill-backed arena will use, however tiny its budget.
-const MIN_PAGE_WORDS: usize = 64;
-
-/// Maximum delta-chain depth before a full keyframe is forced. Bounds the
-/// number of diff applications per materialization.
-const KEY_EVERY: u16 = 8;
-
-/// Maximum length one diff op can carry (the low 14 bits of the op word).
-const OP_MAX: usize = (1 << 14) - 1;
-
-const OP_COPY: u16 = 0;
-const OP_LIT: u16 = 1;
-const OP_SKIP: u16 = 2;
-
-/// `u32` sentinel for "no parent" (keyframe entries).
-const NO_PARENT: u32 = u32::MAX;
-
-/// One interned node: where its stored words live and how to expand them.
-#[derive(Clone, Copy)]
-struct Entry {
-    /// Page index.
-    page: u32,
-    /// Word offset within the page.
-    off: u32,
-    /// Stored words (diff code, or the full buffer for keyframes).
-    stored: u32,
-    /// Parent entry the diff applies against; `NO_PARENT` for keyframes.
-    parent: u32,
-    /// Delta-chain depth (0 for keyframes).
-    depth: u16,
-    /// Materialized length in words.
-    full: u32,
-}
-
-/// A sealed page: resident words, or a byte range of the spill file.
-enum Page {
-    Resident(Box<[u16]>),
-    Spilled {
-        /// Byte offset in the spill file.
-        at: u64,
-    },
-}
-
-/// The spill backing: an already-unlinked temp file (auto-reclaimed on
-/// drop, even on panic) plus its append cursor.
-struct Spill {
-    file: File,
-    write_at: u64,
-    resident_budget: usize,
-    /// First page index not yet considered for spilling.
-    next_page: usize,
-}
-
-/// Reusable scratch for [`NodeArena::materialize`]: the delta chain, the
-/// ping-pong base buffer, and an I/O buffer for spilled reads.
-#[derive(Default)]
-pub struct MatScratch {
-    chain: Vec<u32>,
-    a: Vec<u16>,
-    io: Vec<u16>,
-}
-
-/// Delta-compressed arena of interned `u16`-word nodes; index = node id.
+/// Arena of interned `u16`-word nodes; index = node id. Equality is by
+/// content: two arenas are equal iff they hold the same nodes in the same
+/// order.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct NodeArena {
-    cell: String,
-    entries: Vec<Entry>,
-    pages: Vec<Page>,
-    /// The open page being filled (always resident).
-    cur: Vec<u16>,
-    /// Capacity of a sealed page, in words.
-    page_words: usize,
-    spill: Option<Spill>,
-    resident_words: u64,
-    spilled_words: u64,
-}
-
-impl std::fmt::Debug for NodeArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeArena")
-            .field("cell", &self.cell)
-            .field("len", &self.entries.len())
-            .field("pages", &self.pages.len())
-            .field("resident_words", &self.resident_words)
-            .field("spilled_words", &self.spilled_words)
-            .finish()
-    }
+    /// Every node's words, concatenated in id order.
+    words: Vec<u16>,
+    /// End offset of each node in `words`.
+    ends: Vec<usize>,
 }
 
 impl NodeArena {
-    /// An empty, fully resident arena attributed to `cell`.
-    pub fn new(cell: impl Into<String>) -> Self {
-        NodeArena {
-            cell: cell.into(),
-            entries: Vec::new(),
-            pages: Vec::new(),
-            cur: Vec::new(),
-            page_words: PAGE_WORDS,
-            spill: None,
-            resident_words: 0,
-            spilled_words: 0,
-        }
-    }
-
-    /// An arena that spills sealed pages past `resident_words` to an
-    /// unlinked temp file under `dir`.
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreErrorKind::SpillIo`](crate::error::ExploreErrorKind) when
-    /// the directory or temp file cannot be created.
-    pub fn with_spill(
-        cell: impl Into<String>,
-        dir: &Path,
-        resident_words: usize,
-    ) -> Result<Self, ExploreError> {
-        let cell = cell.into();
-        let file = open_spill_file(&cell, dir)?;
-        let mut arena = NodeArena::new(cell);
-        // Keep at least two sealed pages inside the budget: the open page
-        // never spills, so pages larger than the budget would make tiny
-        // budgets (and the tests that use them) unable to spill at all.
-        arena.page_words = (resident_words / 2).clamp(MIN_PAGE_WORDS, PAGE_WORDS);
-        arena.spill =
-            Some(Spill { file, write_at: 0, resident_budget: resident_words, next_page: 0 });
-        Ok(arena)
+    /// An empty arena.
+    pub fn new() -> Self {
+        NodeArena::default()
     }
 
     /// Number of interned nodes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ends.len()
     }
 
     /// `true` when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Bytes of node storage currently resident in memory (page payloads;
-    /// excludes the per-entry index).
+    /// Bytes of node payload held (excludes the per-node offsets).
     pub fn bytes_resident(&self) -> u64 {
-        (self.resident_words + self.cur.len() as u64) * 2
+        self.words.len() as u64 * 2
     }
 
-    /// Bytes of node storage written to the spill file.
-    pub fn bytes_spilled(&self) -> u64 {
-        self.spilled_words * 2
-    }
-
-    /// Materialized length of node `id`, in words.
-    pub fn word_len(&self, id: u32) -> usize {
-        self.entries[id as usize].full as usize
-    }
-
-    /// Interns `words` as a full keyframe (no delta parent).
-    ///
-    /// # Errors
-    ///
-    /// Spill I/O failures while sealing pages.
-    pub fn intern_full(&mut self, words: &[u16]) -> Result<u32, ExploreError> {
-        self.push_entry(words, NO_PARENT, 0, words.len())
-    }
-
-    /// Interns `words` as a delta against `parent` (whose materialized
-    /// words the caller already holds — the merge loop materializes each
-    /// parent once for its whole run of successors). Falls back to a
-    /// keyframe when the chain is deep or the diff does not compress.
-    ///
-    /// # Errors
-    ///
-    /// Spill I/O failures while sealing pages.
+    /// Appends `words` as the next node and returns its id.
     ///
     /// # Panics
     ///
-    /// Panics if `parent` is not an interned id.
-    pub fn intern(
-        &mut self,
-        words: &[u16],
-        parent: u32,
-        parent_words: &[u16],
-        code: &mut Vec<u16>,
-    ) -> Result<u32, ExploreError> {
-        let depth = self.entries[parent as usize].depth;
-        if depth + 1 >= KEY_EVERY {
-            return self.intern_full(words);
-        }
-        code.clear();
-        diff(parent_words, words, code);
-        if code.len() >= words.len() {
-            return self.intern_full(words);
-        }
-        let (c, n) = (code.len(), words.len());
-        let id = self.push_entry(code, parent, depth + 1, n);
-        debug_assert!(c < n);
-        id
+    /// Panics when the `u32` id space is exhausted.
+    pub fn intern(&mut self, words: &[u16]) -> u32 {
+        assert!(self.ends.len() < u32::MAX as usize, "arena id space exhausted");
+        self.words.extend_from_slice(words);
+        self.ends.push(self.words.len());
+        (self.ends.len() - 1) as u32
     }
 
-    fn push_entry(
-        &mut self,
-        stored: &[u16],
-        parent: u32,
-        depth: u16,
-        full: usize,
-    ) -> Result<u32, ExploreError> {
-        assert!(self.entries.len() < NO_PARENT as usize, "arena id space exhausted");
-        if self.cur.len() + stored.len() > self.page_words {
-            self.seal_page()?;
-        }
-        let (page, off);
-        if stored.len() > self.page_words {
-            // Oversized entry: its own dedicated page.
-            page = self.pages.len() as u32;
-            off = 0;
-            self.resident_words += stored.len() as u64;
-            self.pages.push(Page::Resident(stored.into()));
-            self.maybe_spill()?;
-        } else {
-            page = self.pages.len() as u32;
-            off = self.cur.len() as u32;
-            self.cur.extend_from_slice(stored);
-        }
-        self.entries.push(Entry {
-            page,
-            off,
-            stored: stored.len() as u32,
-            parent,
-            depth,
-            full: full as u32,
-        });
-        Ok((self.entries.len() - 1) as u32)
-    }
-
-    fn seal_page(&mut self) -> Result<(), ExploreError> {
-        if self.cur.is_empty() {
-            return Ok(());
-        }
-        let sealed: Box<[u16]> = std::mem::take(&mut self.cur).into();
-        self.resident_words += sealed.len() as u64;
-        self.pages.push(Page::Resident(sealed));
-        self.maybe_spill()
-    }
-
-    /// Flushes the oldest resident sealed pages to the spill file until the
-    /// resident payload fits the budget. Oldest-first matches breadth-first
-    /// locality: dedup hits and delta parents concentrate near the
-    /// frontier, i.e. in the newest pages.
-    fn maybe_spill(&mut self) -> Result<(), ExploreError> {
-        let Some(spill) = self.spill.as_mut() else { return Ok(()) };
-        while self.resident_words > spill.resident_budget as u64
-            && spill.next_page < self.pages.len()
-        {
-            let i = spill.next_page;
-            spill.next_page += 1;
-            let Page::Resident(words) = &self.pages[i] else { continue };
-            let bytes = words_as_bytes(words);
-            spill.file.write_all(bytes).map_err(|e| {
-                ExploreError::spill_io(&self.cell, format!("writing page {i}: {e}"))
-            })?;
-            let at = spill.write_at;
-            spill.write_at += bytes.len() as u64;
-            self.resident_words -= words.len() as u64;
-            self.spilled_words += words.len() as u64;
-            self.pages[i] = Page::Spilled { at };
-        }
-        Ok(())
-    }
-
-    /// The stored words of `e`, borrowed from the resident page or read
-    /// from the spill file into `io`.
-    fn stored_of<'a>(&'a self, e: Entry, io: &'a mut Vec<u16>) -> Result<&'a [u16], ExploreError> {
-        let (start, len) = (e.off as usize, e.stored as usize);
-        if e.page as usize == self.pages.len() {
-            return Ok(&self.cur[start..start + len]);
-        }
-        match &self.pages[e.page as usize] {
-            Page::Resident(words) => Ok(&words[start..start + len]),
-            Page::Spilled { at, .. } => {
-                let spill = self.spill.as_ref().expect("spilled page without spill backing");
-                io.resize(len, 0);
-                read_words_at(&spill.file, at + (start as u64) * 2, io).map_err(|e| {
-                    ExploreError::spill_io(&self.cell, format!("reading spilled entry: {e}"))
-                })?;
-                Ok(&io[..])
-            }
-        }
-    }
-
-    /// Materializes node `id` into `out` (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Spill I/O failures, or a corrupt diff chain.
-    pub fn materialize(
-        &self,
-        id: u32,
-        s: &mut MatScratch,
-        out: &mut Vec<u16>,
-    ) -> Result<(), ExploreError> {
-        // Walk up to the keyframe.
-        s.chain.clear();
-        let mut cur = id;
-        loop {
-            s.chain.push(cur);
-            let e = self.entries[cur as usize];
-            if e.parent == NO_PARENT {
-                break;
-            }
-            cur = e.parent;
-        }
-        // Apply diffs top-down, ping-ponging between two buffers.
-        let key = self.entries[*s.chain.last().expect("nonempty chain") as usize];
-        out.clear();
-        {
-            let stored = self.stored_of(key, &mut s.io)?;
-            out.extend_from_slice(stored);
-        }
-        for &cid in s.chain.iter().rev().skip(1) {
-            let e = self.entries[cid as usize];
-            std::mem::swap(out, &mut s.a);
-            let code = self.stored_of(e, &mut s.io)?;
-            out.clear();
-            apply(&s.a, code, out).map_err(|detail| {
-                ExploreError::corrupt(&self.cell, format!("diff chain for node {id}: {detail}"))
-            })?;
-            if out.len() != e.full as usize {
-                return Err(ExploreError::corrupt(
-                    &self.cell,
-                    format!(
-                        "diff chain for node {id}: materialized {} words, expected {}",
-                        out.len(),
-                        e.full
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Materializes node `id` into a fresh `Vec` (convenience for cold
-    /// paths — analysis, tests, witness extraction).
+    /// The words of node `id`.
     ///
     /// # Panics
     ///
-    /// Panics on a spill I/O failure or corrupt chain; hot paths use
-    /// [`NodeArena::materialize`].
+    /// Panics if `id` is not an interned id.
+    pub fn node(&self, id: u32) -> &[u16] {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.words[start..self.ends[id]]
+    }
+
+    /// The words of node `id` in a fresh `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// As [`NodeArena::node`].
     pub fn node_vec(&self, id: u32) -> Vec<u16> {
-        let mut s = MatScratch::default();
-        let mut out = Vec::new();
-        self.materialize(id, &mut s, &mut out).unwrap_or_else(|e| panic!("{e}"));
-        out
+        self.node(id).to_vec()
     }
 
-    /// All nodes materialized, id order (test/diagnostic helper).
-    ///
-    /// # Panics
-    ///
-    /// As [`NodeArena::node_vec`].
+    /// All nodes, id order (test/diagnostic helper).
     pub fn snapshot(&self) -> Vec<Vec<u16>> {
         (0..self.len() as u32).map(|i| self.node_vec(i)).collect()
     }
-}
-
-/// Arenas are equal iff they hold the same nodes in the same order —
-/// compared by materialized content, so delta/keyframe/spill layout
-/// differences never affect equality.
-impl PartialEq for NodeArena {
-    fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        let (mut sa, mut sb) = (MatScratch::default(), MatScratch::default());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for i in 0..self.len() as u32 {
-            if self.materialize(i, &mut sa, &mut a).is_err()
-                || other.materialize(i, &mut sb, &mut b).is_err()
-                || a != b
-            {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-impl Eq for NodeArena {}
-
-fn words_as_bytes(words: &[u16]) -> &[u8] {
-    // SAFETY: u16 has no padding or invalid bit patterns; the length in
-    // bytes is exactly twice the length in words and the alignment of u8
-    // (1) is never stricter than u16's.
-    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 2) }
-}
-
-fn words_as_bytes_mut(words: &mut [u16]) -> &mut [u8] {
-    // SAFETY: as `words_as_bytes`; every byte pattern is a valid u16, so
-    // writing raw bytes cannot create invalid values. The spill file is
-    // written and read on the same host, so native endianness round-trips.
-    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), words.len() * 2) }
-}
-
-#[cfg(unix)]
-fn read_words_at(file: &File, at: u64, out: &mut [u16]) -> std::io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(words_as_bytes_mut(out), at)
-}
-
-#[cfg(not(unix))]
-fn read_words_at(_file: &File, _at: u64, _out: &mut [u16]) -> std::io::Result<()> {
-    Err(std::io::Error::other("spill arena requires positioned reads (unix only)"))
-}
-
-/// Creates (and immediately unlinks, on unix) a uniquely named spill file
-/// under `dir`, so the backing storage is reclaimed automatically when the
-/// arena drops — even on panic or SIGKILL-adjacent exits.
-fn open_spill_file(cell: &str, dir: &Path) -> Result<File, ExploreError> {
-    static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    std::fs::create_dir_all(dir)
-        .map_err(|e| ExploreError::spill_io(cell, format!("creating {}: {e}", dir.display())))?;
-    let seq = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let path: PathBuf = dir.join(format!("frontier-spill-{}-{seq}.bin", std::process::id()));
-    let file =
-        std::fs::OpenOptions::new().read(true).write(true).create_new(true).open(&path).map_err(
-            |e| ExploreError::spill_io(cell, format!("creating {}: {e}", path.display())),
-        )?;
-    #[cfg(unix)]
-    let _ = std::fs::remove_file(&path);
-    Ok(file)
-}
-
-/// Greedy delta encoding of `child` against `parent` (ops appended to
-/// `out`). Emits COPY for matching runs and resynchronizes after a
-/// mismatch by scanning a bounded window for a 4-word anchor; when no
-/// anchor is found the remainder is emitted literally. Always correct —
-/// compression quality only affects memory.
-fn diff(parent: &[u16], child: &[u16], out: &mut Vec<u16>) {
-    /// Words that must match to re-align the cursors after a mismatch.
-    const ANCHOR: usize = 4;
-    /// How far ahead (total cursor advance) resynchronization may look.
-    const WINDOW: usize = 48;
-
-    let (mut pi, mut ci) = (0usize, 0usize);
-    loop {
-        // Copy the maximal matching run.
-        let mut k = 0;
-        while pi + k < parent.len() && ci + k < child.len() && parent[pi + k] == child[ci + k] {
-            k += 1;
-        }
-        if k > 0 {
-            emit(OP_COPY, k, &[], out);
-            pi += k;
-            ci += k;
-        }
-        if ci >= child.len() {
-            return; // trailing parent words are simply unused
-        }
-        if pi >= parent.len() {
-            emit(OP_LIT, child.len() - ci, &child[ci..], out);
-            return;
-        }
-        // Mismatch: find the nearest (dp, dc) advance that re-aligns an
-        // ANCHOR-word run, preferring the smallest total advance.
-        let mut resync: Option<(usize, usize)> = None;
-        'scan: for total in 1..=WINDOW {
-            for dp in 0..=total {
-                let dc = total - dp;
-                let (p, c) = (pi + dp, ci + dc);
-                if p >= parent.len() || c >= child.len() {
-                    continue;
-                }
-                let run = ANCHOR.min(parent.len() - p).min(child.len() - c);
-                if run > 0 && parent[p..p + run] == child[c..c + run] {
-                    resync = Some((dp, dc));
-                    break 'scan;
-                }
-            }
-        }
-        match resync {
-            Some((dp, dc)) => {
-                if dp > 0 {
-                    emit(OP_SKIP, dp, &[], out);
-                }
-                if dc > 0 {
-                    emit(OP_LIT, dc, &child[ci..ci + dc], out);
-                }
-                pi += dp;
-                ci += dc;
-            }
-            None => {
-                emit(OP_LIT, child.len() - ci, &child[ci..], out);
-                return;
-            }
-        }
-    }
-}
-
-/// Emits one logical op of length `len` (split across op words when `len`
-/// exceeds the 14-bit field), with `lits` carrying LIT payload words.
-fn emit(op: u16, len: usize, lits: &[u16], out: &mut Vec<u16>) {
-    debug_assert!(op != OP_LIT || lits.len() == len);
-    let mut done = 0usize;
-    while done < len {
-        let n = (len - done).min(OP_MAX);
-        out.push((op << 14) | (n as u16));
-        if op == OP_LIT {
-            out.extend_from_slice(&lits[done..done + n]);
-        }
-        done += n;
-    }
-}
-
-/// Applies a diff `code` against `base`, appending the child to `out`.
-fn apply(base: &[u16], code: &[u16], out: &mut Vec<u16>) -> Result<(), String> {
-    let mut bi = 0usize;
-    let mut at = 0usize;
-    while at < code.len() {
-        let word = code[at];
-        at += 1;
-        let (op, len) = (word >> 14, usize::from(word & 0x3FFF));
-        match op {
-            OP_COPY => {
-                if bi + len > base.len() {
-                    return Err(format!("COPY {len} overruns base at {bi}/{}", base.len()));
-                }
-                out.extend_from_slice(&base[bi..bi + len]);
-                bi += len;
-            }
-            OP_LIT => {
-                if at + len > code.len() {
-                    return Err(format!("LIT {len} overruns code at {at}/{}", code.len()));
-                }
-                out.extend_from_slice(&code[at..at + len]);
-                at += len;
-            }
-            OP_SKIP => {
-                if bi + len > base.len() {
-                    return Err(format!("SKIP {len} overruns base at {bi}/{}", base.len()));
-                }
-                bi += len;
-            }
-            _ => return Err(format!("unknown diff op {op}")),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(parent: &[u16], child: &[u16]) -> usize {
-        let mut code = Vec::new();
-        diff(parent, child, &mut code);
-        let mut back = Vec::new();
-        apply(parent, &code, &mut back).expect("apply");
-        assert_eq!(back, child, "parent {parent:?} child {child:?} code {code:?}");
-        code.len()
-    }
-
     #[test]
-    fn diff_round_trips_and_compresses_sparse_edits() {
-        let parent: Vec<u16> = (0..200).collect();
-        // One substituted slot.
-        let mut child = parent.clone();
-        child[17] = 9999;
-        assert!(roundtrip(&parent, &child) <= 8);
-        // A consumed queue head (deletion) plus an appended announcement.
-        let mut child = parent.clone();
-        child.remove(90);
-        child.push(4242);
-        assert!(roundtrip(&parent, &child) < 20);
-        // Scattered edits.
-        let mut child = parent.clone();
-        child[3] = 1;
-        child[120] = 2;
-        child[199] = 3;
-        assert!(roundtrip(&parent, &child) <= 24);
-    }
-
-    #[test]
-    fn diff_handles_degenerate_shapes() {
-        roundtrip(&[], &[]);
-        roundtrip(&[], &[1, 2, 3]);
-        roundtrip(&[1, 2, 3], &[]);
-        roundtrip(&[1, 2, 3], &[1, 2, 3]);
-        roundtrip(&[1; 50], &[2; 50]);
-        roundtrip(&[1, 2, 3, 4], &[4, 3, 2, 1]);
-        // Long runs exercise the op-length split.
-        let parent: Vec<u16> = (0..40_000).map(|i| (i % 7) as u16).collect();
-        let mut child = parent.clone();
-        child[20_000] = 9;
-        roundtrip(&parent, &child);
-    }
-
-    #[test]
-    fn arena_round_trips_chains_and_keyframes() {
-        let mut arena = NodeArena::new("test-cell");
-        let mut code = Vec::new();
-        let base: Vec<u16> = (0..300).collect();
-        let root = arena.intern_full(&base).unwrap();
-        assert_eq!(root, 0);
-        // A chain far deeper than KEY_EVERY: each node tweaks one slot.
-        let mut nodes = vec![base.clone()];
-        let mut parent = root;
-        for i in 0..40u16 {
-            let mut next = nodes.last().unwrap().clone();
-            next[usize::from(i) % 300] = 1000 + i;
-            let pw = nodes.last().unwrap().clone();
-            parent = arena.intern(&next, parent, &pw, &mut code).unwrap();
-            nodes.push(next);
+    fn nodes_round_trip_and_compare_by_content() {
+        let nodes: [&[u16]; 4] = [&[1, 2, 3], &[], &[7], &[1, 2, 3]];
+        let mut a = NodeArena::new();
+        for (i, ws) in nodes.iter().enumerate() {
+            assert_eq!(a.intern(ws), i as u32);
         }
-        for (i, want) in nodes.iter().enumerate() {
-            assert_eq!(&arena.node_vec(i as u32), want, "node {i}");
+        assert_eq!(a.len(), 4);
+        for (i, ws) in nodes.iter().enumerate() {
+            assert_eq!(a.node(i as u32), *ws, "node {i}");
         }
-        assert_eq!(arena.len(), 41);
-        assert!(arena.bytes_resident() > 0);
-        assert_eq!(arena.bytes_spilled(), 0);
-    }
+        assert_eq!(a.snapshot(), nodes.map(<[u16]>::to_vec));
+        assert_eq!(a.bytes_resident(), 14);
 
-    #[test]
-    fn incompressible_children_fall_back_to_keyframes() {
-        let mut arena = NodeArena::new("test-cell");
-        let mut code = Vec::new();
-        let a: Vec<u16> = (0..64).collect();
-        let b: Vec<u16> = (1000..1064).collect();
-        let ra = arena.intern_full(&a).unwrap();
-        let rb = arena.intern(&b, ra, &a, &mut code).unwrap();
-        assert_eq!(arena.node_vec(rb), b);
-        // Nothing matched: the entry must be stored full, not as a diff.
-        assert_eq!(arena.entries[rb as usize].parent, NO_PARENT);
-    }
-
-    #[test]
-    fn spilled_arena_matches_resident_arena() {
-        let dir = std::env::temp_dir().join(format!("routelab-arena-test-{}", std::process::id()));
-        let mut spilled = NodeArena::with_spill("test-cell", &dir, 1).unwrap();
-        let mut resident = NodeArena::new("test-cell");
-        let mut code = Vec::new();
-        // Keyframes are ~20k words, so the run seals several pages, and the
-        // 1-word budget spills every sealed page immediately.
-        let mut prev: Vec<u16> = (0..20_000).collect();
-        spilled.intern_full(&prev).unwrap();
-        resident.intern_full(&prev).unwrap();
-        let mut parent = 0u32;
-        for i in 0..200u16 {
-            let mut next = prev.clone();
-            next[usize::from(i) * 97 % 20_000] = i;
-            if i % 5 == 0 {
-                next.push(i); // length changes too
-            }
-            let ns = spilled.intern(&next, parent, &prev, &mut code).unwrap();
-            let nr = resident.intern(&next, parent, &prev, &mut code).unwrap();
-            assert_eq!(ns, nr);
-            parent = ns;
-            prev = next;
+        let mut b = NodeArena::new();
+        for ws in nodes {
+            b.intern(ws);
         }
-        assert!(spilled.bytes_spilled() > 0, "{spilled:?}");
-        assert!(spilled.bytes_resident() < resident.bytes_resident());
-        assert_eq!(spilled, resident);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn arena_equality_is_by_content() {
-        let mut a = NodeArena::new("c");
-        let mut b = NodeArena::new("c");
-        let mut code = Vec::new();
-        let base: Vec<u16> = (0..100).collect();
-        let mut child = base.clone();
-        child[50] = 7;
-        a.intern_full(&base).unwrap();
-        a.intern(&child, 0, &base, &mut code).unwrap();
-        // Same nodes, different layout (both keyframes).
-        b.intern_full(&base).unwrap();
-        b.intern_full(&child).unwrap();
         assert_eq!(a, b);
-        b.intern_full(&base).unwrap();
+        // Same words, different node boundaries.
+        let mut c = NodeArena::new();
+        for ws in [&[1, 2][..], &[3], &[7], &[1, 2, 3]] {
+            c.intern(ws);
+        }
+        assert_ne!(a, c);
+        b.intern(&[]);
         assert_ne!(a, b);
     }
 }

@@ -45,13 +45,6 @@ pub enum ExploreErrorKind {
         /// The rendered panic payload.
         message: String,
     },
-    /// The spill-backed state arena failed to read or write its backing
-    /// file (disk full, permissions, the spill directory vanishing
-    /// mid-run).
-    SpillIo {
-        /// Human-readable description of the I/O failure.
-        detail: String,
-    },
 }
 
 /// An explorer failure attributed to its gadget × model cell.
@@ -92,14 +85,6 @@ impl ExploreError {
             kind: ExploreErrorKind::CorruptState { detail: detail.into() },
         }
     }
-
-    /// A spill-arena I/O error for `cell`.
-    pub fn spill_io(cell: impl Into<String>, detail: impl Into<String>) -> Self {
-        ExploreError {
-            cell: cell.into(),
-            kind: ExploreErrorKind::SpillIo { detail: detail.into() },
-        }
-    }
 }
 
 impl fmt::Display for ExploreError {
@@ -120,9 +105,6 @@ impl fmt::Display for ExploreError {
             }
             ExploreErrorKind::WorkerPanic { message } => {
                 write!(f, "worker panicked: {message}")
-            }
-            ExploreErrorKind::SpillIo { detail } => {
-                write!(f, "spill arena I/O failure: {detail}")
             }
         }
     }

@@ -1,12 +1,11 @@
 //! Reachable-state-graph construction and SCC decomposition.
 //!
-//! States are interned in packed form (see [`crate::pack`]) inside a
-//! delta-compressed, spill-capable arena (see [`crate::arena`]) and the
-//! graph is built by the sharded parallel frontier engine
-//! ([`crate::frontier`]): state ids, counts, edges, and truncation points
-//! are bit-identical at any thread count, and identical to the retained
-//! sequential reference ([`build_spec_reference`]) that the differential
-//! tests compare against.
+//! States are interned in packed form (see [`crate::pack`]) inside a flat
+//! word arena (see [`crate::arena`]) and the graph is built by the sharded
+//! parallel frontier engine ([`crate::frontier`]): state ids, counts,
+//! edges, and truncation points are bit-identical at any thread count, and
+//! identical to the retained sequential reference
+//! ([`build_spec_reference`]) that the differential tests compare against.
 //!
 //! Both modes expand states through one packed kernel
 //! ([`crate::exec_packed`]): successors are computed directly on the packed
@@ -15,7 +14,6 @@
 //! symmetry canonicalization ([`crate::reduce`]) on the same words.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use routelab_core::model::CommModel;
@@ -23,7 +21,7 @@ use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
 use routelab_spp::SppInstance;
 
-use crate::arena::{MatScratch, NodeArena};
+use crate::arena::NodeArena;
 use crate::effects::Spec;
 use crate::error::ExploreError;
 use crate::exec_packed::{Applied, ExecTables, PackedScratch};
@@ -50,14 +48,6 @@ pub struct ExploreConfig {
     /// state counts and memory differ. Disable to obtain the literal
     /// unreduced graph (witness extraction does so internally).
     pub reduce: bool,
-    /// Directory for the state arena's spill file. `None` (the default)
-    /// keeps every state resident; set it (CLI: `--spill-dir`) to let
-    /// `max_states` budgets of 10M+ run within a bounded memory footprint.
-    pub spill_dir: Option<PathBuf>,
-    /// Resident-arena budget in bytes once spilling is enabled; ignored
-    /// without `spill_dir`. Sealed pages beyond the budget move to the
-    /// spill file oldest-first.
-    pub spill_resident_bytes: usize,
 }
 
 impl Default for ExploreConfig {
@@ -68,8 +58,6 @@ impl Default for ExploreConfig {
             max_steps_per_state: 10_000,
             threads: None,
             reduce: true,
-            spill_dir: None,
-            spill_resident_bytes: frontier::DEFAULT_SPILL_RESIDENT_BYTES,
         }
     }
 }
@@ -138,10 +126,9 @@ impl EdgeLabel {
     }
 }
 
-/// The explored portion of a model's state graph. States live
-/// delta-compressed in a [`NodeArena`]; materialize on demand with
-/// [`StateGraph::packed`]/[`StateGraph::state`] or query the cheap packed
-/// predicates through [`StateGraph::codec`].
+/// The explored portion of a model's state graph. States live packed in a
+/// [`NodeArena`]; read them with [`StateGraph::packed`]/[`StateGraph::state`]
+/// or query the cheap packed predicates through [`StateGraph::codec`].
 #[derive(Debug)]
 pub struct StateGraph {
     /// The per-instance codec the packed states were interned with.
@@ -178,12 +165,11 @@ impl StateGraph {
         self.nodes.is_empty()
     }
 
-    /// Materializes state `i` in packed form.
+    /// State `i` in packed form.
     ///
     /// # Panics
     ///
-    /// Panics if the arena fails to materialize the entry (spill I/O) — an
-    /// internal invariant violation for resident arenas.
+    /// Panics if `i` is not a state of the graph.
     pub fn packed(&self, i: usize) -> PackedState {
         PackedState::from_u16s(self.nodes.node_vec(i as u32))
     }
@@ -196,7 +182,7 @@ impl StateGraph {
     /// violation, since every entry was produced by the same codec.
     pub fn state(&self, i: usize) -> NetworkState {
         self.codec
-            .decode_words(&self.nodes.node_vec(i as u32))
+            .decode_words(self.nodes.node(i as u32))
             .expect("arena entries decode with their own codec")
     }
 }
@@ -443,14 +429,9 @@ fn assemble(
     r: BfsResult<EdgePayload>,
     reduction: ReductionStats,
     sym: Option<Arc<SymTables>>,
-) -> Result<StateGraph, ExploreError> {
-    let mut pi_fp = Vec::with_capacity(r.nodes.len());
-    let mut ms = MatScratch::default();
-    let mut buf = Vec::new();
-    for i in 0..r.nodes.len() {
-        r.nodes.materialize(i as u32, &mut ms, &mut buf)?;
-        pi_fp.push(codec.pi_fingerprint_words(&buf));
-    }
+) -> StateGraph {
+    let pi_fp =
+        (0..r.nodes.len() as u32).map(|i| codec.pi_fingerprint_words(r.nodes.node(i))).collect();
     let edges = r
         .edges
         .into_iter()
@@ -483,7 +464,6 @@ fn assemble(
         routelab_obs::gauge("explore.shard_max", g.stats.shard_max as u64);
         routelab_obs::gauge("explore.shard_min", g.stats.shard_min as u64);
         routelab_obs::gauge("explore.bytes_resident", g.stats.bytes_resident);
-        routelab_obs::gauge("explore.bytes_spilled", g.stats.bytes_spilled);
         routelab_obs::counter("explore.candidates", g.stats.candidates);
         routelab_obs::counter("explore.dedup_hits", g.stats.dedup_hits);
         routelab_obs::counter("explore.builds", 1);
@@ -512,7 +492,7 @@ fn assemble(
             routelab_obs::trace_counter("explore.reduce_sym_hits", g.reduction.sym_hits);
         }
     }
-    Ok(g)
+    g
 }
 
 /// Builds the reachable state graph of `inst` under `model`.
@@ -553,8 +533,7 @@ pub fn try_build_spec(
 }
 
 /// The retained sequential reference build: same output contract as
-/// [`try_build_spec`], but computed by the plain one-queue-one-map loop
-/// over full (undelta'd) state buffers.
+/// [`try_build_spec`], but computed by the plain one-queue-one-map loop.
 /// The differential tests assert both agree bit-for-bit.
 ///
 /// # Errors
@@ -595,8 +574,6 @@ fn build_with(
         record_edges: true,
         record_parents: false,
         progress_label: "explore.states",
-        spill_dir: cfg.spill_dir.clone(),
-        spill_resident_bytes: cfg.spill_resident_bytes,
     };
     let r = if reference {
         frontier::bfs_reference(&exp, root.as_u16s(), &cell, &opts)?
@@ -607,7 +584,7 @@ fn build_with(
         Some(red) => (red.stats(), red.sym.clone()),
         None => (ReductionStats::default(), None),
     };
-    assemble(codec, index, r, reduction, sym)
+    Ok(assemble(codec, index, r, reduction, sym))
 }
 
 /// Tarjan's strongly connected components (iterative). Components are
@@ -865,21 +842,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn spilled_build_matches_resident_build() {
-        let inst = gadgets::disagree();
-        let base = ExploreConfig { reduce: false, ..ExploreConfig::default() };
-        let resident = build(&inst, "R1O".parse().unwrap(), &base);
-        let dir = std::env::temp_dir().join(format!("routelab-graph-spill-{}", std::process::id()));
-        let cfg =
-            ExploreConfig { spill_dir: Some(dir.clone()), spill_resident_bytes: 4096, ..base };
-        let spilled = build(&inst, "R1O".parse().unwrap(), &cfg);
-        assert!(spilled.stats.bytes_spilled > 0, "{:?}", spilled.stats);
-        assert_eq!(spilled.nodes, resident.nodes);
-        assert_eq!(spilled.edges, resident.edges);
-        assert_eq!(spilled.pi_fp, resident.pi_fp);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -40,6 +40,8 @@
 //! ));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod effects;
 pub mod error;

@@ -199,8 +199,7 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> Option<Vec<usize>
             }
             // 2. Every channel attended (anti-monotone likewise). Channels
             //    no internal edge attends fall back to noop-attendance at a
-            //    member state; each such state is materialized from the
-            //    arena once, not once per channel.
+            //    member state.
             let mut attended_ok = vec![false; channel_count];
             for e in internal.iter().map(edge) {
                 for &c in e.attended() {
@@ -208,14 +207,10 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> Option<Vec<usize>
                 }
             }
             if attended_ok.iter().any(|ok| !ok) {
-                let mut ms = crate::arena::MatScratch::default();
-                let mut ws = Vec::new();
                 'states: for &s in &comp {
-                    g.nodes
-                        .materialize(s as u32, &mut ms, &mut ws)
-                        .expect("built graphs materialize");
+                    let ws = g.nodes.node(s as u32);
                     for c in 0..channel_count {
-                        if !attended_ok[c] && noop_attendable(spec, &g.codec, index, &ws, c) {
+                        if !attended_ok[c] && noop_attendable(spec, &g.codec, index, ws, c) {
                             attended_ok[c] = true;
                             if attended_ok.iter().all(|&ok| ok) {
                                 break 'states;

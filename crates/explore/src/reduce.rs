@@ -578,7 +578,7 @@ pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
     let t = g.sym.as_ref().expect("unfold_symmetry requires symmetry tables").clone();
     let mut ids: HashMap<(usize, usize), usize> = HashMap::new();
     let mut nodes: Vec<(usize, usize)> = Vec::new();
-    let mut arena = NodeArena::new(g.codec.cell());
+    let mut arena = NodeArena::new();
     let mut pi_fp: Vec<u64> = Vec::new();
     let mut intern = |q: usize,
                       gi: usize,
@@ -591,7 +591,7 @@ pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
             let base = g.nodes.node_vec(q as u32);
             let ws = if gi == 0 { base } else { t.transform(&base, gi) };
             pi_fp.push(g.codec.pi_fingerprint_words(&ws));
-            arena.intern_full(&ws).expect("resident arenas cannot fail to intern");
+            arena.intern(&ws);
             nodes.len() - 1
         })
     };

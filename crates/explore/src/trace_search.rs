@@ -228,8 +228,6 @@ pub fn try_search(
         record_edges: false,
         record_parents: true,
         progress_label: "search.visited",
-        spill_dir: cfg.spill_dir.clone(),
-        spill_resident_bytes: cfg.spill_resident_bytes,
     };
     let mut root = Vec::new();
     codec.encode_into(&initial, &mut root)?;

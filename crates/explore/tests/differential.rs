@@ -31,7 +31,6 @@ fn taxonomy_sweep(reduce: bool) {
         max_steps_per_state: 20_000,
         threads: None,
         reduce,
-        ..ExploreConfig::default()
     };
     for (name, inst) in gadgets::corpus() {
         for model in CommModel::all() {
@@ -69,6 +68,33 @@ fn reduced_parallel_explorer_is_bit_identical_to_reference_across_the_whole_taxo
     taxonomy_sweep(true);
 }
 
+/// Builds each cell with the reference and in parallel at every thread
+/// count; graphs, verdicts and witnesses must be identical.
+fn check_cells(cfg: &ExploreConfig, cells: &[(&str, &str)], thread_counts: &[usize]) {
+    for &(name, model) in cells {
+        let inst = gadgets::corpus()
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, i)| i)
+            .expect("gadget");
+        let model: CommModel = model.parse().expect("model");
+        let spec = Spec::Uniform(model);
+        let cell = format!("{name} × {model} (reduce={})", cfg.reduce);
+        let reference = build_spec_reference(&inst, spec, cfg)
+            .unwrap_or_else(|e| panic!("{cell} reference: {e}"));
+        let ref_verdict = analyze_graph(spec, &reference);
+        let ref_witness = witness_from_graph(spec, &reference);
+        for &threads in thread_counts {
+            let par_cfg = ExploreConfig { threads: Some(threads), ..cfg.clone() };
+            let par = try_build_spec(&inst, spec, &par_cfg)
+                .unwrap_or_else(|e| panic!("{cell} @{threads}t: {e}"));
+            assert_same_graph(&cell, threads, &par, &reference);
+            assert_eq!(analyze_graph(spec, &par), ref_verdict, "{cell} @{threads}t: verdict");
+            assert_eq!(witness_from_graph(spec, &par), ref_witness, "{cell} @{threads}t: witness");
+        }
+    }
+}
+
 #[test]
 fn parallel_explorer_matches_reference_on_larger_oscillating_cells() {
     // A deeper sweep over the cells whose verdicts carry the paper's
@@ -79,28 +105,18 @@ fn parallel_explorer_matches_reference_on_larger_oscillating_cells() {
         max_steps_per_state: 20_000,
         ..ExploreConfig::default()
     };
-    for (name, model) in
-        [("DISAGREE", "R1O"), ("DISAGREE", "RMA"), ("BAD-GADGET", "REA"), ("GOOD-GADGET", "R1O")]
-    {
-        let inst = gadgets::corpus()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, i)| i)
-            .expect("gadget");
-        let model: CommModel = model.parse().expect("model");
-        let spec = Spec::Uniform(model);
-        let cell = format!("{name} × {model}");
-        let reference = build_spec_reference(&inst, spec, &cfg)
-            .unwrap_or_else(|e| panic!("{cell} reference: {e}"));
-        let ref_verdict = analyze_graph(spec, &reference);
-        let ref_witness = witness_from_graph(spec, &reference);
-        for threads in [2usize, 8] {
-            let par_cfg = ExploreConfig { threads: Some(threads), ..cfg.clone() };
-            let par = try_build_spec(&inst, spec, &par_cfg)
-                .unwrap_or_else(|e| panic!("{cell} @{threads}t: {e}"));
-            assert_same_graph(&cell, threads, &par, &reference);
-            assert_eq!(analyze_graph(spec, &par), ref_verdict, "{cell} @{threads}t: verdict");
-            assert_eq!(witness_from_graph(spec, &par), ref_witness, "{cell} @{threads}t: witness");
-        }
-    }
+    check_cells(
+        &cfg,
+        &[("DISAGREE", "R1O"), ("DISAGREE", "RMA"), ("BAD-GADGET", "REA"), ("GOOD-GADGET", "R1O")],
+        &[2, 8],
+    );
+    // Unreduced builds past the taxonomy sweep's budget, Fig. 6's polling
+    // cell among them.
+    let raw = ExploreConfig {
+        channel_cap: 2,
+        max_states: 4_000,
+        reduce: false,
+        ..ExploreConfig::default()
+    };
+    check_cells(&raw, &[("DISAGREE", "R1O"), ("FIG6", "R1A"), ("BAD-GADGET", "REA")], &[1, 2, 8]);
 }

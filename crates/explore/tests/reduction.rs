@@ -50,7 +50,6 @@ fn reduced_and_unreduced_builds_agree_across_the_whole_taxonomy() {
         max_steps_per_state: 20_000,
         threads: None,
         reduce: true,
-        ..ExploreConfig::default()
     };
     for (name, inst) in gadgets::corpus() {
         for model in CommModel::all() {

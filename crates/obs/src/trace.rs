@@ -36,7 +36,7 @@
 //! {"t":"tend","run":0,"ns":9000,"steps":40,"verdict":"cycle","first_seen":8,
 //!  "period":16,"oscillating":true}
 //! {"t":"tph","name":"expand","ns":5000,"dur_ns":700,"block":3,"args":{"parents":4096}}
-//! {"t":"tctr","name":"frontier.cache.hits","ns":9100,"value":12345}
+//! {"t":"tctr","name":"explore.stepcatalog.hits","ns":9100,"value":12345}
 //! {"t":"tdrop","count":120}
 //! ```
 //!
@@ -226,8 +226,8 @@ pub fn trace_phase(name: &str, dur_ns: u64, block: u64, args: &[(&str, u64)]) {
     r.push_event(line);
 }
 
-/// Records a named point-in-time counter value (e.g. a cache hit total at the
-/// end of an exploration).
+/// Records a named point-in-time counter value (e.g. a step-catalog hit
+/// total at the end of an exploration).
 pub fn trace_counter(name: &str, value: u64) {
     if !trace_enabled() {
         return;
@@ -496,8 +496,8 @@ mod tests {
         );
         rt.step(1, &StepRecord::default());
         rt.end("cycle", 2, Some(0), Some(2), Some(true));
-        trace_phase("merge", 1234, 7, &[("interned", 42), ("spilled", 0)]);
-        trace_counter("frontier.cache.hits", 99);
+        trace_phase("dedup", 1234, 7, &[("hits", 42), ("candidates", 50)]);
+        trace_counter("explore.stepcatalog.hits", 99);
         flush_trace();
         // Flush twice: idempotent.
         flush_trace();
@@ -527,7 +527,7 @@ mod tests {
         assert_eq!(end.get("period").and_then(JVal::as_u64), Some(2));
         assert_eq!(end.get("oscillating"), Some(&JVal::Bool(true)));
         let ph = &lines[6];
-        assert_eq!(ph.get("args").and_then(|a| a.get("interned")).and_then(JVal::as_u64), Some(42));
+        assert_eq!(ph.get("args").and_then(|a| a.get("hits")).and_then(JVal::as_u64), Some(42));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

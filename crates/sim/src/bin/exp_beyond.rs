@@ -26,7 +26,6 @@ fn main() {
     let cfg = ExploreConfig {
         threads: opts.pool.threads,
         reduce: opts.reduce(),
-        spill_dir: opts.spill_dir.clone(),
         ..ExploreConfig::default()
     };
     opts.progress("harvesting exhaustive verdicts for all 24 models on DISAGREE…");

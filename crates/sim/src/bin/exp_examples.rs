@@ -222,11 +222,14 @@ fn a6() -> bool {
 
 fn main() {
     let opts = cli::parse_common("exp-examples");
+    if opts.rest.len() > 1 {
+        eprintln!("usage: exp-examples [--threads N] [--no-reduce] [a1|a2|a3|a4|a5|a6|all]");
+        opts.exit(2);
+    }
     let arg = opts.rest.first().cloned().unwrap_or_else(|| "all".into());
     let base = ExploreConfig {
         threads: opts.pool.threads,
         reduce: opts.reduce(),
-        spill_dir: opts.spill_dir.clone(),
         ..ExploreConfig::default()
     };
     let mut ok = true;

@@ -41,12 +41,15 @@ fn analyze_row(
 
 fn main() {
     let opts = cli::parse_common("exp-hetero");
+    if !opts.rest.is_empty() {
+        eprintln!("usage: exp-hetero [--threads N] [--quiet] [--obs] [--no-reduce]");
+        opts.exit(2);
+    }
     let cfg = ExploreConfig {
         channel_cap: 3,
         max_states: 400_000,
         threads: opts.pool.threads,
         reduce: opts.reduce(),
-        spill_dir: opts.spill_dir.clone(),
         ..ExploreConfig::default()
     };
 

@@ -85,8 +85,6 @@ fn main() {
                 max_steps_per_state: 20_000,
                 threads: opts.pool.threads,
                 reduce: opts.reduce(),
-                spill_dir: opts.spill_dir.clone(),
-                ..ExploreConfig::default()
             },
             direct_budget: Some(direct_budget(opts.reduce())),
             ..SurveyConfig::default()

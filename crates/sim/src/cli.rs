@@ -1,10 +1,9 @@
 //! Shared command-line plumbing for the experiment binaries.
 //!
 //! Every `exp_*` binary accepts the same infrastructure flags —
-//! `--threads N`, `--quiet`, `--obs`, `--trace`, `--reduce`/`--no-reduce`,
-//! `--spill-dir PATH` — parsed here once instead of being copied per
-//! binary. Parsing also wires the
-//! telemetry layer: `--obs` (or a truthy `ROUTELAB_OBS`) enables the NDJSON
+//! `--threads N`, `--quiet`, `--obs`, `--trace`, `--reduce`/`--no-reduce` —
+//! parsed here once instead of being copied per binary. Parsing also wires
+//! the telemetry layer: `--obs` (or a truthy `ROUTELAB_OBS`) enables the NDJSON
 //! sink, `--trace` (or a truthy `ROUTELAB_TRACE`) enables the flight
 //! recorder, and `--quiet` suppresses progress/heartbeat output on stderr.
 //! State-space reduction (queue normal forms + symmetry quotient) is on by
@@ -38,10 +37,6 @@ pub struct CommonOpts {
     /// Disable state-space reduction (`--no-reduce`); reduction is the
     /// default, restated explicitly by `--reduce`.
     pub no_reduce: bool,
-    /// Directory for the explorer's state-arena spill file
-    /// (`--spill-dir PATH`): lets multi-million-state budgets run within a
-    /// bounded resident footprint. `None` keeps every state in memory.
-    pub spill_dir: Option<PathBuf>,
     /// Positional arguments and unrecognized flags, in order, for the
     /// binary's own parsing.
     pub rest: Vec<String>,
@@ -115,17 +110,6 @@ where
             "--trace" => trace_flag = true,
             "--reduce" => opts.no_reduce = false,
             "--no-reduce" => opts.no_reduce = true,
-            "--spill-dir" => {
-                let Some(dir) = args.next().filter(|d| !d.is_empty()) else {
-                    eprintln!("{proc_name}: --spill-dir needs a directory path");
-                    eprintln!(
-                        "usage: {proc_name} [--threads N] [--quiet] [--obs] [--no-reduce] \
-                         [--spill-dir PATH] ..."
-                    );
-                    std::process::exit(2);
-                };
-                opts.spill_dir = Some(PathBuf::from(dir));
-            }
             _ => opts.rest.push(arg),
         }
     }
@@ -172,15 +156,6 @@ mod tests {
         assert!(o.reduce(), "reduction is on by default");
         assert!(o.rest.is_empty());
         assert!(o.trace_log.is_none(), "tracing is off by default");
-    }
-
-    #[test]
-    fn spill_dir_is_parsed_and_stripped() {
-        let o = parse_common_from("t", strs(&["--spill-dir", "/tmp/spill", "x"]));
-        assert_eq!(o.spill_dir.as_deref(), Some(std::path::Path::new("/tmp/spill")));
-        assert_eq!(o.rest, vec!["x"]);
-        let o = parse_common_from("t", Vec::new());
-        assert!(o.spill_dir.is_none());
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub struct PhaseEvent {
     pub dur_ns: u64,
     /// Frontier block index.
     pub block: u64,
-    /// Phase-specific counters (`parents`, `interned`, `spilled_bytes`, ...).
+    /// Phase-specific counters (`parents`, `candidates`, `hits`, `interned`).
     pub args: Vec<(String, u64)>,
 }
 
@@ -587,8 +587,8 @@ mod tests {
         "{\"t\":\"tph\",\"name\":\"expand\",\"ns\":5000,\"dur_ns\":700,\"block\":0,",
         "\"args\":{\"parents\":1}}\n",
         "{\"t\":\"tph\",\"name\":\"merge\",\"ns\":9000,\"dur_ns\":300,\"block\":0,",
-        "\"args\":{\"interned\":5,\"spilled_bytes\":0}}\n",
-        "{\"t\":\"tctr\",\"name\":\"frontier.cache.hits\",\"ns\":9500,\"value\":12}\n",
+        "\"args\":{\"interned\":5}}\n",
+        "{\"t\":\"tctr\",\"name\":\"explore.stepcatalog.hits\",\"ns\":9500,\"value\":12}\n",
     );
 
     #[test]
@@ -606,8 +606,8 @@ mod tests {
         let end = run.end.as_ref().unwrap();
         assert_eq!((end.first_seen, end.period), (Some(2), Some(2)));
         assert_eq!(tf.phases.len(), 2);
-        assert_eq!(tf.phases[1].args, vec![("interned".into(), 5), ("spilled_bytes".into(), 0)]);
-        assert_eq!(tf.counters, vec![("frontier.cache.hits".into(), 9500, 12)]);
+        assert_eq!(tf.phases[1].args, vec![("interned".into(), 5)]);
+        assert_eq!(tf.counters, vec![("explore.stepcatalog.hits".into(), 9500, 12)]);
     }
 
     #[test]
