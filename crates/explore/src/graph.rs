@@ -1,4 +1,5 @@
-//! Reachable-state-graph construction and SCC decomposition.
+//! Reachable-state-graph construction. SCC decomposition lives with the
+//! fairness analysis in [`crate::oscillation`].
 //!
 //! States are interned in packed form (see [`crate::pack`]) inside a flat
 //! word arena (see [`crate::arena`]) and the graph is built by the sharded
@@ -587,67 +588,19 @@ fn build_with(
     Ok(assemble(codec, index, r, reduction, sym))
 }
 
-/// Tarjan's strongly connected components (iterative). Components are
-/// returned in reverse topological order; singleton components without a
-/// self-edge are included (callers filter).
-pub fn sccs(g: &StateGraph) -> Vec<Vec<usize>> {
-    let n = g.len();
-    let mut index_of = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out = Vec::new();
-
-    // Iterative DFS frames: (node, edge cursor).
-    for root in 0..n {
-        if index_of[root] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&(v, cursor)) = call.last() {
-            if cursor == 0 {
-                index_of[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if cursor < g.edges[v].len() {
-                call.last_mut().expect("nonempty").1 += 1;
-                let w = g.edges[v][cursor].to;
-                if index_of[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index_of[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index_of[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack nonempty");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    out.push(comp);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use routelab_spp::gadgets;
+
+    /// Every component of `g`: the analysis's Tarjan over all states, no
+    /// edge filtered.
+    fn sccs(g: &StateGraph) -> Vec<Vec<usize>> {
+        let mut tarjan = crate::oscillation::Tarjan::default();
+        let all: Vec<u32> = (0..g.len() as u32).collect();
+        tarjan.run(g, &all, |_, _, _| true);
+        tarjan.components().map(|c| c.iter().map(|&s| s as usize).collect()).collect()
+    }
 
     #[test]
     fn line2_graph_is_tiny_and_complete() {

@@ -8,10 +8,10 @@
 //! * [`effects`] — canonical enumeration of all distinct step effects a
 //!   model admits in a state (the `(f, g)` space collapses to "how many
 //!   messages deleted, which one kept"),
-//! * [`graph`] — reachable-state-graph construction with channel caps and
-//!   Tarjan SCC decomposition,
-//! * [`oscillation`] — the fair-oscillation criterion of Definition 2.4
-//!   expressed on SCCs, yielding [`oscillation::Verdict`]s,
+//! * [`graph`] — reachable-state-graph construction with channel caps,
+//! * [`oscillation`] — Tarjan SCC decomposition and the fair-oscillation
+//!   criterion of Definition 2.4 expressed on SCCs, yielding
+//!   [`oscillation::Verdict`]s,
 //! * [`trace_search`] — exhaustive search for an activation sequence of a
 //!   model realizing a given path-assignment trace exactly, with
 //!   repetition, or as a subsequence,

@@ -16,8 +16,6 @@
 //! exploration was not truncated, **no** fair execution oscillates — the
 //! algorithm converges on every fair activation sequence of the model.
 
-use std::collections::HashMap;
-
 use routelab_core::dims::NeighborScope;
 use routelab_core::hetero::HeteroModel;
 use routelab_core::model::CommModel;
@@ -37,7 +35,9 @@ pub enum Verdict {
     CanOscillate {
         /// States explored.
         states: usize,
-        /// Size of the witnessing SCC.
+        /// Size of the witnessing SCC. For symmetry-reduced builds it
+        /// counts states of the orbit unfolding the analysis runs on, not
+        /// of the quotient that `states` counts.
         scc_size: usize,
     },
     /// Exploration was exhaustive and no fair oscillating SCC exists: every
@@ -78,172 +78,212 @@ fn noop_attendable(
     }
 }
 
-/// SCC decomposition restricted to the states of `nodes` and to edges the
-/// filter admits. Returns components as state lists.
-fn sccs_restricted(
-    g: &StateGraph,
-    nodes: &[usize],
-    edge_ok: &dyn Fn(usize, usize) -> bool,
-) -> Vec<Vec<usize>> {
-    let mut in_set = vec![false; g.len()];
-    for &s in nodes {
-        in_set[s] = true;
-    }
-    #[derive(Clone, Copy, PartialEq)]
-    struct Info {
-        index: usize,
-        low: usize,
-    }
-    let mut info: HashMap<usize, Info> = HashMap::new();
-    let mut on_stack: HashMap<usize, bool> = HashMap::new();
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out = Vec::new();
+/// `Tarjan::index` of a state the running call has not reached.
+const UNSEEN: u32 = u32::MAX;
 
-    for &root in nodes {
-        if info.contains_key(&root) {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&(v, cursor)) = call.last() {
-            if cursor == 0 {
-                info.insert(v, Info { index: next_index, low: next_index });
-                next_index += 1;
-                stack.push(v);
-                on_stack.insert(v, true);
+/// Tarjan's strongly connected components, iterative, over flat arrays.
+/// Outside a run every `index` entry is [`UNSEEN`]: each run resets the
+/// entries it set, so one instance serves every work item of an analysis.
+#[derive(Default)]
+pub(crate) struct Tarjan {
+    index: Vec<u32>,
+    low: Vec<u32>,
+    on_stack: Vec<bool>,
+    stack: Vec<u32>,
+    /// DFS frames: (state, next edge index).
+    call: Vec<(u32, u32)>,
+    /// The last run's components, concatenated; each ends at its `ends`
+    /// offset.
+    comps: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl Tarjan {
+    /// Decomposes the subgraph on `roots` whose edges `keep(state, edge
+    /// index, target)` admits; `keep` must reject every edge leaving
+    /// `roots`. Roots and edges are taken in order, so the components (see
+    /// [`Tarjan::components`]) come out in one fixed reverse topological
+    /// order, each listed from the last state reached back to its root.
+    pub(crate) fn run(
+        &mut self,
+        g: &StateGraph,
+        roots: &[u32],
+        keep: impl Fn(usize, usize, usize) -> bool,
+    ) {
+        self.index.resize(g.len(), UNSEEN);
+        self.low.resize(g.len(), 0);
+        self.on_stack.resize(g.len(), false);
+        self.comps.clear();
+        self.ends.clear();
+        let mut next = 0u32;
+        for &root in roots {
+            if self.index[root as usize] != UNSEEN {
+                continue;
             }
-            if cursor < g.edges[v].len() {
-                call.last_mut().expect("nonempty").1 += 1;
-                let e = &g.edges[v][cursor];
-                if !in_set[e.to] || !edge_ok(v, cursor) {
-                    continue;
+            self.call.push((root, 0));
+            while let Some(&(v, cursor)) = self.call.last() {
+                let (vi, cursor) = (v as usize, cursor as usize);
+                if cursor == 0 {
+                    (self.index[vi], self.low[vi], self.on_stack[vi]) = (next, next, true);
+                    next += 1;
+                    self.stack.push(v);
                 }
-                let w = e.to;
-                match info.get(&w) {
-                    None => call.push((w, 0)),
-                    Some(wi) => {
-                        if on_stack.get(&w).copied().unwrap_or(false) {
-                            let low = info[&v].low.min(wi.index);
-                            info.get_mut(&v).expect("visited").low = low;
+                if let Some(e) = g.edges[vi].get(cursor) {
+                    self.call.last_mut().expect("nonempty").1 += 1;
+                    let w = e.to;
+                    if keep(vi, cursor, w) {
+                        if self.index[w] == UNSEEN {
+                            self.call.push((w as u32, 0));
+                        } else if self.on_stack[w] {
+                            self.low[vi] = self.low[vi].min(self.index[w]);
                         }
                     }
+                    continue;
                 }
-            } else {
-                call.pop();
-                let vi = info[&v];
-                if let Some(&(parent, _)) = call.last() {
-                    let low = info[&parent].low.min(vi.low);
-                    info.get_mut(&parent).expect("visited").low = low;
+                self.call.pop();
+                if let Some(&(parent, _)) = self.call.last() {
+                    let p = parent as usize;
+                    self.low[p] = self.low[p].min(self.low[vi]);
                 }
-                if vi.low == vi.index {
-                    let mut comp = Vec::new();
+                if self.low[vi] == self.index[vi] {
                     loop {
-                        let w = stack.pop().expect("tarjan stack nonempty");
-                        on_stack.insert(w, false);
-                        comp.push(w);
+                        let w = self.stack.pop().expect("tarjan stack nonempty");
+                        self.on_stack[w as usize] = false;
+                        self.comps.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    out.push(comp);
+                    self.ends.push(self.comps.len() as u32);
                 }
             }
         }
+        for &s in roots {
+            self.index[s as usize] = UNSEEN;
+        }
     }
-    out
+
+    /// The components the last [`Tarjan::run`] found, in emission order.
+    pub(crate) fn components(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| &self.comps[a as usize..b as usize])
+    }
 }
 
-/// Finds the first reachable component witnessing a fair oscillation.
+/// Per-channel flags over a component's internal edges.
+const ATTENDED: u8 = 1;
+const KEPT: u8 = 2;
+const DROPPED: u8 = 4;
+
+/// Finds the first reachable component witnessing a fair oscillation, with
+/// the number of components it examined (those with an internal edge) and
+/// of work items drop fairness pushed. Time is linear in states plus edges
+/// per refinement level.
 ///
 /// Drop fairness needs *iterative refinement* (as in Streett acceptance):
 /// if a component drops on a channel it never delivers on, a fair walk must
 /// eventually avoid those dropping edges, so they are removed and the
 /// component re-decomposed until either a component passes every condition
 /// or nothing is left.
-pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> Option<Vec<usize>> {
+pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize>>, u64, u64) {
     let index = &g.index;
-    let channel_count = index.len();
+    let n = g.len();
+    // Global edge ids: state s's edges are first_edge[s] + edge index.
+    let mut first_edge = vec![0];
+    for out in &g.edges {
+        first_edge.push(first_edge[first_edge.len() - 1] + out.len());
+    }
+    // Edges drop fairness removed. A banned edge lies inside the component
+    // that banned it and live work items are disjoint, so one bitmap
+    // serves them all.
+    let mut banned = vec![0u64; first_edge[n].div_ceil(64)];
+    let is_banned = |banned: &[u64], s: usize, ei: usize| {
+        let id = first_edge[s] + ei;
+        banned[id / 64] >> (id % 64) & 1 == 1
+    };
+    // `stamp[s] == mark`: s is in the current work item or component. Each
+    // takes a fresh mark.
+    let (mut stamp, mut mark) = (vec![0u32; n], 0u32);
+    let mut tarjan = Tarjan::default();
+    let mut flags = vec![0u8; index.len()];
+    let (mut components, mut refinements) = (0, 0);
+    let mut work: Vec<Vec<u32>> = vec![(0..n as u32).collect()];
 
-    // Banned (state, edge idx) pairs accompanying a candidate state set.
-    type BannedEdges = std::collections::HashSet<(usize, usize)>;
-    let all_nodes: Vec<usize> = (0..g.len()).collect();
-    let mut work: Vec<(Vec<usize>, BannedEdges)> = vec![(all_nodes, BannedEdges::new())];
-
-    while let Some((nodes, banned)) = work.pop() {
-        let edge_ok = |s: usize, ei: usize| !banned.contains(&(s, ei));
-        for comp in sccs_restricted(g, &nodes, &edge_ok) {
-            let mut member = vec![false; g.len()];
-            for &s in &comp {
-                member[s] = true;
+    while let Some(nodes) = work.pop() {
+        mark = mark.checked_add(1).expect("fewer than 2^32 stamps");
+        for &s in &nodes {
+            stamp[s as usize] = mark;
+        }
+        tarjan.run(g, &nodes, |s, ei, to| stamp[to] == mark && !is_banned(&banned, s, ei));
+        for comp in tarjan.components() {
+            mark = mark.checked_add(1).expect("fewer than 2^32 stamps");
+            for &s in comp {
+                stamp[s as usize] = mark;
             }
-            // Internal (non-banned) edges as (state, edge index).
-            let mut internal: Vec<(usize, usize)> = Vec::new();
-            for &s in &comp {
+            flags.fill(0);
+            let mut has_internal = false;
+            // 1. π must change within the component (anti-monotone: a
+            //    π-constant component stays π-constant in every sub-walk).
+            let pi0 = g.pi_fp[comp[0] as usize];
+            let mut pi_changes = comp.iter().any(|&s| g.pi_fp[s as usize] != pi0);
+            for &s in comp {
+                let s = s as usize;
                 for (ei, e) in g.edges[s].iter().enumerate() {
-                    if member[e.to] && edge_ok(s, ei) {
-                        internal.push((s, ei));
+                    if stamp[e.to] != mark || is_banned(&banned, s, ei) {
+                        continue;
+                    }
+                    has_internal = true;
+                    pi_changes |= e.changes_pi;
+                    let sets = [(e.attended(), ATTENDED), (e.kept(), KEPT), (e.dropped(), DROPPED)];
+                    for (set, flag) in sets {
+                        set.iter().for_each(|&c| flags[c] |= flag);
                     }
                 }
             }
-            if internal.is_empty() {
-                continue;
-            }
-            let edge = |&(s, ei): &(usize, usize)| &g.edges[s][ei];
-            // 1. π must change within the component (anti-monotone: a
-            //    π-constant component stays π-constant in every sub-walk).
-            let pi0 = g.pi_fp[comp[0]];
-            let pi_changes = comp.iter().any(|&s| g.pi_fp[s] != pi0)
-                || internal.iter().map(edge).any(|e| e.changes_pi);
-            if !pi_changes {
+            components += u64::from(has_internal);
+            if !has_internal || !pi_changes {
                 continue;
             }
             // 2. Every channel attended (anti-monotone likewise). Channels
             //    no internal edge attends fall back to noop-attendance at a
             //    member state.
-            let mut attended_ok = vec![false; channel_count];
-            for e in internal.iter().map(edge) {
-                for &c in e.attended() {
-                    attended_ok[c] = true;
+            let unattended = |flags: &[u8]| flags.iter().any(|f| f & ATTENDED == 0);
+            for &s in comp {
+                if !unattended(&flags) {
+                    break;
                 }
-            }
-            if attended_ok.iter().any(|ok| !ok) {
-                'states: for &s in &comp {
-                    let ws = g.nodes.node(s as u32);
-                    for c in 0..channel_count {
-                        if !attended_ok[c] && noop_attendable(spec, &g.codec, index, ws, c) {
-                            attended_ok[c] = true;
-                            if attended_ok.iter().all(|&ok| ok) {
-                                break 'states;
-                            }
-                        }
+                let ws = g.nodes.node(s);
+                for (c, f) in flags.iter_mut().enumerate() {
+                    if *f & ATTENDED == 0 && noop_attendable(spec, &g.codec, index, ws, c) {
+                        *f |= ATTENDED;
                     }
                 }
             }
-            if attended_ok.iter().any(|ok| !ok) {
+            if unattended(&flags) {
                 continue;
             }
             // 3. Drop fairness: channels dropped on but never delivered on
             //    must not be dropped infinitely often — remove their
             //    dropping edges and re-decompose.
-            let offending: Vec<usize> = (0..channel_count)
-                .filter(|c| {
-                    internal.iter().map(edge).any(|e| e.dropped().contains(c))
-                        && !internal.iter().map(edge).any(|e| e.kept().contains(c))
-                })
-                .collect();
-            if offending.is_empty() {
-                return Some(comp);
+            let offending = |c: &usize| flags[*c] & (DROPPED | KEPT) == DROPPED;
+            if !(0..flags.len()).any(|c| offending(&c)) {
+                return (Some(comp.iter().map(|&s| s as usize).collect()), components, refinements);
             }
-            let mut banned2 = banned.clone();
-            for &(s, ei) in &internal {
-                if g.edges[s][ei].dropped().iter().any(|c| offending.contains(c)) {
-                    banned2.insert((s, ei));
+            for &s in comp {
+                let s = s as usize;
+                for (ei, e) in g.edges[s].iter().enumerate() {
+                    // Re-banning an already banned edge is harmless.
+                    if stamp[e.to] == mark && e.dropped().iter().any(offending) {
+                        let id = first_edge[s] + ei;
+                        banned[id / 64] |= 1 << (id % 64);
+                    }
                 }
             }
-            work.push((comp, banned2));
+            refinements += 1;
+            work.push(comp.to_vec());
         }
     }
-    None
+    (None, components, refinements)
 }
 
 /// Analyzes a prebuilt graph.
@@ -255,13 +295,18 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> Option<Vec<usize>
 /// `states` counts are always the built graph's — the quotient's, for
 /// reduced builds.
 pub fn analyze_graph(spec: Spec<'_>, g: &StateGraph) -> Verdict {
+    // One relaxed load when telemetry is off.
+    let obs = routelab_obs::enabled();
+    let _span = obs.then(|| routelab_obs::span("explore.analyze"));
     let states = g.len();
-    let fair = if g.sym.is_some() {
-        let unfolded = crate::reduce::unfold_symmetry(g);
-        find_fair_scc(spec, &unfolded)
-    } else {
-        find_fair_scc(spec, g)
+    let (fair, components, refinements) = match g.sym {
+        Some(_) => find_fair_scc(spec, &crate::reduce::unfold_symmetry(g)),
+        None => find_fair_scc(spec, g),
     };
+    if obs {
+        routelab_obs::counter("explore.analyze.components", components);
+        routelab_obs::counter("explore.analyze.refinements", refinements);
+    }
     if let Some(comp) = fair {
         return Verdict::CanOscillate { states, scc_size: comp.len() };
     }
@@ -319,6 +364,184 @@ pub fn try_analyze_spec(
 ) -> Result<Verdict, ExploreError> {
     let g = try_build_spec(inst, spec, cfg)?;
     Ok(analyze_graph(spec, &g))
+}
+
+#[cfg(test)]
+mod reference {
+    //! The analysis as it stood before the flat rewrite, kept unchanged as
+    //! the oracle the flat search is tested against.
+
+    use std::collections::HashMap;
+
+    use super::*;
+
+    /// SCC decomposition restricted to the states of `nodes` and to edges the
+    /// filter admits. Returns components as state lists.
+    fn sccs_restricted(
+        g: &StateGraph,
+        nodes: &[usize],
+        edge_ok: &dyn Fn(usize, usize) -> bool,
+    ) -> Vec<Vec<usize>> {
+        let mut in_set = vec![false; g.len()];
+        for &s in nodes {
+            in_set[s] = true;
+        }
+        #[derive(Clone, Copy, PartialEq)]
+        struct Info {
+            index: usize,
+            low: usize,
+        }
+        let mut info: HashMap<usize, Info> = HashMap::new();
+        let mut on_stack: HashMap<usize, bool> = HashMap::new();
+        let mut stack: Vec<usize> = Vec::new();
+        let mut next_index = 0usize;
+        let mut out = Vec::new();
+
+        for &root in nodes {
+            if info.contains_key(&root) {
+                continue;
+            }
+            let mut call: Vec<(usize, usize)> = vec![(root, 0)];
+            while let Some(&(v, cursor)) = call.last() {
+                if cursor == 0 {
+                    info.insert(v, Info { index: next_index, low: next_index });
+                    next_index += 1;
+                    stack.push(v);
+                    on_stack.insert(v, true);
+                }
+                if cursor < g.edges[v].len() {
+                    call.last_mut().expect("nonempty").1 += 1;
+                    let e = &g.edges[v][cursor];
+                    if !in_set[e.to] || !edge_ok(v, cursor) {
+                        continue;
+                    }
+                    let w = e.to;
+                    match info.get(&w) {
+                        None => call.push((w, 0)),
+                        Some(wi) => {
+                            if on_stack.get(&w).copied().unwrap_or(false) {
+                                let low = info[&v].low.min(wi.index);
+                                info.get_mut(&v).expect("visited").low = low;
+                            }
+                        }
+                    }
+                } else {
+                    call.pop();
+                    let vi = info[&v];
+                    if let Some(&(parent, _)) = call.last() {
+                        let low = info[&parent].low.min(vi.low);
+                        info.get_mut(&parent).expect("visited").low = low;
+                    }
+                    if vi.low == vi.index {
+                        let mut comp = Vec::new();
+                        loop {
+                            let w = stack.pop().expect("tarjan stack nonempty");
+                            on_stack.insert(w, false);
+                            comp.push(w);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        out.push(comp);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Finds the first reachable component witnessing a fair oscillation.
+    ///
+    /// Drop fairness needs *iterative refinement* (as in Streett acceptance):
+    /// if a component drops on a channel it never delivers on, a fair walk must
+    /// eventually avoid those dropping edges, so they are removed and the
+    /// component re-decomposed until either a component passes every condition
+    /// or nothing is left.
+    pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> Option<Vec<usize>> {
+        let index = &g.index;
+        let channel_count = index.len();
+
+        // Banned (state, edge idx) pairs accompanying a candidate state set.
+        type BannedEdges = std::collections::HashSet<(usize, usize)>;
+        let all_nodes: Vec<usize> = (0..g.len()).collect();
+        let mut work: Vec<(Vec<usize>, BannedEdges)> = vec![(all_nodes, BannedEdges::new())];
+
+        while let Some((nodes, banned)) = work.pop() {
+            let edge_ok = |s: usize, ei: usize| !banned.contains(&(s, ei));
+            for comp in sccs_restricted(g, &nodes, &edge_ok) {
+                let mut member = vec![false; g.len()];
+                for &s in &comp {
+                    member[s] = true;
+                }
+                // Internal (non-banned) edges as (state, edge index).
+                let mut internal: Vec<(usize, usize)> = Vec::new();
+                for &s in &comp {
+                    for (ei, e) in g.edges[s].iter().enumerate() {
+                        if member[e.to] && edge_ok(s, ei) {
+                            internal.push((s, ei));
+                        }
+                    }
+                }
+                if internal.is_empty() {
+                    continue;
+                }
+                let edge = |&(s, ei): &(usize, usize)| &g.edges[s][ei];
+                // 1. π must change within the component (anti-monotone: a
+                //    π-constant component stays π-constant in every sub-walk).
+                let pi0 = g.pi_fp[comp[0]];
+                let pi_changes = comp.iter().any(|&s| g.pi_fp[s] != pi0)
+                    || internal.iter().map(edge).any(|e| e.changes_pi);
+                if !pi_changes {
+                    continue;
+                }
+                // 2. Every channel attended (anti-monotone likewise). Channels
+                //    no internal edge attends fall back to noop-attendance at a
+                //    member state.
+                let mut attended_ok = vec![false; channel_count];
+                for e in internal.iter().map(edge) {
+                    for &c in e.attended() {
+                        attended_ok[c] = true;
+                    }
+                }
+                if attended_ok.iter().any(|ok| !ok) {
+                    'states: for &s in &comp {
+                        let ws = g.nodes.node(s as u32);
+                        for c in 0..channel_count {
+                            if !attended_ok[c] && noop_attendable(spec, &g.codec, index, ws, c) {
+                                attended_ok[c] = true;
+                                if attended_ok.iter().all(|&ok| ok) {
+                                    break 'states;
+                                }
+                            }
+                        }
+                    }
+                }
+                if attended_ok.iter().any(|ok| !ok) {
+                    continue;
+                }
+                // 3. Drop fairness: channels dropped on but never delivered on
+                //    must not be dropped infinitely often — remove their
+                //    dropping edges and re-decompose.
+                let offending: Vec<usize> = (0..channel_count)
+                    .filter(|c| {
+                        internal.iter().map(edge).any(|e| e.dropped().contains(c))
+                            && !internal.iter().map(edge).any(|e| e.kept().contains(c))
+                    })
+                    .collect();
+                if offending.is_empty() {
+                    return Some(comp);
+                }
+                let mut banned2 = banned.clone();
+                for &(s, ei) in &internal {
+                    if g.edges[s][ei].dropped().iter().any(|c| offending.contains(c)) {
+                        banned2.insert((s, ei));
+                    }
+                }
+                work.push((comp, banned2));
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -513,6 +736,74 @@ mod tests {
         h.set_lossy(Channel::new(x, y));
         h.set_lossy(Channel::new(y, x));
         assert!(matches!(analyze_hetero(&inst, &h, &cfg), Verdict::AlwaysConverges { .. }));
+    }
+
+    /// DISAGREE plus an informant `z`: x learning any route of z's ends
+    /// the dispute, while z re-announces on every turn of it. With only
+    /// `z → x` lossy, the dispute survives only on runs that drop z's
+    /// announcements forever, so drop fairness must refine it.
+    const INFORMED_DISAGREE: &str = "spp v1
+        node d\nnode x\nnode y\nnode z
+        edge x d\nedge y d\nedge x y\nedge z d\nedge z y\nedge z x
+        dest d
+        prefs x xzd xzyd xyd xd\nprefs y yxd yd\nprefs z zyd zd";
+
+    /// The flat search against the retained reference, on every corpus
+    /// gadget × the 24 models and on `INFORMED_DISAGREE` × the 12 reliable
+    /// models with `z → x` lossy, at channel cap 2, unreduced and reduced
+    /// (through the orbit unfolding the analysis runs on): the same
+    /// component, its states in the same order.
+    #[test]
+    fn fair_scc_search_matches_the_reference() {
+        let cfg = ExploreConfig {
+            channel_cap: 2,
+            max_states: 800,
+            threads: Some(1),
+            ..ExploreConfig::default()
+        };
+        let informed = routelab_spp::format::from_text(INFORMED_DISAGREE).unwrap();
+        let (z, x) = (informed.node_by_name("z").unwrap(), informed.node_by_name("x").unwrap());
+        let lossy: Vec<(CommModel, HeteroModel)> = CommModel::all_reliable()
+            .into_iter()
+            .map(|m| {
+                let mut h = HeteroModel::uniform(informed.node_count(), m);
+                h.set_lossy(routelab_spp::Channel::new(z, x));
+                (m, h)
+            })
+            .collect();
+        let corpus = gadgets::corpus();
+        let mut cells: Vec<(String, &SppInstance, Spec<'_>)> = Vec::new();
+        for (name, inst) in &corpus {
+            for m in CommModel::all() {
+                cells.push((format!("{name} × {m}"), inst, Spec::Uniform(m)));
+            }
+        }
+        for (m, h) in &lossy {
+            cells.push((
+                format!("INFORMED-DISAGREE × {m}, z → x lossy"),
+                &informed,
+                Spec::Hetero(h),
+            ));
+        }
+
+        let (mut found, mut absent, mut refined) = (0, 0, 0);
+        for (cell, inst, spec) in cells {
+            for reduce in [false, true] {
+                let g = build_spec(inst, spec, &ExploreConfig { reduce, ..cfg.clone() });
+                let g = if g.sym.is_some() { crate::reduce::unfold_symmetry(&g) } else { g };
+                let (got, _, refinements) = find_fair_scc(spec, &g);
+                let want = reference::find_fair_scc(spec, &g);
+                assert_eq!(got, want, "{cell}, reduce {reduce}");
+                if got.is_some() {
+                    found += 1;
+                } else {
+                    absent += 1;
+                }
+                refined += usize::from(refinements > 0);
+            }
+        }
+        // Floors, so that the comparison cannot pass vacuously.
+        assert!(found >= 40 && absent >= 300 && refined >= 4, "{found} {absent} {refined}");
     }
 
     #[test]

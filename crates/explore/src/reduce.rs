@@ -575,27 +575,23 @@ impl SymTables {
 /// The `step` field of un-folded edges is *not* relabeled: witnesses are
 /// only ever extracted from unreduced graphs.
 pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
-    let t = g.sym.as_ref().expect("unfold_symmetry requires symmetry tables").clone();
-    let mut ids: HashMap<(usize, usize), usize> = HashMap::new();
+    let t = g.sym.as_ref().expect("unfold_symmetry requires symmetry tables");
+    let order = t.order();
+    // The unfolded id of (q, gi) is at q * order + gi; u32::MAX until seen.
+    let mut ids = vec![u32::MAX; g.len() * order];
     let mut nodes: Vec<(usize, usize)> = Vec::new();
-    let mut arena = NodeArena::new();
-    let mut pi_fp: Vec<u64> = Vec::new();
-    let mut intern = |q: usize,
-                      gi: usize,
-                      nodes: &mut Vec<(usize, usize)>,
-                      arena: &mut NodeArena,
-                      pi_fp: &mut Vec<u64>|
-     -> usize {
-        *ids.entry((q, gi)).or_insert_with(|| {
+    let mut intern = |q: usize, gi: usize, nodes: &mut Vec<(usize, usize)>| {
+        let id = &mut ids[q * order + gi];
+        if *id == u32::MAX {
+            *id = nodes.len() as u32;
             nodes.push((q, gi));
-            let base = g.nodes.node_vec(q as u32);
-            let ws = if gi == 0 { base } else { t.transform(&base, gi) };
-            pi_fp.push(g.codec.pi_fingerprint_words(&ws));
-            arena.intern(&ws);
-            nodes.len() - 1
-        })
+        }
+        *id as usize
     };
-    intern(0, 0, &mut nodes, &mut arena, &mut pi_fp);
+    // One relabeled descriptor per (original descriptor, group element);
+    // the pointer keys stay valid while `g` is borrowed.
+    let mut infos: HashMap<(*const StepInfo, usize), Arc<StepInfo>> = HashMap::new();
+    intern(0, 0, &mut nodes);
     let mut edges: Vec<Vec<EdgeLabel>> = Vec::new();
     let mut head = 0usize;
     while head < nodes.len() {
@@ -603,21 +599,28 @@ pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
         let mut out = Vec::with_capacity(g.edges[q].len());
         for e in &g.edges[q] {
             let a = usize::from(e.sym);
-            let to = intern(e.to, t.compose(gi, t.inverse(a)), &mut nodes, &mut arena, &mut pi_fp);
-            out.push(EdgeLabel {
-                to,
-                info: Arc::new(StepInfo {
+            let to = intern(e.to, t.compose(gi, t.inverse(a)), &mut nodes);
+            let info = infos.entry((Arc::as_ptr(&e.info), gi)).or_insert_with(|| {
+                let map = |cs: &[usize]| cs.iter().map(|&c| t.map_channel(gi, c)).collect();
+                Arc::new(StepInfo {
                     step: e.step().clone(),
-                    attended: e.attended().iter().map(|&c| t.map_channel(gi, c)).collect(),
-                    kept: e.kept().iter().map(|&c| t.map_channel(gi, c)).collect(),
-                    dropped: e.dropped().iter().map(|&c| t.map_channel(gi, c)).collect(),
-                }),
-                changes_pi: e.changes_pi,
-                sym: 0,
+                    attended: map(e.attended()),
+                    kept: map(e.kept()),
+                    dropped: map(e.dropped()),
+                })
             });
+            out.push(EdgeLabel { to, info: Arc::clone(info), changes_pi: e.changes_pi, sym: 0 });
         }
         edges.push(out);
         head += 1;
+    }
+    let (mut arena, mut pi_fp) = (NodeArena::new(), Vec::with_capacity(nodes.len()));
+    for &(q, gi) in &nodes {
+        let base = g.nodes.node(q as u32);
+        let image = (gi != 0).then(|| t.transform(base, gi));
+        let ws = image.as_deref().unwrap_or(base);
+        pi_fp.push(g.codec.pi_fingerprint_words(ws));
+        arena.intern(ws);
     }
     StateGraph {
         codec: g.codec.clone(),
@@ -646,6 +649,47 @@ mod tests {
         let codec = StateCodec::new(inst, &index, "test-cell").expect("codec");
         let t = SymTables::detect(inst, &index, &codec, uniform()).expect("nontrivial group");
         (index, codec, t)
+    }
+
+    /// The unfolding relabels each quotient descriptor once per group
+    /// element instead of allocating one per unfolded edge.
+    #[test]
+    fn unfolding_shares_step_descriptors() {
+        use std::collections::HashSet;
+        let inst = gadgets::bad_gadget();
+        let cfg = crate::graph::ExploreConfig::default();
+        let g = crate::graph::build(&inst, "REF".parse().unwrap(), &cfg);
+        let order = g.sym.as_ref().expect("BAD-GADGET is symmetric").order();
+        let descriptors = |g: &StateGraph| {
+            g.edges.iter().flatten().map(|e| Arc::as_ptr(&e.info)).collect::<HashSet<_>>().len()
+        };
+        let unfolded = unfold_symmetry(&g);
+        let edges: usize = unfolded.edges.iter().map(Vec::len).sum();
+        assert!(edges > descriptors(&g) * order, "{edges} edges");
+        assert!(descriptors(&unfolded) <= descriptors(&g) * order);
+    }
+
+    /// Unfolded labels are relabeled through each node's own group
+    /// element: every channel an unfolded edge drops on holds a message in
+    /// the edge's source state.
+    #[test]
+    fn unfolded_drops_read_nonempty_queues() {
+        let cfg = crate::graph::ExploreConfig::default();
+        for (name, inst) in
+            [("DISAGREE", gadgets::disagree()), ("BAD-GADGET", gadgets::bad_gadget())]
+        {
+            let g = crate::graph::build(&inst, "U1O".parse().unwrap(), &cfg);
+            let unfolded = unfold_symmetry(&g);
+            let mut drops = 0;
+            for (s, out) in unfolded.edges.iter().enumerate() {
+                let ws = unfolded.nodes.node(s as u32);
+                for &c in out.iter().flat_map(|e| e.dropped()) {
+                    assert!(!g.codec.queue_empty_words(ws, c), "{name}: state {s}, channel {c}");
+                    drops += 1;
+                }
+            }
+            assert!(drops > 0, "{name}");
+        }
     }
 
     #[test]

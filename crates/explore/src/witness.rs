@@ -10,7 +10,7 @@
 //! which also accounts for the state-preserving attendance steps that can
 //! be interleaved freely).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use routelab_core::model::CommModel;
 use routelab_core::step::ActivationSeq;
@@ -40,7 +40,8 @@ fn bfs_path(
     if from == to {
         return Some(Vec::new());
     }
-    let mut prev: HashMap<usize, (usize, usize)> = HashMap::new(); // state -> (pred, edge idx)
+    // Per state: (predecessor, edge index), predecessor u32::MAX until seen.
+    let mut prev = vec![(u32::MAX, 0u32); g.len()];
     let mut queue = VecDeque::from([from]);
     while let Some(s) = queue.pop_front() {
         for (ei, e) in g.edges[s].iter().enumerate() {
@@ -49,15 +50,15 @@ fn bfs_path(
                     continue;
                 }
             }
-            if e.to != from && !prev.contains_key(&e.to) {
-                prev.insert(e.to, (s, ei));
+            if e.to != from && prev[e.to].0 == u32::MAX {
+                prev[e.to] = (s as u32, ei as u32);
                 if e.to == to {
                     let mut path = Vec::new();
                     let mut cur = to;
                     while cur != from {
-                        let (p, ei) = prev[&cur];
-                        path.push((p, ei));
-                        cur = p;
+                        let (p, ei) = prev[cur];
+                        path.push((p as usize, ei as usize));
+                        cur = p as usize;
                     }
                     path.reverse();
                     return Some(path);
@@ -98,7 +99,7 @@ pub fn oscillation_witness_spec(
 /// Extracts an oscillation witness from a prebuilt graph (used by the
 /// differential tests to compare parallel- and reference-built graphs).
 pub fn witness_from_graph(spec: Spec<'_>, g: &StateGraph) -> Option<OscillationWitness> {
-    let comp = find_fair_scc(spec, g)?;
+    let comp = find_fair_scc(spec, g).0?;
     let index = &g.index;
     let mut member = vec![false; g.len()];
     for &s in &comp {
