@@ -1,4 +1,4 @@
-//! Thread-scaling of the sharded frontier engine on the Appendix A.2
+//! Thread-scaling of the frontier engine on the Appendix A.2
 //! acceptance workload: the Fig. 6 polling cells (R1A, RMA) whose
 //! exhaustive closures visit ≈654k raw states each under channel cap 3 —
 //! run both with the default state-space reduction (route-class
@@ -9,8 +9,9 @@
 //! interned states, π fingerprints, and edge lists must be bit-identical
 //! to the single-thread build of the same mode — and that the reduced and
 //! unreduced builds agree on the oscillation verdict. Wall clock, the
-//! engine's shard statistics, and the reduction counters (class rewrites,
-//! absorbed reads, set collapses, symmetry hits, group order) go to
+//! frontier statistics (candidates, dedup hits, peak frontier, resident
+//! payload bytes), and the reduction counters (class rewrites, absorbed
+//! reads, set collapses, symmetry hits, group order) go to
 //! `results/BENCH_explore.json`.
 //!
 //! The speedup column is only meaningful on a multi-core host; the JSON
@@ -75,15 +76,13 @@ fn main() {
                 println!(
                     "explore_scaling/FIG6×{model_s} {mode} t{threads}: {} states in {:.0} ms \
                      ({:.0} states/s, dedup hit-rate {:.1}%, peak frontier {}, \
-                     {:.1} MiB resident, shards {}..{}{})",
+                     {:.1} MiB resident{})",
                     g.len(),
                     wall_ms,
                     states_per_s,
                     g.stats.dedup_hit_rate() * 100.0,
                     g.stats.peak_frontier,
                     g.stats.bytes_resident as f64 / (1 << 20) as f64,
-                    g.stats.shard_min,
-                    g.stats.shard_max,
                     if same { "" } else { ", MISMATCH vs 1-thread build" },
                 );
                 runs_json.push(Json::obj([
@@ -95,8 +94,6 @@ fn main() {
                     ("dedup_hits", Json::int(g.stats.dedup_hits as usize)),
                     ("peak_frontier", Json::int(g.stats.peak_frontier)),
                     ("bytes_resident", Json::int(g.stats.bytes_resident as usize)),
-                    ("shard_min", Json::int(g.stats.shard_min)),
-                    ("shard_max", Json::int(g.stats.shard_max)),
                     ("identical_to_single_thread", Json::Bool(same)),
                 ]));
                 walls.push(wall_ms);

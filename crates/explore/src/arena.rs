@@ -3,8 +3,8 @@
 //! Every interned node is a run of `u16` words in one contiguous buffer,
 //! appended in id order; node `id` is the slice between its predecessor's
 //! end offset and its own. All writes happen in the frontier's serial merge
-//! phase, so the parallel expand and dedup phases only ever read —
-//! `&NodeArena` is freely shared across worker threads.
+//! phase, so the parallel expand phase only ever reads — `&NodeArena` is
+//! freely shared across worker threads.
 
 /// Arena of interned `u16`-word nodes; index = node id. Equality is by
 /// content: two arenas are equal iff they hold the same nodes in the same

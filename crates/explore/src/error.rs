@@ -1,12 +1,11 @@
 //! Typed errors for the exhaustive explorer.
 //!
-//! Exploration used to fail by panicking deep inside the frontier loop,
-//! surfacing as an anonymous "thread panicked" with no hint of *which*
-//! gadget × model cell was being checked. Every fallible step of the
-//! parallel engine — interning a state into the packed arena, resolving a
-//! route id, a worker shard poisoned by a panic — now reports an
-//! [`ExploreError`] carrying the offending cell, in the same spirit as the
-//! experiment pool's per-job panic attribution.
+//! Every fallible step of an exploration — interning a state into the
+//! packed arena, resolving a route id, a panic on an expanding worker —
+//! reports an [`ExploreError`] carrying the gadget × model cell being
+//! checked, in the same spirit as the experiment pool's per-job panic
+//! attribution, so a failure never surfaces as an anonymous "thread
+//! panicked".
 
 use std::fmt;
 

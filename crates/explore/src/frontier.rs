@@ -1,38 +1,39 @@
-//! Deterministic sharded parallel breadth-first frontier engine.
+//! Deterministic parallel breadth-first frontier engine.
 //!
 //! Every exhaustive check in this crate — state-graph construction, trace
 //! realization search — is a breadth-first closure over an implicit graph:
 //! intern a root, repeatedly expand un-expanded nodes into candidate
 //! successors, dedup candidates against everything seen, stop on a cap or
-//! an accepting node. [`bfs`] runs that loop with the frontier partitioned
-//! by state-hash shard across `std::thread::scope` workers, under a strict
-//! determinism contract:
+//! an accepting node. [`bfs`] runs that loop one block of frontier nodes at
+//! a time, under a strict determinism contract:
 //!
 //! **The result — node ids, node count, edges, parents, truncation point,
 //! accepted node — is bit-identical at any thread count**, and identical to
-//! the plain sequential reference [`bfs_reference`]. The trick is canonical
-//! ordinal numbering: a block of frontier nodes is expanded in parallel
-//! (each parent's successors land in that parent's own slot, in the
-//! parent's canonical successor order), candidates are routed to hash
-//! shards *in (parent, successor) order*, each shard dedups its candidates
-//! in parallel against its persistent map in that same order, and a final
-//! serial merge walks candidates in (parent, successor) order assigning
-//! fresh ids first-occurrence-first. That numbering is exactly what a
-//! sequential breadth-first loop produces, so thread count, scheduling, and
-//! shard assignment can never leak into the output. Caps and acceptance cut
-//! at an exact candidate ordinal, discarding everything after it, for the
-//! same reason.
+//! the plain sequential reference [`bfs_reference`]. Each block runs in two
+//! phases:
+//!
+//! 1. *Expand*, in parallel: `std::thread::scope` workers expand contiguous
+//!    ranges of the block, each parent's successors landing in that
+//!    parent's own [`SuccBuf`], in the parent's canonical successor order.
+//! 2. *Merge*, serially: one pass walks the candidates in (parent,
+//!    successor) order, looks each up in one exact id table, and interns
+//!    first occurrences. That is exactly the numbering of a sequential
+//!    breadth-first loop, and a cap or an acceptance stops at exactly the
+//!    candidate where the sequential loop stops.
+//!
+//! Threads only change who expands a parent, never the order in which
+//! candidates are merged, so thread count and scheduling cannot leak into
+//! the output.
 //!
 //! Nodes are plain `u16` word buffers. Expansion writes successors straight
-//! into a reusable per-parent [`SuccBuf`] (no per-candidate allocation),
-//! dedup keys are 64-bit [`hash_words`] fingerprints verified word-for-word
-//! against the interned node (so dedup stays *exact* — the hash only routes
-//! and pre-filters), and interned nodes live in one flat [`NodeArena`]. All
-//! arena writes happen in the serial merge phase; the parallel phases only
-//! read.
+//! into a reusable per-parent [`SuccBuf`] (no per-candidate allocation) and
+//! fingerprints each with [`hash_words`] on the worker. The id table keys
+//! on those fingerprints but verifies every match word for word against
+//! the interned node, so dedup stays *exact*. Interned nodes live in one
+//! flat [`NodeArena`], written only by the merge.
 //!
-//! The same contract as the run-level pool (`ROUTELAB_THREADS`, PR 1),
-//! pushed down into a single gadget × model cell.
+//! The same contract as the run-level pool (`ROUTELAB_THREADS`), pushed
+//! down into a single gadget × model cell.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,17 +41,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::arena::NodeArena;
 use crate::error::ExploreError;
 
-/// Number of dedup shards. A fixed power of two: enough to keep 8–16
-/// workers busy, few enough that per-shard maps stay dense. Constant so
-/// shard routing can never vary run-to-run.
-pub const SHARDS: usize = 64;
-
 /// Frontier nodes expanded per parallel block. Purely a performance knob —
 /// the ordinal merge makes results independent of block size.
 const BLOCK: usize = 4096;
 
-/// Env var overriding the explorer's worker count (same contract as the
-/// run-level pool's variable of the same name).
+/// Env var overriding the worker count of the explorer and of the
+/// run-level pool.
 pub const THREADS_ENV: &str = "ROUTELAB_THREADS";
 
 /// Parses a `ROUTELAB_THREADS` value. Invalid or zero values are a hard
@@ -84,10 +80,10 @@ pub fn resolved_threads(explicit: Option<usize>) -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// The fixed-key 64-bit node fingerprint: routes candidates to shards and
-/// pre-filters dedup lookups. Never trusted alone — every hash hit is
-/// verified word-for-word, so a collision costs one comparison, never
-/// correctness. Never feeds id assignment.
+/// The fixed-key 64-bit node fingerprint, computed on the expanding worker.
+/// [`IdTable`] keys on its low 32 bits. Never trusted alone — every
+/// fingerprint match is verified word-for-word, so a collision costs one
+/// comparison, never correctness. Never feeds id assignment.
 pub(crate) fn hash_words(ws: &[u16]) -> u64 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     const M: u64 = 0x9DDF_EA08_EB38_2D69;
@@ -104,15 +100,60 @@ pub(crate) fn hash_words(ws: &[u16]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Deterministic shard routing from a node fingerprint.
-fn shard_of_hash(h: u64) -> usize {
-    (h as usize) & (SHARDS - 1)
+/// The exact node → id map of [`bfs`]: an open-addressing array of
+/// `(low 32 fingerprint bits, id + 1)` slots, probed linearly from the
+/// fingerprint's low bits and kept at most half full; `(_, 0)` is an empty
+/// slot. Growth doubles the array and re-places the stored tags, without
+/// rehashing a node.
+struct IdTable {
+    slots: Vec<(u32, u32)>,
+    len: usize,
 }
 
-/// Shard a raw node buffer routes to (exposed so tests and diagnostics can
-/// recount per-shard populations independently of [`FrontierStats`]).
-pub fn shard_of_words(ws: &[u16]) -> usize {
-    shard_of_hash(hash_words(ws))
+impl Default for IdTable {
+    fn default() -> Self {
+        IdTable { slots: vec![(0, 0); 16], len: 0 }
+    }
+}
+
+impl IdTable {
+    /// The id of `node` (fingerprint `fp`), if interned. A fingerprint
+    /// match counts only once the words equal the arena's.
+    fn find(&self, arena: &NodeArena, node: &[u16], fp: u64) -> Option<u32> {
+        let (tag, mask) = (fp as u32, self.slots.len() - 1);
+        let mut i = tag as usize & mask;
+        loop {
+            match self.slots[i] {
+                (_, 0) => return None,
+                (t, id1) if t == tag && arena.node(id1 - 1) == node => return Some(id1 - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Records `id` for a node with fingerprint `fp` that [`IdTable::find`]
+    /// does not hold yet.
+    fn insert(&mut self, fp: u64, id: u32) {
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            let grown = vec![(0, 0); 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for (tag, id1) in old.into_iter().filter(|&(_, id1)| id1 != 0) {
+                self.place(tag, id1);
+            }
+        }
+        // `NodeArena::intern` keeps ids below `u32::MAX`.
+        self.place(fp as u32, id + 1);
+    }
+
+    fn place(&mut self, tag: u32, id1: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        while self.slots[i].1 != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (tag, id1);
+    }
 }
 
 /// A reusable per-parent successor buffer: candidate node words appended
@@ -274,10 +315,6 @@ pub struct FrontierStats {
     pub dedup_hits: u64,
     /// Largest un-expanded frontier observed at a block boundary.
     pub peak_frontier: usize,
-    /// Final size of the fullest dedup shard.
-    pub shard_max: usize,
-    /// Final size of the emptiest dedup shard.
-    pub shard_min: usize,
     /// Bytes of node payload held at the end of the run.
     pub bytes_resident: u64,
 }
@@ -327,86 +364,6 @@ impl<L> BfsResult<L> {
         labels.reverse();
         labels
     }
-}
-
-/// The ids behind one fingerprint in a shard map — almost always one;
-/// colliding fingerprints chain into a spilled `Vec`.
-enum SmallIds {
-    One(u32),
-    Many(Vec<u32>),
-}
-
-impl SmallIds {
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        match self {
-            SmallIds::One(id) => std::slice::from_ref(id).iter().copied(),
-            SmallIds::Many(ids) => ids.iter().copied(),
-        }
-    }
-
-    fn push(&mut self, id: u32) {
-        match self {
-            SmallIds::One(a) => *self = SmallIds::Many(vec![*a, id]),
-            SmallIds::Many(ids) => ids.push(id),
-        }
-    }
-}
-
-/// The hasher of the fingerprint-keyed dedup maps: keys are already
-/// avalanche-mixed [`hash_words`] outputs, so SipHash-ing them again per
-/// lookup buys nothing. One odd-constant multiply remixes the low bits
-/// (which shard routing consumed — every key of a shard's map shares
-/// them) back across the table index. Purely an internal-layout choice:
-/// the maps are never iterated, so results cannot depend on it.
-#[derive(Default)]
-struct FpHasher(u64);
-
-impl std::hash::Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("fingerprint maps hash only u64 keys")
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type FpBuild = std::hash::BuildHasherDefault<FpHasher>;
-type ShardMap = HashMap<u64, SmallIds, FpBuild>;
-
-/// Inserts a freshly interned node into its shard map.
-fn publish(map: &mut ShardMap, hash: u64, id: u32) {
-    match map.entry(hash) {
-        std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(id),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(SmallIds::One(id));
-        }
-    }
-}
-
-/// How a candidate resolved against the shard maps.
-#[derive(Clone, Copy)]
-enum Resolution {
-    /// Already interned with this id.
-    Old(u32),
-    /// First seen this block; index into the shard's pending list.
-    New(u32),
-}
-
-/// Per-shard output of the parallel dedup phase.
-#[derive(Default)]
-struct ShardOut {
-    /// One resolution per routed candidate, in ordinal order.
-    resolutions: Vec<Resolution>,
-    /// First occurrence of each block-new node, in ordinal order:
-    /// `(parent slot, successor index, fingerprint)`.
-    pending: Vec<(u32, u32, u64)>,
-    /// Old-node hits (for the dedup hit-rate stat).
-    hits: u64,
 }
 
 /// One parent's expansion: its candidate successors plus the "budget cut
@@ -479,80 +436,6 @@ fn expand_block<E: Expand>(
     }
 }
 
-/// Resolves every routed candidate of the block against the shard maps —
-/// shards in parallel, each walking its bucket in ordinal order. Every
-/// fingerprint hit is verified against the actual node words (from the
-/// arena for interned nodes, from the slots for block-pending ones), so
-/// resolution is exact.
-fn dedup_block<L: Sync>(
-    arena: &NodeArena,
-    maps: &[ShardMap],
-    buckets: &[Vec<(u32, u32)>],
-    slots: &[Slot<L>],
-    threads: usize,
-) -> Vec<ShardOut> {
-    let resolve_shard = |s: usize| -> ShardOut {
-        let mut out = ShardOut {
-            resolutions: Vec::with_capacity(buckets[s].len()),
-            pending: Vec::new(),
-            hits: 0,
-        };
-        let mut pend_map: HashMap<u64, Vec<u32>, FpBuild> = HashMap::default();
-        for &(pi, si) in &buckets[s] {
-            let buf = &slots[pi as usize].buf;
-            let (node, h) = (buf.node(si as usize), buf.hash(si as usize));
-            let mut resolved = maps[s]
-                .get(&h)
-                .and_then(|ids| ids.iter().find(|&id| arena.node(id) == node))
-                .map(Resolution::Old);
-            if resolved.is_none() {
-                if let Some(ps) = pend_map.get(&h) {
-                    for &p in ps {
-                        let (qpi, qsi, _) = out.pending[p as usize];
-                        if slots[qpi as usize].buf.node(qsi as usize) == node {
-                            // A duplicate within the block still resolves to
-                            // an already-interned node by merge time — count
-                            // it as a hit, matching the sequential
-                            // reference's accounting.
-                            resolved = Some(Resolution::New(p));
-                            break;
-                        }
-                    }
-                }
-            }
-            match resolved {
-                Some(r) => {
-                    out.hits += 1;
-                    out.resolutions.push(r);
-                }
-                None => {
-                    let p = out.pending.len() as u32;
-                    pend_map.entry(h).or_default().push(p);
-                    out.pending.push((pi, si, h));
-                    out.resolutions.push(Resolution::New(p));
-                }
-            }
-        }
-        out
-    };
-    if threads <= 1 {
-        return (0..SHARDS).map(resolve_shard).collect();
-    }
-    let mut outs: Vec<Option<ShardOut>> = (0..SHARDS).map(|_| None).collect();
-    let chunk = SHARDS.div_ceil(threads.min(SHARDS));
-    std::thread::scope(|scope| {
-        for (w, out_chunk) in outs.chunks_mut(chunk).enumerate() {
-            let resolve_shard = &resolve_shard;
-            scope.spawn(move || {
-                for (i, slot) in out_chunk.iter_mut().enumerate() {
-                    *slot = Some(resolve_shard(w * chunk + i));
-                }
-            });
-        }
-    });
-    outs.into_iter().map(|o| o.expect("every shard resolved")).collect()
-}
-
 /// Per-block phase timer for the explorer pipeline. Active only when
 /// telemetry or tracing is enabled; each `lap` emits an obs histogram sample
 /// and a flight-recorder `tph` event, so a whole exploration renders as a
@@ -602,8 +485,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs the sharded parallel breadth-first closure from the root node
-/// `root` (its raw words).
+/// Runs the parallel breadth-first closure from the root node `root` (its
+/// raw words).
 ///
 /// # Errors
 ///
@@ -619,16 +502,13 @@ pub fn bfs<E: Expand>(
     let mut stats = FrontierStats { threads, ..FrontierStats::default() };
 
     let mut arena = NodeArena::new();
-    let mut maps: Vec<ShardMap> = (0..SHARDS).map(|_| ShardMap::default()).collect();
-    let mut counts = [0usize; SHARDS];
+    let mut table = IdTable::default();
     let mut edges: Vec<Vec<(u32, E::Label)>> = Vec::new();
     let mut parents: Vec<Option<(u32, E::Label)>> = Vec::new();
     let mut truncated = false;
     let mut accepted = None;
 
-    let root_hash = hash_words(root);
-    publish(&mut maps[shard_of_hash(root_hash)], root_hash, 0);
-    counts[shard_of_hash(root_hash)] += 1;
+    table.insert(hash_words(root), arena.intern(root));
     if opts.record_edges {
         edges.push(Vec::new());
     }
@@ -638,16 +518,16 @@ pub fn bfs<E: Expand>(
     if exp.accept(0, root) {
         accepted = Some(0);
     }
-    arena.intern(root);
     let mut profiler = PhaseProfiler::new();
 
     let mut heartbeat = routelab_obs::Heartbeat::new(opts.progress_label, opts.max_nodes as u64);
     let mut expanded = 0usize;
+    let mut done = accepted.is_some();
     // Reusable per-parent successor slots: cleared and refilled every block,
     // so candidate buffers keep their capacity across the whole search
     // instead of being reallocated per block.
     let mut slots: Vec<Slot<E::Label>> = Vec::new();
-    'search: while expanded < arena.len() && accepted.is_none() {
+    while !done && expanded < arena.len() {
         stats.peak_frontier = stats.peak_frontier.max(arena.len() - expanded);
         let block_start = expanded;
         let block_len = (arena.len() - expanded).min(BLOCK);
@@ -671,121 +551,57 @@ pub fn bfs<E: Expand>(
         expand_block(exp, &arena, block_start, &mut slots[..block_len], threads, cell)?;
         profiler.lap("frontier.expand_ns", "expand", block_no, &[("parents", block_len as u64)]);
 
-        // Phase 2 (serial, cheap): route candidates to shards in ordinal
-        // (parent, successor) order, so each shard's bucket is
-        // ordinal-sorted.
-        let candidates_before = stats.candidates;
-        let mut buckets: Vec<Vec<(u32, u32)>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for (pi, slot) in slots[..block_len].iter().enumerate() {
+        // Phase 2 (serial): walk candidates in (parent, successor) order,
+        // interning first occurrences — exactly the numbering, the
+        // statistics and the cut point of the sequential reference.
+        let interned_before = arena.len();
+        'merge: for (pi, slot) in slots[..block_len].iter_mut().enumerate() {
+            let from = (block_start + pi) as u32;
             truncated |= slot.cut;
             stats.candidates += slot.buf.len() as u64;
             for si in 0..slot.buf.len() {
-                buckets[shard_of_hash(slot.buf.hash(si))].push((pi as u32, si as u32));
-            }
-        }
-        profiler.lap(
-            "frontier.route_ns",
-            "route",
-            block_no,
-            &[("candidates", stats.candidates - candidates_before)],
-        );
-
-        // Phase 3 (parallel): per-shard dedup against the persistent maps,
-        // each bucket walked in ordinal order.
-        let hits_before = stats.dedup_hits;
-        let outs = dedup_block(&arena, &maps, &buckets, &slots[..block_len], threads);
-        for o in &outs {
-            stats.dedup_hits += o.hits;
-        }
-        profiler.lap(
-            "frontier.dedup_ns",
-            "dedup",
-            block_no,
-            &[("hits", stats.dedup_hits - hits_before)],
-        );
-
-        // Phase 4 (serial): fixed-order merge. Walk candidates in ordinal
-        // order, assigning fresh ids first-occurrence-first — exactly the
-        // numbering of a sequential BFS. Caps and acceptance stop at an
-        // exact ordinal, discarding the rest of the block.
-        profiler.start();
-        let interned_before = arena.len();
-        let mut cursor = [0usize; SHARDS];
-        let mut assigned: Vec<Vec<Option<u32>>> =
-            outs.iter().map(|o| vec![None; o.pending.len()]).collect();
-        let mut done = false;
-        'merge: for (pi, slot) in slots[..block_len].iter_mut().enumerate() {
-            let from = (block_start + pi) as u32;
-            for si in 0..slot.buf.len() {
-                let s = shard_of_hash(slot.buf.hash(si));
-                let r = outs[s].resolutions[cursor[s]];
-                cursor[s] += 1;
-                let to = match r {
-                    Resolution::Old(id) => id,
-                    Resolution::New(p) => match assigned[s][p as usize] {
-                        Some(id) => id,
-                        None => {
-                            if arena.len() >= opts.max_nodes {
-                                truncated = true;
-                                done = true;
-                                break 'merge;
-                            }
-                            let id = arena.intern(slot.buf.node(si));
-                            assigned[s][p as usize] = Some(id);
-                            if opts.record_edges {
-                                edges.push(Vec::new());
-                            }
-                            if opts.record_parents {
-                                parents.push(Some((from, slot.buf.clone_label(si))));
-                            }
-                            if exp.accept(id, slot.buf.node(si)) {
-                                accepted = Some(id);
-                            }
-                            id
+                let (node, fp) = (slot.buf.node(si), slot.buf.hash(si));
+                let to = match table.find(&arena, node, fp) {
+                    Some(id) => {
+                        stats.dedup_hits += 1;
+                        id
+                    }
+                    None => {
+                        if arena.len() >= opts.max_nodes {
+                            truncated = true;
+                            done = true;
+                            break 'merge;
                         }
-                    },
+                        let id = arena.intern(node);
+                        table.insert(fp, id);
+                        if opts.record_edges {
+                            edges.push(Vec::new());
+                        }
+                        if opts.record_parents {
+                            parents.push(Some((from, slot.buf.clone_label(si))));
+                        }
+                        if exp.accept(id, node) {
+                            accepted = Some(id);
+                            done = true;
+                        }
+                        id
+                    }
                 };
                 if opts.record_edges {
-                    let label = slot.buf.take_label(si);
-                    edges[from as usize].push((to, label));
+                    edges[from as usize].push((to, slot.buf.take_label(si)));
                 }
-                if accepted.is_some() {
-                    done = true;
+                if done {
                     break 'merge;
                 }
             }
         }
-
         profiler.lap(
             "frontier.merge_ns",
             "merge",
             block_no,
             &[("interned", (arena.len() - interned_before) as u64)],
         );
-
-        // Phase 5 (serial, cheap): publish the block's assignments into the
-        // persistent shard maps. This runs even when the merge was cut
-        // mid-block by the cap or an acceptance — nodes interned before the
-        // cut point are already in the arena and must be in the maps, or
-        // the shard statistics (and any hypothetical resumed search) would
-        // silently miss them. Unassigned pendings were cut — never
-        // published, as in the sequential loop.
-        profiler.start();
-        for (s, out) in outs.iter().enumerate() {
-            for (p, &(_, _, h)) in out.pending.iter().enumerate() {
-                if let Some(id) = assigned[s][p] {
-                    publish(&mut maps[s], h, id);
-                    counts[s] += 1;
-                }
-            }
-        }
-        profiler.lap("frontier.publish_ns", "publish", block_no, &[]);
-        if done {
-            break 'search;
-        }
     }
-    stats.shard_max = counts.iter().copied().max().unwrap_or(0);
-    stats.shard_min = counts.iter().copied().min().unwrap_or(0);
     stats.bytes_resident = arena.bytes_resident();
     Ok(BfsResult { nodes: arena, edges, parents, truncated, accepted, stats })
 }
@@ -968,33 +784,14 @@ mod tests {
         let reference = bfs_reference(&g, &enc(0), "synthetic", &o).unwrap();
         assert!(reference.truncated);
         assert_eq!(reference.nodes.len(), 1234);
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 3, 8] {
             let mut o = opts(threads);
             o.max_nodes = 1234;
             let par = bfs(&g, &enc(0), "synthetic", &o).unwrap();
             assert_identical(&par, &reference);
-        }
-    }
-
-    #[test]
-    fn shard_stats_match_a_sequential_recount_even_after_a_mid_merge_cut() {
-        // Nodes interned in the truncating final block used to be dropped
-        // from the shard maps (Phase 5 was skipped on the cut), so
-        // shard_max/shard_min undercounted. The stats must now equal a
-        // plain recount of every interned node's shard.
-        let g = Synthetic { limit: 50_000, fan: 9, accept_at: None };
-        for max_nodes in [1234usize, 5000] {
-            let mut o = opts(2);
-            o.max_nodes = max_nodes;
-            let r = bfs(&g, &enc(0), "synthetic", &o).unwrap();
-            assert!(r.truncated);
-            let mut recount = [0usize; SHARDS];
-            for node in r.nodes.snapshot() {
-                recount[shard_of_words(&node)] += 1;
-            }
-            assert_eq!(recount.iter().sum::<usize>(), r.nodes.len());
-            assert_eq!(r.stats.shard_max, recount.iter().copied().max().unwrap(), "{max_nodes}");
-            assert_eq!(r.stats.shard_min, recount.iter().copied().min().unwrap(), "{max_nodes}");
+            // Candidates past the cut are neither counted nor deduped.
+            assert_eq!(par.stats.candidates, reference.stats.candidates, "@{threads}t");
+            assert_eq!(par.stats.dedup_hits, reference.stats.dedup_hits, "@{threads}t");
         }
     }
 
@@ -1002,7 +799,7 @@ mod tests {
     fn acceptance_is_thread_invariant() {
         let g = Synthetic { limit: 5_000, fan: 7, accept_at: Some(4_321) };
         let reference = bfs_reference(&g, &enc(0), "synthetic", &opts(1)).unwrap();
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 3, 8] {
             let par = bfs(&g, &enc(0), "synthetic", &opts(threads)).unwrap();
             assert_identical(&par, &reference);
         }
@@ -1070,6 +867,23 @@ mod tests {
             assert!(msg.contains(THREADS_ENV), "{msg}");
             assert!(msg.contains(&format!("{bogus:?}")), "{msg}");
         }
+    }
+
+    #[test]
+    fn id_table_stays_exact_when_every_fingerprint_collides() {
+        const FP: u64 = 0x5EED_0000_0000_0007;
+        let mut arena = NodeArena::new();
+        let mut table = IdTable::default();
+        let initial_slots = table.slots.len();
+        for x in 0..100 {
+            assert_eq!(table.find(&arena, &enc(x), FP), None, "{x} before insertion");
+            table.insert(FP, arena.intern(&enc(x)));
+        }
+        assert!(table.slots.len() >= 8 * initial_slots, "the table grew several times");
+        for x in 0..100 {
+            assert_eq!(table.find(&arena, &enc(x), FP), Some(x as u32), "{x}");
+        }
+        assert_eq!(table.find(&arena, &enc(100), FP), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! fairness analysis in [`crate::oscillation`].
 //!
 //! States are interned in packed form (see [`crate::pack`]) inside a flat
-//! word arena (see [`crate::arena`]) and the graph is built by the sharded
+//! word arena (see [`crate::arena`]) and the graph is built by the
 //! parallel frontier engine ([`crate::frontier`]): state ids, counts,
 //! edges, and truncation points are bit-identical at any thread count, and
 //! identical to the retained sequential reference
@@ -462,8 +462,6 @@ fn assemble(
         routelab_obs::gauge("explore.states", g.len() as u64);
         routelab_obs::gauge("explore.threads", g.stats.threads as u64);
         routelab_obs::gauge("explore.peak_frontier", g.stats.peak_frontier as u64);
-        routelab_obs::gauge("explore.shard_max", g.stats.shard_max as u64);
-        routelab_obs::gauge("explore.shard_min", g.stats.shard_min as u64);
         routelab_obs::gauge("explore.bytes_resident", g.stats.bytes_resident);
         routelab_obs::counter("explore.candidates", g.stats.candidates);
         routelab_obs::counter("explore.dedup_hits", g.stats.dedup_hits);

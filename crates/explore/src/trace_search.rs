@@ -1,7 +1,7 @@
 //! Exhaustive search for an activation sequence of a model inducing a given
 //! path-assignment trace (used to verify Examples A.3–A.5 mechanically).
 //!
-//! Runs on the sharded frontier engine ([`crate::frontier`]): search nodes
+//! Runs on the parallel frontier engine ([`crate::frontier`]): search nodes
 //! are `(packed state, matched-prefix-length)` pairs, so the closure is
 //! deterministic at every thread count and a found witness is always the
 //! breadth-first shortest one. Successors come from the explorer's packed

@@ -1,4 +1,4 @@
-//! Differential determinism tests: the sharded parallel frontier engine
+//! Differential determinism tests: the parallel frontier engine
 //! must be *bit-identical* to the retained sequential reference — same
 //! interned states in the same order, same edges, same truncation flag,
 //! same verdict, and the same witness cycle — for every built-in gadget ×

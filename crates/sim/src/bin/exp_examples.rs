@@ -2,8 +2,8 @@
 //! Examples A.1–A.6 (Figures 5–9).
 //!
 //! Usage: `exp-examples [--threads N] [--no-reduce] [a1|a2|a3|a4|a5|a6|all]`
-//! (default `all`). `--threads` (or `ROUTELAB_THREADS`) sizes the sharded
-//! frontier engine inside each exploration; every thread count prints the
+//! (default `all`). `--threads` (or `ROUTELAB_THREADS`) sizes the parallel
+//! expand phase inside each exploration; every thread count prints the
 //! same bytes. `--no-reduce` disables the state-space reduction (verdicts
 //! are identical, only the explored-state counts change).
 

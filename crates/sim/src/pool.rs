@@ -7,10 +7,10 @@
 //! while the U-model thread grinds on. This pool instead has every worker
 //! pull the next unclaimed *job* from a shared atomic counter
 //! (self-scheduling: the idle worker steals whatever work is left), and
-//! writes each result into a per-job slot. Merging slots in job-index order
-//! makes the final aggregate **bit-identical regardless of thread count**:
-//! parallelism only changes who computes a result, never the order in which
-//! results are combined.
+//! [`execute_fold`] hands results to the caller's fold in job-index order.
+//! That makes the final aggregate **bit-identical regardless of thread
+//! count**: parallelism only changes who computes a result, never the order
+//! in which results are combined.
 //!
 //! Worker panics are caught per job and reported with the job index, so a
 //! diverging simulation names its cell instead of surfacing as an anonymous
@@ -21,15 +21,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Environment variable overriding the worker count (like
-/// `RAYON_NUM_THREADS`); an explicit [`PoolConfig::with_threads`] wins.
-pub const THREADS_ENV: &str = "ROUTELAB_THREADS";
+use routelab_explore::frontier;
 
 /// Worker-pool sizing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolConfig {
-    /// Explicit worker count; `None` falls back to [`THREADS_ENV`], then to
-    /// the machine's available parallelism.
+    /// Explicit worker count; `None` or `Some(0)` falls back to
+    /// [`frontier::THREADS_ENV`], then to the machine's available
+    /// parallelism.
     pub threads: Option<usize>,
 }
 
@@ -39,22 +38,16 @@ impl PoolConfig {
         PoolConfig { threads: Some(n.max(1)) }
     }
 
-    /// The worker count this configuration resolves to.
+    /// The worker count this configuration resolves to, by the explorer's
+    /// rule ([`frontier::resolved_threads`]).
     ///
     /// # Panics
     ///
-    /// Panics when [`THREADS_ENV`] is set to anything but a positive
-    /// integer — a silent fall-back to machine parallelism would turn a
-    /// typo'd `ROUTELAB_THREADS=fuor` into an unpinned run (the explorer's
-    /// thread resolution shares this contract).
+    /// Panics when [`frontier::THREADS_ENV`] is set to anything but a
+    /// positive integer — a silent fall-back to machine parallelism would
+    /// turn a typo'd `ROUTELAB_THREADS=fuor` into an unpinned run.
     pub fn resolved_threads(&self) -> usize {
-        if let Some(n) = self.threads {
-            return n.max(1);
-        }
-        if let Ok(raw) = std::env::var(THREADS_ENV) {
-            return routelab_explore::frontier::threads_from_env(&raw);
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        frontier::resolved_threads(self.threads)
     }
 }
 
@@ -77,116 +70,6 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `jobs` invocations of `run` on up to `threads` workers and returns
-/// the results in job-index order.
-///
-/// On a panic inside `run`, in-flight jobs finish, no further jobs start,
-/// and the panic with the **smallest job index** is returned — so the
-/// reported failure is independent of scheduling.
-///
-/// # Errors
-///
-/// Returns the earliest [`JobPanic`] when any job panicked.
-pub fn execute<T, F>(jobs: usize, threads: usize, run: &F) -> Result<Vec<T>, JobPanic>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs == 0 {
-        return Ok(Vec::new());
-    }
-    let threads = threads.clamp(1, jobs);
-    let obs_on = routelab_obs::enabled();
-    if threads == 1 {
-        // Inline fast path: no worker threads, same merge order.
-        let mut worker = routelab_obs::span("pool.worker");
-        let mut busy_ns: u64 = 0;
-        let mut out = Vec::with_capacity(jobs);
-        for i in 0..jobs {
-            let t0 = if obs_on { routelab_obs::now_ns() } else { 0 };
-            match catch_unwind(AssertUnwindSafe(|| run(i))) {
-                Ok(v) => out.push(v),
-                Err(p) => return Err(JobPanic { job: i, message: payload_to_string(p) }),
-            }
-            if obs_on {
-                let d = routelab_obs::now_ns().saturating_sub(t0);
-                busy_ns += d;
-                routelab_obs::histogram("pool.job_ns", d);
-            }
-        }
-        if obs_on {
-            routelab_obs::counter("pool.jobs", jobs as u64);
-            worker.field("jobs", jobs as u64);
-            worker.field("busy_ns", busy_ns);
-        }
-        return Ok(out);
-    }
-
-    // Mutex, not OnceLock: a slot is written exactly once and only read
-    // after the scope joins, and Mutex<Option<T>> needs just T: Send.
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<JobPanic>> = Mutex::new(None);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // Per-worker telemetry: one span covering the worker's whole
-                // life, a duration histogram per job, and busy/claimed
-                // accounting so the summary shows idle time (span duration
-                // minus busy_ns) under imbalanced job mixes.
-                let mut worker = routelab_obs::span("pool.worker");
-                let mut claimed: u64 = 0;
-                let mut busy_ns: u64 = 0;
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    let t0 = if obs_on { routelab_obs::now_ns() } else { 0 };
-                    match catch_unwind(AssertUnwindSafe(|| run(i))) {
-                        Ok(v) => {
-                            *slots[i].lock().expect("slot mutex") = Some(v);
-                        }
-                        Err(p) => {
-                            abort.store(true, Ordering::Relaxed);
-                            let candidate = JobPanic { job: i, message: payload_to_string(p) };
-                            let mut slot = failure.lock().expect("failure mutex");
-                            match slot.as_ref() {
-                                Some(prev) if prev.job <= candidate.job => {}
-                                _ => *slot = Some(candidate),
-                            }
-                        }
-                    }
-                    if obs_on {
-                        let d = routelab_obs::now_ns().saturating_sub(t0);
-                        busy_ns += d;
-                        claimed += 1;
-                        routelab_obs::histogram("pool.job_ns", d);
-                    }
-                }
-                if obs_on {
-                    routelab_obs::counter("pool.jobs", claimed);
-                    worker.field("jobs", claimed);
-                    worker.field("busy_ns", busy_ns);
-                }
-            });
-        }
-    });
-
-    if let Some(p) = failure.into_inner().expect("failure mutex") {
-        return Err(p);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot mutex").expect("every job ran to completion"))
-        .collect())
-}
-
 /// The reorder buffer of [`execute_fold`] holds at most
 /// `max(4 × threads, MIN_FOLD_WINDOW)` undelivered results.
 const MIN_FOLD_WINDOW: usize = 16;
@@ -207,8 +90,8 @@ struct FoldState<T> {
 /// each result — **in job-index order** — into `fold` on the calling
 /// thread, without ever materializing the full result vector.
 ///
-/// This is the bounded-memory sibling of [`execute`]: aggregation state is
-/// whatever `acc` holds, plus a reorder buffer of at most
+/// Aggregation state is whatever `acc` holds, plus a reorder buffer of at
+/// most
 /// `max(4 × threads, 16)` in-flight results. A worker that races ahead of
 /// the fold cursor by more than the window blocks until the consumer
 /// catches up (back-pressure), so a single slow job cannot make the buffer
@@ -372,51 +255,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_job_order() {
-        for threads in [1, 2, 8] {
-            let out = execute(100, threads, &|i| i * i).expect("no panics");
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn zero_jobs_is_empty() {
-        let out: Vec<usize> = execute(0, 4, &|i| i).expect("no panics");
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn panics_name_the_job() {
-        for threads in [1, 4] {
-            let err = execute(50, threads, &|i| {
-                if i == 17 {
-                    panic!("job seventeen diverged");
-                }
-                i
-            })
-            .expect_err("job 17 panics");
-            assert_eq!(err.job, 17, "threads={threads}");
-            assert!(err.message.contains("seventeen"), "{}", err.message);
-        }
-    }
-
-    #[test]
-    fn earliest_panic_wins() {
-        // With several panicking jobs the reported one must be the smallest
-        // index, whatever the interleaving.
-        for threads in [1, 2, 8] {
-            let err = execute(64, threads, &|i| {
-                if i % 3 == 2 {
-                    panic!("bad {i}");
-                }
-                i
-            })
-            .expect_err("many panics");
-            assert_eq!(err.job, 2, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn fold_streams_results_in_job_order() {
         for threads in [1, 2, 8] {
             let mut seen: Vec<(usize, usize)> = Vec::new();
@@ -427,9 +265,9 @@ mod tests {
     }
 
     #[test]
-    fn fold_matches_execute_for_every_thread_count() {
+    fn fold_matches_a_serial_sum_for_every_thread_count() {
         let run = |i: usize| (i * 7 + 3) % 101;
-        let want: usize = execute(64, 1, &run).expect("no panics").into_iter().sum();
+        let want: usize = (0..64).map(run).sum();
         for threads in [1, 3, 8] {
             let mut sum = 0usize;
             execute_fold(64, threads, &run, &mut sum, &mut |acc, _i, v| *acc += v)
@@ -493,20 +331,5 @@ mod tests {
         assert_eq!(PoolConfig::with_threads(0).resolved_threads(), 1);
         assert_eq!(PoolConfig::with_threads(6).resolved_threads(), 6);
         assert!(PoolConfig::default().resolved_threads() >= 1);
-    }
-
-    #[test]
-    fn invalid_thread_env_values_are_hard_errors() {
-        // Exercised through the same parser `resolved_threads` delegates to
-        // (calling it directly avoids mutating the process environment,
-        // which would race with concurrently running tests).
-        use routelab_explore::frontier::threads_from_env;
-        assert_eq!(threads_from_env("4"), 4);
-        for bogus in ["", "zero", "1.5", "0", "-3"] {
-            let err = std::panic::catch_unwind(|| threads_from_env(bogus))
-                .expect_err("must reject {bogus:?}");
-            let msg = err.downcast_ref::<String>().expect("string payload");
-            assert!(msg.contains(&format!("{bogus:?}")), "{msg}");
-        }
     }
 }
