@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 
+use routelab_core::step::ActivationStep;
 use routelab_spp::Route;
 
 use crate::runner::{RunStats, Runner};
@@ -130,6 +131,8 @@ fn drive_inner<S: Scheduler>(
                                       // verdicts are identical, the fingerprint work is the hot path's
                                       // dominant cost on large instances).
     let track_cycles = scheduler.may_repeat();
+    // One step buffer per run: schedulers refill it in place.
+    let mut step = ActivationStep::simultaneous(Vec::new());
 
     for step_no in 0..max_steps {
         if runner.state().is_quiescent() {
@@ -150,9 +153,9 @@ fn drive_inner<S: Scheduler>(
             seen.insert(key, (step_no, distinct_assignments));
         }
 
-        let Some(step) = scheduler.next_step(&runner.state()) else {
+        if !scheduler.next_step_into(&runner.state(), &mut step) {
             return RunOutcome::ScheduleExhausted { steps: step_no };
-        };
+        }
         if runner.step_fast(&step) {
             distinct_assignments += 1;
         }
@@ -167,7 +170,7 @@ fn drive_inner<S: Scheduler>(
 mod tests {
     use super::*;
     use crate::schedule::{Cyclic, RoundRobin, Scripted};
-    use routelab_core::step::{ActivationStep, ChannelAction, NodeUpdate};
+    use routelab_core::step::{ChannelAction, NodeUpdate};
     use routelab_spp::{gadgets, Channel};
 
     #[test]

@@ -7,6 +7,8 @@
 //! * [`RandomFair`] — randomized schedules with an attendance window that
 //!   keeps finite prefixes fair (Definition 2.4).
 
+use std::collections::VecDeque;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,11 +41,20 @@ impl SchedState for NetworkState {
     }
 }
 
-/// A source of activation steps. `None` means the schedule is exhausted
+/// A source of activation steps. An exhausted schedule yields no step
 /// (only finite schedules do this).
 pub trait Scheduler {
-    /// The next step to execute given the current state.
-    fn next_step(&mut self, state: &dyn SchedState) -> Option<ActivationStep>;
+    /// Writes the next step to execute given the current state into `out`,
+    /// reusing its allocations, and returns `true`; returns `false`, with
+    /// `out` unspecified, when the schedule is exhausted. Drive loops call
+    /// this on one buffer per run.
+    fn next_step_into(&mut self, state: &dyn SchedState, out: &mut ActivationStep) -> bool;
+
+    /// The next step to execute given the current state, in a fresh buffer.
+    fn next_step(&mut self, state: &dyn SchedState) -> Option<ActivationStep> {
+        let mut step = ActivationStep::simultaneous(Vec::new());
+        self.next_step_into(state, &mut step).then_some(step)
+    }
 
     /// A fingerprint of the scheduler's internal position. Combined with the
     /// state fingerprint this makes cycle detection sound: a repeated
@@ -75,12 +86,11 @@ impl Scripted {
 }
 
 impl Scheduler for Scripted {
-    fn next_step(&mut self, _state: &dyn SchedState) -> Option<ActivationStep> {
-        let s = self.steps.get(self.pos).cloned();
-        if s.is_some() {
-            self.pos += 1;
-        }
-        s
+    fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
+        let Some(s) = self.steps.get(self.pos) else { return false };
+        out.clone_from(s);
+        self.pos += 1;
+        true
     }
 
     fn fingerprint(&self) -> u64 {
@@ -108,10 +118,10 @@ impl Cyclic {
 }
 
 impl Scheduler for Cyclic {
-    fn next_step(&mut self, _state: &dyn SchedState) -> Option<ActivationStep> {
-        let s = self.steps[self.pos].clone();
+    fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
+        out.clone_from(&self.steps[self.pos]);
         self.pos = (self.pos + 1) % self.steps.len();
-        Some(s)
+        true
     }
 
     fn fingerprint(&self) -> u64 {
@@ -127,6 +137,43 @@ fn canonical_action(policy: MessagePolicy, c: routelab_spp::Channel) -> ChannelA
         // S, F and A all admit "read everything".
         MessagePolicy::Some | MessagePolicy::Forced | MessagePolicy::All => {
             ChannelAction::read_all(c)
+        }
+    }
+}
+
+/// Resets `out` to a single update of `v` with no actions, keeping its
+/// allocations, and returns that update's action list.
+fn single_update(out: &mut ActivationStep, v: NodeId) -> &mut Vec<ChannelAction> {
+    out.updates.resize_with(1, || NodeUpdate::bare(v));
+    let update = &mut out.updates[0];
+    update.node = v;
+    update.actions.clear();
+    &mut update.actions
+}
+
+/// Writes `v`'s canonical step into `out`, shared by [`RoundRobin`] and
+/// [`Periodic`]: scope `1` reads the in-channel under `v`'s cursor and
+/// advances it, scopes `M`/`E` read every in-channel.
+fn canonical_step_into(
+    model: CommModel,
+    index: &ChannelIndex,
+    channel_cursor: &mut [usize],
+    v: NodeId,
+    out: &mut ActivationStep,
+) {
+    let actions = single_update(out, v);
+    let ins = index.in_channels(v);
+    if ins.is_empty() {
+        return;
+    }
+    match model.scope {
+        NeighborScope::One => {
+            let k = channel_cursor[v.index()] % ins.len();
+            channel_cursor[v.index()] = (k + 1) % ins.len();
+            actions.push(canonical_action(model.messages, index.channel(ins[k])));
+        }
+        NeighborScope::Multiple | NeighborScope::Every => {
+            actions.extend(ins.iter().map(|&c| canonical_action(model.messages, index.channel(c))))
         }
     }
 }
@@ -158,26 +205,11 @@ impl RoundRobin {
 }
 
 impl Scheduler for RoundRobin {
-    fn next_step(&mut self, _state: &dyn SchedState) -> Option<ActivationStep> {
+    fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
         let v = NodeId(self.node_cursor as u32);
         self.node_cursor = (self.node_cursor + 1) % self.node_count;
-        let ins = self.index.in_channels(v);
-        let actions = if ins.is_empty() {
-            Vec::new()
-        } else {
-            match self.model.scope {
-                NeighborScope::One => {
-                    let k = self.channel_cursor[v.index()] % ins.len();
-                    self.channel_cursor[v.index()] = (k + 1) % ins.len();
-                    vec![canonical_action(self.model.messages, self.index.channel(ins[k]))]
-                }
-                NeighborScope::Multiple | NeighborScope::Every => ins
-                    .iter()
-                    .map(|&c| canonical_action(self.model.messages, self.index.channel(c)))
-                    .collect(),
-            }
-        };
-        Some(ActivationStep::single(NodeUpdate::new(v, actions)))
+        canonical_step_into(self.model, &self.index, &mut self.channel_cursor, v, out);
+        true
     }
 
     fn fingerprint(&self) -> u64 {
@@ -229,29 +261,14 @@ impl Periodic {
 }
 
 impl Scheduler for Periodic {
-    fn next_step(&mut self, _state: &dyn SchedState) -> Option<ActivationStep> {
+    fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
         let i = (0..self.next_fire.len())
             .min_by_key(|&i| (self.next_fire[i], i))
             .expect("at least one node");
         self.next_fire[i] += self.periods[i];
         let v = NodeId(i as u32);
-        let ins = self.index.in_channels(v);
-        let actions = if ins.is_empty() {
-            Vec::new()
-        } else {
-            match self.model.scope {
-                NeighborScope::One => {
-                    let k = self.channel_cursor[i] % ins.len();
-                    self.channel_cursor[i] = (k + 1) % ins.len();
-                    vec![canonical_action(self.model.messages, self.index.channel(ins[k]))]
-                }
-                NeighborScope::Multiple | NeighborScope::Every => ins
-                    .iter()
-                    .map(|&c| canonical_action(self.model.messages, self.index.channel(c)))
-                    .collect(),
-            }
-        };
-        Some(ActivationStep::single(NodeUpdate::new(v, actions)))
+        canonical_step_into(self.model, &self.index, &mut self.channel_cursor, v, out);
+        true
     }
 
     fn fingerprint(&self) -> u64 {
@@ -285,14 +302,19 @@ pub struct RandomFair {
     window: usize,
     step_no: usize,
     last_attended: Vec<usize>,
-    /// Channels keyed by `(last_attended, Reverse(cid))`: the set's first
-    /// element is the most starved channel, with ties broken toward the
-    /// largest channel id — exactly the channel a linear
+    /// Attendance log: `(step, channel)` appended once per step for that
+    /// step's attended channels, largest id first. An entry is live while
+    /// `last_attended[channel] == step`, and every channel has exactly one
+    /// live entry, so the first live entry is the most starved channel with
+    /// ties broken toward the largest id — exactly the channel a linear
     /// `max_by_key(step_no - last_attended)` scan would return (that
-    /// combinator keeps the *last* maximum). Makes the per-step starvation
-    /// check O(log C) instead of O(C).
-    starved: std::collections::BTreeSet<(usize, std::cmp::Reverse<usize>)>,
+    /// combinator keeps the *last* maximum). Stale entries are popped at
+    /// the front and swept out once the log outgrows twice the channel
+    /// count, so the check is amortized O(1) in O(C) memory.
+    attendance: VecDeque<(usize, usize)>,
     just_dropped: Vec<bool>,
+    /// Scratch list of the channels the current step processes.
+    chosen: Vec<usize>,
 }
 
 impl RandomFair {
@@ -308,8 +330,9 @@ impl RandomFair {
             window: 8 * n.max(1),
             step_no: 0,
             last_attended: vec![0; n],
-            starved: (0..n).map(|c| (0, std::cmp::Reverse(c))).collect(),
+            attendance: (0..n).rev().map(|c| (0, c)).collect(),
             just_dropped: vec![false; n],
+            chosen: Vec::new(),
         }
     }
 
@@ -327,12 +350,29 @@ impl RandomFair {
 
     /// The channel to force-attend this step, if any has starved past the
     /// window. Most starved first; ties toward the largest channel id.
-    fn forced_channel(&self) -> Option<usize> {
-        self.starved
-            .first()
-            .copied()
-            .filter(|&(last, _)| self.step_no - last >= self.window)
-            .map(|(_, std::cmp::Reverse(c))| c)
+    fn forced_channel(&mut self) -> Option<usize> {
+        while let Some(&(step, c)) = self.attendance.front() {
+            if self.last_attended[c] == step {
+                return (self.step_no - step >= self.window).then_some(c);
+            }
+            self.attendance.pop_front();
+        }
+        None
+    }
+
+    /// Logs this step's attended channels (a subset of `chosen`), largest
+    /// id first.
+    fn log_attendance(&mut self) {
+        self.chosen.sort_unstable_by(|a, b| b.cmp(a));
+        for &c in &self.chosen {
+            if self.last_attended[c] == self.step_no {
+                self.attendance.push_back((self.step_no, c));
+            }
+        }
+        if self.attendance.len() > 2 * self.last_attended.len() {
+            let last = &self.last_attended;
+            self.attendance.retain(|&(step, c)| last[c] == step);
+        }
     }
 
     fn action_for(&mut self, cid: usize, queue_len: usize, must_attend: bool) -> ChannelAction {
@@ -359,9 +399,7 @@ impl RandomFair {
         };
         // Only a genuine read attempt counts as attendance (Definition 2.4).
         if action.attends() {
-            self.starved.remove(&(self.last_attended[cid], std::cmp::Reverse(cid)));
             self.last_attended[cid] = self.step_no;
-            self.starved.insert((self.step_no, std::cmp::Reverse(cid)));
         }
         // Unreliable models: maybe drop everything that is taken.
         if self.model.reliability == Reliability::Unreliable
@@ -387,7 +425,7 @@ impl RandomFair {
 }
 
 impl Scheduler for RandomFair {
-    fn next_step(&mut self, state: &dyn SchedState) -> Option<ActivationStep> {
+    fn next_step_into(&mut self, state: &dyn SchedState, out: &mut ActivationStep) -> bool {
         self.step_no += 1;
         // Starvation check: force the most starved channel if over window.
         let forced = self.forced_channel();
@@ -395,36 +433,33 @@ impl Scheduler for RandomFair {
             Some(c) => self.index.channel(c).to,
             None => NodeId(self.rng.gen_range(0..state.node_count()) as u32),
         };
-        let ins: Vec<usize> = self.index.in_channels(v).to_vec();
-        let actions = if ins.is_empty() {
-            Vec::new()
-        } else {
-            let chosen: Vec<usize> = match self.model.scope {
-                NeighborScope::Every => ins.clone(),
+        self.chosen.clear();
+        let ins = self.index.in_channels(v);
+        if !ins.is_empty() {
+            match self.model.scope {
+                NeighborScope::Every => self.chosen.extend_from_slice(ins),
                 NeighborScope::One => {
                     let c = forced.unwrap_or_else(|| ins[self.rng.gen_range(0..ins.len())]);
-                    vec![c]
+                    self.chosen.push(c);
                 }
                 NeighborScope::Multiple => {
-                    let mut subset: Vec<usize> =
-                        ins.iter().copied().filter(|_| self.rng.gen_bool(0.5)).collect();
+                    self.chosen.extend(ins.iter().copied().filter(|_| self.rng.gen_bool(0.5)));
                     if let Some(c) = forced {
-                        if !subset.contains(&c) {
-                            subset.push(c);
+                        if !self.chosen.contains(&c) {
+                            self.chosen.push(c);
                         }
                     }
-                    subset
                 }
-            };
-            chosen
-                .into_iter()
-                .map(|cid| {
-                    let qlen = state.queue_len(cid);
-                    self.action_for(cid, qlen, forced == Some(cid))
-                })
-                .collect()
-        };
-        Some(ActivationStep::single(NodeUpdate::new(v, actions)))
+            }
+        }
+        let actions = single_update(out, v);
+        for k in 0..self.chosen.len() {
+            let cid = self.chosen[k];
+            let qlen = state.queue_len(cid);
+            actions.push(self.action_for(cid, qlen, forced == Some(cid)));
+        }
+        self.log_attendance();
+        true
     }
 
     fn fingerprint(&self) -> u64 {
@@ -647,7 +682,7 @@ mod tests {
 
     #[test]
     fn random_fair_forced_channel_matches_linear_scan() {
-        // The BTreeSet-backed starvation index must pick exactly the channel
+        // The attendance-log starvation index must pick exactly the channel
         // the original O(C) scan picked: last maximum of
         // `step_no - last_attended` (max_by_key keeps the *last* max), gated
         // on the window.
@@ -667,6 +702,77 @@ mod tests {
             s.next_step(&state).unwrap();
         }
         assert!(!s.may_repeat());
+    }
+
+    /// Hands the shared `buf`, reset to the two-node `a6` step, to `sched`
+    /// and drives it on a runner for up to 2,000 steps, asserting that each
+    /// step it writes there equals what `next_step` returns from its twin.
+    fn assert_fills_like_twin(
+        inst: &SppInstance,
+        a6: &ActivationStep,
+        buf: &mut ActivationStep,
+        sched: &mut dyn Scheduler,
+        twin: &mut dyn Scheduler,
+        what: &str,
+    ) {
+        buf.clone_from(a6);
+        let mut runner = crate::runner::Runner::new(inst).tracing(false);
+        for k in 0..2_000 {
+            let want = twin.next_step(&runner.state());
+            let filled = sched.next_step_into(&runner.state(), buf);
+            assert_eq!(filled.then_some(&*buf), want.as_ref(), "{what} step {k}");
+            let Some(step) = want else { break };
+            runner.step_fast(&step);
+        }
+    }
+
+    #[test]
+    fn next_step_into_matches_next_step_through_one_reused_buffer() {
+        // One buffer passes through every scheduler in turn. Each turn
+        // starts from A.6's first two-node cycle step, so a stale second
+        // update or a leftover action shows as a mismatch.
+        let (_, _, a6_cycle) = crate::paper_runs::a6_multinode();
+        let a6 = &a6_cycle[0];
+        assert!(a6.updates.len() == 2 && a6.updates.iter().all(|u| !u.actions.is_empty()));
+        let mut buf = a6.clone();
+        for inst in [gadgets::fig6(), gadgets::bad_gadget()] {
+            let idx = ChannelIndex::new(inst.graph());
+            let poll = |v: NodeId| {
+                let reads =
+                    idx.in_channels(v).iter().map(|&c| ChannelAction::read_all(idx.channel(c)));
+                NodeUpdate::new(v, reads.collect())
+            };
+            let two_node = ActivationStep::simultaneous(vec![poll(NodeId(1)), poll(NodeId(2))]);
+            let periods: Vec<u64> = (0..inst.node_count() as u64).map(|i| 1 + i % 3).collect();
+            for model in CommModel::all() {
+                let name = format!("{inst} {model}");
+                let random = |seed| RandomFair::new(&inst, model, seed).with_drop_prob(0.9);
+                // A two-node step and a recorded run (with drop sets under U
+                // models), for Scripted, which runs dry, and Cyclic.
+                let mut script = vec![two_node.clone()];
+                let mut recorder = random(9);
+                let mut runner = crate::runner::Runner::new(&inst).tracing(false);
+                for _ in 0..40 {
+                    script.push(recorder.next_step(&runner.state()).unwrap());
+                    runner.step_fast(script.last().unwrap());
+                }
+                let mut check =
+                    |what: &str, sched: &mut dyn Scheduler, twin: &mut dyn Scheduler| {
+                        assert_fills_like_twin(&inst, a6, &mut buf, sched, twin, what);
+                    };
+                let scripted = || Scripted::new(script.clone());
+                check(&name, &mut scripted(), &mut scripted());
+                let cyclic = || Cyclic::new(script.clone());
+                check(&name, &mut cyclic(), &mut cyclic());
+                let rr = || RoundRobin::new(&inst, model);
+                check(&name, &mut rr(), &mut rr());
+                let periodic = || Periodic::new(&inst, model, periods.clone());
+                check(&name, &mut periodic(), &mut periodic());
+                for seed in 1..=3 {
+                    check(&format!("{name} seed {seed}"), &mut random(seed), &mut random(seed));
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,6 +114,10 @@ fn main() {
     let json = Json::obj([
         ("bench", Json::str("engine")),
         ("threads", Json::int(1)),
+        (
+            "host_parallelism",
+            Json::int(std::thread::available_parallelism().map_or(1, usize::from)),
+        ),
         ("baseline_steps_per_sec", Json::Num(BASELINE_STEPS_PER_SEC)),
         ("min_speedup", Json::Num(MIN_SPEEDUP)),
         ("wall_ms", Json::Num(grid_wall.as_secs_f64() * 1e3)),
