@@ -2,8 +2,8 @@
 //! semantics under different models and instance sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use routelab_bench::rr_prefix;
 use routelab_engine::runner::Runner;
+use routelab_realize::plan::fair_prefix;
 use routelab_spp::gadgets;
 use routelab_spp::generator::{random_instance, RandomSppConfig};
 
@@ -11,7 +11,7 @@ fn bench_gadget_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_step/gadgets");
     for (name, inst) in [("disagree", gadgets::disagree()), ("fig6", gadgets::fig6())] {
         for model in ["R1O", "REA", "RMS"] {
-            let seq = rr_prefix(&inst, model.parse().unwrap(), 64);
+            let seq = fair_prefix(&inst, model.parse().unwrap(), 64);
             group.bench_with_input(
                 BenchmarkId::new(name, model),
                 &(&inst, &seq),
@@ -38,7 +38,7 @@ fn bench_random_sizes(c: &mut Criterion) {
             ..RandomSppConfig::default()
         })
         .expect("generator");
-        let seq = rr_prefix(&inst, "RMS".parse().unwrap(), 4 * n);
+        let seq = fair_prefix(&inst, "RMS".parse().unwrap(), 4 * n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &(&inst, &seq), |b, (inst, seq)| {
             b.iter(|| {
                 let mut runner = Runner::new(inst);

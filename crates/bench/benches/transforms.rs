@@ -1,9 +1,9 @@
 //! Cost of the constructive realization transformations (experiment E10).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use routelab_bench::rr_prefix;
 use routelab_core::MessagePolicy;
 use routelab_realize::compose::{plan, realize};
+use routelab_realize::plan::fair_prefix;
 use routelab_realize::transform;
 use routelab_spp::gadgets;
 
@@ -11,22 +11,22 @@ fn bench_transforms(c: &mut Criterion) {
     let inst = gadgets::fig6();
     let mut group = c.benchmark_group("transforms");
 
-    let rma = rr_prefix(&inst, "RMA".parse().unwrap(), 56);
+    let rma = fair_prefix(&inst, "RMA".parse().unwrap(), 56);
     group.bench_function("split_m_to_1/56", |b| {
         b.iter(|| transform::split_m_to_1(&inst, &rma, MessagePolicy::All).unwrap().seq.len())
     });
 
-    let rms = rr_prefix(&inst, "RMS".parse().unwrap(), 56);
+    let rms = fair_prefix(&inst, "RMS".parse().unwrap(), 56);
     group.bench_function("pad_m_to_e/56", |b| {
         b.iter(|| transform::pad_m_to_e(&inst, &rms).unwrap().seq.len())
     });
 
-    let r1s = rr_prefix(&inst, "R1S".parse().unwrap(), 56);
+    let r1s = fair_prefix(&inst, "R1S".parse().unwrap(), 56);
     group.bench_function("flag_r1s_to_r1o/56", |b| {
         b.iter(|| transform::flag_r1s_to_r1o(&inst, &r1s).unwrap().seq.len())
     });
 
-    let u1o = rr_prefix(&inst, "U1O".parse().unwrap(), 56);
+    let u1o = fair_prefix(&inst, "U1O".parse().unwrap(), 56);
     group.bench_function("coalesce_u1o_to_r1s/56", |b| {
         b.iter(|| transform::coalesce_u1o_to_r1s(&inst, &u1o).unwrap().seq.len())
     });
@@ -36,7 +36,7 @@ fn bench_transforms(c: &mut Criterion) {
     for (from, to) in [("REA", "UMS"), ("REA", "R1O"), ("U1O", "RMS")] {
         let fm = from.parse().unwrap();
         let tm = to.parse().unwrap();
-        let seq = rr_prefix(&inst, fm, 28);
+        let seq = fair_prefix(&inst, fm, 28);
         group.bench_with_input(
             BenchmarkId::new("realize", format!("{from}->{to}")),
             &seq,

@@ -1,4 +1,4 @@
-//! Benchmark support: shared fixtures for the Criterion benches.
+//! The Criterion benches of routelab; this library holds no code.
 //!
 //! The benches cover every routelab component (DESIGN.md experiment E12):
 //!
@@ -8,35 +8,3 @@
 //! * `explorer` — exhaustive state-space analysis,
 //! * `solver` — stable-assignment enumeration and dispute-wheel detection,
 //! * `montecarlo` — randomized-schedule simulation throughput.
-
-use routelab_core::model::CommModel;
-use routelab_core::step::ActivationSeq;
-use routelab_engine::runner::Runner;
-use routelab_engine::schedule::{RoundRobin, Scheduler};
-use routelab_spp::SppInstance;
-
-/// Generates a fair round-robin prefix of `steps` steps in `model`.
-pub fn rr_prefix(inst: &SppInstance, model: CommModel, steps: usize) -> ActivationSeq {
-    let mut sched = RoundRobin::new(inst, model);
-    let mut runner = Runner::new(inst);
-    let mut seq = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let s = sched.next_step(&runner.state()).expect("round robin is infinite");
-        runner.step(&s);
-        seq.push(s);
-    }
-    seq
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use routelab_spp::gadgets;
-
-    #[test]
-    fn prefix_has_requested_length() {
-        let inst = gadgets::disagree();
-        let seq = rr_prefix(&inst, "RMS".parse().unwrap(), 12);
-        assert_eq!(seq.len(), 12);
-    }
-}

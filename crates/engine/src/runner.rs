@@ -72,6 +72,12 @@ impl<'r> StateView<'r> {
         self.table.route(self.state.chosen(v))
     }
 
+    /// π_v as its interned id; two ids from one table are equal exactly
+    /// when their routes are.
+    pub fn chosen_id(&self, v: NodeId) -> RouteId {
+        self.state.chosen(v)
+    }
+
     /// `v`'s last announcement (ε before the first one).
     pub fn announced(&self, v: NodeId) -> &'r Route {
         self.table.route(self.state.announced(v))
@@ -373,8 +379,10 @@ impl<'a> Runner<'a> {
     }
 
     /// Executes a whole finite sequence.
-    pub fn run(&mut self, seq: &ActivationSeq) -> Vec<StepEffect> {
-        seq.iter().map(|s| self.step(s)).collect()
+    pub fn run(&mut self, seq: &ActivationSeq) {
+        for s in seq {
+            self.step_fast(s);
+        }
     }
 
     /// Resets to the initial state, clearing trace and statistics. When

@@ -89,65 +89,60 @@ pub enum TraceRelation {
     Exact,
 }
 
+/// The strongest relation of Definition 3.2 between a base sequence of rows
+/// and a candidate, in time linear in their lengths. Rows are anything
+/// comparable: route-valued assignments or interned route ids.
+///
+/// The candidate realizes the base with repetition exactly when it replaces
+/// every row with one or more copies. Grouping both into maximal runs of
+/// equal rows, that holds exactly when the runs carry the same rows in the
+/// same order and every candidate run is at least as long as its base run.
+pub fn relation<T: PartialEq>(base: &[T], candidate: &[T]) -> TraceRelation {
+    if base == candidate {
+        return TraceRelation::Exact;
+    }
+    let mut base_runs = base.chunk_by(PartialEq::eq);
+    let mut cand_runs = candidate.chunk_by(PartialEq::eq);
+    loop {
+        match (base_runs.next(), cand_runs.next()) {
+            (None, None) => return TraceRelation::Repetition,
+            (Some(b), Some(c)) if b[0] == c[0] && c.len() >= b.len() => {}
+            _ => break,
+        }
+    }
+    let mut t = 0;
+    for row in candidate {
+        if t < base.len() && *row == base[t] {
+            t += 1;
+        }
+    }
+    if t == base.len() {
+        TraceRelation::Subsequence
+    } else {
+        TraceRelation::None
+    }
+}
+
 /// `π'` exactly realizes `π`: the sequences are identical.
 pub fn is_exact(base: &PathTrace, candidate: &PathTrace) -> bool {
-    base == candidate
+    strongest_relation(base, candidate) == TraceRelation::Exact
 }
 
 /// `π'` realizes `π` with repetition: `π'` is obtained from `π` by replacing
 /// each assignment with one or more consecutive copies.
 pub fn is_repetition(base: &PathTrace, candidate: &PathTrace) -> bool {
-    if base.is_empty() {
-        return candidate.is_empty();
-    }
-    // Dynamic program over "which base block are we inside": needed because
-    // adjacent equal base entries make the block boundaries ambiguous.
-    let n = base.len();
-    let mut in_block = vec![false; n];
-    let mut before_first = true;
-    for pi in candidate.iter() {
-        let mut next = vec![false; n];
-        let mut any = false;
-        for t in 0..n {
-            let can_continue = in_block[t];
-            let can_start = if t == 0 { before_first } else { in_block[t - 1] };
-            if (can_continue || can_start) && pi == base.get(t).expect("t < n") {
-                next[t] = true;
-                any = true;
-            }
-        }
-        before_first = false;
-        in_block = next;
-        if !any {
-            return false;
-        }
-    }
-    !before_first && in_block[n - 1]
+    strongest_relation(base, candidate) >= TraceRelation::Repetition
 }
 
 /// `π'` realizes `π` as a subsequence: `π` is a subsequence of `π'`.
 pub fn is_subsequence(base: &PathTrace, candidate: &PathTrace) -> bool {
-    let mut t = 0;
-    for pi in candidate.iter() {
-        if t < base.len() && pi == base.get(t).expect("t < len") {
-            t += 1;
-        }
-    }
-    t == base.len()
+    strongest_relation(base, candidate) >= TraceRelation::Subsequence
 }
 
 /// The strongest relation of Definition 3.2 that holds between `base` and
-/// `candidate`.
+/// `candidate` (see [`relation`]).
 pub fn strongest_relation(base: &PathTrace, candidate: &PathTrace) -> TraceRelation {
-    if is_exact(base, candidate) {
-        TraceRelation::Exact
-    } else if is_repetition(base, candidate) {
-        TraceRelation::Repetition
-    } else if is_subsequence(base, candidate) {
-        TraceRelation::Subsequence
-    } else {
-        TraceRelation::None
-    }
+    relation(&base.assignments, &candidate.assignments)
 }
 
 #[cfg(test)]

@@ -2,13 +2,19 @@
 //! relation is reflexive (self-realization), transitive under composition
 //! of realizations, respects the Exact ⊂ Repetition ⊂ Subsequence
 //! hierarchy, and `strongest_relation` is monotone when the candidate is
-//! extended in relation-preserving ways.
+//! extended in relation-preserving ways. The linear run-length kernel
+//! agrees with the quadratic dynamic program it replaced.
+
+mod support {
+    pub mod relation_oracle;
+}
 
 use proptest::prelude::*;
 use routelab_engine::trace::{
-    is_repetition, is_subsequence, strongest_relation, PathTrace, TraceRelation,
+    is_repetition, is_subsequence, relation, strongest_relation, PathTrace, TraceRelation,
 };
 use routelab_spp::{Path, Route};
+use support::relation_oracle::relation_dp;
 
 fn pi(tag: u32) -> Vec<Route> {
     // Distinct single-node assignments keyed by tag.
@@ -146,5 +152,35 @@ proptest! {
         prop_assert!(
             strongest_relation(&base, &trace(&padded)) >= TraceRelation::Subsequence
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20_000, ..ProptestConfig::default() })]
+
+    #[test]
+    fn kernel_matches_the_dp_oracle(
+        base in prop::collection::vec(0u32..3, 0..7),
+        counts in prop::collection::vec(0u8..3, 1..8),
+        noise in prop::collection::vec(0u32..3, 0..7),
+        shape in 0u8..4,
+        cut in 1usize..4,
+    ) {
+        // Three letters make stuttering bases and accidental matches common.
+        // The candidate is unrelated, a repetition of the base, a repetition
+        // cut short, or a repetition with foreign rows interleaved.
+        let cand = match shape {
+            0 => noise,
+            1 => repeat(&base, &counts),
+            2 => {
+                let mut c = repeat(&base, &counts);
+                c.truncate(c.len().saturating_sub(cut));
+                c
+            }
+            _ => pad(&repeat(&base, &counts), &noise),
+        };
+        let want = relation_dp(&base, &cand);
+        prop_assert_eq!(relation(&base, &cand), want);
+        prop_assert_eq!(strongest_relation(&trace(&base), &trace(&cand)), want);
     }
 }

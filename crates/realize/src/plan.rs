@@ -38,11 +38,11 @@ use crate::verify::{report_for, Report};
 /// schedule. The standard source run for planner validation and pipelines.
 pub fn fair_prefix(inst: &SppInstance, model: CommModel, steps: usize) -> ActivationSeq {
     let mut sched = RoundRobin::new(inst, model);
-    let mut runner = Runner::new(inst);
+    let mut runner = Runner::new(inst).tracing(false);
     let mut seq = Vec::with_capacity(steps);
     for _ in 0..steps {
         let s = sched.next_step(&runner.state()).expect("round robin is infinite");
-        runner.step(&s);
+        runner.step_fast(&s);
         seq.push(s);
     }
     seq

@@ -57,6 +57,14 @@ pub struct TransformOutput {
     pub lossless: bool,
 }
 
+/// Executes `step` and returns the messages it consumed and sent.
+fn step_counts(sim: &mut Runner<'_>, step: &ActivationStep) -> (usize, usize) {
+    let before = sim.stats();
+    sim.step_fast(step);
+    let after = sim.stats();
+    (after.consumed - before.consumed, after.sent - before.sent)
+}
+
 fn single(step: &ActivationStep, t: usize) -> Result<&NodeUpdate, TransformError> {
     match step.updates.as_slice() {
         [u] => Ok(u),
@@ -137,18 +145,19 @@ pub fn split_m_to_1(
     policy: MessagePolicy,
 ) -> Result<TransformOutput, TransformError> {
     let index = ChannelIndex::new(inst.graph());
-    let mut source = Runner::new(inst); // the wMy execution
-    let mut target = Runner::new(inst); // the w1y execution being built
+    let mut source = Runner::new(inst).tracing(false); // the wMy execution
+    let mut target = Runner::new(inst).tracing(false); // the w1y execution being built
     let mut out = Vec::new();
     let mut lossless = true;
 
     for (t, step) in seq.iter().enumerate() {
         let u = single(step, t)?;
         let v = u.node;
+        // The source execution never reads the target, so it can take the
+        // step before the target's split of it is built.
         let before = source.state().chosen(v).clone();
-        let mut probe = source.clone();
-        probe.step(step);
-        let after = probe.state().chosen(v).clone();
+        source.step_fast(step);
+        let after = source.state().chosen(v).clone();
 
         let chan_of = |route: &routelab_spp::Route| {
             route.as_path().and_then(|p| p.next_hop()).map(|nh| Channel::new(nh, v))
@@ -178,7 +187,7 @@ pub fn split_m_to_1(
             match action {
                 Some(a) => {
                     let s = ActivationStep::single(NodeUpdate::new(v, vec![a]));
-                    target.step(&s);
+                    target.step_fast(&s);
                     out.push(s);
                 }
                 None => lossless = false,
@@ -220,11 +229,10 @@ pub fn split_m_to_1(
             });
             for a in actions {
                 let s = ActivationStep::single(NodeUpdate::new(v, vec![a]));
-                target.step(&s);
+                target.step_fast(&s);
                 out.push(s);
             }
         }
-        source.step(step);
     }
     Ok(TransformOutput { seq: out, claimed: Strength::Repetition, lossless })
 }
@@ -242,8 +250,8 @@ pub fn flag_r1s_to_r1o(
     seq: &ActivationSeq,
 ) -> Result<TransformOutput, TransformError> {
     let index = ChannelIndex::new(inst.graph());
-    let mut s_sim = Runner::new(inst); // R1S reference execution
-    let mut o_sim = Runner::new(inst); // R1O execution being built
+    let mut s_sim = Runner::new(inst).tracing(false); // R1S reference execution
+    let mut o_sim = Runner::new(inst).tracing(false); // R1O execution being built
     let mut flags: Vec<VecDeque<bool>> = vec![VecDeque::new(); index.len()];
     let mut out = Vec::new();
     let mut lossless = true;
@@ -278,7 +286,7 @@ pub fn flag_r1s_to_r1o(
         // which R1O announcement (if any) gets flagged below. (Announcing
         // with an unchanged π happens exactly once: the destination's
         // bootstrap.)
-        let s_announced = s_sim.step(step).sent > 0;
+        let s_announced = step_counts(&mut s_sim, step).1 > 0;
         let mut o_announced_for_v = false;
 
         if i == 0 {
@@ -303,11 +311,11 @@ pub fn flag_r1s_to_r1o(
                             v,
                             vec![ChannelAction::read_one(index.channel(pc))],
                         ));
-                        let effect = o_sim.step(&s);
-                        if effect.consumed == 1 {
+                        let (consumed, sent) = step_counts(&mut o_sim, &s);
+                        if consumed == 1 {
                             flags[pc].pop_front();
                         }
-                        if effect.sent > 0 {
+                        if sent > 0 {
                             for &oc in index.out_channels(v) {
                                 flags[oc].push_back(false);
                             }
@@ -321,7 +329,7 @@ pub fn flag_r1s_to_r1o(
                 // A pure no-op in R1S; mirror it to keep trace stutter.
                 match noop_step(o_sim.state(), &index, MessagePolicy::One) {
                     Some(s) => {
-                        o_sim.step(&s);
+                        o_sim.step_fast(&s);
                         out.push(s);
                     }
                     None => lossless = false,
@@ -338,14 +346,14 @@ pub fn flag_r1s_to_r1o(
                     v,
                     vec![ChannelAction::read_one(action.channel())],
                 ));
-                let effect = o_sim.step(&s);
-                if effect.consumed != 1 {
+                let (consumed, sent) = step_counts(&mut o_sim, &s);
+                if consumed != 1 {
                     return Err(TransformError::Internal {
                         step: t,
                         reason: "R1O read consumed nothing despite pending flags",
                     });
                 }
-                if effect.sent > 0 {
+                if sent > 0 {
                     for &oc in index.out_channels(v) {
                         flags[oc].push_back(false);
                     }
@@ -395,7 +403,8 @@ pub fn elide_u1s_to_u1o(
     seq: &ActivationSeq,
 ) -> Result<TransformOutput, TransformError> {
     let index = ChannelIndex::new(inst.graph());
-    let mut sim = Runner::new(inst); // the U1S execution (the U1O one is identical state-wise)
+    // The U1S execution (the U1O one is identical state-wise).
+    let mut sim = Runner::new(inst).tracing(false);
     let mut out = Vec::new();
     let mut lossless = true;
 
@@ -457,7 +466,7 @@ pub fn elide_u1s_to_u1o(
                 out.push(ActivationStep::single(NodeUpdate::new(v, vec![a])));
             }
         }
-        sim.step(step);
+        sim.step_fast(step);
     }
     Ok(TransformOutput { seq: out, claimed: Strength::Repetition, lossless })
 }
@@ -470,7 +479,7 @@ pub fn coalesce_u1o_to_r1s(
     seq: &ActivationSeq,
 ) -> Result<TransformOutput, TransformError> {
     let index = ChannelIndex::new(inst.graph());
-    let mut sim = Runner::new(inst); // the U1O execution
+    let mut sim = Runner::new(inst).tracing(false); // the U1O execution
     let mut backlog = vec![0u32; index.len()];
     let mut out = Vec::with_capacity(seq.len());
 
@@ -492,9 +501,9 @@ pub fn coalesce_u1o_to_r1s(
         let cid = index
             .id(action.channel())
             .ok_or(TransformError::Internal { step: t, reason: "unknown channel" })?;
-        let effect = sim.step(step);
+        let (consumed, _) = step_counts(&mut sim, step);
         let dropped = !action.is_lossless();
-        let a = if effect.consumed == 0 {
+        let a = if consumed == 0 {
             // Empty channel in U1O: nothing happened; R1S reads nothing.
             ChannelAction::skip(action.channel())
         } else if dropped {

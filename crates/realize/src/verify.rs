@@ -8,8 +8,8 @@ use routelab_core::model::CommModel;
 use routelab_core::step::ActivationSeq;
 use routelab_core::validate::check_sequence;
 use routelab_engine::runner::Runner;
-use routelab_engine::trace::{strongest_relation, TraceRelation};
-use routelab_spp::SppInstance;
+use routelab_engine::trace::{relation, TraceRelation};
+use routelab_spp::{NodeId, RouteId, RouteTable, SppInstance};
 
 use crate::compose::{self, Edge, TransformKind};
 use crate::transform::TransformError;
@@ -113,9 +113,31 @@ pub fn verify_path(
     Ok(Some(report_for(inst, seq, &out.seq, from, to, out.claimed, out.lossless)))
 }
 
+/// Executes `seq` and records its path-assignment trace as interned ids:
+/// the initial π, then π after every step, one row of `node_count` ids each.
+fn id_trace(inst: &SppInstance, table: &RouteTable, seq: &ActivationSeq) -> Vec<RouteId> {
+    let n = inst.node_count();
+    let mut runner = Runner::with_table(inst, table).tracing(false);
+    let mut ids = Vec::with_capacity((seq.len() + 1) * n);
+    let mut record = |runner: &Runner<'_>| {
+        let pi = runner.state();
+        ids.extend((0..n).map(|v| pi.chosen_id(NodeId(v as u32))));
+    };
+    record(&runner);
+    for step in seq {
+        runner.step_fast(step);
+        record(&runner);
+    }
+    ids
+}
+
 /// Builds a verification [`Report`] for an already-transformed pair of
 /// sequences: executes both, compares traces (Definition 3.2), and checks
 /// model legality on each side. This is the registered `verify` check.
+///
+/// Both traces are compared as rows of interned route ids from one table,
+/// which holds every route once, so rows are equal exactly when the
+/// route-valued assignments of [`Runner::trace_of`] are.
 pub fn report_for(
     inst: &SppInstance,
     source: &ActivationSeq,
@@ -125,13 +147,19 @@ pub fn report_for(
     claimed: Strength,
     lossless: bool,
 ) -> Report {
-    let base = Runner::trace_of(inst, source);
-    let cand = Runner::trace_of(inst, target);
+    let table = RouteTable::new(inst);
+    let n = inst.node_count();
+    let base = id_trace(inst, &table, source);
+    let cand = id_trace(inst, &table, target);
+    let achieved = relation(
+        &base.chunks_exact(n).collect::<Vec<_>>(),
+        &cand.chunks_exact(n).collect::<Vec<_>>(),
+    );
     Report {
         from,
         to,
         claimed,
-        achieved: strongest_relation(&base, &cand),
+        achieved,
         source_legal: check_sequence(from, inst.graph(), source).is_ok(),
         target_legal: check_sequence(to, inst.graph(), target).is_ok(),
         lossless,
@@ -142,22 +170,10 @@ pub fn report_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::fair_prefix;
     use routelab_engine::outcome::{drive, RunOutcome};
     use routelab_engine::schedule::{RoundRobin, Scheduler};
     use routelab_spp::gadgets;
-
-    /// A finite fair prefix in `model` generated by round-robin.
-    fn rr_prefix(inst: &SppInstance, model: CommModel, steps: usize) -> ActivationSeq {
-        let mut sched = RoundRobin::new(inst, model);
-        let mut runner = Runner::new(inst);
-        let mut seq = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let s = sched.next_step(&runner.state()).expect("round robin is infinite");
-            runner.step(&s);
-            seq.push(s);
-        }
-        seq
-    }
 
     #[test]
     fn all_foundational_edges_hold_on_round_robin_runs() {
@@ -167,7 +183,7 @@ mod tests {
         for edge in compose::foundational_edges() {
             for inst in &corpus {
                 let steps = 4 * inst.node_count();
-                let seq = rr_prefix(inst, edge.realized, steps);
+                let seq = fair_prefix(inst, edge.realized, steps);
                 let report = verify_edge(inst, &seq, edge.kind, edge.realized, edge.realizer)
                     .unwrap_or_else(|e| panic!("{} -> {}: {e}", edge.realized, edge.realizer));
                 assert!(report.holds(), "{} via {:?}: {report}", edge.realized, edge.kind);
@@ -188,7 +204,7 @@ mod tests {
         for (from, to) in cases {
             let from: CommModel = from.parse().unwrap();
             let to: CommModel = to.parse().unwrap();
-            let seq = rr_prefix(&inst, from, 3 * inst.node_count());
+            let seq = fair_prefix(&inst, from, 3 * inst.node_count());
             let report = verify_path(&inst, &seq, from, to)
                 .unwrap()
                 .unwrap_or_else(|| panic!("no chain {from} -> {to}"));
@@ -203,7 +219,7 @@ mod tests {
         let check = |from: &str, to: &str, expect: Strength| {
             let from: CommModel = from.parse().unwrap();
             let to: CommModel = to.parse().unwrap();
-            let seq = rr_prefix(&inst, from, 8);
+            let seq = fair_prefix(&inst, from, 8);
             let report = verify_path(&inst, &seq, from, to).unwrap().unwrap();
             assert_eq!(report.claimed, expect, "{from} -> {to}");
             assert!(report.holds(), "{report}");
@@ -235,7 +251,7 @@ mod tests {
     #[test]
     fn report_display_mentions_models() {
         let inst = gadgets::line2();
-        let seq = rr_prefix(&inst, "REA".parse().unwrap(), 4);
+        let seq = fair_prefix(&inst, "REA".parse().unwrap(), 4);
         let report = verify_path(&inst, &seq, "REA".parse().unwrap(), "RMS".parse().unwrap())
             .unwrap()
             .unwrap();

@@ -1,14 +1,22 @@
 //! Differential suite for the realization-lattice planner: every ordered
 //! pair of the 24 communication models is decided, every route the planner
 //! claims is validated end to end by `realize::verify` semantics on the full
-//! gadget library, and every `NoRoute` verdict is closure-sound.
+//! gadget library and equals a report rebuilt from route-valued traces, and
+//! every `NoRoute` verdict is closure-sound.
 
+#[path = "../../engine/tests/support/relation_oracle.rs"]
+mod relation_oracle;
+
+use relation_oracle::relation_dp;
 use routelab_core::closure::derive_bounds;
 use routelab_core::edges::foundational_facts;
 use routelab_core::model::CommModel;
-use routelab_realize::plan::{fair_prefix, plan_route, verify_route};
+use routelab_core::validate::check_sequence;
+use routelab_engine::runner::Runner;
+use routelab_engine::trace::PathTrace;
+use routelab_realize::plan::{apply_route, fair_prefix, plan_route, verify_route};
 use routelab_realize::registry::Registry;
-use routelab_spp::gadgets;
+use routelab_spp::{gadgets, Route};
 
 #[test]
 fn planner_decides_all_576_ordered_pairs() {
@@ -43,6 +51,11 @@ fn planner_decides_all_576_ordered_pairs() {
     assert!(unreachable > 0, "Thm 3.8 pairs must be unreachable");
 }
 
+/// A trace's assignments, the rows the relation oracle compares.
+fn rows(trace: &PathTrace) -> Vec<&Vec<Route>> {
+    trace.iter().collect()
+}
+
 #[test]
 fn every_reachable_route_verifies_on_the_full_gadget_library() {
     let reg = Registry::global();
@@ -57,6 +70,30 @@ fn every_reachable_route_verifies_on_the_full_gadget_library() {
                     .unwrap_or_else(|e| panic!("{name}: {route}: {e}"));
                 assert!(report.holds(), "{name}: {route}: {report}");
                 assert_eq!(report.claimed, route.bottleneck(), "{name}: {route}");
+                // `verify_route` compares interned route ids: every field
+                // must equal one rebuilt from the route-valued traces and the
+                // dynamic-program relation.
+                let out = apply_route(inst, &seq, &route).unwrap();
+                let base = Runner::trace_of(inst, &seq);
+                let cand = Runner::trace_of(inst, &out.seq);
+                let graph = inst.graph();
+                let want = (
+                    (from, to),
+                    relation_dp(&rows(&base), &rows(&cand)),
+                    check_sequence(from, graph, &seq).is_ok(),
+                    check_sequence(to, graph, &out.seq).is_ok(),
+                    (out.claimed, out.lossless),
+                    (seq.len(), out.seq.len()),
+                );
+                let got = (
+                    (report.from, report.to),
+                    report.achieved,
+                    report.source_legal,
+                    report.target_legal,
+                    (report.claimed, report.lossless),
+                    report.steps,
+                );
+                assert_eq!(got, want, "{name}: {route}");
                 verified += 1;
             }
         }
