@@ -4,31 +4,32 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use routelab_core::MessagePolicy;
 use routelab_realize::compose::{plan, realize};
 use routelab_realize::plan::fair_prefix;
-use routelab_realize::transform;
+use routelab_realize::transform::{self, Tables};
 use routelab_spp::gadgets;
 
 fn bench_transforms(c: &mut Criterion) {
     let inst = gadgets::fig6();
+    let tables = Tables::new(&inst);
     let mut group = c.benchmark_group("transforms");
 
     let rma = fair_prefix(&inst, "RMA".parse().unwrap(), 56);
     group.bench_function("split_m_to_1/56", |b| {
-        b.iter(|| transform::split_m_to_1(&inst, &rma, MessagePolicy::All).unwrap().seq.len())
+        b.iter(|| transform::split_m_to_1(&tables, &rma, MessagePolicy::All).unwrap().seq.len())
     });
 
     let rms = fair_prefix(&inst, "RMS".parse().unwrap(), 56);
     group.bench_function("pad_m_to_e/56", |b| {
-        b.iter(|| transform::pad_m_to_e(&inst, &rms).unwrap().seq.len())
+        b.iter(|| transform::pad_m_to_e(&tables, &rms).unwrap().seq.len())
     });
 
     let r1s = fair_prefix(&inst, "R1S".parse().unwrap(), 56);
     group.bench_function("flag_r1s_to_r1o/56", |b| {
-        b.iter(|| transform::flag_r1s_to_r1o(&inst, &r1s).unwrap().seq.len())
+        b.iter(|| transform::flag_r1s_to_r1o(&tables, &r1s).unwrap().seq.len())
     });
 
     let u1o = fair_prefix(&inst, "U1O".parse().unwrap(), 56);
     group.bench_function("coalesce_u1o_to_r1s/56", |b| {
-        b.iter(|| transform::coalesce_u1o_to_r1s(&inst, &u1o).unwrap().seq.len())
+        b.iter(|| transform::coalesce_u1o_to_r1s(&tables, &u1o).unwrap().seq.len())
     });
     group.finish();
 

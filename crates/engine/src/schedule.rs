@@ -202,13 +202,19 @@ impl RoundRobin {
             channel_cursor: vec![0; inst.node_count()],
         }
     }
+
+    /// Writes the next step into `out`, reusing its allocations. Round robin
+    /// never consults the network state, so a prefix needs no execution.
+    pub fn next_into(&mut self, out: &mut ActivationStep) {
+        let v = NodeId(self.node_cursor as u32);
+        self.node_cursor = (self.node_cursor + 1) % self.node_count;
+        canonical_step_into(self.model, &self.index, &mut self.channel_cursor, v, out);
+    }
 }
 
 impl Scheduler for RoundRobin {
     fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
-        let v = NodeId(self.node_cursor as u32);
-        self.node_cursor = (self.node_cursor + 1) % self.node_count;
-        canonical_step_into(self.model, &self.index, &mut self.channel_cursor, v, out);
+        self.next_into(out);
         true
     }
 

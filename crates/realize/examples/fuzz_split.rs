@@ -7,7 +7,7 @@ use routelab_core::MessagePolicy;
 use routelab_engine::runner::Runner;
 use routelab_engine::schedule::{RandomFair, Scheduler};
 use routelab_engine::trace::{strongest_relation, TraceRelation};
-use routelab_realize::transform::split_m_to_1;
+use routelab_realize::transform::{split_m_to_1, Tables};
 use routelab_spp::generator::{random_instance, RandomSppConfig};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
                     runner.step(&s);
                     seq.push(s);
                 }
-                let out = split_m_to_1(&inst, &seq, MessagePolicy::Forced).unwrap();
+                let out = split_m_to_1(&Tables::new(&inst), &seq, MessagePolicy::Forced).unwrap();
                 if !out.lossless {
                     continue;
                 }

@@ -2,13 +2,15 @@
 //! Sec. 3.4): realize a sequence of one model inside any other model by
 //! chaining transformations along the strongest foundational path.
 
+use std::borrow::Cow;
+
 use routelab_core::dims::{MessagePolicy, NeighborScope, Reliability};
 use routelab_core::lattice::Strength;
 use routelab_core::model::CommModel;
 use routelab_core::step::ActivationSeq;
 use routelab_spp::SppInstance;
 
-use crate::transform::{self, TransformError, TransformOutput};
+use crate::transform::{self, Tables, TransformError, TransformOutput};
 
 /// Which constructive algorithm realizes a foundational edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,40 +140,42 @@ pub fn foundational_edges() -> Vec<Edge> {
 /// # Errors
 ///
 /// Propagates [`TransformError`] from the underlying algorithm.
-pub fn apply_edge(
+pub fn apply_edge<'s>(
     edge: &Edge,
-    inst: &SppInstance,
-    seq: &ActivationSeq,
-) -> Result<TransformOutput, TransformError> {
+    tables: &Tables<'_>,
+    seq: &'s ActivationSeq,
+) -> Result<TransformOutput<'s>, TransformError> {
     match edge.kind {
-        TransformKind::Identity => transform::identity(inst, seq),
-        TransformKind::Pad => transform::pad_m_to_e(inst, seq),
-        TransformKind::Split => transform::split_m_to_1(inst, seq, edge.realizer.messages),
-        TransformKind::Flag => transform::flag_r1s_to_r1o(inst, seq),
-        TransformKind::Elide => transform::elide_u1s_to_u1o(inst, seq),
-        TransformKind::Coalesce => transform::coalesce_u1o_to_r1s(inst, seq),
+        TransformKind::Identity => transform::identity(tables, seq),
+        TransformKind::Pad => transform::pad_m_to_e(tables, seq),
+        TransformKind::Split => transform::split_m_to_1(tables, seq, edge.realizer.messages),
+        TransformKind::Flag => transform::flag_r1s_to_r1o(tables, seq),
+        TransformKind::Elide => transform::elide_u1s_to_u1o(tables, seq),
+        TransformKind::Coalesce => transform::coalesce_u1o_to_r1s(tables, seq),
     }
 }
 
 /// Applies a chain of edges in order, accumulating the weakest claimed
-/// strength and the conjunction of losslessness.
+/// strength and the conjunction of losslessness. The output borrows `seq`
+/// until some stage rewrites it, so identity stages copy nothing.
 ///
 /// # Errors
 ///
 /// Propagates [`TransformError`] from the underlying algorithms.
-pub fn apply_chain(
-    inst: &SppInstance,
-    seq: &ActivationSeq,
+pub fn apply_chain<'s>(
+    tables: &Tables<'_>,
+    seq: &'s ActivationSeq,
     edges: &[Edge],
-) -> Result<TransformOutput, TransformError> {
-    let mut cur = TransformOutput { seq: seq.clone(), claimed: Strength::Exact, lossless: true };
+) -> Result<TransformOutput<'s>, TransformError> {
+    let mut cur =
+        TransformOutput { seq: Cow::Borrowed(seq), claimed: Strength::Exact, lossless: true };
     for edge in edges {
-        let next = apply_edge(edge, inst, &cur.seq)?;
-        cur = TransformOutput {
-            seq: next.seq,
-            claimed: cur.claimed.min(next.claimed),
-            lossless: cur.lossless && next.lossless,
-        };
+        let next = apply_edge(edge, tables, &cur.seq)?;
+        cur.claimed = cur.claimed.min(next.claimed);
+        cur.lossless &= next.lossless;
+        if let Cow::Owned(rewritten) = next.seq {
+            cur.seq = Cow::Owned(rewritten);
+        }
     }
     Ok(cur)
 }
@@ -192,14 +196,14 @@ pub fn plan(from: CommModel, to: CommModel) -> Option<Vec<Edge>> {
 /// # Errors
 ///
 /// Propagates [`TransformError`] from the underlying algorithms.
-pub fn realize(
+pub fn realize<'s>(
     inst: &SppInstance,
-    seq: &ActivationSeq,
+    seq: &'s ActivationSeq,
     from: CommModel,
     to: CommModel,
-) -> Result<Option<TransformOutput>, TransformError> {
+) -> Result<Option<TransformOutput<'s>>, TransformError> {
     let Some(path) = plan(from, to) else { return Ok(None) };
-    apply_chain(inst, seq, &path).map(Some)
+    apply_chain(&Tables::new(inst), seq, &path).map(Some)
 }
 
 #[cfg(test)]

@@ -56,5 +56,5 @@ pub mod verify;
 pub use compose::{apply_chain, realize, Edge, TransformKind};
 pub use plan::{plan_route, run_pipeline, NoRoute, PipelineError, Route};
 pub use registry::{Registry, RegistryError};
-pub use transform::{TransformError, TransformOutput};
+pub use transform::{Tables, TransformError, TransformOutput};
 pub use verify::{verify_edge, Report};

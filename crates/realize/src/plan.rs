@@ -20,30 +20,30 @@
 //!   type-checks, or pinned explicitly by naming a model as the second
 //!   stage.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use routelab_core::lattice::Strength;
 use routelab_core::model::CommModel;
-use routelab_core::step::ActivationSeq;
-use routelab_engine::runner::Runner;
-use routelab_engine::schedule::{RoundRobin, Scheduler};
+use routelab_core::step::{ActivationSeq, ActivationStep};
+use routelab_engine::schedule::RoundRobin;
 use routelab_spp::SppInstance;
 
-use crate::compose::{apply_chain, Edge};
+use crate::compose::{apply_chain, apply_edge, Edge};
 use crate::registry::{Registry, RegistryError, Resolved};
-use crate::transform::{TransformError, TransformOutput};
+use crate::transform::{Tables, TransformError, TransformOutput};
 use crate::verify::{report_for, Report};
 
 /// A deterministic fair prefix: `steps` activations of `model`'s round-robin
 /// schedule. The standard source run for planner validation and pipelines.
+/// Round robin ignores the network state, so nothing is executed.
 pub fn fair_prefix(inst: &SppInstance, model: CommModel, steps: usize) -> ActivationSeq {
     let mut sched = RoundRobin::new(inst, model);
-    let mut runner = Runner::new(inst).tracing(false);
     let mut seq = Vec::with_capacity(steps);
     for _ in 0..steps {
-        let s = sched.next_step(&runner.state()).expect("round robin is infinite");
-        runner.step_fast(&s);
-        seq.push(s);
+        let mut step = ActivationStep::simultaneous(Vec::new());
+        sched.next_into(&mut step);
+        seq.push(step);
     }
     seq
 }
@@ -184,17 +184,18 @@ pub fn plan_route(reg: &Registry, from: CommModel, to: CommModel) -> Result<Rout
 /// # Errors
 ///
 /// Propagates [`TransformError`] from the underlying algorithms.
-pub fn apply_route(
+pub fn apply_route<'s>(
     inst: &SppInstance,
-    seq: &ActivationSeq,
+    seq: &'s ActivationSeq,
     route: &Route,
-) -> Result<TransformOutput, TransformError> {
-    apply_chain(inst, seq, &route.edges())
+) -> Result<TransformOutput<'s>, TransformError> {
+    apply_chain(&Tables::new(inst), seq, &route.edges())
 }
 
 /// Applies a planned route and verifies it end to end: target-model
 /// legality plus the Definition 3.2 trace relation. This is how planner
-/// output must be consumed — validated, never trusted.
+/// output must be consumed — validated, never trusted. The route and the
+/// check share one set of [`Tables`].
 ///
 /// # Errors
 ///
@@ -204,8 +205,9 @@ pub fn verify_route(
     seq: &ActivationSeq,
     route: &Route,
 ) -> Result<Report, TransformError> {
-    let out = apply_route(inst, seq, route)?;
-    Ok(report_for(inst, seq, &out.seq, route.from, route.to, out.claimed, out.lossless))
+    let tables = Tables::new(inst);
+    let out = apply_chain(&tables, seq, &route.edges())?;
+    Ok(report_for(&tables, seq, &out.seq, route.from, route.to, out.claimed, out.lossless))
 }
 
 // ---------------------------------------------------------------------------
@@ -689,58 +691,63 @@ pub struct PipelineRun {
 
 /// Executes a type-checked pipeline: builds the instance, generates a
 /// `4 · nodes` round-robin source run in the start model, applies each
-/// transform edge, and runs the checks. Each stage is wrapped in a
-/// `pipeline.stage` telemetry span.
+/// transform edge, and runs the checks. Every stage shares one set of
+/// [`Tables`] and is wrapped in a `pipeline.stage` telemetry span.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Generator`] when instance construction fails and
 /// [`PipelineError::Transform`] when a transform algorithm fails.
 pub fn execute(reg: &Registry, pipe: &TypedPipeline) -> Result<PipelineRun, PipelineError> {
-    let mut inst: Option<SppInstance> = None;
-    let mut source = ActivationSeq::new();
-    let mut cur = ActivationSeq::new();
+    let stage_span = |st: &ParsedStage| {
+        let mut sp = routelab_obs::span("pipeline.stage");
+        sp.field("stage", st.index);
+        sp.field("op", st.text.clone());
+        sp
+    };
+    let Some(((st, TypedOp::Source { name, args }), rest)) = pipe.stages.split_first() else {
+        unreachable!("typecheck put the source first")
+    };
+    let mut sp = stage_span(st);
+    let Some(Resolved::Generator(g)) = reg.lookup(name) else {
+        unreachable!("typecheck resolved the name")
+    };
+    let inst =
+        g.build(args).map_err(|error| PipelineError::Generator { stage: st.index, error })?;
+    let steps = 4 * inst.node_count();
+    let source = fair_prefix(&inst, pipe.start, steps);
+    let mut outcomes = Vec::with_capacity(pipe.stages.len());
+    outcomes.push(StageOutcome::Source {
+        label: st.text.clone(),
+        nodes: inst.node_count(),
+        model: pipe.start,
+        inferred: pipe.inferred,
+        steps,
+    });
+    sp.field("steps", steps);
+    let tables = Tables::new(&inst);
+    drop(sp);
+
+    let mut cur = Cow::Borrowed(&source);
     let mut model = pipe.start;
     let mut claimed = Strength::Exact;
     let mut lossless = true;
     let mut ok = true;
-    let mut outcomes = Vec::with_capacity(pipe.stages.len());
-
-    for (st, op) in &pipe.stages {
-        let mut sp = routelab_obs::span("pipeline.stage");
-        sp.field("stage", st.index);
-        sp.field("op", st.text.clone());
+    for (st, op) in rest {
+        let mut sp = stage_span(st);
         match op {
-            TypedOp::Source { name, args } => {
-                let Some(Resolved::Generator(g)) = reg.lookup(name) else {
-                    unreachable!("typecheck resolved the name")
-                };
-                let built = g
-                    .build(args)
-                    .map_err(|error| PipelineError::Generator { stage: st.index, error })?;
-                let steps = 4 * built.node_count();
-                source = fair_prefix(&built, pipe.start, steps);
-                cur = source.clone();
-                outcomes.push(StageOutcome::Source {
-                    label: st.text.clone(),
-                    nodes: built.node_count(),
-                    model: pipe.start,
-                    inferred: pipe.inferred,
-                    steps,
-                });
-                sp.field("steps", steps);
-                inst = Some(built);
-            }
+            TypedOp::Source { .. } => unreachable!("typecheck allows only a leading source"),
             TypedOp::Pin(m) => outcomes.push(StageOutcome::Pin { model: *m }),
             TypedOp::Transform { name, edge } => {
-                let inst = inst.as_ref().expect("typecheck put the source first");
                 let steps_in = cur.len();
-                let out = crate::compose::apply_edge(edge, inst, &cur).map_err(|error| {
+                let out = apply_edge(edge, &tables, &cur).map_err(|error| {
                     PipelineError::Transform { stage: st.index, name: name.to_string(), error }
                 })?;
                 claimed = claimed.min(out.claimed);
                 lossless = lossless && out.lossless;
-                cur = out.seq;
+                if let Cow::Owned(rewritten) = out.seq {
+                    cur = Cow::Owned(rewritten);
+                }
                 model = edge.realizer;
                 outcomes.push(StageOutcome::Transform {
                     name,
@@ -753,15 +760,16 @@ pub fn execute(reg: &Registry, pipe: &TypedPipeline) -> Result<PipelineRun, Pipe
                 sp.field("steps", cur.len());
             }
             TypedOp::Check { name } => {
-                let inst = inst.as_ref().expect("typecheck put the source first");
-                let report = report_for(inst, &source, &cur, pipe.start, model, claimed, lossless);
+                let report =
+                    report_for(&tables, &source, &cur, pipe.start, model, claimed, lossless);
                 ok &= report.holds();
                 sp.field("holds", u64::from(report.holds()));
                 outcomes.push(StageOutcome::Check { name, report });
             }
         }
     }
-    Ok(PipelineRun { outcomes, ok, source, seq: cur, start: pipe.start, end: model })
+    let seq = cur.into_owned();
+    Ok(PipelineRun { outcomes, ok, source, seq, start: pipe.start, end: model })
 }
 
 /// Parse + typecheck + execute in one call.

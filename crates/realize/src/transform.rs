@@ -1,5 +1,6 @@
 //! The transformation algorithms behind the paper's positive results.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -9,7 +10,7 @@ use routelab_core::step::{ActivationSeq, ActivationStep, ChannelAction, NodeUpda
 use routelab_core::MessagePolicy;
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::runner::{Runner, StateView};
-use routelab_spp::{Channel, SppInstance};
+use routelab_spp::{Channel, RouteTable, SppInstance};
 
 /// Failure modes of a transformation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,11 +44,35 @@ impl fmt::Display for TransformError {
 
 impl Error for TransformError {}
 
+/// The route table and channel index of one instance, built once and
+/// shared by every construction and check that simulates it: each simulator
+/// borrows the table instead of interning the instance's routes again.
+#[derive(Debug)]
+pub struct Tables<'a> {
+    pub(crate) inst: &'a SppInstance,
+    pub(crate) index: ChannelIndex,
+    table: RouteTable,
+}
+
+impl<'a> Tables<'a> {
+    /// Interns `inst`'s routes and indexes its channels.
+    pub fn new(inst: &'a SppInstance) -> Self {
+        Tables { inst, index: ChannelIndex::new(inst.graph()), table: RouteTable::new(inst) }
+    }
+
+    /// An untraced runner in the initial state over the shared route table.
+    pub(crate) fn runner(&self) -> Runner<'_> {
+        Runner::with_table(self.inst, &self.table).tracing(false)
+    }
+}
+
 /// A transformed sequence plus bookkeeping.
 #[derive(Debug, Clone)]
-pub struct TransformOutput {
-    /// The activation sequence for the target model.
-    pub seq: ActivationSeq,
+pub struct TransformOutput<'s> {
+    /// The activation sequence for the target model: the input itself when
+    /// the construction leaves it unchanged, so a chain copies nothing until
+    /// a stage rewrites it.
+    pub seq: Cow<'s, ActivationSeq>,
     /// The trace relation the construction guarantees.
     pub claimed: Strength,
     /// `false` when a source no-op step could not be represented in the
@@ -99,23 +124,23 @@ fn noop_step(
     Some(ActivationStep::single(NodeUpdate::new(c.to, vec![action])))
 }
 
-/// Proposition 3.3: the identity embedding. The sequence is returned as-is;
-/// it is already syntactically legal in the stronger model.
-pub fn identity(
-    _inst: &SppInstance,
-    seq: &ActivationSeq,
-) -> Result<TransformOutput, TransformError> {
-    Ok(TransformOutput { seq: seq.clone(), claimed: Strength::Exact, lossless: true })
+/// Proposition 3.3: the identity embedding. The sequence is returned as-is,
+/// borrowed; it is already syntactically legal in the stronger model.
+pub fn identity<'s>(
+    _tables: &Tables<'_>,
+    seq: &'s ActivationSeq,
+) -> Result<TransformOutput<'s>, TransformError> {
+    Ok(TransformOutput { seq: Cow::Borrowed(seq), claimed: Strength::Exact, lossless: true })
 }
 
 /// Proposition 3.4: `wES` exactly realizes `wMS`. Every update is padded
 /// with `f = 0` actions on its unprocessed channels, so scope `E` holds and
 /// no extra message is touched.
 pub fn pad_m_to_e(
-    inst: &SppInstance,
+    tables: &Tables<'_>,
     seq: &ActivationSeq,
-) -> Result<TransformOutput, TransformError> {
-    let index = ChannelIndex::new(inst.graph());
+) -> Result<TransformOutput<'static>, TransformError> {
+    let index = &tables.index;
     let mut out = Vec::with_capacity(seq.len());
     for (t, step) in seq.iter().enumerate() {
         let u = single(step, t)?;
@@ -128,7 +153,7 @@ pub fn pad_m_to_e(
         }
         out.push(ActivationStep::single(NodeUpdate::new(u.node, actions)));
     }
-    Ok(TransformOutput { seq: out, claimed: Strength::Exact, lossless: true })
+    Ok(TransformOutput { seq: Cow::Owned(out), claimed: Strength::Exact, lossless: true })
 }
 
 /// Theorem 3.5: `w1y` realizes `wMy` with repetition. Each multi-channel
@@ -140,13 +165,13 @@ pub fn pad_m_to_e(
 /// `policy` is the shared message dimension `y` (used to shape the
 /// state-preserving steps that stand in for empty `wMy` updates).
 pub fn split_m_to_1(
-    inst: &SppInstance,
+    tables: &Tables<'_>,
     seq: &ActivationSeq,
     policy: MessagePolicy,
-) -> Result<TransformOutput, TransformError> {
-    let index = ChannelIndex::new(inst.graph());
-    let mut source = Runner::new(inst).tracing(false); // the wMy execution
-    let mut target = Runner::new(inst).tracing(false); // the w1y execution being built
+) -> Result<TransformOutput<'static>, TransformError> {
+    let (inst, index) = (tables.inst, &tables.index);
+    let mut source = tables.runner(); // the wMy execution
+    let mut target = tables.runner(); // the w1y execution being built
     let mut out = Vec::new();
     let mut lossless = true;
 
@@ -234,7 +259,7 @@ pub fn split_m_to_1(
             }
         }
     }
-    Ok(TransformOutput { seq: out, claimed: Strength::Repetition, lossless })
+    Ok(TransformOutput { seq: Cow::Owned(out), claimed: Strength::Repetition, lossless })
 }
 
 /// Proposition 3.6, reliable case: `R1O` realizes `R1S` as a subsequence.
@@ -246,12 +271,12 @@ pub fn split_m_to_1(
 /// flagged message; the batch's final announcement is flagged exactly when
 /// the R1S system announces.
 pub fn flag_r1s_to_r1o(
-    inst: &SppInstance,
+    tables: &Tables<'_>,
     seq: &ActivationSeq,
-) -> Result<TransformOutput, TransformError> {
-    let index = ChannelIndex::new(inst.graph());
-    let mut s_sim = Runner::new(inst).tracing(false); // R1S reference execution
-    let mut o_sim = Runner::new(inst).tracing(false); // R1O execution being built
+) -> Result<TransformOutput<'static>, TransformError> {
+    let index = &tables.index;
+    let mut s_sim = tables.runner(); // R1S reference execution
+    let mut o_sim = tables.runner(); // R1O execution being built
     let mut flags: Vec<VecDeque<bool>> = vec![VecDeque::new(); index.len()];
     let mut out = Vec::new();
     let mut lossless = true;
@@ -327,7 +352,7 @@ pub fn flag_r1s_to_r1o(
                 }
             } else {
                 // A pure no-op in R1S; mirror it to keep trace stutter.
-                match noop_step(o_sim.state(), &index, MessagePolicy::One) {
+                match noop_step(o_sim.state(), index, MessagePolicy::One) {
                     Some(s) => {
                         o_sim.step_fast(&s);
                         out.push(s);
@@ -392,19 +417,19 @@ pub fn flag_r1s_to_r1o(
             }
         }
     }
-    Ok(TransformOutput { seq: out, claimed: Strength::Subsequence, lossless })
+    Ok(TransformOutput { seq: Cow::Owned(out), claimed: Strength::Subsequence, lossless })
 }
 
 /// Proposition 3.6, unreliable case: `U1O` realizes `U1S` with repetition.
 /// A batch read of `f` messages becomes `f` single reads in which every
 /// message except the one the U1S system actually uses is dropped.
 pub fn elide_u1s_to_u1o(
-    inst: &SppInstance,
+    tables: &Tables<'_>,
     seq: &ActivationSeq,
-) -> Result<TransformOutput, TransformError> {
-    let index = ChannelIndex::new(inst.graph());
+) -> Result<TransformOutput<'static>, TransformError> {
+    let index = &tables.index;
     // The U1S execution (the U1O one is identical state-wise).
-    let mut sim = Runner::new(inst).tracing(false);
+    let mut sim = tables.runner();
     let mut out = Vec::new();
     let mut lossless = true;
 
@@ -449,7 +474,7 @@ pub fn elide_u1s_to_u1o(
                         v,
                         vec![ChannelAction::read_one(index.channel(pc))],
                     ))),
-                    (false, None) => match noop_step(sim.state(), &index, MessagePolicy::One) {
+                    (false, None) => match noop_step(sim.state(), index, MessagePolicy::One) {
                         Some(s) => out.push(s),
                         None => lossless = false,
                     },
@@ -468,18 +493,18 @@ pub fn elide_u1s_to_u1o(
         }
         sim.step_fast(step);
     }
-    Ok(TransformOutput { seq: out, claimed: Strength::Repetition, lossless })
+    Ok(TransformOutput { seq: Cow::Owned(out), claimed: Strength::Repetition, lossless })
 }
 
 /// Theorem 3.7: `R1S` exactly realizes `U1O`. Dropped reads become `f = 0`
 /// reads; a kept read consumes the accumulated backlog of messages the U1O
 /// system dropped, learning exactly the message U1O kept.
 pub fn coalesce_u1o_to_r1s(
-    inst: &SppInstance,
+    tables: &Tables<'_>,
     seq: &ActivationSeq,
-) -> Result<TransformOutput, TransformError> {
-    let index = ChannelIndex::new(inst.graph());
-    let mut sim = Runner::new(inst).tracing(false); // the U1O execution
+) -> Result<TransformOutput<'static>, TransformError> {
+    let index = &tables.index;
+    let mut sim = tables.runner(); // the U1O execution
     let mut backlog = vec![0u32; index.len()];
     let mut out = Vec::with_capacity(seq.len());
 
@@ -516,7 +541,7 @@ pub fn coalesce_u1o_to_r1s(
         };
         out.push(ActivationStep::single(NodeUpdate::new(v, vec![a])));
     }
-    Ok(TransformOutput { seq: out, claimed: Strength::Exact, lossless: true })
+    Ok(TransformOutput { seq: Cow::Owned(out), claimed: Strength::Exact, lossless: true })
 }
 
 #[cfg(test)]
@@ -530,8 +555,8 @@ mod tests {
     #[test]
     fn identity_is_identity() {
         let (run, _) = paper_runs::a2_reo();
-        let out = identity(&run.instance, &run.seq).unwrap();
-        assert_eq!(out.seq, run.seq);
+        let out = identity(&Tables::new(&run.instance), &run.seq).unwrap();
+        assert!(matches!(out.seq, Cow::Borrowed(seq) if std::ptr::eq(seq, &run.seq)));
         assert_eq!(out.claimed, Strength::Exact);
     }
 
@@ -540,12 +565,12 @@ mod tests {
         // A.1's R1O script is a legal RMO (and R1S ⊂ RMS) shape; pad it to
         // scope E and check exactness.
         let (run, _) = paper_runs::a1_r1o();
-        let out = pad_m_to_e(&run.instance, &run.seq).unwrap();
+        let out = pad_m_to_e(&Tables::new(&run.instance), &run.seq).unwrap();
         let base = Runner::trace_of(&run.instance, &run.seq);
         let cand = Runner::trace_of(&run.instance, &out.seq);
         assert_eq!(strongest_relation(&base, &cand), TraceRelation::Exact);
         // Every padded update now covers all channels of its node.
-        for step in &out.seq {
+        for step in out.seq.iter() {
             let u = &step.updates[0];
             assert_eq!(u.actions.len(), run.instance.graph().degree(u.node));
         }
@@ -556,7 +581,8 @@ mod tests {
         // The REA scripts of A.4/A.5 are legal RMA sequences; split them to
         // R1A and check the repetition relation.
         for run in [paper_runs::a4_rea(), paper_runs::a5_rea()] {
-            let out = split_m_to_1(&run.instance, &run.seq, MessagePolicy::All).unwrap();
+            let out =
+                split_m_to_1(&Tables::new(&run.instance), &run.seq, MessagePolicy::All).unwrap();
             assert!(out.lossless);
             let base = Runner::trace_of(&run.instance, &run.seq);
             let cand = Runner::trace_of(&run.instance, &out.seq);
@@ -569,7 +595,7 @@ mod tests {
                 cand.render(&run.instance)
             );
             // Each output step reads exactly one channel.
-            for s in &out.seq {
+            for s in out.seq.iter() {
                 assert_eq!(s.actions().count(), 1);
             }
         }
@@ -589,7 +615,7 @@ mod tests {
             // s reads BOTH of u's announcements in one R1S batch:
             batch(&inst, "s", "u", 2),
         ];
-        let out = flag_r1s_to_r1o(&inst, &seq).unwrap();
+        let out = flag_r1s_to_r1o(&Tables::new(&inst), &seq).unwrap();
         assert!(out.lossless);
         let base = Runner::trace_of(&inst, &seq);
         let cand = Runner::trace_of(&inst, &out.seq);
@@ -630,7 +656,7 @@ mod tests {
             r1o_step(&inst, "u", "b"),
             batch(&inst, "s", "u", 2),
         ];
-        let out = elide_u1s_to_u1o(&inst, &seq).unwrap();
+        let out = elide_u1s_to_u1o(&Tables::new(&inst), &seq).unwrap();
         assert!(out.lossless);
         let base = Runner::trace_of(&inst, &seq);
         let cand = Runner::trace_of(&inst, &out.seq);
@@ -663,7 +689,7 @@ mod tests {
             r1o_step(&inst, "x", "y"), // x learns yd -> xyd
             r1o_step(&inst, "x", "d"), // empty now: the dropped message is gone
         ];
-        let out = coalesce_u1o_to_r1s(&inst, &seq).unwrap();
+        let out = coalesce_u1o_to_r1s(&Tables::new(&inst), &seq).unwrap();
         let base = Runner::trace_of(&inst, &seq);
         let cand = Runner::trace_of(&inst, &out.seq);
         assert_eq!(
@@ -696,7 +722,7 @@ mod tests {
             },
             r1o_step(&inst, "s", "u"),
         ];
-        let out = coalesce_u1o_to_r1s(&inst, &seq).unwrap();
+        let out = coalesce_u1o_to_r1s(&Tables::new(&inst), &seq).unwrap();
         let base = Runner::trace_of(&inst, &seq);
         let cand = Runner::trace_of(&inst, &out.seq);
         assert_eq!(strongest_relation(&base, &cand), TraceRelation::Exact);
@@ -711,7 +737,7 @@ mod tests {
     #[test]
     fn multi_node_steps_rejected() {
         let (inst, boot, _) = paper_runs::a6_multinode();
-        let err = pad_m_to_e(&inst, &boot).unwrap_err();
+        let err = pad_m_to_e(&Tables::new(&inst), &boot).unwrap_err();
         assert!(matches!(err, TransformError::MultiNodeStep { step: 1 }));
         assert!(err.to_string().contains("multiple nodes"));
     }
@@ -729,13 +755,17 @@ mod tests {
                 .collect(),
         ));
         let seq = vec![two_channels];
-        assert!(matches!(flag_r1s_to_r1o(&inst, &seq), Err(TransformError::BadSourceShape { .. })));
+        let tables = Tables::new(&inst);
         assert!(matches!(
-            coalesce_u1o_to_r1s(&inst, &seq),
+            flag_r1s_to_r1o(&tables, &seq),
             Err(TransformError::BadSourceShape { .. })
         ));
         assert!(matches!(
-            elide_u1s_to_u1o(&inst, &seq),
+            coalesce_u1o_to_r1s(&tables, &seq),
+            Err(TransformError::BadSourceShape { .. })
+        ));
+        assert!(matches!(
+            elide_u1s_to_u1o(&tables, &seq),
             Err(TransformError::BadSourceShape { .. })
         ));
     }

@@ -9,10 +9,12 @@ use routelab_core::step::ActivationSeq;
 use routelab_core::validate::check_sequence;
 use routelab_engine::runner::Runner;
 use routelab_engine::trace::{relation, TraceRelation};
-use routelab_spp::{NodeId, RouteId, RouteTable, SppInstance};
+use routelab_spp::{NodeId, RouteId, SppInstance};
 
 use crate::compose::{self, Edge, TransformKind};
-use crate::transform::TransformError;
+use crate::plan::{plan_route, verify_route};
+use crate::registry::Registry;
+use crate::transform::{Tables, TransformError};
 
 /// The result of verifying one realization.
 #[derive(Debug, Clone)]
@@ -91,12 +93,14 @@ pub fn verify_edge(
         TransformKind::Flag => Strength::Subsequence,
     };
     let edge = Edge { realized: from, realizer: to, strength, kind };
-    let out = compose::apply_edge(&edge, inst, seq)?;
-    Ok(report_for(inst, seq, &out.seq, from, to, out.claimed, out.lossless))
+    let tables = Tables::new(inst);
+    let out = compose::apply_edge(&edge, &tables, seq)?;
+    Ok(report_for(&tables, seq, &out.seq, from, to, out.claimed, out.lossless))
 }
 
 /// Verifies the composed realization of `from` inside `to` along the
-/// strongest foundational chain. Returns `None` when no chain exists.
+/// strongest registered route ([`plan_route`], then [`verify_route`]).
+/// Returns `None` when no route exists.
 ///
 /// # Errors
 ///
@@ -107,17 +111,15 @@ pub fn verify_path(
     from: CommModel,
     to: CommModel,
 ) -> Result<Option<Report>, TransformError> {
-    let Some(out) = compose::realize(inst, seq, from, to)? else {
-        return Ok(None);
-    };
-    Ok(Some(report_for(inst, seq, &out.seq, from, to, out.claimed, out.lossless)))
+    let Ok(route) = plan_route(Registry::global(), from, to) else { return Ok(None) };
+    verify_route(inst, seq, &route).map(Some)
 }
 
 /// Executes `seq` and records its path-assignment trace as interned ids:
 /// the initial π, then π after every step, one row of `node_count` ids each.
-fn id_trace(inst: &SppInstance, table: &RouteTable, seq: &ActivationSeq) -> Vec<RouteId> {
-    let n = inst.node_count();
-    let mut runner = Runner::with_table(inst, table).tracing(false);
+fn id_trace(tables: &Tables<'_>, seq: &ActivationSeq) -> Vec<RouteId> {
+    let n = tables.inst.node_count();
+    let mut runner = tables.runner();
     let mut ids = Vec::with_capacity((seq.len() + 1) * n);
     let mut record = |runner: &Runner<'_>| {
         let pi = runner.state();
@@ -135,11 +137,11 @@ fn id_trace(inst: &SppInstance, table: &RouteTable, seq: &ActivationSeq) -> Vec<
 /// sequences: executes both, compares traces (Definition 3.2), and checks
 /// model legality on each side. This is the registered `verify` check.
 ///
-/// Both traces are compared as rows of interned route ids from one table,
-/// which holds every route once, so rows are equal exactly when the
+/// Both traces are compared as rows of interned route ids from the shared
+/// table, which holds every route once, so rows are equal exactly when the
 /// route-valued assignments of [`Runner::trace_of`] are.
 pub fn report_for(
-    inst: &SppInstance,
+    tables: &Tables<'_>,
     source: &ActivationSeq,
     target: &ActivationSeq,
     from: CommModel,
@@ -147,10 +149,10 @@ pub fn report_for(
     claimed: Strength,
     lossless: bool,
 ) -> Report {
-    let table = RouteTable::new(inst);
+    let inst = tables.inst;
     let n = inst.node_count();
-    let base = id_trace(inst, &table, source);
-    let cand = id_trace(inst, &table, target);
+    let base = id_trace(tables, source);
+    let cand = id_trace(tables, target);
     let achieved = relation(
         &base.chunks_exact(n).collect::<Vec<_>>(),
         &cand.chunks_exact(n).collect::<Vec<_>>(),
@@ -286,7 +288,7 @@ mod tests {
         let out = compose::realize(&inst, &seq, "REA".parse().unwrap(), "RMS".parse().unwrap())
             .unwrap()
             .unwrap();
-        let mut sched2 = routelab_engine::schedule::Scripted::new(out.seq);
+        let mut sched2 = routelab_engine::schedule::Scripted::new(out.seq.into_owned());
         let outcome = drive(&mut r2, &mut sched2, 10_000);
         assert!(
             matches!(outcome, RunOutcome::Converged { .. } | RunOutcome::ScheduleExhausted { .. }),

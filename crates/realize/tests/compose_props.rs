@@ -8,6 +8,7 @@ use routelab_core::model::CommModel;
 use routelab_realize::compose::{apply_chain, apply_edge};
 use routelab_realize::plan::{fair_prefix, plan_route};
 use routelab_realize::registry::Registry;
+use routelab_realize::transform::Tables;
 use routelab_realize::verify::report_for;
 use routelab_spp::generator::{random_instance, RandomSppConfig};
 use routelab_spp::SppInstance;
@@ -51,19 +52,20 @@ proptest! {
         let route = plan_route(Registry::global(), from, to).expect("pair is routed");
         let edges = route.edges();
         let seq = fair_prefix(&inst, from, steps);
+        let tables = Tables::new(&inst);
 
-        let chained = apply_chain(&inst, &seq, &edges).expect("chain applies");
+        let chained = apply_chain(&tables, &seq, &edges).expect("chain applies");
         // Fold the edges one at a time by hand.
         let mut cur = seq.clone();
         let mut claimed = routelab_core::lattice::Strength::Exact;
         let mut lossless = true;
         for e in &edges {
-            let out = apply_edge(e, &inst, &cur).expect("edge applies");
-            cur = out.seq;
+            let out = apply_edge(e, &tables, &cur).expect("edge applies");
             claimed = claimed.min(out.claimed);
             lossless = lossless && out.lossless;
+            cur = out.seq.into_owned();
         }
-        prop_assert_eq!(&chained.seq, &cur, "step-for-step mismatch {} -> {}", from, to);
+        prop_assert_eq!(&*chained.seq, &cur, "step-for-step mismatch {} -> {}", from, to);
         prop_assert_eq!(chained.claimed, claimed);
         prop_assert_eq!(chained.lossless, lossless);
     }
@@ -78,13 +80,14 @@ proptest! {
         let route = plan_route(Registry::global(), from, to).expect("pair is routed");
         let edges = route.edges();
         let seq = fair_prefix(&inst, from, steps);
+        let tables = Tables::new(&inst);
 
         // Whole chain in one go …
-        let whole = apply_chain(&inst, &seq, &edges).expect("chain applies");
+        let whole = apply_chain(&tables, &seq, &edges).expect("chain applies");
         // … versus split at an arbitrary interior point and re-associated.
         let cut = 1 + cut_seed % (edges.len() - 1);
-        let first = apply_chain(&inst, &seq, &edges[..cut]).expect("prefix applies");
-        let second = apply_chain(&inst, &first.seq, &edges[cut..]).expect("suffix applies");
+        let first = apply_chain(&tables, &seq, &edges[..cut]).expect("prefix applies");
+        let second = apply_chain(&tables, &first.seq, &edges[cut..]).expect("suffix applies");
 
         prop_assert_eq!(&whole.seq, &second.seq, "associativity broken at cut {}", cut);
         prop_assert_eq!(whole.claimed, first.claimed.min(second.claimed));
@@ -92,9 +95,9 @@ proptest! {
 
         // The verification verdict is identical however the chain was built.
         let r_whole =
-            report_for(&inst, &seq, &whole.seq, from, to, whole.claimed, whole.lossless);
+            report_for(&tables, &seq, &whole.seq, from, to, whole.claimed, whole.lossless);
         let r_split = report_for(
-            &inst,
+            &tables,
             &seq,
             &second.seq,
             from,

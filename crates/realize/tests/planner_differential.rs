@@ -2,7 +2,8 @@
 //! pair of the 24 communication models is decided, every route the planner
 //! claims is validated end to end by `realize::verify` semantics on the full
 //! gadget library and equals a report rebuilt from route-valued traces, and
-//! every `NoRoute` verdict is closure-sound.
+//! every `NoRoute` verdict is closure-sound. The source runs themselves,
+//! `fair_prefix`, equal round robin drawn against an executing runner.
 
 #[path = "../../engine/tests/support/relation_oracle.rs"]
 mod relation_oracle;
@@ -11,12 +12,14 @@ use relation_oracle::relation_dp;
 use routelab_core::closure::derive_bounds;
 use routelab_core::edges::foundational_facts;
 use routelab_core::model::CommModel;
+use routelab_core::step::ActivationSeq;
 use routelab_core::validate::check_sequence;
 use routelab_engine::runner::Runner;
+use routelab_engine::schedule::{RoundRobin, Scheduler};
 use routelab_engine::trace::PathTrace;
 use routelab_realize::plan::{apply_route, fair_prefix, plan_route, verify_route};
 use routelab_realize::registry::Registry;
-use routelab_spp::{gadgets, Route};
+use routelab_spp::{gadgets, Route, SppInstance};
 
 #[test]
 fn planner_decides_all_576_ordered_pairs() {
@@ -49,6 +52,31 @@ fn planner_decides_all_576_ordered_pairs() {
     // The 24 trivial pairs are reachable; plenty of real routes exist too.
     assert!(reachable > 24, "only {reachable} reachable pairs");
     assert!(unreachable > 0, "Thm 3.8 pairs must be unreachable");
+}
+
+/// A round-robin prefix drawn the way a drive loop draws it: each step from
+/// `next_step` against the state of a runner that executes it.
+fn executed_prefix(inst: &SppInstance, model: CommModel, steps: usize) -> ActivationSeq {
+    let mut sched = RoundRobin::new(inst, model);
+    let mut runner = Runner::new(inst).tracing(false);
+    let mut seq = Vec::with_capacity(steps);
+    for _ in 0..steps {
+        let step = sched.next_step(&runner.state()).expect("round robin is infinite");
+        runner.step_fast(&step);
+        seq.push(step);
+    }
+    seq
+}
+
+#[test]
+fn fair_prefix_equals_the_executed_round_robin_prefix() {
+    for (name, inst) in gadgets::corpus() {
+        let steps = 10 * inst.node_count();
+        for model in CommModel::all() {
+            let want = executed_prefix(&inst, model, steps);
+            assert_eq!(fair_prefix(&inst, model, steps), want, "{name} {model}");
+        }
+    }
 }
 
 /// A trace's assignments, the rows the relation oracle compares.

@@ -1,10 +1,12 @@
 //! Theorem 3.5's `split` transform takes time linear in its input: it steps
-//! its source simulator in place rather than copying it once per step.
+//! its source simulator in place rather than copying it once per step. And
+//! `verify_route` copies no sequence through identity (`embed`) stages.
 //!
-//! A copy of a simulator copies its route table and its state, so copies
-//! per step make the allocation count grow faster than the prefix. A
-//! counting global allocator counts only on a thread that has set its
-//! thread-local flag, so other test threads do not count.
+//! A copy of a simulator copies its state, and a copy of a sequence copies
+//! every step, so copies per step or per stage make the allocation count
+//! grow with the prefix. A counting global allocator counts only on a
+//! thread that has set its thread-local flag, so other test threads do not
+//! count.
 
 #[path = "../../engine/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -12,21 +14,45 @@ mod counting_alloc;
 use counting_alloc::allocations_during;
 use routelab_core::model::CommModel;
 use routelab_core::MessagePolicy;
-use routelab_realize::plan::fair_prefix;
-use routelab_realize::transform::split_m_to_1;
+use routelab_realize::plan::{fair_prefix, plan_route, verify_route, Route};
+use routelab_realize::registry::Registry;
+use routelab_realize::transform::{split_m_to_1, Tables};
 use routelab_spp::gadgets;
 
 #[test]
 fn split_allocations_grow_linearly_with_the_prefix() {
     let inst = gadgets::fig6();
+    let tables = Tables::new(&inst);
     let rma: CommModel = "RMA".parse().unwrap();
     let allocations = |steps| {
         let seq = fair_prefix(&inst, rma, steps);
         allocations_during(|| {
-            split_m_to_1(&inst, &seq, MessagePolicy::All).unwrap();
+            split_m_to_1(&tables, &seq, MessagePolicy::All).unwrap();
         })
     };
     let t = 8 * inst.node_count();
     let (short, long) = (allocations(t), allocations(2 * t));
     assert!(10 * long <= 22 * short, "{short} allocations for {t} steps but {long} for {}", 2 * t);
+}
+
+#[test]
+fn verify_route_allocations_do_not_grow_with_embed_stages_or_the_prefix() {
+    let inst = gadgets::fig6();
+    let reg = Registry::global();
+    let rea: CommModel = "REA".parse().unwrap();
+    let embeds = plan_route(reg, rea, "UMS".parse().unwrap()).unwrap();
+    assert_eq!(embeds.steps.len(), 4, "{embeds}");
+    assert!(embeds.steps.iter().all(|s| s.name == "embed"), "{embeds}");
+    let trivial = plan_route(reg, rea, rea).unwrap();
+    let allocations = |route: &Route, steps| {
+        let seq = fair_prefix(&inst, rea, steps);
+        allocations_during(|| {
+            assert!(verify_route(&inst, &seq, route).unwrap().holds());
+        })
+    };
+    let t = 8 * inst.node_count();
+    let (short, long) = (allocations(&embeds, t), allocations(&embeds, 2 * t));
+    assert_eq!(short, long, "{short} allocations for {t} steps but {long} for {}", 2 * t);
+    let base = allocations(&trivial, t);
+    assert!(short <= base + 4, "{short} allocations through {embeds}, {base} for {trivial}");
 }

@@ -48,10 +48,11 @@ use routelab::core::edges::foundational_facts;
 use routelab::core::model::CommModel;
 use routelab::engine::outcome::{drive, RunOutcome};
 use routelab::engine::runner::Runner;
-use routelab::engine::schedule::{Cyclic, RoundRobin, Scheduler};
+use routelab::engine::schedule::Cyclic;
 use routelab::explore::graph::ExploreConfig;
 use routelab::explore::oscillation::{analyze, Verdict};
 use routelab::explore::witness::oscillation_witness;
+use routelab::realize::plan::fair_prefix;
 use routelab::realize::verify::verify_path;
 use routelab::sim::cli::CommonOpts;
 use routelab::sim::flight::{export_chrome, oscillation_cycle, parse_trace, render_explain};
@@ -161,20 +162,25 @@ fn cmd_check(inst: &SppInstance, model: CommModel, want_witness: bool) -> Result
     Ok(())
 }
 
+/// The longest source run `realize` builds.
+const MAX_REALIZE_STEPS: usize = 100_000;
+
+/// Parses `realize`'s step count: a positive integer no larger than
+/// [`MAX_REALIZE_STEPS`].
+fn parse_steps(s: &str) -> Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(n) if (1..=MAX_REALIZE_STEPS).contains(&n) => Ok(n),
+        _ => Err(format!("step count {s:?} is not an integer in 1..={MAX_REALIZE_STEPS}")),
+    }
+}
+
 fn cmd_realize(
     inst: &SppInstance,
     from: CommModel,
     to: CommModel,
     steps: usize,
 ) -> Result<(), String> {
-    let mut sched = RoundRobin::new(inst, from);
-    let mut runner = Runner::new(inst);
-    let mut seq = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let s = sched.next_step(&runner.state()).expect("round robin is infinite");
-        runner.step(&s);
-        seq.push(s);
-    }
+    let seq = fair_prefix(inst, from, steps);
     match verify_path(inst, &seq, from, to).map_err(|e| e.to_string())? {
         Some(report) => {
             println!("{report}");
@@ -467,7 +473,7 @@ fn run(opts: &CommonOpts) -> Result<(), String> {
             let inst = load_instance(args.get(1).ok_or(usage)?)?;
             let from = parse_model(args.get(2).ok_or(usage)?)?;
             let to = parse_model(args.get(3).ok_or(usage)?)?;
-            let steps = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(24);
+            let steps = args.get(4).map_or(Ok(24), |s| parse_steps(s))?;
             cmd_realize(&inst, from, to, steps)?;
         }
         Some("plan") => cmd_plan(&args[1..])?,

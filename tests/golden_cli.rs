@@ -1,6 +1,7 @@
 //! Golden snapshots for the registry-backed CLI surface: `routelab
-//! transforms list`, a `routelab pipeline "fig6 | split | pad | verify"`
-//! end-to-end run, and a verified `routelab plan` route — byte-for-byte
+//! transforms list`, the `routelab pipeline` runs `"fig6 | split | pad |
+//! verify"` and `"bad-gadget | U1S | elide | coalesce | flag | verify"`,
+//! and a verified `routelab plan` route — byte-for-byte
 //! against `tests/golden/`, rendered through the same
 //! `routelab::sim::pipeline` code path the binary prints. Typed-error
 //! cases (unknown names, model-incompatible stages) ride along.
@@ -55,6 +56,14 @@ fn pipeline_fig6_split_pad_verify_matches_golden() {
     let out = render_pipeline(Registry::global(), "fig6 | split | pad | verify")
         .expect("the flagship pipeline type-checks and runs");
     check("pipeline_fig6", &out);
+}
+
+#[test]
+fn pipeline_bad_gadget_u1s_elide_coalesce_flag_verify_matches_golden() {
+    let out =
+        render_pipeline(Registry::global(), "bad-gadget | U1S | elide | coalesce | flag | verify")
+            .expect("U1S -> U1O -> R1S -> R1O type-checks and runs");
+    check("pipeline_bad_gadget_u1s", &out);
 }
 
 #[test]
