@@ -6,26 +6,46 @@ use routelab_spp::{Channel, Graph, NodeId};
 /// per-node in/out channel lists.
 ///
 /// Ids follow [`Graph::channels`]' `(from, to)` order over the sorted
-/// adjacency, so each node's out-channels are ordered by `to` and
-/// [`ChannelIndex::id`] is a binary search among them.
+/// adjacency, so each node's out-channels are a run of consecutive ids
+/// ordered by `to`, and [`ChannelIndex::id`] is a binary search among them.
+/// The per-node lists are slices of two flat arrays, so an index is five
+/// allocations at most, whatever the graph's size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelIndex {
     channels: Vec<Channel>,
-    in_of: Vec<Vec<usize>>,
-    out_of: Vec<Vec<usize>>,
+    /// Every id in increasing order: node `v`'s out-channels are
+    /// `ids[out_at[v]..out_at[v + 1]]`.
+    ids: Vec<usize>,
+    out_at: Vec<usize>,
+    /// Ids grouped by receiver, each group in increasing id order: node
+    /// `v`'s in-channels are `in_ids[in_at[v]..in_at[v + 1]]`.
+    in_ids: Vec<usize>,
+    in_at: Vec<usize>,
 }
 
 impl ChannelIndex {
     /// Builds the index for a graph.
     pub fn new(g: &Graph) -> Self {
         let channels: Vec<Channel> = g.channels().collect();
-        let mut in_of = vec![Vec::new(); g.node_count()];
-        let mut out_of = vec![Vec::new(); g.node_count()];
-        for (i, c) in channels.iter().enumerate() {
-            out_of[c.from.index()].push(i);
-            in_of[c.to.index()].push(i);
+        let n = g.node_count();
+        let (mut out_at, mut in_at) = (vec![0; n + 1], vec![0; n + 1]);
+        for c in &channels {
+            out_at[c.from.index() + 1] += 1;
+            in_at[c.to.index() + 1] += 1;
         }
-        ChannelIndex { channels, in_of, out_of }
+        for v in 0..n {
+            out_at[v + 1] += out_at[v];
+            in_at[v + 1] += in_at[v];
+        }
+        // Fill each receiver's group in id order, advancing a cursor that
+        // starts at the group's beginning.
+        let mut next = in_at.clone();
+        let mut in_ids = vec![0; channels.len()];
+        for (i, c) in channels.iter().enumerate() {
+            in_ids[next[c.to.index()]] = i;
+            next[c.to.index()] += 1;
+        }
+        ChannelIndex { ids: (0..channels.len()).collect(), channels, out_at, in_ids, in_at }
     }
 
     /// Number of directed channels.
@@ -41,7 +61,10 @@ impl ChannelIndex {
     /// The dense id of `c`, if `c` is a channel of the graph (`None` also
     /// for endpoints outside it).
     pub fn id(&self, c: Channel) -> Option<usize> {
-        let out = self.out_of.get(c.from.index())?;
+        if c.from.index() >= self.out_at.len() - 1 {
+            return None;
+        }
+        let out = self.out_channels(c.from);
         let k = out.binary_search_by_key(&c.to, |&i| self.channels[i].to).ok()?;
         Some(out[k])
     }
@@ -62,12 +85,12 @@ impl ChannelIndex {
 
     /// Ids of channels read by `v`, in deterministic (neighbor) order.
     pub fn in_channels(&self, v: NodeId) -> &[usize] {
-        &self.in_of[v.index()]
+        &self.in_ids[self.in_at[v.index()]..self.in_at[v.index() + 1]]
     }
 
     /// Ids of channels written by `v`, in deterministic (neighbor) order.
     pub fn out_channels(&self, v: NodeId) -> &[usize] {
-        &self.out_of[v.index()]
+        &self.ids[self.out_at[v.index()]..self.out_at[v.index() + 1]]
     }
 }
 

@@ -1,11 +1,13 @@
 //! The interned hot path: network state and step execution over
-//! [`RouteId`]s.
+//! [`RouteId`]s and dense channel ids.
 //!
 //! [`InternedState`] mirrors [`crate::NetworkState`] exactly — π, last
 //! announcements, per-channel ρ, FIFO queues — but stores dense
 //! [`RouteId`]s instead of owned [`routelab_spp::Route`] values, so
 //! messages are `Copy` and an activation step allocates nothing in steady
-//! state. [`execute_step_interned`] is a line-for-line mirror of
+//! state. Steps arrive as an [`IdStep`]: Definition 2.2's `(U, X, f, g)` on
+//! dense channel ids, with drop sets that never allocate.
+//! [`execute_step_interned`] is a line-for-line mirror of
 //! [`crate::exec::execute_step`]: phase 1 processes channels with the
 //! `(f, g)` rule, phase 2 re-chooses through [`RouteTable::choose`] (a min
 //! over in-channels of preference positions), and phase 3 announces
@@ -13,12 +15,152 @@
 //! at the rendering/trace boundary, keeping all visible output
 //! byte-identical to the route-value engine.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
-use routelab_core::step::{ActivationStep, Take};
+use routelab_core::step::{ActivationStep, ChannelAction, NodeUpdate, Take};
 use routelab_spp::{NodeId, RouteId, RouteTable};
 
 use crate::index::ChannelIndex;
+
+/// A read's drop set `g(c)`, 1-based indices into the messages it takes.
+/// Listed indices live in the step's own list, so pushing a read never
+/// allocates once the buffer is warm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drops {
+    /// `{1, …, k}`: the first `k` messages (none for `k = 0`), which covers
+    /// every drop set the random scheduler draws.
+    First(u32),
+    /// Any other set: entries `start..end` of [`IdStep::listed`].
+    Listed(u32, u32),
+}
+
+/// One read of an updating node: `(channel id, f(c), g(c))`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IdRead {
+    channel: u32,
+    take: Take,
+    drops: Drops,
+}
+
+/// An activation step on dense channel ids: the updating nodes, each with
+/// its reads `(channel id, take, drops)` — the form the kernel executes. A
+/// reusable buffer: [`IdStep::clear`] keeps its allocations.
+///
+/// [`IdStep::lower`] and [`IdStep::lift_into`] convert from and to the
+/// paper's [`ActivationStep`] through a [`ChannelIndex`]; lifting a
+/// lowered step gives it back unchanged.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IdStep {
+    /// Each updating node with the start of its reads in `reads`.
+    updates: Vec<(NodeId, usize)>,
+    reads: Vec<IdRead>,
+    /// The indices of every listed drop set, back to back.
+    listed: Vec<u32>,
+}
+
+impl IdStep {
+    /// Empties the step, keeping its allocations.
+    pub fn clear(&mut self) {
+        self.updates.clear();
+        self.reads.clear();
+        self.listed.clear();
+    }
+
+    /// Adds updating node `v`; the reads pushed next are its reads.
+    pub fn push_update(&mut self, v: NodeId) {
+        self.updates.push((v, self.reads.len()));
+    }
+
+    /// Adds to the last updating node a read of the channel with dense id
+    /// `channel` that drops the first `dropped` messages it takes. To
+    /// lift, the read must satisfy Definition 2.2: `f = 0` drops nothing,
+    /// and a finite `f` is at least `dropped`.
+    pub fn push_read(&mut self, channel: usize, take: Take, dropped: u32) {
+        debug_assert!(!self.updates.is_empty(), "a read belongs to an updating node");
+        self.reads.push(IdRead { channel: channel as u32, take, drops: Drops::First(dropped) });
+    }
+
+    /// The updating nodes, in order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.updates.iter().map(|&(v, _)| v)
+    }
+
+    /// Replaces the contents with `step`, looking each channel up in
+    /// `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an action references a channel absent from `index`.
+    pub fn lower(&mut self, step: &ActivationStep, index: &ChannelIndex) {
+        self.clear();
+        for update in &step.updates {
+            self.push_update(update.node);
+            for action in &update.actions {
+                let cid = index
+                    .id(action.channel())
+                    .expect("activation step references a channel of the graph");
+                let set = action.drops();
+                // Drop indices are distinct and positive, so a set whose
+                // largest index is its size is exactly `1..=size`.
+                let drops = match set.last() {
+                    Some(&k) if k as usize != set.len() => {
+                        let start = self.listed.len() as u32;
+                        self.listed.extend(set);
+                        Drops::Listed(start, self.listed.len() as u32)
+                    }
+                    _ => Drops::First(set.len() as u32),
+                };
+                self.reads.push(IdRead { channel: cid as u32, take: action.take(), drops });
+            }
+        }
+    }
+
+    /// Writes the step into `out` in the paper's form, reusing its
+    /// allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a read breaks Definition 2.2 (see [`IdStep::push_read`]).
+    pub fn lift_into(&self, index: &ChannelIndex, out: &mut ActivationStep) {
+        out.updates.resize_with(self.updates.len(), || NodeUpdate::bare(NodeId(0)));
+        let ends = self.updates.iter().skip(1).map(|&(_, start)| start).chain([self.reads.len()]);
+        for ((update, &(v, start)), end) in out.updates.iter_mut().zip(&self.updates).zip(ends) {
+            update.node = v;
+            update.actions.clear();
+            update.actions.extend(self.reads[start..end].iter().map(|r| {
+                let c = index.channel(r.channel as usize);
+                let drops: BTreeSet<u32> = match (r.drops, r.take) {
+                    // Lossless reads are legal for every take.
+                    (Drops::First(0), Take::All) => return ChannelAction::read_all(c),
+                    (Drops::First(0), Take::Count(k)) => return ChannelAction::read_count(c, k),
+                    (Drops::First(k), _) => (1..=k).collect(),
+                    (Drops::Listed(s, e), _) => {
+                        self.listed[s as usize..e as usize].iter().copied().collect()
+                    }
+                };
+                ChannelAction::new(c, r.take, drops)
+                    .expect("an id step's reads satisfy Definition 2.2")
+            }));
+        }
+    }
+
+    /// For a read that takes `i` messages: how many of them it drops, and
+    /// the 1-based position of the newest one it keeps (`0` for none).
+    fn dropped_and_kept(&self, drops: Drops, i: usize) -> (usize, usize) {
+        match drops {
+            Drops::First(k) => {
+                let dropped = (k as usize).min(i);
+                (dropped, if dropped < i { i } else { 0 })
+            }
+            Drops::Listed(start, end) => {
+                let listed = &self.listed[start as usize..end as usize];
+                let dropped = listed.iter().filter(|&&d| d >= 1 && d as usize <= i).count();
+                let kept = (1..=i).rev().find(|&j| !listed.contains(&(j as u32))).unwrap_or(0);
+                (dropped, kept)
+            }
+        }
+    }
+}
 
 /// What one interned step did — the [`crate::StepEffect`] mirror with
 /// `Copy` route ids, plus reusable buffers so steady-state steps allocate
@@ -81,16 +223,28 @@ impl InternedState {
     /// owed bootstrap announcement keeps the state non-quiescent).
     pub fn initial(table: &RouteTable, index: &ChannelIndex) -> Self {
         let n = table.node_count();
-        let mut chosen = vec![RouteId::EPSILON; n];
-        chosen[table.dest().index()] = table.dest_choice();
-        InternedState {
-            chosen,
+        let mut state = InternedState {
+            chosen: vec![RouteId::EPSILON; n],
             announced: vec![RouteId::EPSILON; n],
             learned: vec![RouteId::EPSILON; index.len()],
             queues: vec![VecDeque::new(); index.len()],
             in_flight: 0,
-            mismatched: 1,
-        }
+            mismatched: 0,
+        };
+        state.reset(table);
+        state
+    }
+
+    /// Returns to [`InternedState::initial`], keeping every queue's
+    /// allocation.
+    pub fn reset(&mut self, table: &RouteTable) {
+        self.chosen.fill(RouteId::EPSILON);
+        self.chosen[table.dest().index()] = table.dest_choice();
+        self.announced.fill(RouteId::EPSILON);
+        self.learned.fill(RouteId::EPSILON);
+        self.queues.iter_mut().for_each(VecDeque::clear);
+        self.in_flight = 0;
+        self.mismatched = 1;
     }
 
     /// π_v.
@@ -176,60 +330,50 @@ impl InternedState {
 ///
 /// # Panics
 ///
-/// Panics if an action references a channel absent from `index`.
+/// Panics if a read's channel id is out of range for `index`.
 pub fn execute_step_interned(
     table: &RouteTable,
     index: &ChannelIndex,
     state: &mut InternedState,
-    step: &ActivationStep,
+    step: &IdStep,
     effect: &mut InternedEffect,
 ) {
     effect.clear();
 
     // Phase 1: collect updates of path information (all nodes in U).
-    for update in &step.updates {
-        for action in &update.actions {
-            let cid = index
-                .id(action.channel())
-                .expect("activation step references a channel of the graph");
-            if action.attends() {
-                effect.attended.push(cid);
-            }
-            let q = &mut state.queues[cid];
-            let m = q.len();
-            let i = match action.take() {
-                Take::All => m,
-                Take::Count(k) => (k as usize).min(m),
-            };
-            let drops = action.drops();
-            // Duplicate drop indices count twice, exactly as in
-            // FifoChannel::process (its drop set is a plain list).
-            let dropped = drops.iter().filter(|&&d| d >= 1 && (d as usize) <= i).count();
-            let mut learned = None;
-            for j in (1..=i).rev() {
-                if !drops.iter().any(|&d| d as usize == j) {
-                    learned = Some(q[j - 1]);
-                    break;
-                }
-            }
+    for read in &step.reads {
+        let cid = read.channel as usize;
+        let q = &mut state.queues[cid];
+        let m = q.len();
+        let i = match read.take {
+            Take::All => m,
+            Take::Count(k) => (k as usize).min(m),
+        };
+        if read.take != Take::Count(0) {
+            effect.attended.push(cid);
+        }
+        let (dropped, kept) = step.dropped_and_kept(read.drops, i);
+        let learned = kept.checked_sub(1).map(|j| q[j]);
+        if i == m {
+            q.clear();
+        } else {
             q.drain(..i);
-            state.in_flight -= i;
-            effect.consumed += i;
-            effect.dropped += dropped;
-            if dropped > 0 {
-                effect.dropped_on.push(cid);
-            }
-            if let Some(r) = learned {
-                state.learned[cid] = r;
-                effect.kept_on.push(cid);
-            }
+        }
+        state.in_flight -= i;
+        effect.consumed += i;
+        effect.dropped += dropped;
+        if dropped > 0 {
+            effect.dropped_on.push(cid);
+        }
+        if let Some(r) = learned {
+            state.learned[cid] = r;
+            effect.kept_on.push(cid);
         }
     }
 
     // Phase 2: choose the most preferred path from the known routes — a
     // min over in-channels of precomputed preference positions.
-    for update in &step.updates {
-        let v = update.node;
+    for &(v, _) in &step.updates {
         let choice = table.choose(v, index.in_channels(v), |c| state.learned[c]);
         effect.decisions.push((v, choice));
     }
@@ -283,13 +427,11 @@ mod tests {
 
     fn activate_all(f: &mut Fixture, name: &str) -> InternedEffect {
         let v = f.inst.node_by_name(name).unwrap();
-        let actions = f
-            .index
-            .in_channels(v)
-            .iter()
-            .map(|&cid| ChannelAction::read_all(f.index.channel(cid)))
-            .collect();
-        let step = ActivationStep::single(NodeUpdate::new(v, actions));
+        let mut step = IdStep::default();
+        step.push_update(v);
+        for &cid in f.index.in_channels(v) {
+            step.push_read(cid, Take::All, 0);
+        }
         let mut effect = InternedEffect::default();
         execute_step_interned(&f.table, &f.index, &mut f.state, &step, &mut effect);
         effect
@@ -342,8 +484,10 @@ mod tests {
         let x = f.inst.node_by_name("x").unwrap();
         let c = Channel::new(f.inst.dest(), x);
         let step = ActivationStep::single(NodeUpdate::new(x, vec![ChannelAction::drop_one(c)]));
+        let mut ids = IdStep::default();
+        ids.lower(&step, &f.index);
         let mut e = InternedEffect::default();
-        execute_step_interned(&f.table, &f.index, &mut f.state, &step, &mut e);
+        execute_step_interned(&f.table, &f.index, &mut f.state, &ids, &mut e);
         assert_eq!(e.consumed, 1);
         assert_eq!(e.dropped, 1);
         assert!(e.kept_on.is_empty());
@@ -354,6 +498,17 @@ mod tests {
     }
 
     #[test]
+    fn reset_returns_to_the_initial_state() {
+        let mut f = disagree();
+        let initial = f.state.clone();
+        activate_all(&mut f, "d");
+        activate_all(&mut f, "x");
+        assert_ne!(f.state, initial);
+        f.state.reset(&f.table);
+        assert_eq!(f.state, initial);
+    }
+
+    #[test]
     fn fingerprint_distinguishes_states() {
         let f = disagree();
         let a = f.state.clone();
@@ -361,5 +516,69 @@ mod tests {
         assert_eq!(a.fingerprint(), g.state.fingerprint());
         activate_all(&mut g, "d");
         assert_ne!(a.fingerprint(), g.state.fingerprint());
+    }
+
+    #[test]
+    fn drop_sets_lower_to_first_k_or_a_list_and_execute_alike() {
+        // The `(f, g)` rule on a three-message queue, for each kind of set:
+        // the newest message kept, by its 1-based position, is learned.
+        let f = disagree();
+        let (x, y) = (f.inst.node_by_name("x").unwrap(), f.inst.node_by_name("y").unwrap());
+        let c = Channel::new(y, x);
+        let cid = f.index.id(c).unwrap();
+        let queued = [RouteId::EPSILON, f.table.route_id(y, 0), f.table.route_id(y, 1)];
+        for (drops, first_k, kept) in [
+            (&[][..], true, Some(3)),
+            (&[1, 2], true, Some(3)),
+            (&[1, 2, 3], true, None),
+            (&[3], false, Some(2)),
+            (&[1, 3], false, Some(2)),
+            (&[2, 3], false, Some(1)),
+        ] {
+            let action = ChannelAction::new(c, Take::All, drops.iter().copied().collect()).unwrap();
+            let mut step = IdStep::default();
+            step.lower(&ActivationStep::single(NodeUpdate::new(x, vec![action])), &f.index);
+            assert_eq!(step.listed.is_empty(), first_k, "{drops:?}");
+            let mut state = f.state.clone();
+            state.queues[cid].extend(queued);
+            state.in_flight += queued.len();
+            let mut e = InternedEffect::default();
+            execute_step_interned(&f.table, &f.index, &mut state, &step, &mut e);
+            assert_eq!((e.consumed, e.dropped), (3, drops.len()), "{drops:?}");
+            let learned = kept.map_or(RouteId::EPSILON, |p: usize| queued[p - 1]);
+            assert_eq!(state.learned(cid), learned, "{drops:?}");
+            assert_eq!(e.kept_on.len(), usize::from(kept.is_some()), "{drops:?}");
+        }
+    }
+
+    #[test]
+    fn lowering_then_lifting_is_the_identity() {
+        let (inst, boot, cycle) = crate::paper_runs::a6_multinode();
+        let index = ChannelIndex::new(inst.graph());
+        let (d, x) = (inst.dest(), inst.node_by_name("x").unwrap());
+        let dx = Channel::new(d, x);
+        let dropping = |take, drops: &[u32]| {
+            ChannelAction::new(dx, take, drops.iter().copied().collect()).unwrap()
+        };
+        let scripted = ActivationStep::single(NodeUpdate::new(
+            x,
+            vec![
+                dropping(Take::Count(3), &[2]),
+                dropping(Take::All, &[1, 3]),
+                dropping(Take::Count(2), &[1, 2]),
+                ChannelAction::skip(dx),
+            ],
+        ));
+        let mut ids = IdStep::default();
+        let mut out = ActivationStep::simultaneous(Vec::new());
+        for step in boot.iter().chain(&cycle).chain([&scripted]) {
+            ids.lower(step, &index);
+            ids.lift_into(&index, &mut out);
+            assert_eq!(&out, step);
+            assert_eq!(
+                ids.nodes().collect::<Vec<_>>(),
+                step.updates.iter().map(|u| u.node).collect::<Vec<_>>()
+            );
+        }
     }
 }

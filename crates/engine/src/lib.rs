@@ -11,7 +11,8 @@
 //!   channel contents), hashable for cycle detection,
 //! * [`exec`] — one activation step, exactly as in Definition 2.3,
 //! * [`interned`] — the allocation-free hot path: the same step semantics
-//!   over dense [`routelab_spp::RouteId`]s and precomputed extension tables,
+//!   over dense [`routelab_spp::RouteId`]s, dense channel ids
+//!   ([`IdStep`]) and precomputed extension tables,
 //! * [`runner`] — stateful driver over the interned engine, recording
 //!   path-assignment traces and decoding routes at the output boundary,
 //! * [`trace`] — traces and the relations of Definition 3.2 (exact /
@@ -51,7 +52,7 @@ pub mod trace;
 
 pub use exec::StepEffect;
 pub use index::ChannelIndex;
-pub use interned::{InternedEffect, InternedState};
+pub use interned::{IdStep, InternedEffect, InternedState};
 pub use runner::{QueueView, Runner, StateView};
 pub use schedule::SchedState;
 pub use state::NetworkState;

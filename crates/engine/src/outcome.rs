@@ -3,9 +3,9 @@
 
 use std::collections::HashMap;
 
-use routelab_core::step::ActivationStep;
 use routelab_spp::Route;
 
+use crate::interned::IdStep;
 use crate::runner::{RunStats, Runner};
 use crate::schedule::Scheduler;
 
@@ -131,8 +131,9 @@ fn drive_inner<S: Scheduler>(
                                       // verdicts are identical, the fingerprint work is the hot path's
                                       // dominant cost on large instances).
     let track_cycles = scheduler.may_repeat();
-    // One step buffer per run: schedulers refill it in place.
-    let mut step = ActivationStep::simultaneous(Vec::new());
+    // One step buffer per run: schedulers refill it in place, on the
+    // runner's channel ids.
+    let mut step = IdStep::default();
 
     for step_no in 0..max_steps {
         if runner.state().is_quiescent() {
@@ -153,10 +154,10 @@ fn drive_inner<S: Scheduler>(
             seen.insert(key, (step_no, distinct_assignments));
         }
 
-        if !scheduler.next_step_into(&runner.state(), &mut step) {
+        if !scheduler.next_ids(&runner.state(), runner.index(), &mut step) {
             return RunOutcome::ScheduleExhausted { steps: step_no };
         }
-        if runner.step_fast(&step) {
+        if runner.step_ids(&step) {
             distinct_assignments += 1;
         }
     }
@@ -170,7 +171,7 @@ fn drive_inner<S: Scheduler>(
 mod tests {
     use super::*;
     use crate::schedule::{Cyclic, RoundRobin, Scripted};
-    use routelab_core::step::{ChannelAction, NodeUpdate};
+    use routelab_core::step::{ActivationStep, ChannelAction, NodeUpdate};
     use routelab_spp::{gadgets, Channel};
 
     #[test]

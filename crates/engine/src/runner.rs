@@ -1,21 +1,23 @@
 //! A stateful driver that executes steps over the interned hot path and
 //! records the path-assignment trace.
 //!
-//! The runner owns an [`InternedState`] and a [`RouteTable`] (built once per
-//! instance, or shared across runners via [`Runner::with_table`]). Steps
-//! execute entirely over dense [`routelab_spp::RouteId`]s; routes are
-//! decoded back to [`Route`] values only at the trace / flight-recorder /
-//! [`StateView`] boundary, so all visible output is byte-identical to the
-//! route-value engine while the hot path allocates nothing in steady state.
+//! The runner owns an [`InternedState`], and owns or borrows the
+//! instance's [`RouteTable`] and [`ChannelIndex`] (built once per instance,
+//! or shared across runners via [`Runner::with_table`] and
+//! [`Runner::with_index`]). Steps execute entirely over dense
+//! [`routelab_spp::RouteId`]s and channel ids; routes are decoded back to
+//! [`Route`] values only at the trace / flight-recorder / [`StateView`]
+//! boundary, so all visible output is byte-identical to the route-value
+//! engine while the hot path allocates nothing in steady state.
 
-use std::ops::Deref;
+use std::borrow::Cow;
 
 use routelab_core::step::{ActivationSeq, ActivationStep};
 use routelab_spp::{NodeId, Route, RouteId, RouteTable, SppInstance};
 
 use crate::exec::StepEffect;
 use crate::index::ChannelIndex;
-use crate::interned::{execute_step_interned, InternedEffect, InternedState};
+use crate::interned::{execute_step_interned, IdStep, InternedEffect, InternedState};
 use crate::schedule::SchedState;
 use crate::state::NetworkState;
 use crate::trace::PathTrace;
@@ -35,26 +37,6 @@ pub struct RunStats {
     pub changing_steps: usize,
     /// Largest queue length any single channel reached (high-water mark).
     pub max_queue_depth: usize,
-}
-
-/// Either owns the route table (built in [`Runner::new`]) or borrows one
-/// shared across runners ([`Runner::with_table`] — Monte Carlo builds each
-/// cell's table once and lends it to every run).
-#[derive(Debug, Clone)]
-enum TableRef<'a> {
-    Owned(Box<RouteTable>),
-    Borrowed(&'a RouteTable),
-}
-
-impl Deref for TableRef<'_> {
-    type Target = RouteTable;
-
-    fn deref(&self) -> &RouteTable {
-        match self {
-            TableRef::Owned(t) => t,
-            TableRef::Borrowed(t) => t,
-        }
-    }
 }
 
 /// A read-only view of the runner's state that decodes interned ids to
@@ -179,8 +161,8 @@ impl<'r> QueueView<'r> {
 #[derive(Debug, Clone)]
 pub struct Runner<'a> {
     inst: &'a SppInstance,
-    index: ChannelIndex,
-    table: TableRef<'a>,
+    index: Cow<'a, ChannelIndex>,
+    table: Cow<'a, RouteTable>,
     state: InternedState,
     trace: PathTrace,
     /// When `false`, steps skip the per-step assignment decode and the
@@ -197,23 +179,43 @@ pub struct Runner<'a> {
     flight: Option<routelab_obs::RunTrace>,
     /// Reusable step-effect buffers (cleared at the start of every step).
     effect: InternedEffect,
+    /// [`Runner::step_fast`]'s buffer for the step on channel ids.
+    lowered: IdStep,
 }
 
 impl<'a> Runner<'a> {
     /// A runner in the initial state, building its own route table.
     pub fn new(inst: &'a SppInstance) -> Self {
-        Runner::build(inst, TableRef::Owned(Box::new(RouteTable::new(inst))))
+        Runner::build(
+            inst,
+            Cow::Owned(RouteTable::new(inst)),
+            Cow::Owned(ChannelIndex::new(inst.graph())),
+        )
     }
 
     /// A runner borrowing a prebuilt route table (which must have been
     /// built from `inst`). Lets many runs over one instance share the
     /// interning work.
     pub fn with_table(inst: &'a SppInstance, table: &'a RouteTable) -> Self {
-        Runner::build(inst, TableRef::Borrowed(table))
+        Runner::build(inst, Cow::Borrowed(table), Cow::Owned(ChannelIndex::new(inst.graph())))
     }
 
-    fn build(inst: &'a SppInstance, table: TableRef<'a>) -> Self {
-        let index = ChannelIndex::new(inst.graph());
+    /// A runner borrowing both a prebuilt route table and channel index
+    /// (which must have been built from `inst` and its graph), so it builds
+    /// neither.
+    pub fn with_index(
+        inst: &'a SppInstance,
+        table: &'a RouteTable,
+        index: &'a ChannelIndex,
+    ) -> Self {
+        Runner::build(inst, Cow::Borrowed(table), Cow::Borrowed(index))
+    }
+
+    fn build(
+        inst: &'a SppInstance,
+        table: Cow<'a, RouteTable>,
+        index: Cow<'a, ChannelIndex>,
+    ) -> Self {
         let state = InternedState::initial(&table, &index);
         let mut trace = PathTrace::new();
         trace.push(decode_assignment(&table, &state));
@@ -230,6 +232,7 @@ impl<'a> Runner<'a> {
             pending_drop,
             flight,
             effect: InternedEffect::default(),
+            lowered: IdStep::default(),
         }
     }
 
@@ -269,10 +272,25 @@ impl<'a> Runner<'a> {
         self.stats
     }
 
-    /// Executes one step entirely over interned ids and returns whether any
-    /// π changed. This is the hot path: no route values are materialized
-    /// unless tracing or flight recording is on.
+    /// Executes one step and returns whether any π changed: lowers it onto
+    /// channel ids through the runner's index, then runs
+    /// [`Runner::step_ids`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the step references a channel absent from the graph.
     pub fn step_fast(&mut self, step: &ActivationStep) -> bool {
+        let mut lowered = std::mem::take(&mut self.lowered);
+        lowered.lower(step, &self.index);
+        let changed = self.step_ids(&lowered);
+        self.lowered = lowered;
+        changed
+    }
+
+    /// Executes one step on this runner's channel ids and returns whether
+    /// any π changed. This is the hot path: no route values are
+    /// materialized unless tracing or flight recording is on.
+    pub fn step_ids(&mut self, step: &IdStep) -> bool {
         execute_step_interned(&self.table, &self.index, &mut self.state, step, &mut self.effect);
         self.stats.steps += 1;
         self.stats.consumed += self.effect.consumed;
@@ -332,9 +350,9 @@ impl<'a> Runner<'a> {
 
     /// Emits one step's causal record: activated nodes, π adoptions and
     /// withdrawals, and per-channel send/deliver/drop events.
-    fn flight_step(&self, fl: &routelab_obs::RunTrace, step: &ActivationStep) {
+    fn flight_step(&self, fl: &routelab_obs::RunTrace, step: &IdStep) {
         let table: &RouteTable = &self.table;
-        let nodes: Vec<u32> = step.updates.iter().map(|u| u.node.0).collect();
+        let nodes: Vec<u32> = step.nodes().map(|v| v.0).collect();
         let pi: Vec<(u32, String, String)> = self
             .effect
             .changed
@@ -385,15 +403,16 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Resets to the initial state, clearing trace and statistics. When
-    /// tracing, a reset begins a fresh run trace so steps of distinct
-    /// logical runs never share a run id.
+    /// Resets to the initial state, clearing trace and statistics but
+    /// keeping the queues' allocations. When tracing, a reset begins a
+    /// fresh run trace so steps of distinct logical runs never share a run
+    /// id.
     pub fn reset(&mut self) {
-        self.state = InternedState::initial(&self.table, &self.index);
+        self.state.reset(&self.table);
         self.trace = PathTrace::new();
         self.trace.push(decode_assignment(&self.table, &self.state));
         self.stats = RunStats::default();
-        self.pending_drop = vec![false; self.index.len()];
+        self.pending_drop.fill(false);
         self.flight = flight_begin(self.inst, &self.index);
     }
 

@@ -6,18 +6,23 @@
 //! * [`Periodic`] — per-node activation periods (announcement wait times),
 //! * [`RandomFair`] — randomized schedules with an attendance window that
 //!   keeps finite prefixes fair (Definition 2.4).
-
-use std::collections::VecDeque;
+//!
+//! Every scheduler writes steps in two forms: on dense channel ids
+//! ([`Scheduler::next_ids`], which drive loops execute) and as the paper's
+//! [`ActivationStep`] ([`Scheduler::next_step_into`]). Each builds one form
+//! and converts it to the other: the scripted schedulers lower their stored
+//! steps, and the others lift the id steps they build.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use routelab_core::dims::{MessagePolicy, NeighborScope, Reliability};
 use routelab_core::model::CommModel;
-use routelab_core::step::{ActivationStep, ChannelAction, NodeUpdate};
+use routelab_core::step::{ActivationStep, Take};
 use routelab_spp::{NodeId, SppInstance};
 
 use crate::index::ChannelIndex;
+use crate::interned::IdStep;
 use crate::state::NetworkState;
 
 /// The slice of network state schedulers may consult: node count (to pick
@@ -44,10 +49,17 @@ impl SchedState for NetworkState {
 /// A source of activation steps. An exhausted schedule yields no step
 /// (only finite schedules do this).
 pub trait Scheduler {
-    /// Writes the next step to execute given the current state into `out`,
-    /// reusing its allocations, and returns `true`; returns `false`, with
-    /// `out` unspecified, when the schedule is exhausted. Drive loops call
-    /// this on one buffer per run.
+    /// Writes the next step to execute given the current state into `out`
+    /// on dense channel ids, reusing its allocations, and returns `true`;
+    /// returns `false`, with `out` unspecified, when the schedule is
+    /// exhausted. `index` is the executing runner's channel index:
+    /// schedulers holding `ActivationStep`s look their channels up in it,
+    /// and those built from the instance hold the same ids already. Drive
+    /// loops call this on one buffer per run.
+    fn next_ids(&mut self, state: &dyn SchedState, index: &ChannelIndex, out: &mut IdStep) -> bool;
+
+    /// Like [`Scheduler::next_ids`], but writes the step in the paper's
+    /// form: the two advance the schedule alike.
     fn next_step_into(&mut self, state: &dyn SchedState, out: &mut ActivationStep) -> bool;
 
     /// The next step to execute given the current state, in a fresh buffer.
@@ -83,14 +95,21 @@ impl Scripted {
     pub fn new(steps: Vec<ActivationStep>) -> Self {
         Scripted { steps, pos: 0 }
     }
+
+    fn next(&mut self) -> Option<&ActivationStep> {
+        let s = self.steps.get(self.pos)?;
+        self.pos += 1;
+        Some(s)
+    }
 }
 
 impl Scheduler for Scripted {
+    fn next_ids(&mut self, _: &dyn SchedState, index: &ChannelIndex, out: &mut IdStep) -> bool {
+        self.next().map(|s| out.lower(s, index)).is_some()
+    }
+
     fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
-        let Some(s) = self.steps.get(self.pos) else { return false };
-        out.clone_from(s);
-        self.pos += 1;
-        true
+        self.next().map(|s| out.clone_from(s)).is_some()
     }
 
     fn fingerprint(&self) -> u64 {
@@ -115,12 +134,22 @@ impl Cyclic {
         assert!(!steps.is_empty(), "a cyclic schedule needs at least one step");
         Cyclic { steps, pos: 0 }
     }
+
+    fn next(&mut self) -> &ActivationStep {
+        let s = &self.steps[self.pos];
+        self.pos = (self.pos + 1) % self.steps.len();
+        s
+    }
 }
 
 impl Scheduler for Cyclic {
+    fn next_ids(&mut self, _: &dyn SchedState, index: &ChannelIndex, out: &mut IdStep) -> bool {
+        out.lower(self.next(), index);
+        true
+    }
+
     fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
-        out.clone_from(&self.steps[self.pos]);
-        self.pos = (self.pos + 1) % self.steps.len();
+        out.clone_from(self.next());
         true
     }
 
@@ -129,39 +158,24 @@ impl Scheduler for Cyclic {
     }
 }
 
-/// Builds the canonical action for one channel under a message policy
-/// (always lossless, hence legal for both reliabilities).
-fn canonical_action(policy: MessagePolicy, c: routelab_spp::Channel) -> ChannelAction {
-    match policy {
-        MessagePolicy::One => ChannelAction::read_one(c),
-        // S, F and A all admit "read everything".
-        MessagePolicy::Some | MessagePolicy::Forced | MessagePolicy::All => {
-            ChannelAction::read_all(c)
-        }
-    }
-}
-
-/// Resets `out` to a single update of `v` with no actions, keeping its
-/// allocations, and returns that update's action list.
-fn single_update(out: &mut ActivationStep, v: NodeId) -> &mut Vec<ChannelAction> {
-    out.updates.resize_with(1, || NodeUpdate::bare(v));
-    let update = &mut out.updates[0];
-    update.node = v;
-    update.actions.clear();
-    &mut update.actions
-}
-
 /// Writes `v`'s canonical step into `out`, shared by [`RoundRobin`] and
 /// [`Periodic`]: scope `1` reads the in-channel under `v`'s cursor and
-/// advances it, scopes `M`/`E` read every in-channel.
+/// advances it, scopes `M`/`E` read every in-channel. Reads are lossless,
+/// hence legal for both reliabilities; policy `O` reads one message, and
+/// `S`, `F` and `A` all admit "read everything".
 fn canonical_step_into(
     model: CommModel,
     index: &ChannelIndex,
     channel_cursor: &mut [usize],
     v: NodeId,
-    out: &mut ActivationStep,
+    out: &mut IdStep,
 ) {
-    let actions = single_update(out, v);
+    out.clear();
+    out.push_update(v);
+    let take = match model.messages {
+        MessagePolicy::One => Take::Count(1),
+        MessagePolicy::Some | MessagePolicy::Forced | MessagePolicy::All => Take::All,
+    };
     let ins = index.in_channels(v);
     if ins.is_empty() {
         return;
@@ -170,10 +184,12 @@ fn canonical_step_into(
         NeighborScope::One => {
             let k = channel_cursor[v.index()] % ins.len();
             channel_cursor[v.index()] = (k + 1) % ins.len();
-            actions.push(canonical_action(model.messages, index.channel(ins[k])));
+            out.push_read(ins[k], take, 0);
         }
         NeighborScope::Multiple | NeighborScope::Every => {
-            actions.extend(ins.iter().map(|&c| canonical_action(model.messages, index.channel(c))))
+            for &c in ins {
+                out.push_read(c, take, 0);
+            }
         }
     }
 }
@@ -189,6 +205,8 @@ pub struct RoundRobin {
     node_cursor: usize,
     /// Per-node channel cursor (used when scope is `1`).
     channel_cursor: Vec<usize>,
+    /// The id step [`RoundRobin::next_into`] builds and lifts.
+    ids: IdStep,
 }
 
 impl RoundRobin {
@@ -200,19 +218,34 @@ impl RoundRobin {
             node_count: inst.node_count(),
             node_cursor: 0,
             channel_cursor: vec![0; inst.node_count()],
+            ids: IdStep::default(),
         }
     }
 
-    /// Writes the next step into `out`, reusing its allocations. Round robin
-    /// never consults the network state, so a prefix needs no execution.
-    pub fn next_into(&mut self, out: &mut ActivationStep) {
+    /// The next node to update, advancing the node cursor.
+    fn next_node(&mut self) -> NodeId {
         let v = NodeId(self.node_cursor as u32);
         self.node_cursor = (self.node_cursor + 1) % self.node_count;
-        canonical_step_into(self.model, &self.index, &mut self.channel_cursor, v, out);
+        v
+    }
+
+    /// Writes the next step into `out`, reusing its allocations and those
+    /// of the id step it lifts. Round robin never consults the network
+    /// state, so a prefix needs no execution.
+    pub fn next_into(&mut self, out: &mut ActivationStep) {
+        let v = self.next_node();
+        canonical_step_into(self.model, &self.index, &mut self.channel_cursor, v, &mut self.ids);
+        self.ids.lift_into(&self.index, out);
     }
 }
 
 impl Scheduler for RoundRobin {
+    fn next_ids(&mut self, _: &dyn SchedState, _: &ChannelIndex, out: &mut IdStep) -> bool {
+        let v = self.next_node();
+        canonical_step_into(self.model, &self.index, &mut self.channel_cursor, v, out);
+        true
+    }
+
     fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
         self.next_into(out);
         true
@@ -264,16 +297,27 @@ impl Periodic {
     pub fn uniform(inst: &SppInstance, model: CommModel, period: u64) -> Self {
         Periodic::new(inst, model, vec![period; inst.node_count()])
     }
-}
 
-impl Scheduler for Periodic {
-    fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
+    fn next_ids_into(&mut self, out: &mut IdStep) {
         let i = (0..self.next_fire.len())
             .min_by_key(|&i| (self.next_fire[i], i))
             .expect("at least one node");
         self.next_fire[i] += self.periods[i];
         let v = NodeId(i as u32);
         canonical_step_into(self.model, &self.index, &mut self.channel_cursor, v, out);
+    }
+}
+
+impl Scheduler for Periodic {
+    fn next_ids(&mut self, _: &dyn SchedState, _: &ChannelIndex, out: &mut IdStep) -> bool {
+        self.next_ids_into(out);
+        true
+    }
+
+    fn next_step_into(&mut self, _state: &dyn SchedState, out: &mut ActivationStep) -> bool {
+        let mut ids = IdStep::default();
+        self.next_ids_into(&mut ids);
+        ids.lift_into(&self.index, out);
         true
     }
 
@@ -308,16 +352,15 @@ pub struct RandomFair {
     window: usize,
     step_no: usize,
     last_attended: Vec<usize>,
-    /// Attendance log: `(step, channel)` appended once per step for that
-    /// step's attended channels, largest id first. An entry is live while
-    /// `last_attended[channel] == step`, and every channel has exactly one
-    /// live entry, so the first live entry is the most starved channel with
-    /// ties broken toward the largest id — exactly the channel a linear
-    /// `max_by_key(step_no - last_attended)` scan would return (that
-    /// combinator keeps the *last* maximum). Stale entries are popped at
-    /// the front and swept out once the log outgrows twice the channel
-    /// count, so the check is amortized O(1) in O(C) memory.
-    attendance: VecDeque<(usize, usize)>,
+    /// Channels from least to most recently attended, as a doubly linked
+    /// list over channel ids: `order[c]` is `(prev, next)`, and a sentinel
+    /// at index `C` links the back and the front. The channels a step
+    /// attends move to the back largest id first, so the front is the most
+    /// starved channel with ties broken toward the largest id — exactly the
+    /// channel a linear `max_by_key(step_no - last_attended)` scan would
+    /// return (that combinator keeps the *last* maximum). Checking and
+    /// moving are O(1).
+    order: Vec<(u32, u32)>,
     just_dropped: Vec<bool>,
     /// Scratch list of the channels the current step processes.
     chosen: Vec<usize>,
@@ -336,7 +379,11 @@ impl RandomFair {
             window: 8 * n.max(1),
             step_no: 0,
             last_attended: vec![0; n],
-            attendance: (0..n).rev().map(|c| (0, c)).collect(),
+            // Front to back: channel C - 1 down to channel 0.
+            order: (0..=n)
+                .map(|c| (if c == n { 0 } else { c + 1 }, if c == 0 { n } else { c - 1 }))
+                .map(|(prev, next)| (prev as u32, next as u32))
+                .collect(),
             just_dropped: vec![false; n],
             chosen: Vec::new(),
         }
@@ -356,55 +403,57 @@ impl RandomFair {
 
     /// The channel to force-attend this step, if any has starved past the
     /// window. Most starved first; ties toward the largest channel id.
-    fn forced_channel(&mut self) -> Option<usize> {
-        while let Some(&(step, c)) = self.attendance.front() {
-            if self.last_attended[c] == step {
-                return (self.step_no - step >= self.window).then_some(c);
-            }
-            self.attendance.pop_front();
-        }
-        None
+    fn forced_channel(&self) -> Option<usize> {
+        let c = self.order[self.last_attended.len()].1 as usize;
+        (c < self.last_attended.len() && self.step_no - self.last_attended[c] >= self.window)
+            .then_some(c)
     }
 
-    /// Logs this step's attended channels (a subset of `chosen`), largest
-    /// id first.
-    fn log_attendance(&mut self) {
-        self.chosen.sort_unstable_by(|a, b| b.cmp(a));
-        for &c in &self.chosen {
-            if self.last_attended[c] == self.step_no {
-                self.attendance.push_back((self.step_no, c));
+    /// Moves the channels this step attended to the back of `order`,
+    /// largest id first. They are in-channels of the updating node `v`, and
+    /// those are listed in increasing id order.
+    fn log_attendance(&mut self, v: NodeId) {
+        let sentinel = self.last_attended.len();
+        for &c in self.index.in_channels(v).iter().rev() {
+            if self.last_attended[c] != self.step_no {
+                continue;
             }
-        }
-        if self.attendance.len() > 2 * self.last_attended.len() {
-            let last = &self.last_attended;
-            self.attendance.retain(|&(step, c)| last[c] == step);
+            let (prev, next) = self.order[c];
+            self.order[prev as usize].1 = next;
+            self.order[next as usize].0 = prev;
+            let back = self.order[sentinel].0;
+            self.order[back as usize].1 = c as u32;
+            self.order[c] = (back, sentinel as u32);
+            self.order[sentinel].0 = c as u32;
         }
     }
 
-    fn action_for(&mut self, cid: usize, queue_len: usize, must_attend: bool) -> ChannelAction {
-        let c = self.index.channel(cid);
-        let take_all = |n: usize| n as u32;
-        let action = match self.model.messages {
-            MessagePolicy::One => ChannelAction::read_one(c),
-            MessagePolicy::All => ChannelAction::read_all(c),
+    /// Draws the read of channel `cid`, which holds `queue_len` messages:
+    /// its take, then under unreliable models whether it drops everything
+    /// it takes. Returns the take and how many of the first messages it
+    /// drops.
+    fn read_for(&mut self, cid: usize, queue_len: usize, must_attend: bool) -> (Take, u32) {
+        let take = match self.model.messages {
+            MessagePolicy::One => Take::Count(1),
+            MessagePolicy::All => Take::All,
             MessagePolicy::Forced => {
                 if self.rng.gen_bool(0.5) {
-                    ChannelAction::read_all(c)
+                    Take::All
                 } else {
-                    ChannelAction::read_count(c, 1 + self.rng.gen_range(0..3u32))
+                    Take::Count(1 + self.rng.gen_range(0..3u32))
                 }
             }
             MessagePolicy::Some => match self.rng.gen_range(0..3) {
-                0 => ChannelAction::read_all(c),
+                0 => Take::All,
                 1 => {
                     let lo = if must_attend { 1 } else { 0 };
-                    ChannelAction::read_count(c, self.rng.gen_range(lo..4))
+                    Take::Count(self.rng.gen_range(lo..4))
                 }
-                _ => ChannelAction::read_one(c),
+                _ => Take::Count(1),
             },
         };
         // Only a genuine read attempt counts as attendance (Definition 2.4).
-        if action.attends() {
+        if take != Take::Count(0) {
             self.last_attended[cid] = self.step_no;
         }
         // Unreliable models: maybe drop everything that is taken.
@@ -413,25 +462,20 @@ impl RandomFair {
             && queue_len > 0
             && self.rng.gen_bool(self.drop_prob)
         {
-            let k = match action.take() {
-                routelab_core::step::Take::All => take_all(queue_len),
-                routelab_core::step::Take::Count(k) => k.min(take_all(queue_len)),
+            let k = match take {
+                Take::All => queue_len as u32,
+                Take::Count(k) => k.min(queue_len as u32),
             };
             if k > 0 {
-                let drops = (1..=k).collect();
-                if let Ok(a) = ChannelAction::new(c, action.take(), drops) {
-                    self.just_dropped[cid] = true;
-                    return a;
-                }
+                self.just_dropped[cid] = true;
+                return (take, k);
             }
         }
         self.just_dropped[cid] = false;
-        action
+        (take, 0)
     }
-}
 
-impl Scheduler for RandomFair {
-    fn next_step_into(&mut self, state: &dyn SchedState, out: &mut ActivationStep) -> bool {
+    fn next_ids_into(&mut self, state: &dyn SchedState, out: &mut IdStep) {
         self.step_no += 1;
         // Starvation check: force the most starved channel if over window.
         let forced = self.forced_channel();
@@ -458,13 +502,27 @@ impl Scheduler for RandomFair {
                 }
             }
         }
-        let actions = single_update(out, v);
+        out.clear();
+        out.push_update(v);
         for k in 0..self.chosen.len() {
             let cid = self.chosen[k];
-            let qlen = state.queue_len(cid);
-            actions.push(self.action_for(cid, qlen, forced == Some(cid)));
+            let (take, dropped) = self.read_for(cid, state.queue_len(cid), forced == Some(cid));
+            out.push_read(cid, take, dropped);
         }
-        self.log_attendance();
+        self.log_attendance(v);
+    }
+}
+
+impl Scheduler for RandomFair {
+    fn next_ids(&mut self, state: &dyn SchedState, _: &ChannelIndex, out: &mut IdStep) -> bool {
+        self.next_ids_into(state, out);
+        true
+    }
+
+    fn next_step_into(&mut self, state: &dyn SchedState, out: &mut ActivationStep) -> bool {
+        let mut ids = IdStep::default();
+        self.next_ids_into(state, &mut ids);
+        ids.lift_into(&self.index, out);
         true
     }
 
@@ -481,6 +539,7 @@ impl Scheduler for RandomFair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use routelab_core::step::{ChannelAction, NodeUpdate};
     use routelab_core::validate::check_step;
     use routelab_spp::gadgets;
 
@@ -688,26 +747,28 @@ mod tests {
 
     #[test]
     fn random_fair_forced_channel_matches_linear_scan() {
-        // The attendance-log starvation index must pick exactly the channel
+        // The attendance-order starvation index must pick exactly the channel
         // the original O(C) scan picked: last maximum of
         // `step_no - last_attended` (max_by_key keeps the *last* max), gated
         // on the window.
         let inst = gadgets::fig6();
         let idx = ChannelIndex::new(inst.graph());
         let state = NetworkState::initial(&inst, &idx);
-        let mut s = RandomFair::new(&inst, "UMS".parse().unwrap(), 5).with_window(6);
-        for _ in 0..1_000 {
-            // next_step consults forced_channel after bumping step_no;
-            // evaluate both selectors at that post-bump count.
-            s.step_no += 1;
-            let reference = (0..s.index.len())
-                .max_by_key(|&c| s.step_no - s.last_attended[c])
-                .filter(|&c| s.step_no - s.last_attended[c] >= s.window);
-            assert_eq!(s.forced_channel(), reference, "at step {}", s.step_no);
-            s.step_no -= 1;
-            s.next_step(&state).unwrap();
+        for model in CommModel::all() {
+            let mut s = RandomFair::new(&inst, model, 5).with_window(6);
+            for _ in 0..1_000 {
+                // next_step consults forced_channel after bumping step_no;
+                // evaluate both selectors at that post-bump count.
+                s.step_no += 1;
+                let reference = (0..s.index.len())
+                    .max_by_key(|&c| s.step_no - s.last_attended[c])
+                    .filter(|&c| s.step_no - s.last_attended[c] >= s.window);
+                assert_eq!(s.forced_channel(), reference, "{model} at step {}", s.step_no);
+                s.step_no -= 1;
+                s.next_step(&state).unwrap();
+            }
+            assert!(!s.may_repeat());
         }
-        assert!(!s.may_repeat());
     }
 
     /// Hands the shared `buf`, reset to the two-node `a6` step, to `sched`

@@ -5,7 +5,9 @@
 //! [`execute_step`] + [`NetworkState`] (including its always-on cycle
 //! detection). For every gadget × all 24 communication models × both
 //! scheduler families, the verdict, the full step-by-step assignment trace,
-//! and the final decoded network state must be identical.
+//! and the final decoded network state must be identical. And `drive`, whose
+//! schedulers write steps on channel ids, must run exactly as a loop that
+//! draws each step in the paper's form and lowers it.
 
 use std::collections::HashMap;
 
@@ -184,4 +186,53 @@ fn shared_table_runs_match_reference_on_generated_instances() {
             assert_identical("generated", model, "random-fair", &reference, &runner);
         }
     }
+}
+
+/// `drive`'s loop for a randomized scheduler, with each step drawn in the
+/// paper's form by `next_step` (the id step lifted) and executed by
+/// `step_fast` (lowered again). `RandomFair` never repeats, so neither
+/// loop tracks cycles.
+fn lifted_drive(runner: &mut Runner<'_>, sched: &mut RandomFair, max_steps: usize) -> RunOutcome {
+    for step_no in 0..max_steps {
+        if runner.state().is_quiescent() {
+            return RunOutcome::Converged {
+                steps: step_no,
+                assignment: runner.state().assignment(),
+            };
+        }
+        let step = sched.next_step(&runner.state()).expect("random fair schedules are infinite");
+        runner.step_fast(&step);
+    }
+    if runner.state().is_quiescent() {
+        return RunOutcome::Converged { steps: max_steps, assignment: runner.state().assignment() };
+    }
+    RunOutcome::StepLimit { steps: max_steps }
+}
+
+#[test]
+fn id_steps_drive_like_lifted_and_lowered_steps() {
+    use routelab_spp::RouteTable;
+
+    let (mut dangling, mut dropped) = (0, 0);
+    for (name, inst) in gadgets::corpus() {
+        let table = RouteTable::new(&inst);
+        for model in CommModel::all() {
+            for seed in 1..=3 {
+                let cell = format!("{name} {model} seed {seed}");
+                let sched = || RandomFair::new(&inst, model, seed).with_drop_prob(0.5);
+                let mut runner = Runner::with_table(&inst, &table).tracing(false);
+                let outcome = drive(&mut runner, &mut sched(), 2_000);
+                let mut lifted = Runner::with_table(&inst, &table).tracing(false);
+                let want = lifted_drive(&mut lifted, &mut sched(), 2_000);
+                assert_eq!(outcome, want, "{cell}");
+                assert_eq!(runner.stats(), lifted.stats(), "{cell}");
+                assert_eq!(runner.has_dangling_drops(), lifted.has_dangling_drops(), "{cell}");
+                let state = runner.state().to_network_state();
+                assert_eq!(state, lifted.state().to_network_state(), "{cell}");
+                dangling += usize::from(runner.has_dangling_drops());
+                dropped += runner.stats().dropped;
+            }
+        }
+    }
+    assert!(dangling > 0 && dropped > 0, "{dangling} runs end on a drop, {dropped} drops");
 }

@@ -60,9 +60,10 @@ impl<'a> Tables<'a> {
         Tables { inst, index: ChannelIndex::new(inst.graph()), table: RouteTable::new(inst) }
     }
 
-    /// An untraced runner in the initial state over the shared route table.
-    pub(crate) fn runner(&self) -> Runner<'_> {
-        Runner::with_table(self.inst, &self.table).tracing(false)
+    /// An untraced runner in the initial state over the shared route table
+    /// and channel index.
+    pub fn runner(&self) -> Runner<'_> {
+        Runner::with_index(self.inst, &self.table, &self.index).tracing(false)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Theorem 3.5's `split` transform takes time linear in its input: it steps
 //! its source simulator in place rather than copying it once per step. And
-//! `verify_route` copies no sequence through identity (`embed`) stages.
+//! `verify_route` copies no sequence through identity (`embed`) stages, and
+//! its simulators build no channel index of their own.
 //!
 //! A copy of a simulator copies its state, and a copy of a sequence copies
 //! every step, so copies per step or per stage make the allocation count
@@ -14,10 +15,12 @@ mod counting_alloc;
 use counting_alloc::allocations_during;
 use routelab_core::model::CommModel;
 use routelab_core::MessagePolicy;
+use routelab_engine::index::ChannelIndex;
+use routelab_engine::runner::Runner;
 use routelab_realize::plan::{fair_prefix, plan_route, verify_route, Route};
 use routelab_realize::registry::Registry;
 use routelab_realize::transform::{split_m_to_1, Tables};
-use routelab_spp::gadgets;
+use routelab_spp::{gadgets, RouteTable};
 
 #[test]
 fn split_allocations_grow_linearly_with_the_prefix() {
@@ -55,4 +58,19 @@ fn verify_route_allocations_do_not_grow_with_embed_stages_or_the_prefix() {
     assert_eq!(short, long, "{short} allocations for {t} steps but {long} for {}", 2 * t);
     let base = allocations(&trivial, t);
     assert!(short <= base + 4, "{short} allocations through {embeds}, {base} for {trivial}");
+}
+
+#[test]
+fn a_runner_from_tables_builds_no_channel_index() {
+    // A runner over a borrowed route table alone builds its own channel
+    // index; one from `Tables` borrows theirs, so it allocates exactly one
+    // index build less.
+    let inst = gadgets::fig6();
+    let tables = Tables::new(&inst);
+    let table = RouteTable::new(&inst);
+    let lent = allocations_during(|| drop(tables.runner()));
+    let own = allocations_during(|| drop(Runner::with_table(&inst, &table).tracing(false)));
+    let index = allocations_during(|| drop(ChannelIndex::new(inst.graph())));
+    assert!(index > 0);
+    assert_eq!(lent + index, own, "{lent} allocations from Tables, {own} with its own index");
 }

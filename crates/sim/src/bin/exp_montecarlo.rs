@@ -143,7 +143,13 @@ fn run_family(opts: &CommonOpts, args: &Args, t0: Instant) {
 
     opts.progress(format!("generating gao-rexford n={nodes}"));
     let gen0 = Instant::now();
-    let inst = pinned::family_instance(nodes);
+    let inst = match pinned::try_family_instance(nodes) {
+        Ok(inst) => inst,
+        Err(e) => {
+            eprintln!("error: {e}");
+            opts.exit(2);
+        }
+    };
     let gen_ms = gen0.elapsed().as_secs_f64() * 1e3;
     println!(
         "== GAO-REXFORD n={nodes}: {} nodes, {} edges, generated in {gen_ms:.0} ms ==",

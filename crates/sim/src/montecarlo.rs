@@ -474,7 +474,7 @@ pub mod pinned {
     use super::CellConfig;
     use routelab_core::model::CommModel;
     use routelab_spp::generator::{gao_rexford_instance, random_instance, RandomSppConfig};
-    use routelab_spp::{gadgets, SppInstance};
+    use routelab_spp::{gadgets, SppError, SppInstance};
 
     /// Instance groups of the default grid, in report order.
     pub fn instances() -> Vec<(String, SppInstance)> {
@@ -510,8 +510,22 @@ pub mod pinned {
     /// A Gao–Rexford family instance of `nodes` nodes — the large-topology
     /// lane (`--family gao-rexford --nodes N`) and the bench's 10k-node
     /// cell both use this construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics for fewer than two nodes; see [`try_family_instance`].
     pub fn family_instance(nodes: usize) -> SppInstance {
-        gao_rexford_instance(nodes, 7, 6, 5).expect("generator")
+        try_family_instance(nodes).expect("generator")
+    }
+
+    /// [`family_instance`], or the generator's error for fewer than two
+    /// nodes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SppError::TooFewNodes`] for `nodes < 2`.
+    pub fn try_family_instance(nodes: usize) -> Result<SppInstance, SppError> {
+        gao_rexford_instance(nodes, 7, 6, 5)
     }
 
     /// The family lane's step budget for an `n`-node instance: randomized

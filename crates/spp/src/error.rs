@@ -39,6 +39,9 @@ pub enum SppError {
     /// The graph is not connected to the destination, so some node can never
     /// learn any route. (Only reported by validation helpers that demand it.)
     Disconnected { node: NodeId },
+    /// A generator was asked for fewer nodes than a destination and one
+    /// other node.
+    TooFewNodes { nodes: usize },
 }
 
 impl fmt::Display for SppError {
@@ -81,6 +84,10 @@ impl fmt::Display for SppError {
             SppError::Disconnected { node } => {
                 write!(f, "node {node} cannot reach the destination")
             }
+            SppError::TooFewNodes { nodes } => write!(
+                f,
+                "an instance needs at least 2 nodes, a destination and one other, but got {nodes}"
+            ),
         }
     }
 }
@@ -108,6 +115,7 @@ mod tests {
             SppError::BudgetExceeded { budget: 10 },
             SppError::Parse { line: 3, message: "bad token".into() },
             SppError::Disconnected { node: NodeId(5) },
+            SppError::TooFewNodes { nodes: 1 },
         ];
         for e in errors {
             let s = e.to_string();

@@ -123,10 +123,12 @@ impl Default for RandomSppConfig {
 ///
 /// # Errors
 ///
-/// Propagates validation errors (none are expected for the generated data;
-/// the `Result` keeps the API honest).
+/// Returns [`SppError::TooFewNodes`] for fewer than two nodes, and
+/// propagates validation errors (none are expected for the generated data).
 pub fn random_instance(cfg: &RandomSppConfig) -> Result<SppInstance, SppError> {
-    assert!(cfg.nodes >= 2, "need at least a destination and one other node");
+    if cfg.nodes < 2 {
+        return Err(SppError::TooFewNodes { nodes: cfg.nodes });
+    }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let g = random_connected_graph(cfg.nodes, cfg.extra_edges, &mut rng);
     let dest = NodeId(0);
@@ -213,13 +215,17 @@ enum Step {
 ///
 /// # Errors
 ///
-/// Propagates validation errors from instance assembly.
+/// Returns [`SppError::TooFewNodes`] for `n < 2`, and propagates validation
+/// errors from instance assembly.
 pub fn gao_rexford_instance(
     n: usize,
     seed: u64,
     max_path_len: usize,
     max_paths_per_node: usize,
 ) -> Result<SppInstance, SppError> {
+    if n < 2 {
+        return Err(SppError::TooFewNodes { nodes: n });
+    }
     let (g, tiers, rel) = gao_rexford_topology(n, seed);
 
     let dest = NodeId(0);
@@ -282,14 +288,14 @@ pub fn gao_rexford_instance(
     SppInstance::from_parts(g, dest, names, permitted)
 }
 
-/// The random tiered topology behind [`gao_rexford_instance`]: the graph,
-/// per-node tiers (0 = top; the destination, node 0, is tier 0), and the
-/// directed relationship map (`rel[(a, b)]` is `a`'s step toward `b`).
+/// The random tiered topology behind [`gao_rexford_instance`] on `n ≥ 2`
+/// nodes: the graph, per-node tiers (0 = top; the destination, node 0, is
+/// tier 0), and the directed relationship map (`rel[(a, b)]` is `a`'s step
+/// toward `b`).
 fn gao_rexford_topology(
     n: usize,
     seed: u64,
 ) -> (Graph, Vec<u32>, std::collections::HashMap<(NodeId, NodeId), Step>) {
-    assert!(n >= 2, "need at least a destination and one other node");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new(n);
     // Tier 0 is the top; node 0 (the destination) sits at the top tier.
@@ -363,6 +369,20 @@ fn is_valley_free(p: &Path, rel: &std::collections::HashMap<(NodeId, NodeId), St
 mod tests {
     use super::*;
     use crate::dispute::is_wheel_free;
+
+    #[test]
+    fn fewer_than_two_nodes_is_an_error() {
+        for n in [0, 1] {
+            let too_few = Err(SppError::TooFewNodes { nodes: n });
+            assert_eq!(gao_rexford_instance(n, 7, 6, 5), too_few);
+            assert_eq!(
+                random_instance(&RandomSppConfig { nodes: n, ..Default::default() }),
+                too_few
+            );
+        }
+        assert!(gao_rexford_instance(2, 7, 6, 5).is_ok());
+        assert!(random_instance(&RandomSppConfig { nodes: 2, ..Default::default() }).is_ok());
+    }
 
     #[test]
     fn simple_path_enumeration_on_triangle() {

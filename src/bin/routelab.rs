@@ -162,15 +162,16 @@ fn cmd_check(inst: &SppInstance, model: CommModel, want_witness: bool) -> Result
     Ok(())
 }
 
-/// The longest source run `realize` builds.
-const MAX_REALIZE_STEPS: usize = 100_000;
+/// The longest source run `realize` builds, and the most runs `simulate`
+/// makes.
+const MAX_COUNT: usize = 100_000;
 
-/// Parses `realize`'s step count: a positive integer no larger than
-/// [`MAX_REALIZE_STEPS`].
-fn parse_steps(s: &str) -> Result<usize, String> {
+/// Parses a step or run count: a positive integer no larger than
+/// [`MAX_COUNT`].
+fn parse_count(what: &str, s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
-        Ok(n) if (1..=MAX_REALIZE_STEPS).contains(&n) => Ok(n),
-        _ => Err(format!("step count {s:?} is not an integer in 1..={MAX_REALIZE_STEPS}")),
+        Ok(n) if (1..=MAX_COUNT).contains(&n) => Ok(n),
+        _ => Err(format!("{what} {s:?} is not an integer in 1..={MAX_COUNT}")),
     }
 }
 
@@ -473,7 +474,7 @@ fn run(opts: &CommonOpts) -> Result<(), String> {
             let inst = load_instance(args.get(1).ok_or(usage)?)?;
             let from = parse_model(args.get(2).ok_or(usage)?)?;
             let to = parse_model(args.get(3).ok_or(usage)?)?;
-            let steps = args.get(4).map_or(Ok(24), |s| parse_steps(s))?;
+            let steps = args.get(4).map_or(Ok(24), |s| parse_count("step count", s))?;
             cmd_realize(&inst, from, to, steps)?;
         }
         Some("plan") => cmd_plan(&args[1..])?,
@@ -483,7 +484,7 @@ fn run(opts: &CommonOpts) -> Result<(), String> {
             // `--threads N` is stripped into `opts.pool` by the common parser.
             let inst = load_instance(args.get(1).ok_or(usage)?)?;
             let model = parse_model(args.get(2).ok_or(usage)?)?;
-            let runs = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(50);
+            let runs = args.get(3).map_or(Ok(50), |s| parse_count("run count", s))?;
             cmd_simulate(&inst, model, runs, &opts.pool)?;
         }
         Some("fig3") => cmd_figure(3),
