@@ -33,9 +33,9 @@
 //! [`NetworkState::collapse_queues_to_newest`]: routelab_engine::state::NetworkState::collapse_queues_to_newest
 
 use routelab_engine::index::ChannelIndex;
-use routelab_spp::{RouteId, RouteTable};
+use routelab_spp::{NodeId, RouteId, RouteTable};
 
-use crate::effects::{all_steps_with, CanonicalStep, Spec};
+use crate::effects::{node_steps_with, CanonicalStep, Spec};
 use crate::pack::StateCodec;
 
 /// Packed-space execution over one codec's route table and channel index.
@@ -100,22 +100,29 @@ impl<'a> ExecTables<'a> {
         usize::from(node[2 * self.n + self.m + c])
     }
 
-    /// The canonical steps of `node` and whether `max_steps` cut them.
-    pub(crate) fn all_steps(
+    /// Number of nodes.
+    pub(crate) fn node_count(&self) -> usize {
+        self.n
+    }
+
+    /// The canonical steps of updater `v` in `node` at budget `max_steps`,
+    /// and whether the budget cut them.
+    pub(crate) fn node_steps(
         &self,
         spec: Spec<'_>,
         node: &[u16],
+        v: NodeId,
         max_steps: usize,
     ) -> (Vec<CanonicalStep>, bool) {
-        all_steps_with(spec, self.index, &|c| self.queue_len(node, c), self.n, max_steps)
+        node_steps_with(spec, self.index, &|c| self.queue_len(node, c), v, max_steps)
     }
 
-    /// The queue-length profile of `node`: one word per channel, already
-    /// contiguous in the packed layout. States with equal profiles
-    /// enumerate equal canonical-step sets, which is what the expansion
-    /// catalog keys on.
-    pub(crate) fn qlen_profile<'w>(&self, node: &'w [u16]) -> &'w [u16] {
-        &node[2 * self.n + self.m..2 * self.n + 2 * self.m]
+    /// Writes the queue lengths of `v`'s in-channels in `node` to `key`:
+    /// the only part of a state that `v`'s canonical steps depend on, which
+    /// is what the expansion catalog keys on.
+    pub(crate) fn in_queue_lens(&self, node: &[u16], v: NodeId, key: &mut Vec<u16>) {
+        key.clear();
+        key.extend(self.index.in_channels(v).iter().map(|&c| node[2 * self.n + self.m + c]));
     }
 
     /// Applies `cs` to `node`, appending the successor's words to `out`.

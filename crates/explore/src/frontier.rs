@@ -256,8 +256,9 @@ pub trait Expand: Sync {
     /// search).
     type Label: Clone + Send + Sync;
     /// Per-worker reusable scratch threaded through [`Expand::expand`]
-    /// (decoded parents, encode buffers — whatever the client reuses to
-    /// avoid per-candidate allocation).
+    /// (step catalogs, encode buffers — whatever the client reuses to
+    /// avoid per-candidate allocation). [`bfs`] keeps one per worker for
+    /// the whole search.
     type Scratch: Default + Send;
 
     /// Appends `node`'s successors to `out` in canonical order. Returns
@@ -380,21 +381,24 @@ impl<L> Default for Slot<L> {
 }
 
 /// Expands parents `slots[i] ↔ id block_start + i`, filling each slot in
-/// place. Panics inside `expand` are caught and attributed to `cell`.
+/// place. Worker `w` expands the `w`-th contiguous range with
+/// `scratches[w]`; missing scratches are created, so the search keeps at
+/// most one per worker. Panics inside `expand` are caught and attributed
+/// to `cell`.
 fn expand_block<E: Expand>(
     exp: &E,
     arena: &NodeArena,
     block_start: usize,
     slots: &mut [Slot<E::Label>],
+    scratches: &mut Vec<E::Scratch>,
     threads: usize,
     cell: &str,
 ) -> Result<(), ExploreError> {
-    let run_range = |offset: usize, slots: &mut [Slot<E::Label>]| {
-        let mut scratch = E::Scratch::default();
+    let run_range = |offset: usize, slots: &mut [Slot<E::Label>], scratch: &mut E::Scratch| {
         for (i, slot) in slots.iter_mut().enumerate() {
             let id = (block_start + offset + i) as u32;
             let expanded = catch_unwind(AssertUnwindSafe(|| {
-                exp.expand(id, arena.node(id), &mut slot.buf, &mut scratch)
+                exp.expand(id, arena.node(id), &mut slot.buf, scratch)
             }));
             match expanded {
                 Ok(r) => slot.cut = r?,
@@ -405,16 +409,20 @@ fn expand_block<E: Expand>(
         }
         Ok(())
     };
-    if threads <= 1 || slots.len() <= 1 {
-        return run_range(0, slots);
+    let chunk = slots.len().div_ceil(threads.max(1));
+    let workers = slots.len().div_ceil(chunk);
+    while scratches.len() < workers {
+        scratches.push(E::Scratch::default());
     }
-    let chunk = slots.len().div_ceil(threads);
+    if workers <= 1 {
+        return run_range(0, slots, &mut scratches[0]);
+    }
     let mut failures: Vec<(usize, ExploreError)> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (w, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
+        for (w, (chunk_slots, scratch)) in slots.chunks_mut(chunk).zip(scratches).enumerate() {
             let run_range = &run_range;
-            handles.push((w, scope.spawn(move || run_range(w * chunk, chunk_slots))));
+            handles.push((w, scope.spawn(move || run_range(w * chunk, chunk_slots, scratch))));
         }
         for (w, h) in handles {
             match h.join() {
@@ -525,8 +533,10 @@ pub fn bfs<E: Expand>(
     let mut done = accepted.is_some();
     // Reusable per-parent successor slots: cleared and refilled every block,
     // so candidate buffers keep their capacity across the whole search
-    // instead of being reallocated per block.
+    // instead of being reallocated per block. Worker scratches (step
+    // catalogs, kernel buffers) likewise live for the whole search.
     let mut slots: Vec<Slot<E::Label>> = Vec::new();
+    let mut scratches: Vec<E::Scratch> = Vec::new();
     while !done && expanded < arena.len() {
         stats.peak_frontier = stats.peak_frontier.max(arena.len() - expanded);
         let block_start = expanded;
@@ -548,7 +558,15 @@ pub fn bfs<E: Expand>(
         while slots.len() < block_len {
             slots.push(Slot::default());
         }
-        expand_block(exp, &arena, block_start, &mut slots[..block_len], threads, cell)?;
+        expand_block(
+            exp,
+            &arena,
+            block_start,
+            &mut slots[..block_len],
+            &mut scratches,
+            threads,
+            cell,
+        )?;
         profiler.lap("frontier.expand_ns", "expand", block_no, &[("parents", block_len as u64)]);
 
         // Phase 2 (serial): walk candidates in (parent, successor) order,
@@ -808,6 +826,45 @@ mod tests {
             // The parent chain replays to the accepted node.
             let path = reference.path_to(id);
             assert!(!path.is_empty());
+        }
+    }
+
+    /// Worker scratches live for the whole search: however many blocks it
+    /// takes, a search builds at most one scratch per worker.
+    #[test]
+    fn each_worker_builds_one_scratch_per_search() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static BUILT: AtomicUsize = AtomicUsize::new(0);
+
+        struct Counted;
+        impl Default for Counted {
+            fn default() -> Self {
+                BUILT.fetch_add(1, Ordering::Relaxed);
+                Counted
+            }
+        }
+        struct Counting(Synthetic);
+        impl Expand for Counting {
+            type Label = u64;
+            type Scratch = Counted;
+            fn expand(
+                &self,
+                id: u32,
+                node: &[u16],
+                out: &mut SuccBuf<u64>,
+                _scratch: &mut Counted,
+            ) -> Result<bool, ExploreError> {
+                self.0.expand(id, node, out, &mut ())
+            }
+        }
+
+        let g = Counting(Synthetic { limit: 20_000, fan: 7, accept_at: None });
+        for threads in [1, 2, 8] {
+            BUILT.store(0, Ordering::Relaxed);
+            let r = bfs(&g, &enc(0), "synthetic", &opts(threads)).unwrap();
+            assert!(r.stats.blocks >= 3 && r.nodes.len() > 2 * BLOCK, "{:?}", r.stats);
+            let built = BUILT.load(Ordering::Relaxed);
+            assert!((1..=threads).contains(&built), "{built} scratches @{threads}t");
         }
     }
 

@@ -15,20 +15,22 @@
 //! symmetry canonicalization ([`crate::reduce`]) on the same words.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
+use routelab_core::dims::NeighborScope;
 use routelab_core::model::CommModel;
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
-use routelab_spp::SppInstance;
+use routelab_spp::{NodeId, SppInstance};
 
 use crate::arena::NodeArena;
-use crate::effects::Spec;
+use crate::effects::{CanonicalStep, Spec};
 use crate::error::ExploreError;
 use crate::exec_packed::{Applied, ExecTables, PackedScratch};
 use crate::frontier::{self, BfsOptions, BfsResult, FrontierStats, SuccBuf};
 use crate::pack::{PackedState, StateCodec};
-use crate::reduce::{Reducer, ReductionStats, SymTables};
+use crate::reduce::{CanonScratch, Reducer, ReductionStats, SymTables};
 
 /// Bounds for exhaustive exploration.
 #[derive(Debug, Clone)]
@@ -197,69 +199,131 @@ pub(crate) struct EdgePayload {
     pub(crate) sym: u16,
 }
 
-/// Upper bound on memoized queue-length profiles; past it, unseen profiles
-/// are enumerated without being recorded (correct, just slower). Distinct
-/// steps (`infos`) are intrinsically few and stay unbounded.
-const PROFILE_CAP: usize = 1 << 15;
-
-/// The canonical steps of one queue-length profile, pre-resolved to shared
-/// [`StepInfo`] handles.
-pub(crate) struct ProfileSteps {
-    pub(crate) steps: Vec<Arc<StepInfo>>,
-    pub(crate) capped: bool,
+/// One node's canonical steps under one key of in-channel queue lengths,
+/// enumerated at the catalog's full budget.
+struct NodeSteps {
+    /// Where the list lies in [`StepCatalog::lists`] (empty when `cut`).
+    ids: Range<usize>,
+    /// The full budget cut the enumeration.
+    cut: bool,
 }
 
-/// Per-worker memo of the step enumeration. The step set is a pure
-/// function of the parent's queue-length profile, so states sharing a
-/// profile share one enumeration and one set of `Arc<StepInfo>` labels —
-/// the hot loop allocates nothing per candidate.
+/// Per-worker memo of the step enumeration, kept for a whole build. A
+/// node's canonical steps depend on the state only through the queue
+/// lengths of its own in-channels, so each node memoizes its step list on
+/// that short key, and a state's steps are its nodes' lists in node order.
+/// Lists hold ids into one table of shared [`StepInfo`] handles: a memo hit
+/// allocates nothing and hashes no step, and every edge a step generates
+/// shares its label data.
 #[derive(Default)]
 pub(crate) struct StepCatalog {
-    by_profile: HashMap<Vec<u16>, Arc<ProfileSteps>>,
-    infos: HashMap<crate::effects::CanonicalStep, Arc<StepInfo>>,
-    /// Profile-memo hit/miss tallies, flushed to telemetry when a graph
+    /// The `max_steps` the memo was filled at.
+    budget: usize,
+    /// Per node: in-channel queue lengths → the node's steps.
+    memo: Vec<HashMap<Box<[u16]>, NodeSteps>>,
+    /// The memoized lists, concatenated, as ids into `infos`.
+    lists: Vec<u32>,
+    /// Every distinct step seen, by id.
+    infos: Vec<Arc<StepInfo>>,
+    ids: HashMap<CanonicalStep, u32>,
+    /// The steps of the last enumerated state, as ids.
+    steps: Vec<u32>,
+    /// The lookup key under construction.
+    key: Vec<u16>,
+    /// Per-node memo hit/miss tallies, flushed to telemetry when a graph
     /// build's scratch drops (plain integers: the catalog is
     /// worker-private).
-    profile_hits: u64,
-    profile_misses: u64,
+    hits: u64,
+    misses: u64,
 }
 
 impl StepCatalog {
-    /// The canonical steps of `node`, memoized on its queue-length profile.
-    pub(crate) fn steps(
+    /// Enumerates the canonical steps of `node` (read them with
+    /// [`StepCatalog::steps`]) and returns whether `max_steps` cut them:
+    /// the steps and cut flag of [`all_steps_with`].
+    ///
+    /// [`all_steps_with`] gives each node the budget left by the nodes
+    /// before it. There, a scope-`E` or `M` product over the budget yields
+    /// nothing and cuts, while scope `1` never cuts. So a memoized list
+    /// stands in for the enumeration only when the full budget did not cut
+    /// it and it fits the remaining budget or has scope `1`; any other node
+    /// is enumerated at its real budget.
+    ///
+    /// [`all_steps_with`]: crate::effects::all_steps_with
+    pub(crate) fn enumerate(
         &mut self,
         tables: &ExecTables<'_>,
         spec: Spec<'_>,
         max_steps: usize,
         node: &[u16],
-    ) -> Arc<ProfileSteps> {
-        let profile = tables.qlen_profile(node);
-        if let Some(p) = self.by_profile.get(profile) {
-            self.profile_hits += 1;
-            return Arc::clone(p);
+    ) -> bool {
+        let n = tables.node_count();
+        if self.budget != max_steps || self.memo.len() != n {
+            self.budget = max_steps;
+            self.memo = (0..n).map(|_| HashMap::new()).collect();
+            self.lists.clear();
         }
-        self.profile_misses += 1;
-        let (steps, capped) = tables.all_steps(spec, node, max_steps);
-        let steps = steps.into_iter().map(|cs| self.info_of(cs, spec)).collect();
-        let p = Arc::new(ProfileSteps { steps, capped });
-        if self.by_profile.len() < PROFILE_CAP {
-            self.by_profile.insert(profile.to_vec(), Arc::clone(&p));
+        self.steps.clear();
+        let mut cut = false;
+        for (i, memo) in self.memo.iter_mut().enumerate() {
+            let v = NodeId(i as u32);
+            tables.in_queue_lens(node, v, &mut self.key);
+            let entry = match memo.get(self.key.as_slice()) {
+                Some(entry) => {
+                    self.hits += 1;
+                    entry
+                }
+                None => {
+                    self.misses += 1;
+                    let (steps, cut) = tables.node_steps(spec, node, v, max_steps);
+                    let start = self.lists.len();
+                    if !cut {
+                        for cs in steps {
+                            self.lists.push(intern(&mut self.infos, &mut self.ids, cs, spec));
+                        }
+                    }
+                    let ids = start..self.lists.len();
+                    memo.entry(self.key.as_slice().into()).or_insert(NodeSteps { ids, cut })
+                }
+            };
+            let budget = max_steps.saturating_sub(self.steps.len());
+            if !entry.cut && (entry.ids.len() <= budget || spec.scope(v) == NeighborScope::One) {
+                self.steps.extend_from_slice(&self.lists[entry.ids.clone()]);
+            } else {
+                let (steps, c) = tables.node_steps(spec, node, v, budget);
+                cut |= c;
+                for cs in steps {
+                    self.steps.push(intern(&mut self.infos, &mut self.ids, cs, spec));
+                }
+            }
         }
-        p
+        cut
     }
 
-    /// The shared descriptor of `cs`, interning it on first sight.
-    fn info_of(&mut self, cs: crate::effects::CanonicalStep, spec: Spec<'_>) -> Arc<StepInfo> {
-        if let Some(info) = self.infos.get(&cs) {
-            return Arc::clone(info);
-        }
-        let attended = cs.attended(spec);
-        let kept = cs.effects.iter().filter(|e| e.keep.is_some()).map(|e| e.channel).collect();
-        let dropped = cs.effects.iter().filter(|e| e.dropped() > 0).map(|e| e.channel).collect();
-        let info = Arc::new(StepInfo { step: cs.clone(), attended, kept, dropped });
-        self.infos.insert(cs, Arc::clone(&info));
-        info
+    /// The steps of the last [`StepCatalog::enumerate`]d state, in order.
+    pub(crate) fn steps(&self) -> impl Iterator<Item = &Arc<StepInfo>> + '_ {
+        self.steps.iter().map(|&id| &self.infos[id as usize])
     }
+}
+
+/// The id of `cs` in the catalog's step table, interning its shared
+/// descriptor on first sight.
+fn intern(
+    infos: &mut Vec<Arc<StepInfo>>,
+    ids: &mut HashMap<CanonicalStep, u32>,
+    cs: CanonicalStep,
+    spec: Spec<'_>,
+) -> u32 {
+    if let Some(&id) = ids.get(&cs) {
+        return id;
+    }
+    let id = infos.len() as u32;
+    let attended = cs.attended(spec);
+    let kept = cs.effects.iter().filter(|e| e.keep.is_some()).map(|e| e.channel).collect();
+    let dropped = cs.effects.iter().filter(|e| e.dropped() > 0).map(|e| e.channel).collect();
+    infos.push(Arc::new(StepInfo { step: cs.clone(), attended, kept, dropped }));
+    ids.insert(cs, id);
+    id
 }
 
 impl StepInfo {
@@ -281,20 +345,27 @@ impl StepInfo {
     }
 }
 
-/// Reusable per-worker expansion scratch.
+/// Reusable per-worker scratch of [`GraphExpand::successor`].
 #[derive(Default)]
-pub(crate) struct GraphScratch {
+struct SuccessorScratch {
     packed: PackedScratch,
     absorbed: Vec<usize>,
+    canon: CanonScratch,
+}
+
+/// Reusable per-worker expansion scratch, kept for a whole build.
+#[derive(Default)]
+pub(crate) struct GraphScratch {
+    succ: SuccessorScratch,
     catalog: StepCatalog,
 }
 
 impl Drop for GraphScratch {
-    /// Flushes the catalog's profile-memo tallies to telemetry. The scratch
-    /// is worker- and block-private, so drops are the natural flush point;
-    /// counters sum across workers and blocks in the summarizer.
+    /// Flushes the catalog's per-node memo tallies to telemetry. The
+    /// scratch is worker-private and lives for one build, so drops are the
+    /// natural flush point; counters sum across workers in the summarizer.
     fn drop(&mut self) {
-        let (hits, misses) = (self.catalog.profile_hits, self.catalog.profile_misses);
+        let (hits, misses) = (self.catalog.hits, self.catalog.misses);
         if hits + misses == 0 {
             return;
         }
@@ -340,7 +411,7 @@ impl GraphExpand<'_> {
         node: &[u16],
         info: &Arc<StepInfo>,
         words: &mut Vec<u16>,
-        scratch: &mut GraphScratch,
+        scratch: &mut SuccessorScratch,
     ) -> Successor {
         let cs = &info.step;
         let mark = words.len();
@@ -367,10 +438,10 @@ impl GraphExpand<'_> {
         let Some(red) = self.reduce else {
             return Successor::Edge(EdgePayload { info: Arc::clone(info), changes_pi, sym: 0 });
         };
-        let (canon, sym) = red.canonicalize_words(&words[mark..]);
-        if let Some(ws) = canon {
+        let sym = red.canonicalize_words(&words[mark..], &mut scratch.canon);
+        if sym != 0 {
             words.truncate(mark);
-            words.extend_from_slice(&ws);
+            words.extend_from_slice(scratch.canon.image());
         }
         // Absorbed reads make the label state-dependent; only those edges
         // get a descriptor of their own.
@@ -397,13 +468,13 @@ impl frontier::Expand for GraphExpand<'_> {
         out: &mut SuccBuf<EdgePayload>,
         scratch: &mut GraphScratch,
     ) -> Result<bool, ExploreError> {
-        let profile =
-            scratch.catalog.steps(&self.tables, self.spec, self.cfg.max_steps_per_state, node);
-        let mut truncated = profile.capped;
-        self.tables.prepare(node, &mut scratch.packed);
-        for info in &profile.steps {
+        let GraphScratch { succ, catalog } = scratch;
+        let mut truncated =
+            catalog.enumerate(&self.tables, self.spec, self.cfg.max_steps_per_state, node);
+        self.tables.prepare(node, &mut succ.packed);
+        for info in catalog.steps() {
             let mark = out.mark();
-            match self.successor(node, info, out.words(), scratch) {
+            match self.successor(node, info, out.words(), succ) {
                 Successor::Edge(payload) => out.commit(mark, payload),
                 Successor::Capped => {
                     truncated = true;
@@ -701,6 +772,75 @@ mod tests {
         }
     }
 
+    /// Walks the first 200 BFS states of `spec`'s build, reduced and
+    /// unreduced, with one catalog per step budget, and checks every
+    /// state's catalog steps and cut flag against [`crate::effects::all_steps`].
+    /// Small budgets cut scope-`E` and `M` nodes part-way through a state,
+    /// so memoized lists are offered at every remaining budget.
+    fn check_catalog_budgets(cell: &str, inst: &SppInstance, spec: Spec<'_>) {
+        use crate::effects::all_steps;
+
+        for reduce in [false, true] {
+            let cfg = ExploreConfig {
+                max_states: 200,
+                threads: Some(1),
+                reduce,
+                ..ExploreConfig::default()
+            };
+            let g = try_build_spec(inst, spec, &cfg).unwrap();
+            let tables = ExecTables::new(&g.index, &g.codec, false);
+            for budget in [0, 1, 2, 3, 5, 8] {
+                let mut catalog = StepCatalog::default();
+                for i in 0..g.len() {
+                    let node = g.nodes.node(i as u32);
+                    let state = g.codec.decode_words(node).unwrap();
+                    let (want, want_cut) =
+                        all_steps(spec, &g.index, &state, inst.node_count(), budget);
+                    let cut = catalog.enumerate(&tables, spec, budget, node);
+                    let at = format!("{cell} reduce={reduce} budget {budget} state {i}");
+                    assert_eq!(cut, want_cut, "{at}");
+                    let got: Vec<&CanonicalStep> = catalog.steps().map(|info| &info.step).collect();
+                    assert_eq!(got, want.iter().collect::<Vec<_>>(), "{at}");
+                }
+                assert!(catalog.hits > 0, "{cell} reduce={reduce} budget {budget}");
+            }
+        }
+    }
+
+    /// The per-node catalog against the step oracle at budgets that cut:
+    /// every corpus gadget × the 24 models, plus a heterogeneous spec
+    /// whose nodes differ in scope and policy.
+    #[test]
+    fn step_catalog_matches_all_steps_at_cutting_budgets() {
+        use routelab_core::dims::{MessagePolicy, NeighborScope};
+        use routelab_core::hetero::{HeteroModel, NodeModel};
+
+        let corpus = gadgets::corpus();
+        std::thread::scope(|s| {
+            for (name, inst) in &corpus {
+                s.spawn(move || {
+                    for model in CommModel::all() {
+                        check_catalog_budgets(
+                            &format!("{name} × {model}"),
+                            inst,
+                            Spec::Uniform(model),
+                        );
+                    }
+                });
+            }
+        });
+        let inst = gadgets::fig6();
+        let mut h = HeteroModel::uniform(inst.node_count(), "R1O".parse().unwrap());
+        for v in inst.nodes() {
+            let i = v.index();
+            let (scope, messages) = (NeighborScope::ALL[i % 3], MessagePolicy::ALL[i % 4]);
+            h.set_node(v, NodeModel { scope, messages });
+        }
+        let first = ChannelIndex::new(inst.graph()).channel(0);
+        h.set_lossy(first);
+        check_catalog_budgets("FIG6 × hetero", &inst, Spec::Hetero(&h));
+    }
+
     /// Checks every parent × canonical step of one budgeted reduced BFS
     /// against the oracle: decode → `execute_step` → the `NetworkState`
     /// normal form → encode → canonicalize must give the packed successor,
@@ -735,18 +875,19 @@ mod tests {
             let state = codec.decode_words(&node).unwrap();
             let (steps, capped) =
                 all_steps(spec, index, &state, inst.node_count(), cfg.max_steps_per_state);
-            let profile = scratch.catalog.steps(&exp.tables, spec, cfg.max_steps_per_state, &node);
-            assert_eq!(profile.capped, capped, "{cell}");
-            assert_eq!(profile.steps.len(), steps.len(), "{cell}");
-            exp.tables.prepare(&node, &mut scratch.packed);
-            for (info, cs) in profile.steps.iter().zip(steps) {
+            let cut = scratch.catalog.enumerate(&exp.tables, spec, cfg.max_steps_per_state, &node);
+            assert_eq!(cut, capped, "{cell}");
+            let infos: Vec<Arc<StepInfo>> = scratch.catalog.steps().cloned().collect();
+            assert_eq!(infos.len(), steps.len(), "{cell}");
+            exp.tables.prepare(&node, &mut scratch.succ.packed);
+            for (info, cs) in infos.iter().zip(steps) {
                 assert_eq!(info.step, cs, "{cell}");
                 let mut next = state.clone();
                 let effect = execute_step(inst, index, &mut next, &cs.to_activation(spec, index));
                 oracle.normalize(&mut next, &mut absorbed);
                 words.clear();
-                let got = exp.successor(&node, info, &mut words, &mut scratch);
-                assert_eq!(scratch.absorbed, absorbed, "{cell} {cs:?}");
+                let got = exp.successor(&node, info, &mut words, &mut scratch.succ);
+                assert_eq!(scratch.succ.absorbed, absorbed, "{cell} {cs:?}");
                 let capped = oracle.exceeds_cap(&next, cap);
                 codec.encode_into(&next, &mut enc).unwrap();
                 match got {
@@ -754,8 +895,8 @@ mod tests {
                     Successor::SelfLoop => assert!(!capped && enc == node, "{cell} {cs:?}"),
                     Successor::Edge(payload) => {
                         assert!(!capped && enc != node, "{cell} {cs:?}");
-                        let (canon, sym) = oracle.canonicalize_words(&enc);
-                        assert_eq!(words, canon.unwrap_or(enc.clone()), "{cell} {cs:?}");
+                        let (canon, sym) = oracle.canonicalize(PackedState::from_u16s(enc.clone()));
+                        assert_eq!(words, canon.as_u16s(), "{cell} {cs:?}");
                         assert_eq!(payload.sym, sym, "{cell} {cs:?}");
                         let changes_pi = !effect.changed.is_empty();
                         assert_eq!(payload.changes_pi, changes_pi, "{cell} {cs:?}");

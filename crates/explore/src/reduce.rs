@@ -310,21 +310,17 @@ impl<'a> Reducer<'a> {
         }
     }
 
-    /// Word-level canonicalization for the frontier hot loop: returns the
-    /// replacement buffer when a strictly smaller symmetric image exists
-    /// (`None` means `ws` is already canonical) plus the group element
-    /// applied.
-    pub(crate) fn canonicalize_words(&self, ws: &[u16]) -> (Option<Vec<u16>>, u16) {
-        match &self.sym {
-            Some(t) => {
-                let (img, g) = t.canonicalize_words(ws);
-                if g != 0 {
-                    self.sym_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                (img, g)
-            }
-            None => (None, 0),
+    /// Word-level canonicalization for the frontier hot loop: the group
+    /// element applied, 0 when `ws` is already canonical. A nonzero element
+    /// leaves the strictly smaller image in `scratch` (see
+    /// [`CanonScratch::image`]).
+    pub(crate) fn canonicalize_words(&self, ws: &[u16], scratch: &mut CanonScratch) -> u16 {
+        let Some(t) = &self.sym else { return 0 };
+        let g = t.canonicalize_words(ws, scratch);
+        if g != 0 {
+            self.sym_hits.fetch_add(1, Ordering::Relaxed);
         }
+        g
     }
 
     /// Snapshot of the counters.
@@ -498,9 +494,30 @@ impl SymTables {
 
     /// The image of a packed buffer under element `g` (same layout).
     pub(crate) fn transform(&self, p: &[u16], g: usize) -> Vec<u16> {
+        let (mut off, mut out) = (Vec::new(), Vec::new());
+        self.queue_offsets(p, &mut off);
+        self.transform_into(p, &off, g, &mut out);
+        out
+    }
+
+    /// Writes the queue segment bounds of `p` to `off`: channel `c`'s queue
+    /// is `p[off[c]..off[c + 1]]`.
+    fn queue_offsets(&self, p: &[u16], off: &mut Vec<usize>) {
+        let (n, m) = (self.n, self.m);
+        off.clear();
+        off.push(2 * n + 2 * m);
+        for c in 0..m {
+            off.push(off[c] + usize::from(p[2 * n + m + c]));
+        }
+    }
+
+    /// Writes the image of `p` under element `g` to `out`, given `p`'s
+    /// queue offsets (see [`SymTables::queue_offsets`]).
+    fn transform_into(&self, p: &[u16], off: &[usize], g: usize, out: &mut Vec<u16>) {
         let e = &self.elems[g];
         let (n, m) = (self.n, self.m);
-        let mut out = vec![0u16; p.len()];
+        out.clear();
+        out.resize(p.len(), 0);
         for v in 0..n {
             out[e.node_map[v]] = e.route_map[usize::from(p[v])];
             out[n + e.node_map[v]] = e.route_map[usize::from(p[n + v])];
@@ -509,17 +526,12 @@ impl SymTables {
             out[2 * n + e.channel_map[c]] = e.route_map[usize::from(p[2 * n + c])];
             out[2 * n + m + e.channel_map[c]] = p[2 * n + m + c];
         }
-        // Queue contents: source segment offsets, emitted in target order.
-        let mut src_off = vec![0usize; m + 1];
-        src_off[0] = 2 * n + 2 * m;
-        for c in 0..m {
-            src_off[c + 1] = src_off[c] + usize::from(p[2 * n + m + c]);
-        }
+        // Queue contents: source segments, emitted in target order.
         let mut at = 2 * n + 2 * m;
         for tc in 0..m {
             let sc = e.channel_unmap[tc];
             let start = at;
-            for &id in &p[src_off[sc]..src_off[sc + 1]] {
+            for &id in &p[off[sc]..off[sc + 1]] {
                 out[at] = e.route_map[usize::from(id)];
                 at += 1;
             }
@@ -529,7 +541,6 @@ impl SymTables {
             }
         }
         debug_assert_eq!(at, p.len());
-        out
     }
 
     /// The lexicographically least image of `p` over the group, with the
@@ -537,30 +548,46 @@ impl SymTables {
     /// resolve to the smallest element index, so the result is a function
     /// of the buffer alone).
     pub(crate) fn canonicalize(&self, p: PackedState) -> (PackedState, u16) {
-        match self.canonicalize_words(p.as_u16s()) {
-            (Some(ws), g) => (PackedState::from_u16s(ws), g),
-            (None, _) => (p, 0),
+        let mut scratch = CanonScratch::default();
+        match self.canonicalize_words(p.as_u16s(), &mut scratch) {
+            0 => (p, 0),
+            g => (PackedState::from_u16s(scratch.best), g),
         }
     }
 
-    /// Word-level variant of [`SymTables::canonicalize`]: `None` when `raw`
-    /// is already the least element of its orbit.
-    pub(crate) fn canonicalize_words(&self, raw: &[u16]) -> (Option<Vec<u16>>, u16) {
-        let mut best: Option<(Vec<u16>, usize)> = None;
+    /// Word-level variant of [`SymTables::canonicalize`]: the element
+    /// applied, 0 when `raw` is already the least element of its orbit. A
+    /// nonzero element leaves the image in `scratch`.
+    pub(crate) fn canonicalize_words(&self, raw: &[u16], scratch: &mut CanonScratch) -> u16 {
+        let CanonScratch { img, best, off } = scratch;
+        self.queue_offsets(raw, off);
+        let mut best_g = 0;
         for g in 1..self.elems.len() {
-            let img = self.transform(raw, g);
-            let better = match &best {
-                None => img.as_slice() < raw,
-                Some((b, _)) => img < *b,
-            };
+            self.transform_into(raw, off, g, img);
+            let better = if best_g == 0 { img.as_slice() < raw } else { img < best };
             if better {
-                best = Some((img, g));
+                std::mem::swap(img, best);
+                best_g = g;
             }
         }
-        match best {
-            Some((b, g)) => (Some(b), g as u16),
-            None => (None, 0),
-        }
+        best_g as u16
+    }
+}
+
+/// Reusable buffers of symmetry canonicalization: the image under
+/// construction, the least image so far, and the source's queue offsets.
+#[derive(Debug, Default)]
+pub(crate) struct CanonScratch {
+    img: Vec<u16>,
+    best: Vec<u16>,
+    off: Vec<usize>,
+}
+
+impl CanonScratch {
+    /// The image the last canonicalization that applied a nonzero element
+    /// chose.
+    pub(crate) fn image(&self) -> &[u16] {
+        &self.best
     }
 }
 

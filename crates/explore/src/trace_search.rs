@@ -108,7 +108,7 @@ impl SearchExpand<'_> {
     }
 }
 
-/// Reusable per-worker expansion scratch.
+/// Reusable per-worker expansion scratch, kept for a whole search.
 #[derive(Default)]
 struct SearchScratch {
     packed: PackedScratch,
@@ -127,15 +127,14 @@ impl Expand for SearchExpand<'_> {
         scratch: &mut SearchScratch,
     ) -> Result<bool, ExploreError> {
         let (packed, progress) = split_node(node);
-        let profile =
-            scratch.catalog.steps(&self.tables, self.spec, self.cfg.max_steps_per_state, packed);
-        let mut truncated = profile.capped;
-        self.tables.prepare(packed, &mut scratch.packed);
+        let SearchScratch { packed: offsets, catalog } = scratch;
+        let mut truncated =
+            catalog.enumerate(&self.tables, self.spec, self.cfg.max_steps_per_state, packed);
+        self.tables.prepare(packed, offsets);
         let cap = self.cfg.channel_cap;
-        for info in &profile.steps {
+        for info in catalog.steps() {
             let mark = out.mark();
-            let applied =
-                self.tables.apply(packed, &mut scratch.packed, &info.step, cap, out.words());
+            let applied = self.tables.apply(packed, offsets, &info.step, cap, out.words());
             if applied == Applied::Capped {
                 truncated = true;
                 out.cancel(mark);

@@ -3,7 +3,8 @@
 //! families — dispute-wheel-carrying gadgets, wheel-free Gao–Rexford
 //! topologies, and random policies.
 //!
-//! Usage: `exp_montecarlo [runs] [--threads N] [--quiet] [--obs]`. Prints
+//! Usage: `exp_montecarlo [runs] [--threads N] [--quiet] [--obs]`, with
+//! `runs` in 1..=100000 (anything else is an `error:` and exit code 2). Prints
 //! text tables and writes `results/exp-montecarlo.json` (full report) plus
 //! `results/BENCH_montecarlo.json` (throughput summary); see EXPERIMENTS.md
 //! for the schema.
@@ -118,9 +119,12 @@ fn parse_args(opts: &CommonOpts) -> Args {
                     }
                 }
             }
-            other => match other.parse() {
+            other => match cli::parse_count("run count", other) {
                 Ok(n) => args.runs = Some(n),
-                Err(_) => usage(opts),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    usage(opts)
+                }
             },
         }
     }

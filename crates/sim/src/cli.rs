@@ -127,6 +127,25 @@ where
     opts
 }
 
+/// The most runs or steps a count argument asks for: the longest source
+/// run `routelab realize` builds, and the most runs `routelab simulate` and
+/// `exp-montecarlo` make.
+pub const MAX_COUNT: usize = 100_000;
+
+/// Parses a step or run count: a positive integer no larger than
+/// [`MAX_COUNT`]. The error names the argument as `what`.
+///
+/// # Errors
+///
+/// A message naming `what`, `s` and the accepted range when `s` is not
+/// such an integer.
+pub fn parse_count(what: &str, s: &str) -> Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(n) if (1..=MAX_COUNT).contains(&n) => Ok(n),
+        _ => Err(format!("{what} {s:?} is not an integer in 1..={MAX_COUNT}")),
+    }
+}
+
 /// [`parse_common_from`] over the process's real arguments.
 pub fn parse_common(proc_name: &str) -> CommonOpts {
     parse_common_from(proc_name, std::env::args().skip(1))

@@ -54,7 +54,7 @@ use routelab::explore::oscillation::{analyze, Verdict};
 use routelab::explore::witness::oscillation_witness;
 use routelab::realize::plan::fair_prefix;
 use routelab::realize::verify::verify_path;
-use routelab::sim::cli::CommonOpts;
+use routelab::sim::cli::{parse_count, CommonOpts};
 use routelab::sim::flight::{export_chrome, oscillation_cycle, parse_trace, render_explain};
 use routelab::sim::montecarlo::{try_run_grid_with, CellConfig};
 use routelab::sim::pool::PoolConfig;
@@ -160,19 +160,6 @@ fn cmd_check(inst: &SppInstance, model: CommModel, want_witness: bool) -> Result
         }
     }
     Ok(())
-}
-
-/// The longest source run `realize` builds, and the most runs `simulate`
-/// makes.
-const MAX_COUNT: usize = 100_000;
-
-/// Parses a step or run count: a positive integer no larger than
-/// [`MAX_COUNT`].
-fn parse_count(what: &str, s: &str) -> Result<usize, String> {
-    match s.parse::<usize>() {
-        Ok(n) if (1..=MAX_COUNT).contains(&n) => Ok(n),
-        _ => Err(format!("{what} {s:?} is not an integer in 1..={MAX_COUNT}")),
-    }
 }
 
 fn cmd_realize(
