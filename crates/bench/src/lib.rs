@@ -1,10 +1,11 @@
-//! The Criterion benches of routelab; this library holds no code.
+//! The plain (`harness = false`) benches of routelab; this library holds no
+//! code. Each bench writes one `results/BENCH_*.json` that
+//! `scripts/check_bench.py` gates:
 //!
-//! The benches cover every routelab component (DESIGN.md experiment E12):
+//! * `obs_overhead` — the cost of the telemetry sink and the flight
+//!   recorder on a Monte-Carlo grid (`BENCH_obs_overhead.json`),
+//! * `explore_scaling` — explorer thread scaling and determinism on the
+//!   Appendix A.2 cells (`BENCH_explore.json`).
 //!
-//! * `engine_step` — Definition 2.3 execution throughput,
-//! * `closure` — deriving the Figure 3/4 bounds matrix,
-//! * `transforms` — the realization constructions of Sec. 3.2,
-//! * `explorer` — exhaustive state-space analysis,
-//! * `solver` — stable-assignment enumeration and dispute-wheel detection,
-//! * `montecarlo` — randomized-schedule simulation throughput.
+//! Engine throughput is not timed here: `exp-montecarlo` records it for the
+//! pinned grid in `BENCH_montecarlo.json`, which the same script gates.

@@ -286,16 +286,13 @@ mod tests {
                     let index = ChannelIndex::new(inst.graph());
                     let codec = StateCodec::new(&inst, &index, "diff-cell").unwrap();
                     let tables = ExecTables::new(&index, &codec, collapse);
-                    let root = codec.encode(&NetworkState::initial(&inst, &index)).unwrap();
 
                     let mut seen: HashSet<Vec<u16>> = HashSet::new();
                     let mut frontier: Vec<Vec<u16>> = Vec::new();
-                    let root_words: Vec<u16> = {
-                        let s = codec.decode(&root).unwrap();
-                        let mut w = Vec::new();
-                        codec.encode_into(&s, &mut w).unwrap();
-                        w
-                    };
+                    let mut root_words = Vec::new();
+                    codec
+                        .encode_into(&NetworkState::initial(&inst, &index), &mut root_words)
+                        .unwrap();
                     seen.insert(root_words.clone());
                     frontier.push(root_words);
 

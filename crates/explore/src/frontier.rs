@@ -49,6 +49,12 @@ const BLOCK: usize = 4096;
 /// run-level pool.
 pub const THREADS_ENV: &str = "ROUTELAB_THREADS";
 
+/// A `ROUTELAB_THREADS` value as a worker count: `None` unless `raw` is a
+/// positive integer (surrounding whitespace allowed).
+pub fn parse_threads(raw: &str) -> Option<usize> {
+    raw.trim().parse::<usize>().ok().filter(|&t| t > 0)
+}
+
 /// Parses a `ROUTELAB_THREADS` value. Invalid or zero values are a hard
 /// error naming the offending string — a typo in a CI matrix must fail the
 /// job, not silently fall back to machine parallelism.
@@ -57,10 +63,8 @@ pub const THREADS_ENV: &str = "ROUTELAB_THREADS";
 ///
 /// Panics when `raw` is not a positive integer.
 pub fn threads_from_env(raw: &str) -> usize {
-    match raw.trim().parse::<usize>() {
-        Ok(t) if t > 0 => t,
-        _ => panic!("{THREADS_ENV} must be a positive integer, got {raw:?}"),
-    }
+    parse_threads(raw)
+        .unwrap_or_else(|| panic!("{THREADS_ENV} must be a positive integer, got {raw:?}"))
 }
 
 /// Resolves a worker count: explicit setting, else `ROUTELAB_THREADS`, else

@@ -29,7 +29,7 @@ use crate::effects::{CanonicalStep, Spec};
 use crate::error::ExploreError;
 use crate::exec_packed::{Applied, ExecTables, PackedScratch};
 use crate::frontier::{self, BfsOptions, BfsResult, FrontierStats, SuccBuf};
-use crate::pack::{PackedState, StateCodec};
+use crate::pack::StateCodec;
 use crate::reduce::{CanonScratch, Reducer, ReductionStats, SymTables};
 
 /// Bounds for exhaustive exploration.
@@ -166,15 +166,6 @@ impl StateGraph {
     /// `true` for a graph without states (never produced by `build`).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// State `i` in packed form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not a state of the graph.
-    pub fn packed(&self, i: usize) -> PackedState {
-        PackedState::from_u16s(self.nodes.node_vec(i as u32))
     }
 
     /// Decodes state `i`.
@@ -628,11 +619,14 @@ fn build_with(
     let index = ChannelIndex::new(inst.graph());
     let codec = StateCodec::new(inst, &index, cell.as_str())?;
     let reducer = cfg.reduce.then(|| Reducer::new(inst, &index, &codec, spec));
-    let root = codec.encode(&NetworkState::initial(inst, &index))?;
-    let root = match &reducer {
-        Some(red) => red.canonicalize(root).0,
-        None => root,
-    };
+    let mut root = Vec::new();
+    codec.encode_into(&NetworkState::initial(inst, &index), &mut root)?;
+    if let Some(red) = &reducer {
+        let mut scratch = CanonScratch::default();
+        if red.canonicalize_words(&root, &mut scratch) != 0 {
+            root = scratch.image().to_vec();
+        }
+    }
     // Reduced builds collapse queues per channel in their normal form; the
     // whole-model newest-collapse is the unreduced build's.
     let collapse = reducer.is_none() && spec.collapsible();
@@ -646,9 +640,9 @@ fn build_with(
         progress_label: "explore.states",
     };
     let r = if reference {
-        frontier::bfs_reference(&exp, root.as_u16s(), &cell, &opts)?
+        frontier::bfs_reference(&exp, &root, &cell, &opts)?
     } else {
-        frontier::bfs(&exp, root.as_u16s(), &cell, &opts)?
+        frontier::bfs(&exp, &root, &cell, &opts)?
     };
     let (reduction, sym) = match reducer {
         Some(red) => (red.stats(), red.sym.clone()),
@@ -680,7 +674,7 @@ mod tests {
         assert!(g.len() <= 8, "{}", g.len());
         // From the converged terminal state there are no outgoing edges.
         let terminal = (0..g.len())
-            .find(|&i| g.codec.is_quiescent(&g.packed(i)))
+            .find(|&i| g.codec.is_quiescent_words(g.nodes.node(i as u32)))
             .expect("line2 reaches quiescence");
         assert!(g.edges[terminal].is_empty());
         assert!(g.state(terminal).is_quiescent());
@@ -870,6 +864,7 @@ mod tests {
         };
         let mut scratch = GraphScratch::default();
         let (mut words, mut absorbed, mut enc) = (Vec::new(), Vec::new(), Vec::new());
+        let mut canon = CanonScratch::default();
         for i in 0..g.len() {
             let node = g.nodes.node_vec(i as u32);
             let state = codec.decode_words(&node).unwrap();
@@ -895,8 +890,9 @@ mod tests {
                     Successor::SelfLoop => assert!(!capped && enc == node, "{cell} {cs:?}"),
                     Successor::Edge(payload) => {
                         assert!(!capped && enc != node, "{cell} {cs:?}");
-                        let (canon, sym) = oracle.canonicalize(PackedState::from_u16s(enc.clone()));
-                        assert_eq!(words, canon.as_u16s(), "{cell} {cs:?}");
+                        let sym = oracle.canonicalize_words(&enc, &mut canon);
+                        let least = if sym == 0 { enc.as_slice() } else { canon.image() };
+                        assert_eq!(words, least, "{cell} {cs:?}");
                         assert_eq!(payload.sym, sym, "{cell} {cs:?}");
                         let changes_pi = !effect.changed.is_empty();
                         assert_eq!(payload.changes_pi, changes_pi, "{cell} {cs:?}");

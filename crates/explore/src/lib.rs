@@ -10,7 +10,7 @@
 //!   messages deleted, which one kept"),
 //! * [`graph`] — reachable-state-graph construction with channel caps,
 //! * [`oscillation`] — Tarjan SCC decomposition and the fair-oscillation
-//!   criterion of Definition 2.4 expressed on SCCs, yielding
+//!   condition of Definition 2.4 expressed on SCCs, yielding
 //!   [`oscillation::Verdict`]s,
 //! * [`trace_search`] — exhaustive search for an activation sequence of a
 //!   model realizing a given path-assignment trace exactly, with
@@ -58,7 +58,7 @@ pub use error::{ExploreError, ExploreErrorKind};
 pub use frontier::FrontierStats;
 pub use graph::{ExploreConfig, StateGraph};
 pub use oscillation::{analyze, try_analyze, Verdict};
-pub use pack::{PackedState, StateCodec};
+pub use pack::StateCodec;
 pub use reduce::ReductionStats;
 pub use trace_search::{search, try_search, SearchGoal, SearchResult};
 pub use witness::{oscillation_witness, OscillationWitness};

@@ -14,12 +14,12 @@
 //! ```
 //!
 //! (`n` nodes, `m` dense channel ids, queues oldest-first.) The encoding is
-//! injective — equal buffers iff equal states — so hash-dedup over
-//! [`PackedState`] is exact, at a fraction of the memory of the 654k-state
-//! Appendix A.2 sweeps. Each word holds ε or a route of one fixed source
-//! node (the node for π and announcements, the sender for ρ and queues),
-//! which is what lets the step kernel ([`crate::exec_packed`]) and the
-//! reducer read the table's per-channel extension entries directly. One
+//! injective — equal buffers iff equal states — so hash-dedup over the
+//! words is exact, at a fraction of the memory of the 654k-state Appendix
+//! A.2 sweeps. Each word holds ε or a route of one fixed source node (the
+//! node for π and announcements, the sender for ρ and queues), which is
+//! what lets the step kernel ([`crate::exec_packed`]) and the reducer read
+//! the table's per-channel extension entries directly. One
 //! table is built per codec and shared by `Arc`; its ids depend on the
 //! instance alone, so packed bytes are reproducible across runs and thread
 //! counts.
@@ -31,32 +31,6 @@ use routelab_engine::state::NetworkState;
 use routelab_spp::{NodeId, Route, RouteId, RouteTable, SppInstance};
 
 use crate::error::ExploreError;
-
-/// A state encoded as a flat route-id buffer (layout in the module docs).
-///
-/// The buffer is reference-counted: the frontier engine keeps each packed
-/// state in several places at once (dedup maps, pending queues, the arena),
-/// and `Arc` turns those clones into pointer bumps instead of buffer copies
-/// — shared-ownership interning.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PackedState(Arc<[u16]>);
-
-impl PackedState {
-    /// Buffer length in `u16`s (for memory accounting).
-    pub fn len_u16(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The raw route-id buffer (for the reduction layer's canonicalizers).
-    pub(crate) fn as_u16s(&self) -> &[u16] {
-        &self.0
-    }
-
-    /// Wraps a raw buffer produced by a canonicalizer.
-    pub(crate) fn from_u16s(buf: Vec<u16>) -> Self {
-        PackedState(buf.into())
-    }
-}
 
 /// The per-instance codec: the instance's route table plus the layout
 /// dimensions.
@@ -123,24 +97,14 @@ impl StateCodec {
         self.route_id(r).ok_or_else(|| ExploreError::unknown_route(&self.cell, format!("{r:?}")))
     }
 
-    /// Encodes a state.
+    /// Encodes a state into a caller-owned buffer (cleared first).
     ///
     /// # Errors
     ///
     /// [`ExploreErrorKind::UnknownRoute`](crate::error::ExploreErrorKind)
-    /// when the state mentions a route outside the instance's universe.
-    pub fn encode(&self, s: &NetworkState) -> Result<PackedState, ExploreError> {
-        let mut buf = Vec::with_capacity(2 * self.n + 2 * self.m + 4);
-        self.encode_into(s, &mut buf)?;
-        Ok(PackedState(buf.into()))
-    }
-
-    /// Encodes a state into a caller-owned buffer (cleared first) — the
-    /// allocation-free path for the frontier engine's expansion buffers.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StateCodec::encode`].
+    /// when the state mentions a route outside the instance's universe, and
+    /// [`ExploreErrorKind::PathTooLong`](crate::error::ExploreErrorKind)
+    /// when a queue is longer than a `u16` length field holds.
     pub fn encode_into(&self, s: &NetworkState, buf: &mut Vec<u16>) -> Result<(), ExploreError> {
         buf.clear();
         for v in 0..self.n {
@@ -176,21 +140,12 @@ impl StateCodec {
         Ok(self.table.route(RouteId(u32::from(id))).clone())
     }
 
-    /// Decodes a packed state back into a [`NetworkState`].
+    /// Decodes a word buffer back into a [`NetworkState`].
     ///
     /// # Errors
     ///
     /// [`ExploreErrorKind::CorruptState`](crate::error::ExploreErrorKind)
     /// when the buffer does not match the codec's layout.
-    pub fn decode(&self, p: &PackedState) -> Result<NetworkState, ExploreError> {
-        self.decode_words(&p.0)
-    }
-
-    /// Decodes a raw word buffer back into a [`NetworkState`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StateCodec::decode`].
     pub fn decode_words(&self, ws: &[u16]) -> Result<NetworkState, ExploreError> {
         let header = 2 * self.n + 2 * self.m;
         if ws.len() < header {
@@ -239,42 +194,22 @@ impl StateCodec {
     }
 
     /// Queue length of channel `c` — read straight from the packed header.
-    pub fn queue_len(&self, p: &PackedState, c: usize) -> usize {
-        self.queue_len_words(&p.0, c)
-    }
-
-    /// [`StateCodec::queue_len`] over a raw word buffer.
     pub fn queue_len_words(&self, ws: &[u16], c: usize) -> usize {
         usize::from(ws[2 * self.n + self.m + c])
     }
 
     /// `true` when channel `c`'s queue is empty.
-    pub fn queue_empty(&self, p: &PackedState, c: usize) -> bool {
-        self.queue_len(p, c) == 0
-    }
-
-    /// [`StateCodec::queue_empty`] over a raw word buffer.
     pub fn queue_empty_words(&self, ws: &[u16], c: usize) -> bool {
         self.queue_len_words(ws, c) == 0
     }
 
     /// `true` when node `v`'s choice equals its last announcement.
-    pub fn chosen_eq_announced(&self, p: &PackedState, v: NodeId) -> bool {
-        self.chosen_eq_announced_words(&p.0, v)
-    }
-
-    /// [`StateCodec::chosen_eq_announced`] over a raw word buffer.
     pub fn chosen_eq_announced_words(&self, ws: &[u16], v: NodeId) -> bool {
         ws[v.index()] == ws[self.n + v.index()]
     }
 
     /// `true` when the packed state is quiescent (all queues empty, every
     /// choice announced) — mirrors [`NetworkState::is_quiescent`].
-    pub fn is_quiescent(&self, p: &PackedState) -> bool {
-        self.is_quiescent_words(&p.0)
-    }
-
-    /// [`StateCodec::is_quiescent`] over a raw word buffer.
     pub fn is_quiescent_words(&self, ws: &[u16]) -> bool {
         (0..self.m).all(|c| self.queue_len_words(ws, c) == 0)
             && (0..self.n).all(|v| ws[v] == ws[self.n + v])
@@ -282,11 +217,6 @@ impl StateCodec {
 
     /// The packed π region (chosen route ids) — equal slices iff equal path
     /// assignments.
-    pub fn pi_ids<'p>(&self, p: &'p PackedState) -> &'p [u16] {
-        &p.0[..self.n]
-    }
-
-    /// [`StateCodec::pi_ids`] over a raw word buffer.
     pub fn pi_ids_words<'w>(&self, ws: &'w [u16]) -> &'w [u16] {
         &ws[..self.n]
     }
@@ -294,11 +224,6 @@ impl StateCodec {
     /// A 64-bit fingerprint of the packed π region (for π-change tests on
     /// the state graph; collisions only ever merge equal-π classes checks,
     /// and the fingerprint is compared for equality, never ordered).
-    pub fn pi_fingerprint(&self, p: &PackedState) -> u64 {
-        self.pi_fingerprint_words(&p.0)
-    }
-
-    /// [`StateCodec::pi_fingerprint`] over a raw word buffer.
     pub fn pi_fingerprint_words(&self, ws: &[u16]) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -318,6 +243,12 @@ mod tests {
         let index = ChannelIndex::new(inst.graph());
         let codec = StateCodec::new(inst, &index, "test-cell").expect("codec");
         (index, codec)
+    }
+
+    fn encode(codec: &StateCodec, s: &NetworkState) -> Result<Vec<u16>, ExploreError> {
+        let mut words = Vec::new();
+        codec.encode_into(s, &mut words)?;
+        Ok(words)
     }
 
     /// Rebuilds `s` with channel 0's queue replaced by `queue0` (states are
@@ -346,8 +277,8 @@ mod tests {
         for (name, inst) in gadgets::corpus() {
             let (index, codec) = codec_for(&inst);
             let mut state = NetworkState::initial(&inst, &index);
-            let p = codec.encode(&state).expect("encode initial");
-            assert_eq!(codec.decode(&p).expect("decode"), state, "{name} initial");
+            let p = encode(&codec, &state).expect("encode initial");
+            assert_eq!(codec.decode_words(&p).expect("decode"), state, "{name} initial");
             for round in 0..6 {
                 for v in inst.nodes() {
                     let actions = index
@@ -357,16 +288,16 @@ mod tests {
                         .collect();
                     let step = ActivationStep::single(NodeUpdate::new(v, actions));
                     execute_step(&inst, &index, &mut state, &step);
-                    let p = codec.encode(&state).expect("encode");
-                    let back = codec.decode(&p).expect("decode");
+                    let p = encode(&codec, &state).expect("encode");
+                    let back = codec.decode_words(&p).expect("decode");
                     assert_eq!(back, state, "{name} round {round} node {v:?}");
-                    assert_eq!(codec.is_quiescent(&p), state.is_quiescent());
+                    assert_eq!(codec.is_quiescent_words(&p), state.is_quiescent());
                     for c in 0..index.len() {
-                        assert_eq!(codec.queue_len(&p, c), state.queue(c).len());
+                        assert_eq!(codec.queue_len_words(&p, c), state.queue(c).len());
                     }
                     for v in inst.nodes() {
                         assert_eq!(
-                            codec.chosen_eq_announced(&p, v),
+                            codec.chosen_eq_announced_words(&p, v),
                             state.chosen(v) == state.announced(v)
                         );
                     }
@@ -381,12 +312,12 @@ mod tests {
         let (index, codec) = codec_for(&inst);
         let a = NetworkState::initial(&inst, &index);
         let b = with_queue0(&inst, &index, &a, vec![Route::empty()]);
-        let pa = codec.encode(&a).unwrap();
-        let pb = codec.encode(&b).unwrap();
+        let pa = encode(&codec, &a).unwrap();
+        let pb = encode(&codec, &b).unwrap();
         assert_ne!(pa, pb);
         // And π fingerprints agree exactly when π agrees.
-        assert_eq!(codec.pi_fingerprint(&pa), codec.pi_fingerprint(&pb));
-        assert_eq!(codec.pi_ids(&pa), codec.pi_ids(&pb));
+        assert_eq!(codec.pi_fingerprint_words(&pa), codec.pi_fingerprint_words(&pb));
+        assert_eq!(codec.pi_ids_words(&pa), codec.pi_ids_words(&pb));
     }
 
     #[test]
@@ -399,7 +330,7 @@ mod tests {
         // permitted.
         let x = inst.node_by_name("x").unwrap();
         let s = with_queue0(&inst, &index, &init, vec![Route::path(Path::trivial(x))]);
-        let err = codec.encode(&s).expect_err("foreign route");
+        let err = encode(&codec, &s).expect_err("foreign route");
         assert_eq!(err.cell, "test-cell");
         assert!(err.to_string().contains("permitted-path universe"), "{err}");
     }
@@ -414,7 +345,7 @@ mod tests {
         let init = NetworkState::initial(&inst, &index);
         let huge = vec![Route::empty(); usize::from(u16::MAX) + 1];
         let s = with_queue0(&inst, &index, &init, huge);
-        let err = codec.encode(&s).expect_err("oversized queue");
+        let err = encode(&codec, &s).expect_err("oversized queue");
         assert_eq!(err.cell, "test-cell");
         assert!(
             matches!(
@@ -430,24 +361,23 @@ mod tests {
         let inst = gadgets::line2();
         let (index, codec) = codec_for(&inst);
         let s = NetworkState::initial(&inst, &index);
-        let p = codec.encode(&s).unwrap();
-        let truncated = PackedState(p.0[..1].to_vec().into());
-        let err = codec.decode(&truncated).expect_err("short buffer");
+        let p = encode(&codec, &s).unwrap();
+        let err = codec.decode_words(&p[..1]).expect_err("short buffer");
         assert!(matches!(err.kind, crate::error::ExploreErrorKind::CorruptState { .. }));
-        assert!(p.len_u16() > 4);
+        assert!(p.len() > 4);
     }
 
     #[test]
     fn trailing_words_after_the_last_queue_are_corrupt() {
-        // decode() used to stop reading at the last queue without checking
+        // Decoding used to stop reading at the last queue without checking
         // that it had consumed the whole buffer, so a corrupt state with
         // trailing words silently decoded to the same NetworkState as its
         // clean prefix — breaking the codec's injectivity guarantee.
         for (name, inst) in gadgets::corpus() {
             let (index, codec) = codec_for(&inst);
             let s = NetworkState::initial(&inst, &index);
-            let p = codec.encode(&s).unwrap();
-            let mut padded = p.0.to_vec();
+            let p = encode(&codec, &s).unwrap();
+            let mut padded = p.clone();
             padded.push(0);
             let err = codec.decode_words(&padded).expect_err("trailing words");
             assert!(
@@ -456,7 +386,7 @@ mod tests {
                 "{name}: {err:?}"
             );
             // The clean buffer still decodes.
-            assert_eq!(codec.decode_words(&p.0).unwrap(), s, "{name}");
+            assert_eq!(codec.decode_words(&p).unwrap(), s, "{name}");
         }
     }
 }

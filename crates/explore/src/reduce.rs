@@ -70,7 +70,7 @@ use routelab_spp::{
 use crate::arena::NodeArena;
 use crate::effects::Spec;
 use crate::graph::{EdgeLabel, StateGraph, StepInfo};
-use crate::pack::{PackedState, StateCodec};
+use crate::pack::StateCodec;
 
 /// Aggregated reduction activity of one graph build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -295,22 +295,7 @@ impl<'a> Reducer<'a> {
         }
     }
 
-    /// Canonicalizes a packed state under the symmetry group; returns the
-    /// representative and the group element that was applied (0 = identity).
-    pub(crate) fn canonicalize(&self, p: PackedState) -> (PackedState, u16) {
-        match &self.sym {
-            Some(t) => {
-                let (q, g) = t.canonicalize(p);
-                if g != 0 {
-                    self.sym_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                (q, g)
-            }
-            None => (p, 0),
-        }
-    }
-
-    /// Word-level canonicalization for the frontier hot loop: the group
+    /// Canonicalizes packed words under the symmetry group: the group
     /// element applied, 0 when `ws` is already canonical. A nonzero element
     /// leaves the strictly smaller image in `scratch` (see
     /// [`CanonScratch::image`]).
@@ -543,21 +528,11 @@ impl SymTables {
         debug_assert_eq!(at, p.len());
     }
 
-    /// The lexicographically least image of `p` over the group, with the
-    /// element that produced it (0 when `p` is already canonical; ties
-    /// resolve to the smallest element index, so the result is a function
-    /// of the buffer alone).
-    pub(crate) fn canonicalize(&self, p: PackedState) -> (PackedState, u16) {
-        let mut scratch = CanonScratch::default();
-        match self.canonicalize_words(p.as_u16s(), &mut scratch) {
-            0 => (p, 0),
-            g => (PackedState::from_u16s(scratch.best), g),
-        }
-    }
-
-    /// Word-level variant of [`SymTables::canonicalize`]: the element
-    /// applied, 0 when `raw` is already the least element of its orbit. A
-    /// nonzero element leaves the image in `scratch`.
+    /// The element whose image of `raw` is the lexicographically least of
+    /// its orbit: 0 when `raw` is already the least, else the element that
+    /// produced the image it leaves in `scratch`. Ties resolve to the
+    /// smallest element index, so the result is a function of the buffer
+    /// alone.
     pub(crate) fn canonicalize_words(&self, raw: &[u16], scratch: &mut CanonScratch) -> u16 {
         let CanonScratch { img, best, off } = scratch;
         self.queue_offsets(raw, off);
@@ -678,6 +653,21 @@ mod tests {
         (index, codec, t)
     }
 
+    fn encode(codec: &StateCodec, s: &NetworkState) -> Vec<u16> {
+        let mut words = Vec::new();
+        codec.encode_into(s, &mut words).expect("reachable states encode");
+        words
+    }
+
+    /// The least image of `p`'s orbit, with the element that produced it.
+    fn canonicalize(t: &SymTables, p: Vec<u16>) -> (Vec<u16>, u16) {
+        let mut scratch = CanonScratch::default();
+        match t.canonicalize_words(&p, &mut scratch) {
+            0 => (p, 0),
+            g => (scratch.image().to_vec(), g),
+        }
+    }
+
     /// The unfolding relabels each quotient descriptor once per group
     /// element instead of allocating one per unfolded edge.
     #[test]
@@ -766,10 +756,10 @@ mod tests {
                     .collect();
                 let step = ActivationStep::single(NodeUpdate::new(v, actions));
                 execute_step(&inst, &index, &mut state, &step);
-                let p = codec.encode(&state).unwrap();
+                let p = encode(&codec, &state);
                 for (g, a) in auts.iter().enumerate().take(t.order()) {
-                    let img = t.transform(p.as_u16s(), g);
-                    let back = codec.decode(&PackedState::from_u16s(img.clone())).unwrap();
+                    let img = t.transform(&p, g);
+                    let back = codec.decode_words(&img).unwrap();
                     for v in inst.nodes() {
                         assert_eq!(*back.chosen(a.apply(v)), a.map_route(state.chosen(v)));
                         assert_eq!(*back.announced(a.apply(v)), a.map_route(state.announced(v)));
@@ -794,14 +784,14 @@ mod tests {
         let inst = gadgets::bad_gadget();
         let (index, codec, t) = tables(&inst);
         let state = NetworkState::initial(&inst, &index);
-        let p = codec.encode(&state).unwrap();
+        let p = encode(&codec, &state);
         for g in 0..t.order() {
-            let img = PackedState::from_u16s(t.transform(p.as_u16s(), g));
-            let (canon, _) = t.canonicalize(img);
-            let (again, e2) = t.canonicalize(canon.clone());
+            let img = t.transform(&p, g);
+            let (canon, _) = canonicalize(&t, img);
+            let (again, e2) = canonicalize(&t, canon.clone());
             assert_eq!(canon, again, "idempotent");
             assert_eq!(e2, 0, "canonical forms are fixed points");
-            let (base, _) = t.canonicalize(p.clone());
+            let (base, _) = canonicalize(&t, p.clone());
             assert_eq!(canon, base, "same orbit, same representative");
         }
     }
@@ -862,17 +852,17 @@ mod tests {
                 };
                 let (index, codec, t) = tables(&inst);
                 let state = walk_state(&inst, &index, &walk);
-                let p = codec.encode(&state).expect("reachable states encode");
-                let (canon, _) = t.canonicalize(p.clone());
+                let p = encode(&codec, &state);
+                let (canon, _) = canonicalize(&t, p.clone());
                 // Idempotence: a canonical form is its own representative.
-                let (again, g2) = t.canonicalize(canon.clone());
+                let (again, g2) = canonicalize(&t, canon.clone());
                 prop_assert_eq!(&again, &canon);
                 prop_assert_eq!(g2, 0);
                 // Permutation invariance: every image of the orbit
                 // canonicalizes to the same representative.
                 for g in 0..t.order() {
-                    let img = PackedState::from_u16s(t.transform(p.as_u16s(), g));
-                    let (c2, _) = t.canonicalize(img);
+                    let img = t.transform(&p, g);
+                    let (c2, _) = canonicalize(&t, img);
                     prop_assert_eq!(&c2, &canon, "element {}", g);
                 }
             }
@@ -904,7 +894,7 @@ mod tests {
         let (mut absorbed, mut packed_absorbed) = (Vec::new(), Vec::new());
         packed.normalize_words(&mut words, 0, &mut packed_absorbed);
         oracle.normalize(&mut s, &mut absorbed);
-        assert_eq!(words, codec.encode(&s).unwrap().as_u16s());
+        assert_eq!(words, encode(&codec, &s));
         assert_eq!(packed_absorbed, absorbed);
         assert_eq!(packed.stats(), oracle.stats());
         (s, absorbed, oracle.stats())

@@ -6,7 +6,7 @@
 //! finite prefix from the initial state into the witnessing SCC, and a
 //! closed walk inside the SCC that changes π. Driving the prefix and then
 //! cycling the walk forever reproduces the divergence (the cycle alone need
-//! not attend every channel — fairness is certified by the SCC criterion,
+//! not attend every channel — fairness is certified by the SCC condition,
 //! which also accounts for the state-preserving attendance steps that can
 //! be interleaved freely).
 
@@ -194,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn unreliable_witness_respects_drop_fairness_criterion() {
+    fn unreliable_witness_respects_drop_fairness() {
         let inst = gadgets::disagree();
         let w = oscillation_witness(&inst, "U1O".parse().unwrap(), &ExploreConfig::default())
             .expect("U1O oscillates on DISAGREE");

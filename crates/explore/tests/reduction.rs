@@ -37,8 +37,8 @@ fn assert_consistent(cell: &str, reduced: &Verdict, unreduced: &Verdict) {
 /// comparable.
 fn quiescent_pis(g: &StateGraph) -> HashSet<Vec<u16>> {
     (0..g.len())
-        .filter(|&i| g.codec.is_quiescent(&g.packed(i)))
-        .map(|i| g.codec.pi_ids(&g.packed(i)).to_vec())
+        .filter(|&i| g.codec.is_quiescent_words(g.nodes.node(i as u32)))
+        .map(|i| g.codec.pi_ids_words(g.nodes.node(i as u32)).to_vec())
         .collect()
 }
 

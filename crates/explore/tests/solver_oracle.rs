@@ -22,7 +22,7 @@ use routelab_spp::{automorphisms, gadgets, Automorphism, NodeId, SppInstance};
 /// The π of every quiescent state of `g`.
 fn quiescent_pis(g: &StateGraph) -> Vec<PathAssignment> {
     (0..g.len())
-        .filter(|&i| g.codec.is_quiescent(&g.packed(i)))
+        .filter(|&i| g.codec.is_quiescent_words(g.nodes.node(i as u32)))
         .map(|i| g.state(i).assignment())
         .collect()
 }

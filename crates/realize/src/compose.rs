@@ -1,6 +1,7 @@
 //! Composition of foundational transformations (the positive half of
-//! Sec. 3.4): realize a sequence of one model inside any other model by
-//! chaining transformations along the strongest foundational path.
+//! Sec. 3.4): the foundational edges, and the chaining of their
+//! transformations along a path of edges. [`crate::plan::plan_route`] finds
+//! the strongest such path between any two models.
 
 use std::borrow::Cow;
 
@@ -8,7 +9,6 @@ use routelab_core::dims::{MessagePolicy, NeighborScope, Reliability};
 use routelab_core::lattice::Strength;
 use routelab_core::model::CommModel;
 use routelab_core::step::ActivationSeq;
-use routelab_spp::SppInstance;
 
 use crate::transform::{self, Tables, TransformError, TransformOutput};
 
@@ -180,35 +180,11 @@ pub fn apply_chain<'s>(
     Ok(cur)
 }
 
-/// Finds the strongest chain of registered edges realizing `from` inside
-/// `to` (maximum bottleneck strength, then fewest edges), or `None` when no
-/// positive chain exists (e.g. realizing `R1O` inside `REA`). Thin wrapper
-/// over [`crate::plan::plan_route`] against the global registry.
-pub fn plan(from: CommModel, to: CommModel) -> Option<Vec<Edge>> {
-    crate::plan::plan_route(crate::registry::Registry::global(), from, to)
-        .ok()
-        .map(|route| route.edges())
-}
-
-/// Realizes `seq` (legal in `from`) inside `to` along the strongest
-/// registered chain. Returns `None` when no positive chain exists.
-///
-/// # Errors
-///
-/// Propagates [`TransformError`] from the underlying algorithms.
-pub fn realize<'s>(
-    inst: &SppInstance,
-    seq: &'s ActivationSeq,
-    from: CommModel,
-    to: CommModel,
-) -> Result<Option<TransformOutput<'s>>, TransformError> {
-    let Some(path) = plan(from, to) else { return Ok(None) };
-    apply_chain(&Tables::new(inst), seq, &path).map(Some)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::plan_route;
+    use crate::registry::Registry;
     use routelab_core::edges::foundational_facts;
 
     #[test]
@@ -240,15 +216,15 @@ mod tests {
                     continue;
                 }
                 let lower = bounds.get(a, b).lower;
-                match plan(a, b) {
-                    Some(path) => {
-                        let bottleneck = path.iter().map(|e| e.strength.level()).min().unwrap_or(4);
+                match plan_route(Registry::global(), a, b) {
+                    Ok(route) => {
+                        let bottleneck = route.bottleneck().level();
                         assert_eq!(
                             bottleneck, lower,
                             "plan {a} -> {b}: bottleneck {bottleneck} vs closure {lower}"
                         );
                     }
-                    None => {
+                    Err(_) => {
                         assert_eq!(lower, 0, "{a} -> {b}: closure says {lower} but no plan");
                     }
                 }
@@ -259,7 +235,7 @@ mod tests {
     #[test]
     fn plan_is_empty_for_same_model() {
         let m: CommModel = "RMS".parse().unwrap();
-        assert_eq!(plan(m, m).unwrap().len(), 0);
+        assert_eq!(plan_route(Registry::global(), m, m).unwrap().steps.len(), 0);
     }
 
     #[test]
@@ -268,7 +244,7 @@ mod tests {
         // be no positive chain.
         let r1o: CommModel = "R1O".parse().unwrap();
         for weak in ["REO", "REF", "R1A", "RMA", "REA"] {
-            assert!(plan(r1o, weak.parse().unwrap()).is_none(), "{weak}");
+            assert!(plan_route(Registry::global(), r1o, weak.parse().unwrap()).is_err(), "{weak}");
         }
     }
 
@@ -279,9 +255,9 @@ mod tests {
             if a == ums {
                 continue;
             }
-            let path = plan(a, ums).unwrap_or_else(|| panic!("no plan {a} -> UMS"));
-            let bottleneck = path.iter().map(|e| e.strength.level()).min().unwrap();
-            assert_eq!(bottleneck, 4, "{a} -> UMS should be exact");
+            let route = plan_route(Registry::global(), a, ums)
+                .unwrap_or_else(|e| panic!("no plan {a} -> UMS: {e}"));
+            assert_eq!(route.bottleneck().level(), 4, "{a} -> UMS should be exact");
         }
     }
 
@@ -289,9 +265,9 @@ mod tests {
     fn paths_are_well_formed_chains() {
         for a in CommModel::all() {
             for b in CommModel::all() {
-                if let Some(path) = plan(a, b) {
+                if let Ok(route) = plan_route(Registry::global(), a, b) {
                     let mut cur = a;
-                    for e in &path {
+                    for e in route.edges() {
                         assert_eq!(e.realized, cur);
                         cur = e.realizer;
                     }

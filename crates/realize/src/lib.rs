@@ -17,10 +17,10 @@
 //!   exactly, coalescing dropped backlogs),
 //! * identity embeddings for Prop 3.3 (weaker models are syntactic subsets).
 //!
-//! [`compose`] chains these along the strongest foundational path between
-//! any two models, and [`verify`] checks end to end that the produced
-//! sequence is legal in the target model and that the claimed trace relation
-//! (Definition 3.2) actually holds.
+//! [`compose`] chains these along a path of foundational edges, and
+//! [`verify`] checks end to end that the produced sequence is legal in the
+//! target model and that the claimed trace relation (Definition 3.2)
+//! actually holds.
 //!
 //! [`registry`] names every transform, gadget generator, and check under a
 //! stable, versioned string identity, and [`plan`] builds two façades on
@@ -53,7 +53,7 @@ pub mod registry;
 pub mod transform;
 pub mod verify;
 
-pub use compose::{apply_chain, realize, Edge, TransformKind};
+pub use compose::{apply_chain, Edge, TransformKind};
 pub use plan::{plan_route, run_pipeline, NoRoute, PipelineError, Route};
 pub use registry::{Registry, RegistryError};
 pub use transform::{Tables, TransformError, TransformOutput};

@@ -285,9 +285,9 @@ mod tests {
         assert!(report.holds(), "{report}");
         // Drive the realized sequence and confirm the same fixed point.
         let mut r2 = Runner::new(&inst);
-        let out = compose::realize(&inst, &seq, "REA".parse().unwrap(), "RMS".parse().unwrap())
-            .unwrap()
-            .unwrap();
+        let route =
+            plan_route(Registry::global(), "REA".parse().unwrap(), "RMS".parse().unwrap()).unwrap();
+        let out = crate::plan::apply_route(&inst, &seq, &route).unwrap();
         let mut sched2 = routelab_engine::schedule::Scripted::new(out.seq.into_owned());
         let outcome = drive(&mut r2, &mut sched2, 10_000);
         assert!(

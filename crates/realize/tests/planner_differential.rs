@@ -176,15 +176,3 @@ fn planner_reachability_and_bottlenecks_match_the_positive_closure() {
         }
     }
 }
-
-#[test]
-fn compose_plan_facade_agrees_with_the_planner() {
-    let reg = Registry::global();
-    for from in CommModel::all() {
-        for to in CommModel::all() {
-            let via_compose = routelab_realize::compose::plan(from, to);
-            let via_planner = plan_route(reg, from, to).ok().map(|r| r.edges());
-            assert_eq!(via_compose, via_planner, "{from} -> {to}");
-        }
-    }
-}

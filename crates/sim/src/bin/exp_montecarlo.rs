@@ -6,15 +6,16 @@
 //! Usage: `exp_montecarlo [runs] [--threads N] [--quiet] [--obs]`, with
 //! `runs` in 1..=100000 (anything else is an `error:` and exit code 2). Prints
 //! text tables and writes `results/exp-montecarlo.json` (full report) plus
-//! `results/BENCH_montecarlo.json` (throughput summary); see EXPERIMENTS.md
-//! for the schema.
+//! `results/BENCH_montecarlo.json` (throughput summary, whose per-worker
+//! rate `scripts/check_bench.py` gates); see EXPERIMENTS.md for the schema.
 //!
 //! The large-topology lane `exp_montecarlo [runs] --family gao-rexford
 //! --nodes N [--models LIST] [--max-steps M]` runs one Internet-scale
 //! Gao–Rexford cell family instead of the classic grid. Statistics stream
 //! through bounded-memory accumulators (no per-run records are retained),
 //! so `--nodes 10000` works in a CI smoke budget; results land in
-//! `results/exp-montecarlo-family.json`.
+//! `results/exp-montecarlo-family.json`, whose convergence
+//! `scripts/check_bench.py` gates.
 
 use std::time::Instant;
 

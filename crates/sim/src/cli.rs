@@ -19,6 +19,8 @@
 
 use std::path::PathBuf;
 
+use routelab_explore::frontier::{parse_threads, THREADS_ENV};
+
 use crate::pool::PoolConfig;
 
 /// Options shared by all experiment binaries.
@@ -111,6 +113,15 @@ where
             "--reduce" => opts.no_reduce = false,
             "--no-reduce" => opts.no_reduce = true,
             _ => opts.rest.push(arg),
+        }
+    }
+    // Every worker count resolves through `ROUTELAB_THREADS` when no
+    // explicit count reaches it, and a bad value panics there; reject it
+    // here, once, like a bad `--threads`.
+    if let Ok(raw) = std::env::var(THREADS_ENV) {
+        if parse_threads(&raw).is_none() {
+            eprintln!("{proc_name}: {THREADS_ENV} needs a positive integer, got {raw:?}");
+            std::process::exit(2);
         }
     }
     routelab_obs::set_quiet(opts.quiet);

@@ -47,7 +47,7 @@ pub mod report;
 pub mod survey;
 pub mod table;
 
-pub use montecarlo::{run_cell, run_grid, CellConfig, CellStats};
+pub use montecarlo::{run_cell, CellConfig, CellStats};
 pub use pool::PoolConfig;
 pub use report::{Json, RunReport};
 pub use survey::{survey_instance, SurveyEntry, SurveyOutcome};

@@ -421,55 +421,11 @@ pub fn try_run_grid_with(
     Ok(accums.iter().map(|a| a.finish()).collect())
 }
 
-/// [`try_run_grid_with`] without the observability wrapper, panicking (with
-/// the failing cell named) on a diverging run.
-pub fn run_grid_with(
-    inst: &SppInstance,
-    models: &[CommModel],
-    cfg: &CellConfig,
-    pool_cfg: &PoolConfig,
-) -> Vec<(CommModel, CellStats)> {
-    match try_run_grid_with(inst, models, cfg, pool_cfg) {
-        Ok(cells) => cells.into_iter().map(|c| (c.model, c.stats)).collect(),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs a grid of cells with default pool sizing (the `ROUTELAB_THREADS`
-/// environment variable, else all available cores).
-pub fn run_grid(
-    inst: &SppInstance,
-    models: &[CommModel],
-    cfg: &CellConfig,
-) -> Vec<(CommModel, CellStats)> {
-    run_grid_with(inst, models, cfg, &PoolConfig::default())
-}
-
-/// The seed strategy this engine replaced: one scoped thread per model,
-/// each running its whole cell. Kept for the pool-scaling benchmark — cells
-/// are imbalanced, so this leaves workers idle while the slowest cell
-/// finishes.
-pub fn run_grid_per_model_threads(
-    inst: &SppInstance,
-    models: &[CommModel],
-    cfg: &CellConfig,
-) -> Vec<(CommModel, CellStats)> {
-    let mut out: Vec<(CommModel, CellStats)> = Vec::with_capacity(models.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> =
-            models.iter().map(|&m| s.spawn(move || (m, run_cell(inst, m, cfg)))).collect();
-        for h in handles {
-            out.push(h.join().expect("simulation thread panicked"));
-        }
-    });
-    out
-}
-
-/// The pinned Monte-Carlo workload shared by `exp-montecarlo` and the
-/// engine throughput bench (`exp-engine-bench`): instance families, model
-/// list, and cell configuration in one place, so the benchmark measures
-/// exactly the workload the experiment publishes and the two can never
-/// drift apart.
+/// The pinned Monte-Carlo workload: the instance families, model list and
+/// cell configuration `exp-montecarlo` publishes (whose
+/// `BENCH_montecarlo.json` is also the engine throughput gate), and the
+/// Gao–Rexford family of its large-topology lane, in one place so every
+/// caller runs exactly the published workload.
 pub mod pinned {
     use super::CellConfig;
     use routelab_core::model::CommModel;
@@ -507,9 +463,8 @@ pub mod pinned {
         CellConfig { runs, max_steps: 30_000, seed: 42, drop_prob: 0.25 }
     }
 
-    /// A Gao–Rexford family instance of `nodes` nodes — the large-topology
-    /// lane (`--family gao-rexford --nodes N`) and the bench's 10k-node
-    /// cell both use this construction.
+    /// A Gao–Rexford family instance of `nodes` nodes — the construction of
+    /// the large-topology lane (`--family gao-rexford --nodes N`).
     ///
     /// # Panics
     ///
@@ -610,22 +565,12 @@ mod tests {
     fn grid_matches_cells() {
         let inst = gadgets::good_gadget();
         let models: Vec<CommModel> = vec!["R1O".parse().unwrap(), "REA".parse().unwrap()];
-        let grid = run_grid(&inst, &models, &quick());
+        let grid =
+            try_run_grid_with(&inst, &models, &quick(), &PoolConfig::default()).expect("no panics");
         assert_eq!(grid.len(), 2);
-        for (m, stats) in grid {
-            assert_eq!(stats, run_cell(&inst, m, &quick()));
+        for c in grid {
+            assert_eq!(c.stats, run_cell(&inst, c.model, &quick()));
         }
-    }
-
-    #[test]
-    fn grid_matches_legacy_per_model_strategy() {
-        let inst = gadgets::disagree();
-        let models: Vec<CommModel> =
-            ["R1O", "RMS", "UMS"].iter().map(|s| s.parse().unwrap()).collect();
-        assert_eq!(
-            run_grid(&inst, &models, &quick()),
-            run_grid_per_model_threads(&inst, &models, &quick())
-        );
     }
 
     #[test]

@@ -239,11 +239,16 @@ impl RunReport {
     }
 
     /// The compact throughput summary written to `results/BENCH_<name>.json`
-    /// — one sample of the perf trajectory.
+    /// — one sample of the perf trajectory. `total_steps / run_time_ms` is
+    /// the per-worker engine throughput `scripts/check_bench.py` gates.
     pub fn bench_json(&self) -> Json {
         Json::obj([
             ("bench", Json::str(&self.experiment)),
             ("threads", Json::int(self.threads)),
+            (
+                "host_parallelism",
+                Json::int(std::thread::available_parallelism().map_or(1, usize::from)),
+            ),
             ("wall_ms", Json::Num(self.wall.as_secs_f64() * 1e3)),
             ("total_steps", Json::int(self.total_steps())),
             ("steps_per_sec", Json::Num(self.steps_per_sec())),
@@ -364,6 +369,7 @@ mod tests {
         }
         let bench = report.bench_json().render();
         assert!(bench.contains("\"bench\": \"unit\""), "{bench}");
+        assert!(bench.contains("\"host_parallelism\": "), "{bench}");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 use routelab::core::model::CommModel;
 use routelab::engine::paper_runs;
 use routelab::engine::runner::Runner;
-use routelab::realize::compose::{plan, realize};
+use routelab::realize::plan::{apply_route, plan_route};
 use routelab::realize::verify::verify_path;
+use routelab::realize::Registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The REO execution of Example A.2 — 13 steps that set up the Fig. 6
@@ -19,13 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for target in ["RMO", "RMS", "UMS", "R1S", "R1O"] {
         let to: CommModel = target.parse()?;
-        let Some(chain) = plan(from, to) else {
+        let Ok(route) = plan_route(Registry::global(), from, to) else {
             println!("{to}: no realization chain exists");
             continue;
         };
         let hops: Vec<String> =
-            chain.iter().map(|e| format!("{}({:?})", e.realizer, e.kind)).collect();
-        let out = realize(&run.instance, &run.seq, from, to)?.expect("chain exists");
+            route.edges().iter().map(|e| format!("{}({:?})", e.realizer, e.kind)).collect();
+        let out = apply_route(&run.instance, &run.seq, &route)?;
         let report = verify_path(&run.instance, &run.seq, from, to)?.expect("chain exists");
         println!(
             "{to}: chain {} -> [{}], {} steps, claimed {}, achieved {:?}, holds = {}",
@@ -40,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Show the realized trace in the strongest target.
     let to: CommModel = "RMS".parse()?;
-    let out = realize(&run.instance, &run.seq, from, to)?.expect("chain exists");
+    let route = plan_route(Registry::global(), from, to)?;
+    let out = apply_route(&run.instance, &run.seq, &route)?;
     let trace = Runner::trace_of(&run.instance, &out.seq);
     println!("\nrealized RMS trace (identical to the REO one):");
     print!("{}", trace.render(&run.instance));

@@ -41,3 +41,20 @@ fn a_valid_run_count_simulates() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("R1O: ") && stdout.contains("/3 runs converged"), "{stdout}");
 }
+
+#[test]
+fn a_bad_threads_variable_is_a_usage_error() {
+    for raw in ["abc", "0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_routelab"))
+            .args(["simulate", "DISAGREE", "RMS", "5"])
+            .env("ROUTELAB_THREADS", raw)
+            .env("ROUTELAB_RESULTS_DIR", results_dir("cli_simulate_bad_threads"))
+            .output()
+            .expect("the routelab binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{raw}: {stderr}");
+        let want = format!("routelab: ROUTELAB_THREADS needs a positive integer, got {raw:?}");
+        assert_eq!(stderr.trim_end(), want, "{raw}");
+        assert!(!stderr.contains("panicked"), "{raw}: {stderr}");
+    }
+}
