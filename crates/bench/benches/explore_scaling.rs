@@ -24,7 +24,8 @@ use routelab_core::model::CommModel;
 use routelab_explore::effects::Spec;
 use routelab_explore::graph::{try_build_spec, ExploreConfig, StateGraph};
 use routelab_explore::oscillation::analyze_graph;
-use routelab_sim::report::{write_json_to, Json};
+use routelab_obs::JVal;
+use routelab_sim::report::write_json_to;
 use routelab_spp::gadgets;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -57,7 +58,7 @@ fn main() {
             let mut walls = Vec::new();
             let mut runs_json = Vec::new();
             let mut states = 0usize;
-            let mut reduction_json = Json::Null;
+            let mut reduction_json = JVal::Null;
             for &threads in &THREADS {
                 let cfg = ExploreConfig {
                     channel_cap: 3,
@@ -85,27 +86,27 @@ fn main() {
                     g.stats.bytes_resident as f64 / (1 << 20) as f64,
                     if same { "" } else { ", MISMATCH vs 1-thread build" },
                 );
-                runs_json.push(Json::obj([
-                    ("threads", Json::int(threads)),
-                    ("wall_ms", Json::Num(wall_ms)),
-                    ("states", Json::int(g.len())),
-                    ("states_per_s", Json::Num(states_per_s)),
-                    ("candidates", Json::int(g.stats.candidates as usize)),
-                    ("dedup_hits", Json::int(g.stats.dedup_hits as usize)),
-                    ("peak_frontier", Json::int(g.stats.peak_frontier)),
-                    ("bytes_resident", Json::int(g.stats.bytes_resident as usize)),
-                    ("identical_to_single_thread", Json::Bool(same)),
+                runs_json.push(JVal::obj([
+                    ("threads", JVal::int(threads)),
+                    ("wall_ms", JVal::Num(wall_ms)),
+                    ("states", JVal::int(g.len())),
+                    ("states_per_s", JVal::Num(states_per_s)),
+                    ("candidates", JVal::int(g.stats.candidates as usize)),
+                    ("dedup_hits", JVal::int(g.stats.dedup_hits as usize)),
+                    ("peak_frontier", JVal::int(g.stats.peak_frontier)),
+                    ("bytes_resident", JVal::int(g.stats.bytes_resident as usize)),
+                    ("identical_to_single_thread", JVal::Bool(same)),
                 ]));
                 walls.push(wall_ms);
                 states = g.len();
                 if reduce {
                     let r = g.reduction;
-                    reduction_json = Json::obj([
-                        ("canon_rewrites", Json::int(r.canon_rewrites as usize)),
-                        ("absorb_pops", Json::int(r.absorb_pops as usize)),
-                        ("set_collapses", Json::int(r.set_collapses as usize)),
-                        ("sym_hits", Json::int(r.sym_hits as usize)),
-                        ("group_order", Json::int(r.group_order)),
+                    reduction_json = JVal::obj([
+                        ("canon_rewrites", JVal::int(r.canon_rewrites as usize)),
+                        ("absorb_pops", JVal::int(r.absorb_pops as usize)),
+                        ("set_collapses", JVal::int(r.set_collapses as usize)),
+                        ("sym_hits", JVal::int(r.sym_hits as usize)),
+                        ("group_order", JVal::int(r.group_order)),
                     ]);
                 }
                 if baseline.is_none() {
@@ -117,14 +118,14 @@ fn main() {
             println!(
                 "explore_scaling/FIG6×{model_s} {mode}: speedup at 8 threads = {speedup_8t:.2}×"
             );
-            cells_json.push(Json::obj([
-                ("model", Json::str(model_s)),
-                ("gadget", Json::str("FIG6")),
-                ("reduce", Json::Bool(reduce)),
-                ("states", Json::int(states)),
+            cells_json.push(JVal::obj([
+                ("model", JVal::str(model_s)),
+                ("gadget", JVal::str("FIG6")),
+                ("reduce", JVal::Bool(reduce)),
+                ("states", JVal::int(states)),
                 ("reduction", reduction_json),
-                ("runs", Json::Arr(runs_json)),
-                ("speedup_8t", Json::Num(speedup_8t)),
+                ("runs", JVal::Arr(runs_json)),
+                ("speedup_8t", JVal::Num(speedup_8t)),
             ]));
         }
         let consistent =
@@ -138,17 +139,17 @@ fn main() {
         );
     }
 
-    let json = Json::obj([
-        ("bench", Json::str("explore_scaling")),
+    let json = JVal::obj([
+        ("bench", JVal::str("explore_scaling")),
         (
             "workload",
-            Json::str("A.2: FIG6 × {R1A, RMA}, channel cap 3, exhaustive (~654k raw states)"),
+            JVal::str("A.2: FIG6 × {R1A, RMA}, channel cap 3, exhaustive (~654k raw states)"),
         ),
-        ("host_parallelism", Json::int(host_parallelism)),
-        ("baseline_states_per_s", Json::Num(BASELINE_UNREDUCED_STATES_PER_S)),
-        ("bit_identical_across_thread_counts", Json::Bool(all_identical)),
-        ("reduced_verdicts_match_unreduced", Json::Bool(all_consistent)),
-        ("cells", Json::Arr(cells_json)),
+        ("host_parallelism", JVal::int(host_parallelism)),
+        ("baseline_states_per_s", JVal::Num(BASELINE_UNREDUCED_STATES_PER_S)),
+        ("bit_identical_across_thread_counts", JVal::Bool(all_identical)),
+        ("reduced_verdicts_match_unreduced", JVal::Bool(all_consistent)),
+        ("cells", JVal::Arr(cells_json)),
     ]);
     let dir = std::env::var("ROUTELAB_RESULTS_DIR")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../results").to_string());

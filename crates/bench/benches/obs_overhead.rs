@@ -10,9 +10,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use routelab_core::model::CommModel;
+use routelab_obs::JVal;
 use routelab_sim::montecarlo::{try_run_grid_with, CellConfig};
 use routelab_sim::pool::PoolConfig;
-use routelab_sim::report::{write_json_to, Json};
+use routelab_sim::report::write_json_to;
 use routelab_spp::gadgets;
 
 /// Median wall-clock milliseconds over `reps` runs of the grid.
@@ -66,15 +67,15 @@ fn main() {
         "obs_overhead: obs-off {off_ms:.2} ms, obs-on {on_ms:.2} ms ({overhead_pct:+.2}%), \
          trace-on {trace_on_ms:.2} ms ({trace_overhead_pct:+.2}%)"
     );
-    let json = Json::obj([
-        ("bench", Json::str("obs_overhead")),
-        ("workload", Json::str("disagree 24-model grid, 8 runs/cell, 4 threads")),
-        ("reps", Json::int(REPS)),
-        ("obs_off_ms", Json::Num(off_ms)),
-        ("obs_on_ms", Json::Num(on_ms)),
-        ("overhead_pct", Json::Num(overhead_pct)),
-        ("trace_on_ms", Json::Num(trace_on_ms)),
-        ("trace_overhead_pct", Json::Num(trace_overhead_pct)),
+    let json = JVal::obj([
+        ("bench", JVal::str("obs_overhead")),
+        ("workload", JVal::str("disagree 24-model grid, 8 runs/cell, 4 threads")),
+        ("reps", JVal::int(REPS)),
+        ("obs_off_ms", JVal::Num(off_ms)),
+        ("obs_on_ms", JVal::Num(on_ms)),
+        ("overhead_pct", JVal::Num(overhead_pct)),
+        ("trace_on_ms", JVal::Num(trace_on_ms)),
+        ("trace_overhead_pct", JVal::Num(trace_overhead_pct)),
     ]);
     // `cargo bench` sets the CWD to the package root, so resolve the
     // workspace-level results dir explicitly rather than relying on a

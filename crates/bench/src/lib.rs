@@ -7,5 +7,6 @@
 //! * `explore_scaling` — explorer thread scaling and determinism on the
 //!   Appendix A.2 cells (`BENCH_explore.json`).
 //!
-//! Engine throughput is not timed here: `exp-montecarlo` records it for the
-//! pinned grid in `BENCH_montecarlo.json`, which the same script gates.
+//! Engine throughput is not timed here: `routelab exp montecarlo` records
+//! it for the pinned grid in `BENCH_montecarlo.json`, which the same script
+//! gates.

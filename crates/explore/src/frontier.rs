@@ -9,8 +9,8 @@
 //!
 //! **The result — node ids, node count, edges, parents, truncation point,
 //! accepted node — is bit-identical at any thread count**, and identical to
-//! the plain sequential reference [`bfs_reference`]. Each block runs in two
-//! phases:
+//! the plain sequential reference the tests compare it with
+//! (`bfs_reference`, test-only). Each block runs in two phases:
 //!
 //! 1. *Expand*, in parallel: `std::thread::scope` workers expand contiguous
 //!    ranges of the block, each parent's successors landing in that
@@ -35,7 +35,6 @@
 //! The same contract as the run-level pool (`ROUTELAB_THREADS`), pushed
 //! down into a single gadget × model cell.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::arena::NodeArena;
@@ -637,14 +636,15 @@ pub fn bfs<E: Expand>(
 /// # Errors
 ///
 /// Propagates the first [`ExploreError`] from expansion.
-pub fn bfs_reference<E: Expand>(
+#[cfg(test)]
+pub(crate) fn bfs_reference<E: Expand>(
     exp: &E,
     root: &[u16],
     cell: &str,
     opts: &BfsOptions,
 ) -> Result<BfsResult<E::Label>, ExploreError> {
     let mut arena = NodeArena::new();
-    let mut ids: HashMap<Vec<u16>, u32> = HashMap::new();
+    let mut ids: std::collections::HashMap<Vec<u16>, u32> = Default::default();
     let mut edges: Vec<Vec<(u32, E::Label)>> = Vec::new();
     let mut parents: Vec<Option<(u32, E::Label)>> = Vec::new();
     let mut truncated = false;
@@ -716,6 +716,7 @@ pub fn bfs_reference<E: Expand>(
 
 /// Loop condition of the sequential reference (`expanded < len`, no
 /// acceptance yet).
+#[cfg(test)]
 fn expanded_lt(arena: &NodeArena, accepted: Option<u32>, expanded: u64) -> bool {
     (expanded as usize) < arena.len() && accepted.is_none()
 }

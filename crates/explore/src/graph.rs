@@ -5,8 +5,8 @@
 //! word arena (see [`crate::arena`]) and the graph is built by the
 //! parallel frontier engine ([`crate::frontier`]): state ids, counts,
 //! edges, and truncation points are bit-identical at any thread count, and
-//! identical to the retained sequential reference
-//! ([`build_spec_reference`]) that the differential tests compare against.
+//! identical to the retained sequential reference (`build_spec_reference`,
+//! test-only) that the differential tests compare against.
 //!
 //! Both modes expand states through one packed kernel
 //! ([`crate::exec_packed`]): successors are computed directly on the packed
@@ -590,29 +590,35 @@ pub fn try_build_spec(
     spec: Spec<'_>,
     cfg: &ExploreConfig,
 ) -> Result<StateGraph, ExploreError> {
-    build_with(inst, spec, cfg, false)
+    build_with(inst, spec, cfg, |exp, root, cell, opts| frontier::bfs(exp, root, cell, opts))
 }
 
 /// The retained sequential reference build: same output contract as
 /// [`try_build_spec`], but computed by the plain one-queue-one-map loop.
 /// The differential tests assert both agree bit-for-bit.
-///
-/// # Errors
-///
-/// Any [`ExploreError`] raised while interning or expanding states.
-pub fn build_spec_reference(
+#[cfg(test)]
+pub(crate) fn build_spec_reference(
     inst: &SppInstance,
     spec: Spec<'_>,
     cfg: &ExploreConfig,
 ) -> Result<StateGraph, ExploreError> {
-    build_with(inst, spec, cfg, true)
+    build_with(inst, spec, cfg, |exp, root, cell, opts| {
+        frontier::bfs_reference(exp, root, cell, opts)
+    })
 }
 
+/// Sets up the codec, reducer, kernel tables and root of a build, runs
+/// `search` over them, and assembles its result into a [`StateGraph`].
 fn build_with(
     inst: &SppInstance,
     spec: Spec<'_>,
     cfg: &ExploreConfig,
-    reference: bool,
+    search: impl FnOnce(
+        &GraphExpand<'_>,
+        &[u16],
+        &str,
+        &BfsOptions,
+    ) -> Result<BfsResult<EdgePayload>, ExploreError>,
 ) -> Result<StateGraph, ExploreError> {
     let _span = routelab_obs::span("explore.build");
     let cell = cell_of(inst, spec);
@@ -639,11 +645,7 @@ fn build_with(
         record_parents: false,
         progress_label: "explore.states",
     };
-    let r = if reference {
-        frontier::bfs_reference(&exp, &root, &cell, &opts)?
-    } else {
-        frontier::bfs(&exp, &root, &cell, &opts)?
-    };
+    let r = search(&exp, &root, &cell, &opts)?;
     let (reduction, sym) = match reducer {
         Some(red) => (red.stats(), red.sym.clone()),
         None => (ReductionStats::default(), None),

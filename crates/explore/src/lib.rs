@@ -43,6 +43,8 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
+#[cfg(test)]
+mod differential;
 pub mod effects;
 pub mod error;
 pub mod exec_packed;

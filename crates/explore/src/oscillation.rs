@@ -595,7 +595,8 @@ mod tests {
         // 150k-state budget of the breadth-first order, and REA is checked
         // here exhaustively (≈5k reduced states); REF (≈128k reduced),
         // R1A and RMA (a few hundred reduced states, ≈654k raw) are
-        // covered by the release-only test below and by `exp-examples`.
+        // covered by the release-only test below and by
+        // `routelab exp examples`.
         let inst = gadgets::fig6();
         let cfg = ExploreConfig { channel_cap: 3, ..ExploreConfig::default() };
         let v = analyze(&inst, "REO".parse().unwrap(), &cfg);
@@ -613,7 +614,7 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "≈128k-state REF exploration; run with `cargo test --release` or `exp-examples a2`"
+        ignore = "≈128k-state REF exploration; run with `cargo test --release` or `routelab exp examples a2`"
     )]
     fn example_a2_fig6_polling_r1a_rma_converge_exhaustively() {
         let inst = gadgets::fig6();
@@ -725,8 +726,8 @@ mod tests {
     #[test]
     fn hetero_lossy_channels_do_not_break_polling_convergence() {
         // Mixed reliability on DISAGREE: even with every channel lossy,
-        // poll-all keeps the instance convergent (cf. exp-beyond: UEA
-        // cannot oscillate DISAGREE).
+        // poll-all keeps the instance convergent (cf. `routelab exp
+        // beyond`: UEA cannot oscillate DISAGREE).
         use routelab_spp::Channel;
         let inst = gadgets::disagree();
         let x = inst.node_by_name("x").unwrap();

@@ -5,7 +5,7 @@
 //! consume the log; the tag field `t` discriminates:
 //!
 //! ```text
-//! {"t":"meta","proc":"exp-survey","pid":4242,"version":"0.1.0"}
+//! {"t":"meta","proc":"routelab","pid":4242,"version":"0.1.0"}
 //! {"t":"sb","name":"survey.gadget","ns":1200}
 //! {"t":"se","name":"survey.gadget","ns":91200,"dur_ns":90000,"fields":{"gadget":"FIG6"}}
 //! {"t":"ctr","name":"engine.steps","ns":91300,"value":5400}
@@ -62,7 +62,7 @@ impl From<&str> for FieldVal {
 pub enum Event {
     /// Process identification, first line of every log file.
     Meta {
-        /// The emitting process (experiment binary name).
+        /// The emitting process (the binary's name).
         proc: String,
         /// OS process id.
         pid: u32,
@@ -215,14 +215,16 @@ impl Event {
     }
 }
 
-/// A parsed JSON value (the read side of the NDJSON log).
+/// A JSON value: what [`parse_json`] reads, and what [`JVal::render`]
+/// writes as a report file.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JVal {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (ints up to 2⁵³ round-trip exactly).
+    /// Any number (ints up to 2⁵³ round-trip exactly; non-finite values
+    /// render as `null`).
     Num(f64),
     /// A string.
     Str(String),
@@ -233,6 +235,79 @@ pub enum JVal {
 }
 
 impl JVal {
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> JVal {
+        JVal::Str(s.into())
+    }
+
+    /// An integer value (exact for |n| ≤ 2⁵³).
+    pub fn int(n: usize) -> JVal {
+        JVal::Num(n as f64)
+    }
+
+    /// An object from `(key, value)` pairs, keys in the given order.
+    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, JVal)>) -> JVal {
+        JVal::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Serializes with 2-space indentation and a trailing newline, keeping
+    /// object keys in order so regenerated files diff cleanly.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        let newline_indent = |out: &mut String, indent: usize| {
+            out.push('\n');
+            for _ in 0..indent {
+                out.push_str("  ");
+            }
+        };
+        match self {
+            JVal::Null => out.push_str("null"),
+            JVal::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JVal::Num(n) if !n.is_finite() => out.push_str("null"),
+            JVal::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                let _ = write!(out, "{}", *n as i64);
+            }
+            JVal::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            JVal::Str(s) => escape_into(out, s),
+            JVal::Arr(items) if items.is_empty() => out.push_str("[]"),
+            JVal::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent + 1);
+                    item.write(out, indent + 1);
+                }
+                newline_indent(out, indent);
+                out.push(']');
+            }
+            JVal::Obj(pairs) if pairs.is_empty() => out.push_str("{}"),
+            JVal::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent + 1);
+                    escape_into(out, k);
+                    out.push_str(": ");
+                    v.write(out, indent + 1);
+                }
+                newline_indent(out, indent);
+                out.push('}');
+            }
+        }
+    }
+
     /// Member lookup on objects.
     pub fn get(&self, key: &str) -> Option<&JVal> {
         match self {
@@ -510,6 +585,65 @@ mod tests {
         // Surrogate pair for 😀 (U+1F600).
         let v = parse_json(r#""\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn json_rendering_covers_all_value_kinds() {
+        let v = JVal::obj([
+            ("null", JVal::Null),
+            ("flag", JVal::Bool(true)),
+            ("int", JVal::int(42)),
+            ("frac", JVal::Num(0.25)),
+            ("inf", JVal::Num(f64::INFINITY)),
+            ("text", JVal::str("a \"b\"\nc\\d\u{1}")),
+            ("arr", JVal::Arr(vec![JVal::int(1), JVal::int(2)])),
+            ("empty_arr", JVal::Arr(vec![])),
+            ("empty_obj", JVal::obj([])),
+        ]);
+        let s = v.render();
+        assert!(s.contains("\"null\": null"), "{s}");
+        assert!(s.contains("\"flag\": true"), "{s}");
+        assert!(s.contains("\"int\": 42"), "{s}");
+        assert!(s.contains("\"frac\": 0.25"), "{s}");
+        assert!(s.contains("\"inf\": null"), "{s}");
+        assert!(s.contains(r#"a \"b\"\nc\\d\u0001"#), "{s}");
+        assert!(s.contains("\"empty_arr\": []"), "{s}");
+        assert!(s.contains("\"empty_obj\": {}"), "{s}");
+        assert!(s.ends_with("}\n"), "{s}");
+        // What the writer renders, the parser reads back (∞ became null).
+        let JVal::Obj(mut pairs) = v else { unreachable!() };
+        pairs[4].1 = JVal::Null;
+        assert_eq!(parse_json(&s).unwrap(), JVal::Obj(pairs));
+    }
+
+    #[test]
+    fn large_integers_render_without_exponent() {
+        assert_eq!(JVal::int(1_000_000_000).render(), "1000000000\n");
+        assert_eq!(JVal::Num(1.5).render(), "1.5\n");
+    }
+
+    #[test]
+    fn string_escaping_covers_json_special_cases() {
+        let cases: &[(&str, &str)] = &[
+            ("plain", r#""plain""#),
+            ("with \"quotes\"", r#""with \"quotes\"""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("line\nbreak", r#""line\nbreak""#),
+            ("carriage\rreturn", r#""carriage\rreturn""#),
+            ("tab\there", r#""tab\there""#),
+            ("nul\u{0}byte", r#""nul\u0000byte""#),
+            ("esc\u{1b}ape", r#""esc\u001bape""#),
+            ("unit\u{1f}sep", r#""unit\u001fsep""#),
+            // Non-ASCII in the BMP passes through unescaped (the files are
+            // UTF-8); astral characters become surrogate pairs.
+            ("π ≤ ∞ désolé", r#""π ≤ ∞ désolé""#),
+            ("emoji \u{1f600}", r#""emoji \ud83d\ude00""#),
+        ];
+        for (input, want) in cases {
+            let mut out = String::new();
+            escape_json(&mut out, input);
+            assert_eq!(&out, want, "escaping {input:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::event::{parse_json, JVal};
+use crate::event::{escape_json, parse_json, JVal};
 use crate::hist::LogHistogram;
 
 /// Aggregated counter state.
@@ -216,20 +216,6 @@ impl Summary {
     /// Renders the machine-readable JSON summary.
     pub fn to_json_string(&self) -> String {
         use std::fmt::Write as _;
-        fn esc(s: &str) -> String {
-            let mut out = String::new();
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::from("{\n");
         let _ = write!(
             out,
@@ -241,17 +227,18 @@ impl Summary {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\"", esc(p));
+            escape_json(&mut out, p);
         }
         out.push_str("],\n  \"spans\": {");
         for (i, (name, h)) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("\n    ");
+            escape_json(&mut out, name);
             let _ = write!(
                 out,
-                "\n    \"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"max_ns\": {}, \"total_ns\": {}}}",
-                esc(name),
+                ": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"max_ns\": {}, \"total_ns\": {}}}",
                 h.count,
                 h.quantile(0.5),
                 h.quantile(0.95),
@@ -264,30 +251,29 @@ impl Summary {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    \"{}\": {}", esc(name), c.total);
+            out.push_str("\n    ");
+            escape_json(&mut out, name);
+            let _ = write!(out, ": {}", c.total);
         }
         out.push_str("\n  },\n  \"gauges\": {");
         for (i, (name, g)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"last\": {}, \"max\": {}}}",
-                esc(name),
-                g.last,
-                g.max
-            );
+            out.push_str("\n    ");
+            escape_json(&mut out, name);
+            let _ = write!(out, ": {{\"last\": {}, \"max\": {}}}", g.last, g.max);
         }
         out.push_str("\n  },\n  \"histograms\": {");
         for (i, (name, h)) in self.hists.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("\n    ");
+            escape_json(&mut out, name);
             let _ = write!(
                 out,
-                "\n    \"{}\": {{\"count\": {}, \"mean\": {:.3}, \"p50\": {}, \"p95\": {}, \"max\": {}, \"sum\": {}}}",
-                esc(name),
+                ": {{\"count\": {}, \"mean\": {:.3}, \"p50\": {}, \"p95\": {}, \"max\": {}, \"sum\": {}}}",
                 h.count,
                 h.mean(),
                 h.quantile(0.5),

@@ -17,9 +17,9 @@
 //!   exactly, coalescing dropped backlogs),
 //! * identity embeddings for Prop 3.3 (weaker models are syntactic subsets).
 //!
-//! [`compose`] chains these along a path of foundational edges, and
-//! [`verify`] checks end to end that the produced sequence is legal in the
-//! target model and that the claimed trace relation (Definition 3.2)
+//! [`plan::apply_chain`] chains these along a path of foundational edges,
+//! and [`verify`] checks end to end that the produced sequence is legal in
+//! the target model and that the claimed trace relation (Definition 3.2)
 //! actually holds.
 //!
 //! [`registry`] names every transform, gadget generator, and check under a
@@ -33,7 +33,7 @@
 //! ```
 //! use routelab_engine::paper_runs;
 //! use routelab_realize::verify::verify_edge;
-//! use routelab_realize::compose::TransformKind;
+//! use routelab_realize::TransformKind;
 //!
 //! // Run Example A.2's REO script, then realize it inside RMO (Prop 3.3).
 //! let (run, _) = paper_runs::a2_reo();
@@ -47,14 +47,14 @@
 //! assert!(report.holds());
 //! ```
 
-pub mod compose;
 pub mod plan;
 pub mod registry;
 pub mod transform;
 pub mod verify;
 
-pub use compose::{apply_chain, Edge, TransformKind};
-pub use plan::{plan_route, run_pipeline, NoRoute, PipelineError, Route};
+pub use plan::{
+    apply_chain, plan_route, run_pipeline, Edge, NoRoute, PipelineError, Route, TransformKind,
+};
 pub use registry::{Registry, RegistryError};
 pub use transform::{Tables, TransformError, TransformOutput};
 pub use verify::{verify_edge, Report};

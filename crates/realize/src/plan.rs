@@ -19,19 +19,25 @@
 //!   first model (in [`CommModel::all`] order) under which every stage
 //!   type-checks, or pinned explicitly by naming a model as the second
 //!   stage.
+//!
+//! Both run on the foundational edges (the positive half of Sec. 3.4): each
+//! positive fact of [`foundational_facts`] paired with the construction that
+//! proves it ([`foundational_edges`]), applied one at a time by
+//! [`apply_edge`] and along a path by [`apply_chain`].
 
 use std::borrow::Cow;
 use std::fmt;
 
+use routelab_core::dims::Reliability;
+use routelab_core::edges::foundational_facts;
 use routelab_core::lattice::Strength;
 use routelab_core::model::CommModel;
 use routelab_core::step::{ActivationSeq, ActivationStep};
 use routelab_engine::schedule::RoundRobin;
 use routelab_spp::SppInstance;
 
-use crate::compose::{apply_chain, apply_edge, Edge};
 use crate::registry::{Registry, RegistryError, Resolved};
-use crate::transform::{Tables, TransformError, TransformOutput};
+use crate::transform::{self, Tables, TransformError, TransformOutput};
 use crate::verify::{report_for, Report};
 
 /// A deterministic fair prefix: `steps` activations of `model`'s round-robin
@@ -46,6 +52,121 @@ pub fn fair_prefix(inst: &SppInstance, model: CommModel, steps: usize) -> Activa
         seq.push(step);
     }
     seq
+}
+
+// ---------------------------------------------------------------------------
+// Foundational edges
+// ---------------------------------------------------------------------------
+
+/// Which constructive algorithm realizes a foundational edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransformKind {
+    /// Prop 3.3: the sequence is already legal in the stronger model.
+    Identity,
+    /// Prop 3.4: pad `wMS` updates with `f = 0` reads to scope `E`.
+    Pad,
+    /// Thm 3.5: split `wMy` updates into ordered single-channel updates.
+    Split,
+    /// Prop 3.6 (reliable): the R1S→R1O flagging construction.
+    Flag,
+    /// Prop 3.6 (unreliable): drop all but the used message.
+    Elide,
+    /// Thm 3.7: coalesce U1O drops into R1S batch reads.
+    Coalesce,
+}
+
+impl TransformKind {
+    /// Every constructive algorithm, in paper order.
+    pub const ALL: [TransformKind; 6] = [
+        TransformKind::Identity,
+        TransformKind::Pad,
+        TransformKind::Split,
+        TransformKind::Flag,
+        TransformKind::Elide,
+        TransformKind::Coalesce,
+    ];
+}
+
+/// A foundational positive edge with its transformation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Edge {
+    /// The realized (source) model.
+    pub realized: CommModel,
+    /// The realizing (target) model.
+    pub realizer: CommModel,
+    /// The strength the construction guarantees.
+    pub strength: Strength,
+    /// The algorithm.
+    pub kind: TransformKind,
+}
+
+/// All foundational edges: each positive fact of [`foundational_facts`],
+/// in order, with the construction its source proves it by.
+pub fn foundational_edges() -> Vec<Edge> {
+    let kind = |source: &str, realized: CommModel| match source {
+        "Prop 3.4" => TransformKind::Pad,
+        "Thm 3.5" => TransformKind::Split,
+        "Prop 3.6" if realized.reliability == Reliability::Reliable => TransformKind::Flag,
+        "Prop 3.6" => TransformKind::Elide,
+        "Thm 3.7" => TransformKind::Coalesce,
+        s if s.starts_with("Prop 3.3") => TransformKind::Identity,
+        s => unreachable!("no construction proves {s}"),
+    };
+    foundational_facts()
+        .positives
+        .iter()
+        .map(|f| Edge {
+            realized: f.realized,
+            realizer: f.realizer,
+            strength: f.strength,
+            kind: kind(f.source, f.realized),
+        })
+        .collect()
+}
+
+/// Applies one edge's transformation.
+///
+/// # Errors
+///
+/// Propagates [`TransformError`] from the underlying algorithm.
+pub fn apply_edge<'s>(
+    edge: &Edge,
+    tables: &Tables<'_>,
+    seq: &'s ActivationSeq,
+) -> Result<TransformOutput<'s>, TransformError> {
+    match edge.kind {
+        TransformKind::Identity => transform::identity(tables, seq),
+        TransformKind::Pad => transform::pad_m_to_e(tables, seq),
+        TransformKind::Split => transform::split_m_to_1(tables, seq, edge.realizer.messages),
+        TransformKind::Flag => transform::flag_r1s_to_r1o(tables, seq),
+        TransformKind::Elide => transform::elide_u1s_to_u1o(tables, seq),
+        TransformKind::Coalesce => transform::coalesce_u1o_to_r1s(tables, seq),
+    }
+}
+
+/// Applies a chain of edges in order, accumulating the weakest claimed
+/// strength and the conjunction of losslessness. The output borrows `seq`
+/// until some stage rewrites it, so identity stages copy nothing.
+///
+/// # Errors
+///
+/// Propagates [`TransformError`] from the underlying algorithms.
+pub fn apply_chain<'s>(
+    tables: &Tables<'_>,
+    seq: &'s ActivationSeq,
+    edges: &[Edge],
+) -> Result<TransformOutput<'s>, TransformError> {
+    let mut cur =
+        TransformOutput { seq: Cow::Borrowed(seq), claimed: Strength::Exact, lossless: true };
+    for edge in edges {
+        let next = apply_edge(edge, tables, &cur.seq)?;
+        cur.claimed = cur.claimed.min(next.claimed);
+        cur.lossless &= next.lossless;
+        if let Cow::Owned(rewritten) = next.seq {
+            cur.seq = Cow::Owned(rewritten);
+        }
+    }
+    Ok(cur)
 }
 
 // ---------------------------------------------------------------------------
@@ -953,6 +1074,79 @@ mod tests {
             let seq = fair_prefix(&inst, route.from, 3 * inst.node_count());
             let report = verify_route(&inst, &seq, &route).unwrap();
             assert!(report.holds(), "{from} -> {to}: {report}");
+        }
+    }
+
+    #[test]
+    fn plan_matches_closure_lower_bounds() {
+        // The bottleneck strength of the best plan must equal the positive
+        // closure's lower bound for every pair with a plan; pairs without a
+        // plan must have lower bound 0 (only negatives/unknowns there).
+        let bounds = routelab_core::closure::derive_bounds(&foundational_facts());
+        for a in CommModel::all() {
+            for b in CommModel::all() {
+                if a == b {
+                    continue;
+                }
+                let lower = bounds.get(a, b).lower;
+                match plan_route(Registry::global(), a, b) {
+                    Ok(route) => {
+                        let bottleneck = route.bottleneck().level();
+                        assert_eq!(
+                            bottleneck, lower,
+                            "plan {a} -> {b}: bottleneck {bottleneck} vs closure {lower}"
+                        );
+                    }
+                    Err(_) => {
+                        assert_eq!(lower, 0, "{a} -> {b}: closure says {lower} but no plan");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_is_empty_for_same_model() {
+        let m: CommModel = "RMS".parse().unwrap();
+        assert_eq!(plan_route(Registry::global(), m, m).unwrap().steps.len(), 0);
+    }
+
+    #[test]
+    fn no_plan_into_weak_models() {
+        // R1O cannot be realized in the polling models (Thm 3.8): there must
+        // be no positive chain.
+        let r1o: CommModel = "R1O".parse().unwrap();
+        for weak in ["REO", "REF", "R1A", "RMA", "REA"] {
+            assert!(plan_route(Registry::global(), r1o, weak.parse().unwrap()).is_err(), "{weak}");
+        }
+    }
+
+    #[test]
+    fn ums_realizes_everything_exactly() {
+        let ums: CommModel = "UMS".parse().unwrap();
+        for a in CommModel::all() {
+            if a == ums {
+                continue;
+            }
+            let route = plan_route(Registry::global(), a, ums)
+                .unwrap_or_else(|e| panic!("no plan {a} -> UMS: {e}"));
+            assert_eq!(route.bottleneck().level(), 4, "{a} -> UMS should be exact");
+        }
+    }
+
+    #[test]
+    fn paths_are_well_formed_chains() {
+        for a in CommModel::all() {
+            for b in CommModel::all() {
+                if let Ok(route) = plan_route(Registry::global(), a, b) {
+                    let mut cur = a;
+                    for e in route.edges() {
+                        assert_eq!(e.realized, cur);
+                        cur = e.realizer;
+                    }
+                    assert_eq!(cur, b);
+                }
+            }
         }
     }
 }

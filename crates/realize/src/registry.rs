@@ -29,7 +29,7 @@ use routelab_core::lattice::Strength;
 use routelab_core::model::CommModel;
 use routelab_spp::{gadgets, SppInstance};
 
-use crate::compose::{foundational_edges, Edge, TransformKind};
+use crate::plan::{foundational_edges, Edge, TransformKind};
 
 /// What kind of pipeline stage an entry provides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

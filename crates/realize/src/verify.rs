@@ -11,8 +11,7 @@ use routelab_engine::runner::Runner;
 use routelab_engine::trace::{relation, TraceRelation};
 use routelab_spp::{NodeId, RouteId, SppInstance};
 
-use crate::compose::{self, Edge, TransformKind};
-use crate::plan::{plan_route, verify_route};
+use crate::plan::{apply_edge, plan_route, verify_route, Edge, TransformKind};
 use crate::registry::Registry;
 use crate::transform::{Tables, TransformError};
 
@@ -94,7 +93,7 @@ pub fn verify_edge(
     };
     let edge = Edge { realized: from, realizer: to, strength, kind };
     let tables = Tables::new(inst);
-    let out = compose::apply_edge(&edge, &tables, seq)?;
+    let out = apply_edge(&edge, &tables, seq)?;
     Ok(report_for(&tables, seq, &out.seq, from, to, out.claimed, out.lossless))
 }
 
@@ -182,7 +181,7 @@ mod tests {
         // For every foundational edge, generate a fair run of the realized
         // model on several gadgets and verify the construction end to end.
         let corpus = [gadgets::disagree(), gadgets::fig6(), gadgets::bad_gadget()];
-        for edge in compose::foundational_edges() {
+        for edge in crate::plan::foundational_edges() {
             for inst in &corpus {
                 let steps = 4 * inst.node_count();
                 let seq = fair_prefix(inst, edge.realized, steps);

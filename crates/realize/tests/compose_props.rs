@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use routelab_core::model::CommModel;
-use routelab_realize::compose::{apply_chain, apply_edge};
+use routelab_realize::plan::{apply_chain, apply_edge};
 use routelab_realize::plan::{fair_prefix, plan_route};
 use routelab_realize::registry::Registry;
 use routelab_realize::transform::Tables;

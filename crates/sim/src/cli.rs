@@ -1,8 +1,8 @@
-//! Shared command-line plumbing for the experiment binaries.
+//! Shared command-line plumbing of the `routelab` binary.
 //!
-//! Every `exp_*` binary accepts the same infrastructure flags —
-//! `--threads N`, `--quiet`, `--obs`, `--trace`, `--reduce`/`--no-reduce` —
-//! parsed here once instead of being copied per binary. Parsing also wires
+//! Every subcommand, `routelab exp <name>` included, accepts the same
+//! infrastructure flags — `--threads N`, `--quiet`, `--obs`, `--trace`,
+//! `--no-reduce` — parsed here once. Parsing also wires
 //! the telemetry layer: `--obs` (or a truthy `ROUTELAB_OBS`) enables the NDJSON
 //! sink, `--trace` (or a truthy `ROUTELAB_TRACE`) enables the flight
 //! recorder, and `--quiet` suppresses progress/heartbeat output on stderr.
@@ -13,9 +13,8 @@
 //!
 //! Progress text goes to **stderr** ([`CommonOpts::progress`]) so stdout
 //! stays pipeable: it carries only the experiment's tables and verdicts.
-//! Binaries must call [`CommonOpts::finish`] (or [`exit`]) before
-//! terminating — `std::process::exit` skips destructors, so the telemetry
-//! tail would otherwise be lost.
+//! The binary must call [`CommonOpts::finish`] before it returns, or the
+//! telemetry tail is lost.
 
 use std::path::PathBuf;
 
@@ -23,7 +22,7 @@ use routelab_explore::frontier::{parse_threads, THREADS_ENV};
 
 use crate::pool::PoolConfig;
 
-/// Options shared by all experiment binaries.
+/// Options shared by every subcommand.
 #[derive(Debug, Clone, Default)]
 pub struct CommonOpts {
     /// Worker-pool sizing (`--threads N`, else `ROUTELAB_THREADS`, else all
@@ -37,10 +36,10 @@ pub struct CommonOpts {
     /// truthy `ROUTELAB_TRACE`).
     pub trace_log: Option<PathBuf>,
     /// Disable state-space reduction (`--no-reduce`); reduction is the
-    /// default, restated explicitly by `--reduce`.
+    /// default.
     pub no_reduce: bool,
     /// Positional arguments and unrecognized flags, in order, for the
-    /// binary's own parsing.
+    /// subcommand's own parsing.
     pub rest: Vec<String>,
 }
 
@@ -69,16 +68,9 @@ impl CommonOpts {
         }
     }
 
-    /// Flushes telemetry. Call once, right before the binary returns or
-    /// exits.
+    /// Flushes telemetry. Call once, right before the binary returns.
     pub fn finish(&self) {
         routelab_obs::shutdown();
-    }
-
-    /// [`CommonOpts::finish`] followed by `std::process::exit(code)`.
-    pub fn exit(&self, code: i32) -> ! {
-        self.finish();
-        std::process::exit(code);
     }
 }
 
@@ -110,7 +102,6 @@ where
             "--quiet" => opts.quiet = true,
             "--obs" => obs_flag = true,
             "--trace" => trace_flag = true,
-            "--reduce" => opts.no_reduce = false,
             "--no-reduce" => opts.no_reduce = true,
             _ => opts.rest.push(arg),
         }
@@ -140,7 +131,7 @@ where
 
 /// The most runs or steps a count argument asks for: the longest source
 /// run `routelab realize` builds, and the most runs `routelab simulate` and
-/// `exp-montecarlo` make.
+/// `routelab exp montecarlo` make.
 pub const MAX_COUNT: usize = 100_000;
 
 /// Parses a step or run count: a positive integer no larger than
@@ -193,9 +184,5 @@ mod tests {
         let o = parse_common_from("t", strs(&["--no-reduce", "x"]));
         assert!(!o.reduce());
         assert_eq!(o.rest, vec!["x"]);
-        // Last flag wins, and the explicit default is accepted.
-        let o = parse_common_from("t", strs(&["--no-reduce", "--reduce"]));
-        assert!(o.reduce());
-        assert!(o.rest.is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Shared rendering of the Appendix A example executions.
 //!
-//! Both the `exp-examples` binary and the golden-trace snapshot tests
+//! Both `routelab exp examples` and the golden-trace snapshot tests
 //! (`tests/golden_traces.rs`) render step tables through this module, so
 //! the published tables and the goldens cannot drift apart: a byte changed
 //! here shows up in the snapshot diff, and vice versa.

@@ -1,7 +1,9 @@
 //! Experiment harness: Monte-Carlo simulation, the oscillation survey, and
-//! the binaries that regenerate every table and figure of the paper
+//! the experiments that regenerate every table and figure of the paper
 //! (see DESIGN.md §4 for the experiment index).
 //!
+//! * [`exp`] — the experiments `routelab exp <name>` runs, one function
+//!   each, and their exit-status contract,
 //! * [`table`] — plain-text table rendering for experiment reports,
 //! * [`survey`] — which models admit fair oscillations on which instances
 //!   (exhaustive model checking combined with realization transfer, exactly
@@ -15,7 +17,7 @@
 //! * [`report`] — machine-readable JSON reports (`results/*.json`) layered
 //!   over the text tables,
 //! * [`cli`] — the shared `--threads`/`--quiet`/`--obs`/`--trace` flag
-//!   plumbing of the experiment binaries, wiring the `routelab-obs`
+//!   plumbing of the `routelab` binary, wiring the `routelab-obs`
 //!   telemetry layer,
 //! * [`flight`] — flight-recorder trace analysis: NDJSON trace parsing,
 //!   oscillation-cycle reconstruction (`routelab trace explain`), and Chrome
@@ -39,6 +41,7 @@
 pub mod beyond;
 pub mod cli;
 pub mod examples;
+pub mod exp;
 pub mod flight;
 pub mod montecarlo;
 pub mod pipeline;
@@ -49,6 +52,6 @@ pub mod table;
 
 pub use montecarlo::{run_cell, CellConfig, CellStats};
 pub use pool::PoolConfig;
-pub use report::{Json, RunReport};
+pub use report::RunReport;
 pub use survey::{survey_instance, SurveyEntry, SurveyOutcome};
 pub use table::Table;

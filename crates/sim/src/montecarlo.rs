@@ -422,7 +422,7 @@ pub fn try_run_grid_with(
 }
 
 /// The pinned Monte-Carlo workload: the instance families, model list and
-/// cell configuration `exp-montecarlo` publishes (whose
+/// cell configuration `routelab exp montecarlo` publishes (whose
 /// `BENCH_montecarlo.json` is also the engine throughput gate), and the
 /// Gao–Rexford family of its large-topology lane, in one place so every
 /// caller runs exactly the published workload.

@@ -12,13 +12,13 @@ For `results/BENCH_explore.json` (the default), fails (exit 1) when:
   * the reduced and unreduced oscillation verdicts disagree.
 
 For `results/BENCH_montecarlo.json` (`"bench": "montecarlo"`, written by
-`exp-montecarlo` on the pinned grid), fails when the engine's per-worker
+`routelab exp montecarlo` on the pinned grid), fails when the engine's per-worker
 throughput, `total_steps / run_time_ms`, drops below MIN_SPEEDUP times
 BASELINE_STEPS_PER_SEC. `run_time_ms` sums the wall time of every run, so
 the figure is per worker whatever `--threads` was.
 
 For `exp-montecarlo-family.json` (`"experiment": "montecarlo-family"`,
-written by `exp-montecarlo --family gao-rexford`), fails when any cell has
+written by `routelab exp montecarlo --family gao-rexford`), fails when any cell has
 a run that did not converge within its step budget: Gao-Rexford instances
 are wheel-free, so every run of a reliable model must converge.
 

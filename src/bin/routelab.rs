@@ -12,7 +12,7 @@
 //! routelab pipeline "<source> | <stage> | …"
 //! routelab transforms list
 //! routelab simulate <instance> <model> [runs] [--threads N]
-//! routelab fig3 | fig4
+//! routelab exp      <fig3|fig4|examples|survey|transform|montecarlo|hetero|beyond|timers> [args]
 //! routelab obs summarize <telemetry-dir> [--json]
 //! routelab trace record <instance> <model>
 //! routelab trace explain <trace.ndjson>
@@ -26,7 +26,11 @@
 //! divergent run of a gadget × model cell; `trace explain` reconstructs its
 //! oscillation cycle and cross-checks it against the explorer's witness;
 //! `trace export-chrome` emits Chrome `trace_event` JSON loadable in
-//! `chrome://tracing` or Perfetto.
+//! `chrome://tracing` or Perfetto. `exp` runs one of the experiments that
+//! regenerate the paper's tables and figures (see `routelab_sim::exp`) and
+//! exits 0 when its claims are reproduced, 1 on a mismatch and 2 on a usage
+//! or I/O error; the other subcommands exit 1 on an error of their own (a
+//! bad shared flag exits 2 everywhere).
 //!
 //! `<instance>` is either a gadget name (`DISAGREE`, `FIG6`, `FIG7`, `FIG8`,
 //! `FIG9`, `BAD-GADGET`, `GOOD-GADGET`, `LINE2`) or a path to an `spp v1`
@@ -43,8 +47,6 @@
 
 use std::process::ExitCode;
 
-use routelab::core::closure::derive_bounds;
-use routelab::core::edges::foundational_facts;
 use routelab::core::model::CommModel;
 use routelab::engine::outcome::{drive, RunOutcome};
 use routelab::engine::runner::Runner;
@@ -242,13 +244,6 @@ fn cmd_simulate(
     Ok(())
 }
 
-fn cmd_figure(which: u8) {
-    let bounds = derive_bounds(&foundational_facts());
-    let cols = if which == 3 { CommModel::all_reliable() } else { CommModel::all_unreliable() };
-    println!("Figure {which} (computed from the foundational results):\n");
-    println!("{}", bounds.render(&cols));
-}
-
 fn cmd_obs_summarize(args: &[String]) -> Result<(), String> {
     let usage = "usage: routelab obs summarize <telemetry-dir> [--json]";
     match args.first().map(String::as_str) {
@@ -439,7 +434,7 @@ fn cmd_trace_export(path: &str, out: Option<&str>) -> Result<(), String> {
 fn run(opts: &CommonOpts) -> Result<(), String> {
     let args = &opts.rest;
     let usage = "usage: routelab <models|audit|solve|check|realize|plan|pipeline|transforms|\
-         simulate|fig3|fig4|obs|trace> …\n\
+         simulate|exp|obs|trace> …\n\
          run `routelab help` for details";
     match args.first().map(String::as_str) {
         Some("models") => cmd_models(),
@@ -474,8 +469,6 @@ fn run(opts: &CommonOpts) -> Result<(), String> {
             let runs = args.get(3).map_or(Ok(50), |s| parse_count("run count", s))?;
             cmd_simulate(&inst, model, runs, &opts.pool)?;
         }
-        Some("fig3") => cmd_figure(3),
-        Some("fig4") => cmd_figure(4),
         Some("obs") => cmd_obs_summarize(&args[1..])?,
         Some("trace") => cmd_trace(&args[1..], opts)?,
         Some("help") | None => {
@@ -486,6 +479,8 @@ fn run(opts: &CommonOpts) -> Result<(), String> {
             println!("pipelines: `routelab pipeline \"fig6 | split | pad | verify\"` chains");
             println!("           registry stages; `routelab transforms list` names them;");
             println!("           `routelab plan REA UMS` finds and verifies a composite route");
+            println!("paper:     `routelab exp <name>` regenerates a table or figure;");
+            println!("           `routelab exp` lists the names");
             println!("telemetry: add --obs (or ROUTELAB_OBS=1) to any subcommand, then");
             println!("           `routelab obs summarize results/telemetry` to aggregate");
             println!("tracing:   `routelab trace record FIG6 REO` captures a divergent run,");
@@ -499,12 +494,15 @@ fn run(opts: &CommonOpts) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let opts = routelab::sim::cli::parse_common("routelab");
-    let code = match run(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    let code = match opts.rest.split_first() {
+        Some((cmd, args)) if cmd == "exp" => ExitCode::from(routelab::sim::exp::run(&opts, args)),
+        _ => match run(&opts) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        },
     };
     // Flush any buffered telemetry before the process unwinds.
     opts.finish();

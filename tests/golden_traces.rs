@@ -1,5 +1,5 @@
 //! Golden-trace snapshot tests: the Appendix A step tables (Examples
-//! A.1–A.5), rendered through the same code path as `exp-examples`
+//! A.1–A.5), rendered through the same code path as `routelab exp examples`
 //! (`routelab::sim::examples::step_table`), compared byte-for-byte against
 //! the snapshots under `tests/golden/`.
 //!

@@ -7,7 +7,7 @@ use routelab::core::validate::{check_sequence, check_step};
 use routelab::engine::runner::Runner;
 use routelab::engine::schedule::{RandomFair, RoundRobin, Scheduler};
 use routelab::engine::trace::{is_repetition, is_subsequence, strongest_relation, TraceRelation};
-use routelab::realize::compose::foundational_edges;
+use routelab::realize::plan::foundational_edges;
 use routelab::realize::verify::verify_edge;
 use routelab::spp::generator::{random_instance, RandomSppConfig};
 use routelab::spp::solve::{enumerate_stable_assignments, is_stable};
