@@ -5,10 +5,9 @@
 //! clone it, run [`execute_step`](routelab_engine::exec::execute_step), and
 //! re-encode — all to produce one flat `u16` buffer differing from the
 //! parent in a handful of slots. This module instead applies a
-//! [`CanonicalStep`] *directly on the packed words*, for unreduced builds,
-//! reduced builds (which then run the reduction layer's word-level normal
-//! form, `Reducer::normalize_words` in [`crate::reduce`]) and witness
-//! search ([`crate::trace_search`]) alike.
+//! [`CanonicalStep`] *directly on the packed words*, for graph builds and
+//! witness search ([`crate::trace_search`]) alike, and writes the
+//! successor already in the build's queue normal form.
 //!
 //! The key observation: in packed space, one activation step is pure
 //! integer lookups. Processing a channel effect `(consume i, keep j)` sets
@@ -16,6 +15,16 @@
 //! the re-choice is [`RouteTable::choose`] over the codec's table, the
 //! same rule the engine's interned kernel runs; announcing appends one
 //! word to each out-channel queue. No routes are ever materialized.
+//!
+//! Every state a build stores is in its normal form ([`channel_modes`]):
+//! the root has empty queues, successors are written in it, and symmetry
+//! images keep it. A step changes only the channels it consumes from or
+//! appends to, so only those can leave the normal form. The kernel settles
+//! each of them as it writes it (projection of the appended word, newest or
+//! set collapse, absorbed-head pops) and cap-checks it; every other channel
+//! copies verbatim. A step that consumes nothing changes no queue and no ρ,
+//! so it is a self-loop exactly when its updater's choice already equals
+//! the route it has chosen and announced ([`ExecTables::is_self_loop`]).
 //!
 //! Equivalence with the engine (pinned by the differential tests below and
 //! in [`crate::graph`], and by the graph-level suites):
@@ -31,12 +40,14 @@
 //!
 //! [`NetworkState`]: routelab_engine::state::NetworkState
 //! [`NetworkState::collapse_queues_to_newest`]: routelab_engine::state::NetworkState::collapse_queues_to_newest
+//! [`channel_modes`]: crate::reduce::channel_modes
 
 use routelab_engine::index::ChannelIndex;
 use routelab_spp::{NodeId, RouteId, RouteTable};
 
 use crate::effects::{node_steps_with, CanonicalStep, Spec};
 use crate::pack::StateCodec;
+use crate::reduce::{route_order, ChannelMode, Tally};
 
 /// Packed-space execution over one codec's route table and channel index.
 #[derive(Debug)]
@@ -45,17 +56,27 @@ pub(crate) struct ExecTables<'a> {
     m: usize,
     table: &'a RouteTable,
     index: &'a ChannelIndex,
-    /// Apply the whole-model queue-to-newest abstraction (unreduced builds
-    /// of reliable, all-policy models; reduced builds collapse per channel).
-    collapse: bool,
+    /// Per channel, the normal form a touched queue is settled into.
+    modes: Vec<ChannelMode>,
+    /// The route order set-collapsed queues sort by (empty without them).
+    order: Vec<u32>,
 }
 
-/// Reusable per-worker scratch: queue start offsets of the current parent,
-/// plus the per-candidate patch list of [`ExecTables::apply`].
+/// Reusable per-worker scratch: per-parent data of [`ExecTables::prepare`],
+/// plus the per-candidate patch list and normal-form activity of
+/// [`ExecTables::apply`].
 #[derive(Debug, Default)]
 pub(crate) struct PackedScratch {
     qstart: Vec<usize>,
+    /// Per node: its choice over the parent's ρ equals the route it has
+    /// chosen and announced, so a step of it that consumes nothing is a
+    /// self-loop.
+    idle: Vec<bool>,
     touch: Vec<Touch>,
+    /// Channels whose absorbed heads the last `apply` popped.
+    pub(crate) absorbed: Vec<usize>,
+    /// Normal-form activity of the last `apply`, capped or not.
+    pub(crate) tally: Tally,
 }
 
 /// One channel whose queue a candidate step changes; every other channel's
@@ -79,20 +100,45 @@ pub(crate) enum Applied {
 }
 
 impl<'a> ExecTables<'a> {
-    pub(crate) fn new(index: &'a ChannelIndex, codec: &'a StateCodec, collapse: bool) -> Self {
-        ExecTables { n: codec.n(), m: codec.m(), table: codec.table(), index, collapse }
+    /// The kernel over `codec`'s layout, keeping each channel's queue in
+    /// the normal form `modes` gives it.
+    pub(crate) fn new(
+        index: &'a ChannelIndex,
+        codec: &'a StateCodec,
+        modes: Vec<ChannelMode>,
+    ) -> Self {
+        let table = codec.table();
+        let order = if modes.iter().any(|mode| mode.set) { route_order(table) } else { Vec::new() };
+        ExecTables { n: codec.n(), m: codec.m(), table, index, modes, order }
     }
 
-    /// Computes the queue start offsets of `node` into `scratch` — once per
-    /// parent, shared by all its candidate applications.
+    /// Computes the queue start offsets and the per-node self-loop test of
+    /// `node` into `scratch` — once per parent, shared by all its
+    /// candidate applications.
     pub(crate) fn prepare(&self, node: &[u16], scratch: &mut PackedScratch) {
+        let (n, m) = (self.n, self.m);
         scratch.qstart.clear();
-        scratch.qstart.reserve(self.m);
-        let mut at = 2 * self.n + 2 * self.m;
-        for c in 0..self.m {
+        scratch.qstart.reserve(m);
+        let mut at = 2 * n + 2 * m;
+        for c in 0..m {
             scratch.qstart.push(at);
-            at += usize::from(node[2 * self.n + self.m + c]);
+            at += usize::from(node[2 * n + m + c]);
         }
+        scratch.idle.clear();
+        scratch.idle.extend((0..n).map(|v| {
+            let rho = |c: usize| RouteId(u32::from(node[2 * n + c]));
+            let ins = self.index.in_channels(NodeId(v as u32));
+            let choice = self.table.choose(NodeId(v as u32), ins, rho).0;
+            choice == u32::from(node[v]) && choice == u32::from(node[n + v])
+        }));
+    }
+
+    /// `true` when `cs` leaves the prepared parent as it is: it consumes
+    /// nothing, so ρ and every queue stay, and its updater's choice over
+    /// them already equals the route it has chosen and announced, so
+    /// nothing is chosen or announced anew.
+    pub(crate) fn is_self_loop(&self, scratch: &PackedScratch, cs: &CanonicalStep) -> bool {
+        scratch.idle[cs.node.index()] && cs.effects.iter().all(|e| e.consume == 0)
     }
 
     /// Queue length of channel `c` in `node`.
@@ -125,11 +171,14 @@ impl<'a> ExecTables<'a> {
         key.extend(self.index.in_channels(v).iter().map(|&c| node[2 * self.n + self.m + c]));
     }
 
-    /// Applies `cs` to `node`, appending the successor's words to `out`.
-    /// On [`Applied::Capped`] the caller must truncate `out` back to its
-    /// pre-call length. `scratch` must hold `node`'s offsets (see
-    /// [`ExecTables::prepare`]). A queue longer than `cap`, or than a
-    /// packed length word can hold, caps the step.
+    /// Applies `cs` to `node`, which must be in normal form, appending the
+    /// successor's words, in normal form, to `out`. On [`Applied::Capped`]
+    /// the caller must truncate `out` back to its pre-call length. Either
+    /// way `scratch` holds the normal form's activity: the absorbed
+    /// channels and the tally. `scratch` must hold `node`'s offsets (see
+    /// [`ExecTables::prepare`]). A settled queue longer than `cap` (set
+    /// collapses exempt), or than a packed length word can hold, caps the
+    /// step.
     pub(crate) fn apply(
         &self,
         node: &[u16],
@@ -141,6 +190,7 @@ impl<'a> ExecTables<'a> {
         let (n, m) = (self.n, self.m);
         let v = cs.node.index();
         let mark = out.len();
+        let PackedScratch { qstart, touch, absorbed, tally, .. } = scratch;
 
         // Phase 2 (choice) first — it only reads the parent. ρ' on an
         // in-channel is the kept queue word when the step keeps one there,
@@ -150,7 +200,7 @@ impl<'a> ExecTables<'a> {
             for e in &cs.effects {
                 if e.channel == c {
                     if let Some(j) = e.keep {
-                        rho = node[scratch.qstart[c] + j - 1];
+                        rho = node[qstart[c] + j - 1];
                     }
                     break;
                 }
@@ -162,7 +212,8 @@ impl<'a> ExecTables<'a> {
         let announcing = new_rid != node[n + v];
 
         // Header: chosen (π'ᵥ = the new choice — writing it unconditionally
-        // equals execute_step's guarded write), announced, learned.
+        // equals execute_step's guarded write), announced, learned. A kept
+        // word is already in normal form, as the parent's queue is.
         out.extend_from_slice(&node[..n]);
         out[mark + v] = new_rid;
         out.extend_from_slice(&node[n..2 * n]);
@@ -172,84 +223,66 @@ impl<'a> ExecTables<'a> {
         out.extend_from_slice(&node[2 * n..2 * n + m]);
         for e in &cs.effects {
             if let Some(j) = e.keep {
-                out[mark + 2 * n + e.channel] = node[scratch.qstart[e.channel] + j - 1];
+                out[mark + 2 * n + e.channel] = node[qstart[e.channel] + j - 1];
             }
         }
 
         // Patch plan: the few channels this step consumes from or appends
         // to. Every other channel's length word and contents are identical
-        // to the parent's and copy verbatim in bulk runs below — per
-        // candidate the work is a handful of touched channels plus two or
-        // three `memcpy`s, not an `m`-way scan with per-channel branching.
-        scratch.touch.clear();
+        // to the parent's, in normal form and within the cap, and copy
+        // verbatim in bulk runs below — per candidate the work is a handful
+        // of touched channels plus two or three `memcpy`s, not an `m`-way
+        // scan with per-channel branching.
+        touch.clear();
         for e in &cs.effects {
             if e.consume > 0 {
-                scratch.touch.push(Touch { c: e.channel, consume: e.consume, append: false });
+                touch.push(Touch { c: e.channel, consume: e.consume, append: false });
             }
         }
         if announcing {
             for &c in self.index.out_channels(cs.node) {
-                match scratch.touch.iter_mut().find(|t| t.c == c) {
+                match touch.iter_mut().find(|t| t.c == c) {
                     Some(t) => t.append = true,
-                    None => scratch.touch.push(Touch { c, consume: 0, append: true }),
+                    None => touch.push(Touch { c, consume: 0, append: true }),
                 }
             }
         }
-        if self.collapse {
-            // Untouched channels copy verbatim, which equals the collapse
-            // normal form only for queues of length ≤ 1. Collapsed parents
-            // never hold longer ones, but stay exact if one ever appears.
-            for c in 0..m {
-                if self.queue_len(node, c) > 1 && !scratch.touch.iter().any(|t| t.c == c) {
-                    scratch.touch.push(Touch { c, consume: 0, append: false });
-                }
-            }
-        }
-        scratch.touch.sort_unstable_by_key(|t| t.c);
+        touch.sort_unstable_by_key(|t| t.c);
 
-        // Queue lengths: the parent's header patched at the touched
-        // channels. Only they can change, and only appends can grow a
-        // queue, so the cap check (execute_step's caller performs it on
-        // `max_queue_len()` after the optional newest-collapse) is theirs
-        // alone — untouched lengths were cap-checked when the parent was.
+        // Queue lengths: the parent's header, patched at each touched
+        // channel once its queue is settled below.
         out.extend_from_slice(&node[2 * n + m..2 * n + 2 * m]);
         let qbase = mark + 2 * n + m;
-        for t in &scratch.touch {
-            let rem = self.queue_len(node, t.c) - t.consume;
-            let new_len = if self.collapse {
-                if t.append {
-                    1
-                } else {
-                    rem.min(1)
-                }
-            } else {
-                rem + usize::from(t.append)
-            };
-            if new_len > cap.min(usize::from(u16::MAX)) {
-                return Applied::Capped;
-            }
-            out[qbase + t.c] = new_len as u16;
-        }
 
-        // Queue contents: verbatim runs between touched channels.
+        // Queue contents: verbatim runs between touched channels, each
+        // touched queue written as its survivors plus the appended word and
+        // settled in place. Every touched channel is settled even after one
+        // caps, so the tally counts the whole successor.
+        absorbed.clear();
+        *tally = Tally::default();
+        let mut capped = false;
         let mut copy_from = 2 * n + 2 * m;
-        for t in &scratch.touch {
-            let qs = scratch.qstart[t.c];
+        for t in touch.iter() {
+            let mode = self.modes[t.c];
+            let qs = qstart[t.c];
             let qe = qs + self.queue_len(node, t.c);
             out.extend_from_slice(&node[copy_from..qs]);
-            if self.collapse {
-                if t.append {
-                    out.push(new_rid);
-                } else if qe > qs + t.consume {
-                    out.push(node[qe - 1]); // the newest survivor
-                }
-            } else {
-                out.extend_from_slice(&node[qs + t.consume..qe]);
-                if t.append {
-                    out.push(new_rid);
-                }
+            let start = out.len();
+            out.extend_from_slice(&node[qs + t.consume..qe]);
+            if t.append {
+                out.push(mode.project(self.table, t.c, new_rid, tally));
+            }
+            let rho = out[mark + 2 * n + t.c];
+            let len = mode.settle(t.c, rho, &mut out[start..], &self.order, tally, absorbed);
+            out.truncate(start + len);
+            match u16::try_from(len) {
+                Ok(word) if mode.set || len <= cap => out[qbase + t.c] = word,
+                _ => capped = true,
             }
             copy_from = qe;
+        }
+        if capped {
+            return Applied::Capped;
         }
         out.extend_from_slice(&node[copy_from..]);
         Applied::Ok { new_rid, announcing }
@@ -266,6 +299,7 @@ mod tests {
     use routelab_spp::gadgets;
 
     use crate::effects::all_steps;
+    use crate::reduce::channel_modes;
 
     /// Differential mini-BFS: every candidate successor computed in packed
     /// space must equal the engine's decode → clone → execute_step →
@@ -285,7 +319,11 @@ mod tests {
                     }
                     let index = ChannelIndex::new(inst.graph());
                     let codec = StateCodec::new(&inst, &index, "diff-cell").unwrap();
-                    let tables = ExecTables::new(&index, &codec, collapse);
+                    let modes = match collapse {
+                        true => channel_modes(spec, &index, false),
+                        false => vec![ChannelMode::default(); index.len()],
+                    };
+                    let tables = ExecTables::new(&index, &codec, modes);
 
                     let mut seen: HashSet<Vec<u16>> = HashSet::new();
                     let mut frontier: Vec<Vec<u16>> = Vec::new();

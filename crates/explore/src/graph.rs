@@ -10,9 +10,10 @@
 //!
 //! Both modes expand states through one packed kernel
 //! ([`crate::exec_packed`]): successors are computed directly on the packed
-//! words, never materializing a [`NetworkState`] per candidate. Reduced
-//! builds then run the reduction layer's word-level normal form and
-//! symmetry canonicalization ([`crate::reduce`]) on the same words.
+//! words, already in the build's queue normal form, never materializing a
+//! [`NetworkState`] per candidate, and steps the kernel can tell are
+//! self-loops are never written. Reduced builds then canonicalize each
+//! successor under the symmetry group ([`crate::reduce`]).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -30,7 +31,7 @@ use crate::error::ExploreError;
 use crate::exec_packed::{Applied, ExecTables, PackedScratch};
 use crate::frontier::{self, BfsOptions, BfsResult, FrontierStats, SuccBuf};
 use crate::pack::StateCodec;
-use crate::reduce::{CanonScratch, Reducer, ReductionStats, SymTables};
+use crate::reduce::{channel_modes, CanonScratch, Reducer, ReductionStats, SymTables};
 
 /// Bounds for exhaustive exploration.
 #[derive(Debug, Clone)]
@@ -340,7 +341,6 @@ impl StepInfo {
 #[derive(Default)]
 struct SuccessorScratch {
     packed: PackedScratch,
-    absorbed: Vec<usize>,
     canon: CanonScratch,
 }
 
@@ -349,24 +349,30 @@ struct SuccessorScratch {
 pub(crate) struct GraphScratch {
     succ: SuccessorScratch,
     catalog: StepCatalog,
+    /// Steps elided as self-loops before the kernel ran (a plain integer:
+    /// the scratch is worker-private).
+    self_loops: u64,
 }
 
 impl Drop for GraphScratch {
-    /// Flushes the catalog's per-node memo tallies to telemetry. The
-    /// scratch is worker-private and lives for one build, so drops are the
-    /// natural flush point; counters sum across workers in the summarizer.
+    /// Flushes the catalog's per-node memo tallies and the elided
+    /// self-loops to telemetry. The scratch is worker-private and lives for
+    /// one build, so drops are the natural flush point; counters sum across
+    /// workers in the summarizer.
     fn drop(&mut self) {
-        let (hits, misses) = (self.catalog.hits, self.catalog.misses);
+        let (hits, misses, self_loops) = (self.catalog.hits, self.catalog.misses, self.self_loops);
         if hits + misses == 0 {
             return;
         }
         if routelab_obs::enabled() {
             routelab_obs::counter("explore.stepcatalog.hits", hits);
             routelab_obs::counter("explore.stepcatalog.misses", misses);
+            routelab_obs::counter("explore.self_loops", self_loops);
         }
         if routelab_obs::trace_enabled() {
             routelab_obs::trace_counter("explore.stepcatalog.hits", hits);
             routelab_obs::trace_counter("explore.stepcatalog.misses", misses);
+            routelab_obs::trace_counter("explore.self_loops", self_loops);
         }
     }
 }
@@ -375,7 +381,8 @@ impl Drop for GraphScratch {
 enum Successor {
     /// A queue would exceed the channel cap: the transition is cut.
     Capped,
-    /// The step preserves the state (covered by noop annotations).
+    /// The step preserves the state (covered by noop annotations); nothing
+    /// was written.
     SelfLoop,
     /// A transition; its target's words were appended to the buffer.
     Edge(EdgePayload),
@@ -388,15 +395,29 @@ struct GraphExpand<'a> {
     /// The packed step kernel, shared by both modes.
     tables: ExecTables<'a>,
     /// The reduction layer; `None` builds the literal unreduced graph.
-    reduce: Option<&'a Reducer<'a>>,
+    reduce: Option<&'a Reducer>,
 }
 
-impl GraphExpand<'_> {
-    /// Applies one step to `node` (whose offsets `scratch.packed` holds),
-    /// appending the successor's words to `words`; on anything but
-    /// [`Successor::Edge`] the caller discards them. Reduced builds
-    /// normalize the raw successor, cap-check it (set channels exempt),
-    /// and canonicalize it under the symmetry group.
+impl<'a> GraphExpand<'a> {
+    /// The expansion of a build of `spec`, reduced when `reduce` is given:
+    /// the kernel keeps the build's normal form ([`channel_modes`]).
+    fn new(
+        spec: Spec<'a>,
+        cfg: &'a ExploreConfig,
+        index: &'a ChannelIndex,
+        codec: &'a StateCodec,
+        reduce: Option<&'a Reducer>,
+    ) -> Self {
+        let tables = ExecTables::new(index, codec, channel_modes(spec, index, reduce.is_some()));
+        GraphExpand { spec, cfg, tables, reduce }
+    }
+
+    /// Applies one step to `node` (whose per-parent data `scratch.packed`
+    /// holds), appending the successor's words, in normal form, to
+    /// `words`; on anything but [`Successor::Edge`] the caller discards
+    /// them. Self-loops are told apart before the kernel writes anything.
+    /// Reduced builds count the normal form's activity and canonicalize
+    /// the successor under the symmetry group.
     fn successor(
         &self,
         node: &[u16],
@@ -405,27 +426,23 @@ impl GraphExpand<'_> {
         scratch: &mut SuccessorScratch,
     ) -> Successor {
         let cs = &info.step;
-        let mark = words.len();
-        // Reduced builds cap after the normal form, which may shrink queues.
-        let cap = if self.reduce.is_some() { usize::MAX } else { self.cfg.channel_cap };
-        let Applied::Ok { new_rid, .. } =
-            self.tables.apply(node, &mut scratch.packed, cs, cap, words)
-        else {
-            return Successor::Capped;
-        };
-        let changes_pi = new_rid != node[cs.node.index()];
-        if let Some(red) = self.reduce {
-            red.normalize_words(words, mark, &mut scratch.absorbed);
-            if red.exceeds_cap_words(&words[mark..], self.cfg.channel_cap) {
-                return Successor::Capped;
-            }
-        }
-        // The self-loop test runs *before* canonicalization: a real
-        // transition whose canonical image happens to equal the source is a
-        // genuine quotient self-loop and must be kept.
-        if &words[mark..] == node {
+        if self.tables.is_self_loop(&scratch.packed, cs) {
             return Successor::SelfLoop;
         }
+        let mark = words.len();
+        let applied = self.tables.apply(node, &mut scratch.packed, cs, self.cfg.channel_cap, words);
+        if let Some(red) = self.reduce {
+            red.count(&scratch.packed.tally);
+        }
+        let Applied::Ok { new_rid, .. } = applied else {
+            return Successor::Capped;
+        };
+        // Any other step shrinks a queue it consumes from, or chooses or
+        // announces a new route, so it never returns to its parent. (A
+        // transition whose canonical image below equals the parent is a
+        // genuine quotient self-loop and is kept.)
+        debug_assert_ne!(&words[mark..], node, "{cs:?} is a self-loop");
+        let changes_pi = new_rid != node[cs.node.index()];
         let Some(red) = self.reduce else {
             return Successor::Edge(EdgePayload { info: Arc::clone(info), changes_pi, sym: 0 });
         };
@@ -436,7 +453,7 @@ impl GraphExpand<'_> {
         }
         // Absorbed reads make the label state-dependent; only those edges
         // get a descriptor of their own.
-        let info = match scratch.absorbed.as_slice() {
+        let info = match scratch.packed.absorbed.as_slice() {
             [] => Arc::clone(info),
             absorbed => Arc::new(info.absorbing(absorbed)),
         };
@@ -459,7 +476,7 @@ impl frontier::Expand for GraphExpand<'_> {
         out: &mut SuccBuf<EdgePayload>,
         scratch: &mut GraphScratch,
     ) -> Result<bool, ExploreError> {
-        let GraphScratch { succ, catalog } = scratch;
+        let GraphScratch { succ, catalog, self_loops } = scratch;
         let mut truncated =
             catalog.enumerate(&self.tables, self.spec, self.cfg.max_steps_per_state, node);
         self.tables.prepare(node, &mut succ.packed);
@@ -471,7 +488,7 @@ impl frontier::Expand for GraphExpand<'_> {
                     truncated = true;
                     out.cancel(mark);
                 }
-                Successor::SelfLoop => out.cancel(mark),
+                Successor::SelfLoop => *self_loops += 1,
             }
         }
         Ok(truncated)
@@ -633,11 +650,7 @@ fn build_with(
             root = scratch.image().to_vec();
         }
     }
-    // Reduced builds collapse queues per channel in their normal form; the
-    // whole-model newest-collapse is the unreduced build's.
-    let collapse = reducer.is_none() && spec.collapsible();
-    let tables = ExecTables::new(&index, &codec, collapse);
-    let exp = GraphExpand { spec, cfg, tables, reduce: reducer.as_ref() };
+    let exp = GraphExpand::new(spec, cfg, &index, &codec, reducer.as_ref());
     let opts = BfsOptions {
         threads: cfg.resolved_threads(),
         max_nodes: cfg.max_states,
@@ -656,6 +669,7 @@ fn build_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use routelab_core::hetero::HeteroModel;
     use routelab_spp::gadgets;
 
     /// Every component of `g`: the analysis's Tarjan over all states, no
@@ -784,7 +798,7 @@ mod tests {
                 ..ExploreConfig::default()
             };
             let g = try_build_spec(inst, spec, &cfg).unwrap();
-            let tables = ExecTables::new(&g.index, &g.codec, false);
+            let tables = ExecTables::new(&g.index, &g.codec, channel_modes(spec, &g.index, reduce));
             for budget in [0, 1, 2, 3, 5, 8] {
                 let mut catalog = StepCatalog::default();
                 for i in 0..g.len() {
@@ -803,14 +817,29 @@ mod tests {
         }
     }
 
+    /// FIG6 under a heterogeneous spec whose nodes differ in scope and
+    /// policy, with one lossy channel.
+    fn fig6_hetero() -> (SppInstance, HeteroModel) {
+        use routelab_core::dims::{MessagePolicy, NeighborScope};
+        use routelab_core::hetero::NodeModel;
+
+        let inst = gadgets::fig6();
+        let mut h = HeteroModel::uniform(inst.node_count(), "R1O".parse().unwrap());
+        for v in inst.nodes() {
+            let i = v.index();
+            let (scope, messages) = (NeighborScope::ALL[i % 3], MessagePolicy::ALL[i % 4]);
+            h.set_node(v, NodeModel { scope, messages });
+        }
+        let first = ChannelIndex::new(inst.graph()).channel(0);
+        h.set_lossy(first);
+        (inst, h)
+    }
+
     /// The per-node catalog against the step oracle at budgets that cut:
     /// every corpus gadget × the 24 models, plus a heterogeneous spec
     /// whose nodes differ in scope and policy.
     #[test]
     fn step_catalog_matches_all_steps_at_cutting_budgets() {
-        use routelab_core::dims::{MessagePolicy, NeighborScope};
-        use routelab_core::hetero::{HeteroModel, NodeModel};
-
         let corpus = gadgets::corpus();
         std::thread::scope(|s| {
             for (name, inst) in &corpus {
@@ -825,44 +854,48 @@ mod tests {
                 });
             }
         });
-        let inst = gadgets::fig6();
-        let mut h = HeteroModel::uniform(inst.node_count(), "R1O".parse().unwrap());
-        for v in inst.nodes() {
-            let i = v.index();
-            let (scope, messages) = (NeighborScope::ALL[i % 3], MessagePolicy::ALL[i % 4]);
-            h.set_node(v, NodeModel { scope, messages });
-        }
-        let first = ChannelIndex::new(inst.graph()).channel(0);
-        h.set_lossy(first);
+        let (inst, h) = fig6_hetero();
         check_catalog_budgets("FIG6 × hetero", &inst, Spec::Hetero(&h));
     }
 
-    /// Checks every parent × canonical step of one budgeted reduced BFS
-    /// against the oracle: decode → `execute_step` → the `NetworkState`
-    /// normal form → encode → canonicalize must give the packed successor,
-    /// with the same cap verdict, absorbed channels, symmetry element,
-    /// label and reduction counters.
-    fn check_reduced_steps(name: &str, inst: &SppInstance, model: CommModel, cap: usize) {
+    /// Checks every parent × canonical step of one budgeted BFS, reduced or
+    /// not, against the oracle: decode → `execute_step` → the
+    /// `NetworkState` normal form (the reducer's; unreduced, the
+    /// newest-collapse of collapsible models, else none) → encode →
+    /// canonicalize must give [`GraphExpand::successor`]'s outcome, with
+    /// the same cap and self-loop verdicts, absorbed channels, symmetry
+    /// element, label and reduction counters. Every parent must also be
+    /// its own normal form, within the cap, with no counter moving: the
+    /// invariant that lets the kernel settle only the channels a step
+    /// touches.
+    fn check_steps(cell: &str, inst: &SppInstance, spec: Spec<'_>, reduce: bool, cap: usize) {
         use crate::effects::all_steps;
         use routelab_engine::exec::execute_step;
 
-        let spec = Spec::Uniform(model);
-        let cell = format!("{name} × {model} @cap {cap}");
+        let cell = format!("{cell} reduce={reduce} @cap {cap}");
         let cfg = ExploreConfig {
             channel_cap: cap,
             max_states: 2_000,
             threads: Some(1),
+            reduce,
             ..ExploreConfig::default()
         };
         let g = try_build_spec(inst, spec, &cfg).unwrap();
         let (index, codec) = (&g.index, &g.codec);
         let packed = Reducer::new(inst, index, codec, spec);
         let oracle = Reducer::new(inst, index, codec, spec);
-        let exp = GraphExpand {
-            spec,
-            cfg: &cfg,
-            tables: ExecTables::new(index, codec, false),
-            reduce: Some(&packed),
+        let exp = GraphExpand::new(spec, &cfg, index, codec, reduce.then_some(&packed));
+        let normalize = |s: &mut NetworkState, absorbed: &mut Vec<usize>| {
+            absorbed.clear();
+            if reduce {
+                oracle.normalize(s, absorbed);
+            } else if spec.collapsible() {
+                s.collapse_queues_to_newest();
+            }
+        };
+        let exceeds_cap = |s: &NetworkState| match reduce {
+            true => oracle.exceeds_cap(s, cap),
+            false => s.max_queue_len() > cap,
         };
         let mut scratch = GraphScratch::default();
         let (mut words, mut absorbed, mut enc) = (Vec::new(), Vec::new(), Vec::new());
@@ -870,6 +903,13 @@ mod tests {
         for i in 0..g.len() {
             let node = g.nodes.node_vec(i as u32);
             let state = codec.decode_words(&node).unwrap();
+            let (mut again, before) = (state.clone(), oracle.stats());
+            normalize(&mut again, &mut absorbed);
+            codec.encode_into(&again, &mut enc).unwrap();
+            assert_eq!(enc, node, "{cell}: state {i} is not in normal form");
+            assert!(absorbed.is_empty() && !exceeds_cap(&state), "{cell}: state {i}");
+            assert_eq!(oracle.stats(), before, "{cell}: state {i}");
+
             let (steps, capped) =
                 all_steps(spec, index, &state, inst.node_count(), cfg.max_steps_per_state);
             let cut = scratch.catalog.enumerate(&exp.tables, spec, cfg.max_steps_per_state, &node);
@@ -881,18 +921,27 @@ mod tests {
                 assert_eq!(info.step, cs, "{cell}");
                 let mut next = state.clone();
                 let effect = execute_step(inst, index, &mut next, &cs.to_activation(spec, index));
-                oracle.normalize(&mut next, &mut absorbed);
+                normalize(&mut next, &mut absorbed);
                 words.clear();
                 let got = exp.successor(&node, info, &mut words, &mut scratch.succ);
-                assert_eq!(scratch.succ.absorbed, absorbed, "{cell} {cs:?}");
-                let capped = oracle.exceeds_cap(&next, cap);
+                let capped = exceeds_cap(&next);
                 codec.encode_into(&next, &mut enc).unwrap();
                 match got {
-                    Successor::Capped => assert!(capped, "{cell} {cs:?}"),
-                    Successor::SelfLoop => assert!(!capped && enc == node, "{cell} {cs:?}"),
+                    Successor::Capped => {
+                        assert!(capped, "{cell} {cs:?}");
+                        assert_eq!(scratch.succ.packed.absorbed, absorbed, "{cell} {cs:?}");
+                    }
+                    Successor::SelfLoop => {
+                        assert!(!capped && enc == node && absorbed.is_empty(), "{cell} {cs:?}");
+                        assert!(words.is_empty(), "{cell} {cs:?}");
+                    }
                     Successor::Edge(payload) => {
                         assert!(!capped && enc != node, "{cell} {cs:?}");
-                        let sym = oracle.canonicalize_words(&enc, &mut canon);
+                        assert_eq!(scratch.succ.packed.absorbed, absorbed, "{cell} {cs:?}");
+                        let sym = match reduce {
+                            true => oracle.canonicalize_words(&enc, &mut canon),
+                            false => 0,
+                        };
                         let least = if sym == 0 { enc.as_slice() } else { canon.image() };
                         assert_eq!(words, least, "{cell} {cs:?}");
                         assert_eq!(payload.sym, sym, "{cell} {cs:?}");
@@ -916,21 +965,29 @@ mod tests {
         }
     }
 
-    /// The packed reduced step against its oracle on every corpus gadget ×
-    /// the 24 models at channel caps 2 and 3, one thread per gadget.
+    /// The graph build's successor against its oracle on every corpus
+    /// gadget × the 24 models, reduced and unreduced (which covers the
+    /// newest-collapse of the reliable policy-`A` models), at channel caps
+    /// 2 and 3, one thread per gadget; and on FIG6 under a heterogeneous
+    /// spec.
     #[test]
-    fn reduced_packed_step_matches_the_engine_oracle() {
+    fn successors_match_the_engine_oracle() {
         let corpus = gadgets::corpus();
         std::thread::scope(|s| {
             for (name, inst) in &corpus {
                 s.spawn(move || {
                     for model in CommModel::all() {
-                        for cap in [2, 3] {
-                            check_reduced_steps(name, inst, model, cap);
+                        for (reduce, cap) in [(true, 2), (true, 3), (false, 2), (false, 3)] {
+                            let cell = format!("{name} × {model}");
+                            check_steps(&cell, inst, Spec::Uniform(model), reduce, cap);
                         }
                     }
                 });
             }
         });
+        let (inst, h) = fig6_hetero();
+        for (reduce, cap) in [(true, 2), (true, 3), (false, 2), (false, 3)] {
+            check_steps("FIG6 × hetero", &inst, Spec::Hetero(&h), reduce, cap);
+        }
     }
 }

@@ -44,6 +44,16 @@
 //!    are therefore exempt from the channel cap — the `U·A` state spaces
 //!    become finite and the survey's `?` cells decidable.
 //!
+//! These are per-channel modes ([`ChannelMode`], chosen by
+//! [`channel_modes`]), and the step kernel ([`crate::exec_packed`]) applies
+//! them as it writes a successor, to the channels the step consumes from or
+//! appends to and to no other: every stored state is already in normal
+//! form (the root has empty queues, successors are written in it, and
+//! symmetry images keep it), and a channel the step leaves alone keeps its
+//! ρ and its queue. On a touched channel, only an appended word can need
+//! projecting ([`ChannelMode::project`]); [`ChannelMode::settle`] then
+//! collapses the queue and pops its absorbed heads against the new ρ.
+//!
 //! On top, **symmetry reduction**: states are canonicalized to the
 //! lexicographically least image under the instance's automorphism group
 //! (detected once per gadget in `routelab_spp::automorphism`). Each edge
@@ -90,16 +100,30 @@ pub struct ReductionStats {
     pub group_order: usize,
 }
 
-/// How the reducer treats one channel's queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChannelMode {
+/// How a build keeps one channel's queue in normal form. The default is
+/// the literal queue.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ChannelMode {
+    /// Project routes onto their observational class (reduced builds).
+    project: bool,
     /// Collapse to the newest message (reliable, policy-`A` reader).
     newest: bool,
     /// Collapse to a sorted set (unreliable, policy-`A` reader); exempt
     /// from the channel cap.
-    set: bool,
+    pub(crate) set: bool,
     /// Pop absorbed heads (scope-`1`/`M` reader with a head-keeping read).
     absorb: bool,
+}
+
+/// Normal-form activity of one successor, added to the build's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    /// Routes projected onto ε.
+    rewrites: u64,
+    /// Absorbed heads popped.
+    pops: u64,
+    /// Queues sorted and deduplicated by the set collapse.
+    collapses: u64,
 }
 
 fn mode_for(spec: Spec<'_>, index: &ChannelIndex, c: usize) -> ChannelMode {
@@ -110,6 +134,7 @@ fn mode_for(spec: Spec<'_>, index: &ChannelIndex, c: usize) -> ChannelMode {
     let unreliable = spec.reliability(ch) == Reliability::Unreliable;
     let set = all && unreliable;
     ChannelMode {
+        project: true,
         newest: all && !unreliable,
         set,
         // For a set-collapsed queue "head" is meaningless, and a scope-E
@@ -118,25 +143,96 @@ fn mode_for(spec: Spec<'_>, index: &ChannelIndex, c: usize) -> ChannelMode {
     }
 }
 
-/// Per-build reduction state: channel modes, symmetry tables, counters.
+/// The per-channel normal form a graph build keeps its states in: the
+/// reduction layer's modes when `reduce` is on; otherwise the whole-model
+/// newest-collapse on every channel when the model is collapsible
+/// (reliable, every node on policy `A`), a bisimulation there, and else
+/// the literal queues.
+pub(crate) fn channel_modes(
+    spec: Spec<'_>,
+    index: &ChannelIndex,
+    reduce: bool,
+) -> Vec<ChannelMode> {
+    (0..index.len())
+        .map(|c| match reduce {
+            true => mode_for(spec, index, c),
+            false => ChannelMode { newest: spec.collapsible(), ..ChannelMode::default() },
+        })
+        .collect()
+}
+
+impl ChannelMode {
+    /// The word route `id` is stored as on channel `c`: its class
+    /// representative ε when this mode projects and the channel's reader
+    /// cannot extend it (it has no candidate position), else `id`.
+    pub(crate) fn project(self, table: &RouteTable, c: usize, id: u16, tally: &mut Tally) -> u16 {
+        if self.project && id != 0 && table.candidate_pos(c, RouteId(u32::from(id))) == NO_CANDIDATE
+        {
+            tally.rewrites += 1;
+            0
+        } else {
+            id
+        }
+    }
+
+    /// Settles channel `c`'s queue `q`, whose words are already projected,
+    /// into normal form against the channel's ρ: the newest or set
+    /// collapse, then absorbed-head pops, which add `c` to `absorbed`.
+    /// Projection comes first because it can only create further absorb,
+    /// newest and set-dedup opportunities, never destroy them. Returns the
+    /// settled length: the queue is `q[..len]`. `order` is the route
+    /// order ([`route_order`]) when this mode is a set collapse.
+    pub(crate) fn settle(
+        self,
+        c: usize,
+        rho: u16,
+        q: &mut [u16],
+        order: &[u32],
+        tally: &mut Tally,
+        absorbed: &mut Vec<usize>,
+    ) -> usize {
+        let mut len = q.len();
+        if self.newest && len > 1 {
+            q[0] = q[len - 1];
+            len = 1;
+        }
+        let key = |id: &u16| order[usize::from(*id)];
+        if self.set && !q.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+            q.sort_unstable_by_key(key);
+            len = 1;
+            for k in 1..q.len() {
+                if q[k] != q[len - 1] {
+                    q[len] = q[k];
+                    len += 1;
+                }
+            }
+            tally.collapses += 1;
+        }
+        if self.absorb {
+            let popped = q[..len].iter().take_while(|&&id| id == rho).count();
+            if popped > 0 {
+                q.copy_within(popped..len, 0);
+                len -= popped;
+                tally.pops += popped as u64;
+                absorbed.push(c);
+            }
+        }
+        len
+    }
+}
+
+/// Per-build reduction state: symmetry tables and counters. The queue
+/// normal form itself ([`channel_modes`]) runs inside the step kernel.
 #[derive(Debug)]
-pub(crate) struct Reducer<'a> {
-    n: usize,
-    m: usize,
-    modes: Vec<ChannelMode>,
-    /// The codec's route table. A route on channel `c = (u, v)` is usable
-    /// there iff it has a candidate position (its extension by `v` is
-    /// permitted at `v`); every other route (including ε) is
-    /// observationally ⊥ there and projects onto ε.
-    table: &'a RouteTable,
-    /// `order[id]`: the position of route `id` in the route order, the
-    /// sort key of set-collapsed queues.
-    order: Vec<u32>,
+pub(crate) struct Reducer {
     pub(crate) sym: Option<Arc<SymTables>>,
     canon_rewrites: AtomicU64,
     pops: AtomicU64,
     set_collapses: AtomicU64,
     sym_hits: AtomicU64,
+    /// The channel modes, for the [`NetworkState`] oracle.
+    #[cfg(test)]
+    modes: Vec<ChannelMode>,
     /// The usable sets as routes, for the [`NetworkState`] oracle.
     #[cfg(test)]
     usable_routes: Vec<Vec<Route>>,
@@ -171,7 +267,7 @@ fn usable_routes(inst: &SppInstance, index: &ChannelIndex) -> Vec<Vec<Route>> {
 /// sorted by [`routelab_spp::Route`]'s ordering: the one route-order key
 /// of the reduction layer, by which the set collapse sorts queues and
 /// symmetry images re-sort them.
-fn route_order(table: &RouteTable) -> Vec<u32> {
+pub(crate) fn route_order(table: &RouteTable) -> Vec<u32> {
     let route = |id: u32| table.route(RouteId(id));
     let mut by_route: Vec<u32> = (0..table.len() as u32).collect();
     by_route.sort_unstable_by(|&a, &b| route(a).cmp(route(b)));
@@ -182,116 +278,36 @@ fn route_order(table: &RouteTable) -> Vec<u32> {
     order
 }
 
-impl<'a> Reducer<'a> {
+impl Reducer {
     pub(crate) fn new(
         inst: &SppInstance,
         index: &ChannelIndex,
-        codec: &'a StateCodec,
+        codec: &StateCodec,
         spec: Spec<'_>,
     ) -> Self {
-        let table = codec.table();
         Reducer {
-            n: codec.n(),
-            m: codec.m(),
-            modes: (0..index.len()).map(|c| mode_for(spec, index, c)).collect(),
-            table,
-            order: route_order(table),
             sym: SymTables::detect(inst, index, codec, spec).map(Arc::new),
             canon_rewrites: AtomicU64::new(0),
             pops: AtomicU64::new(0),
             set_collapses: AtomicU64::new(0),
             sym_hits: AtomicU64::new(0),
             #[cfg(test)]
+            modes: channel_modes(spec, index, true),
+            #[cfg(test)]
             usable_routes: usable_routes(inst, index),
         }
     }
 
-    /// Rewrites the packed successor `words[mark..]` into its queue normal
-    /// form, per channel: class projection of ρ and the queue, then the
-    /// newest or set collapse, then absorbed-head pops. Queues only shrink,
-    /// so the buffer is compacted in place and truncated at the end.
-    /// Channels whose head was absorbed (popped) are written to `absorbed`
-    /// — the caller must annotate the edge as attending and keeping on them.
-    pub(crate) fn normalize_words(
-        &self,
-        words: &mut Vec<u16>,
-        mark: usize,
-        absorbed: &mut Vec<usize>,
-    ) {
-        absorbed.clear();
-        let (n, m) = (self.n, self.m);
-        let (mut rewrites, mut pops, mut collapses) = (0u64, 0u64, 0u64);
-        let ws = &mut words[mark..];
-        let (mut read, mut write) = (2 * n + 2 * m, 2 * n + 2 * m);
-        for (c, mode) in self.modes.iter().enumerate() {
-            // Class projection first: it can only create further absorb,
-            // newest and set-dedup opportunities, never destroy them. The
-            // queue moves down to the write cursor as it is projected.
-            let mut project = |id: u16| {
-                if id != 0 && self.table.candidate_pos(c, RouteId(u32::from(id))) == NO_CANDIDATE {
-                    rewrites += 1;
-                    0
-                } else {
-                    id
-                }
-            };
-            let rho = project(ws[2 * n + c]);
-            ws[2 * n + c] = rho;
-            let mut len = usize::from(ws[2 * n + m + c]);
-            for k in 0..len {
-                ws[write + k] = project(ws[read + k]);
-            }
-            read += len;
-            let q = &mut ws[write..write + len];
-            if mode.newest && len > 1 {
-                q[0] = q[len - 1];
-                len = 1;
-            }
-            let key = |id: &u16| self.order[usize::from(*id)];
-            if mode.set && !q.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
-                q.sort_unstable_by_key(key);
-                len = 1;
-                for k in 1..q.len() {
-                    if q[k] != q[len - 1] {
-                        q[len] = q[k];
-                        len += 1;
-                    }
-                }
-                collapses += 1;
-            }
-            if mode.absorb {
-                let popped = q[..len].iter().take_while(|&&id| id == rho).count();
-                if popped > 0 {
-                    q.copy_within(popped..len, 0);
-                    len -= popped;
-                    pops += popped as u64;
-                    absorbed.push(c);
-                }
-            }
-            ws[2 * n + m + c] = len as u16;
-            write += len;
+    /// Adds one successor's normal-form activity to the counters.
+    pub(crate) fn count(&self, t: &Tally) {
+        if t.rewrites > 0 {
+            self.canon_rewrites.fetch_add(t.rewrites, Ordering::Relaxed);
         }
-        words.truncate(mark + write);
-        self.count(rewrites, pops, collapses);
-    }
-
-    /// The channel-cap test on packed words, skipping set-collapsed
-    /// channels (their size is bounded by the sender's announcement
-    /// universe, not the cap).
-    pub(crate) fn exceeds_cap_words(&self, ws: &[u16], cap: usize) -> bool {
-        let lens = &ws[2 * self.n + self.m..2 * self.n + 2 * self.m];
-        self.modes.iter().zip(lens).any(|(mode, &len)| !mode.set && usize::from(len) > cap)
-    }
-
-    fn count(&self, rewrites: u64, pops: u64, collapses: u64) {
-        if rewrites > 0 {
-            self.canon_rewrites.fetch_add(rewrites, Ordering::Relaxed);
+        if t.pops > 0 {
+            self.pops.fetch_add(t.pops, Ordering::Relaxed);
         }
-        if pops > 0 {
-            self.pops.fetch_add(pops, Ordering::Relaxed);
-        }
-        if collapses > 0 {
-            self.set_collapses.fetch_add(collapses, Ordering::Relaxed);
+        if t.collapses > 0 {
+            self.set_collapses.fetch_add(t.collapses, Ordering::Relaxed);
         }
     }
 
@@ -321,39 +337,41 @@ impl<'a> Reducer<'a> {
     }
 }
 
-/// The [`NetworkState`] forms of the normal form and the cap test: the
-/// oracle the packed forms are differentially tested against.
+/// The [`NetworkState`] forms of the reduced normal form and the cap
+/// test: the oracle the step kernel's per-channel forms are
+/// differentially tested against.
 #[cfg(test)]
-impl Reducer<'_> {
-    /// [`Reducer::normalize_words`] on a decoded state.
+impl Reducer {
+    /// Every channel's [`ChannelMode::project`] and [`ChannelMode::settle`]
+    /// on a decoded state.
     pub(crate) fn normalize(&self, next: &mut NetworkState, absorbed: &mut Vec<usize>) {
         absorbed.clear();
-        let mut rewrites = 0u64;
-        let mut pops = 0u64;
-        let mut collapses = 0u64;
+        let mut t = Tally::default();
         for (c, mode) in self.modes.iter().enumerate() {
             let usable = &self.usable_routes[c];
-            rewrites += next.rewrite_channel_routes(c, |r| {
+            t.rewrites += next.rewrite_channel_routes(c, |r| {
                 (!r.is_epsilon() && usable.binary_search(r).is_err()).then(Route::empty)
             }) as u64;
             if mode.newest {
                 next.collapse_queue_to_newest(c);
             }
             if mode.set && next.collapse_queue_to_set(c) {
-                collapses += 1;
+                t.collapses += 1;
             }
             if mode.absorb {
                 let popped = next.absorb_queue_head(c);
                 if popped > 0 {
-                    pops += popped as u64;
+                    t.pops += popped as u64;
                     absorbed.push(c);
                 }
             }
         }
-        self.count(rewrites, pops, collapses);
+        self.count(&t);
     }
 
-    /// [`Reducer::exceeds_cap_words`] on a decoded state.
+    /// The channel-cap test on a decoded state, skipping set-collapsed
+    /// channels (their size is bounded by the sender's announcement
+    /// universe, not the cap).
     pub(crate) fn exceeds_cap(&self, s: &NetworkState, cap: usize) -> bool {
         self.modes.iter().enumerate().any(|(c, m)| !m.set && s.queue(c).len() > cap)
     }
@@ -869,6 +887,37 @@ mod tests {
         }
     }
 
+    /// The per-channel normal form applied to every channel of packed
+    /// `words`, which need not be in normal form: project ρ and every
+    /// queued word, then settle the queue. Returns the normalized words,
+    /// the absorbed channels and the tally.
+    fn normalize_words(
+        spec: Spec<'_>,
+        index: &ChannelIndex,
+        codec: &StateCodec,
+        words: &[u16],
+    ) -> (Vec<u16>, Vec<usize>, Tally) {
+        let (n, m, table) = (codec.n(), codec.m(), codec.table());
+        let (order, modes) = (route_order(table), channel_modes(spec, index, true));
+        let (mut out, mut absorbed, mut t) =
+            (words[..2 * n + 2 * m].to_vec(), Vec::new(), Tally::default());
+        let mut read = 2 * n + 2 * m;
+        for (c, mode) in modes.into_iter().enumerate() {
+            let rho = mode.project(table, c, words[2 * n + c], &mut t);
+            out[2 * n + c] = rho;
+            let len = usize::from(words[2 * n + m + c]);
+            let start = out.len();
+            for &id in &words[read..read + len] {
+                out.push(mode.project(table, c, id, &mut t));
+            }
+            read += len;
+            let settled = mode.settle(c, rho, &mut out[start..], &order, &mut t, &mut absorbed);
+            out.truncate(start + settled);
+            out[2 * n + m + c] = settled as u16;
+        }
+        (out, absorbed, t)
+    }
+
     /// Normalizes the initial state with `queues` in flight under both
     /// forms, asserts that they agree on the words, the absorbed channels
     /// and the counters, and returns the oracle's state, absorbed channels
@@ -880,8 +929,7 @@ mod tests {
     ) -> (NetworkState, Vec<usize>, ReductionStats) {
         let index = ChannelIndex::new(inst.graph());
         let codec = StateCodec::new(inst, &index, "t").unwrap();
-        let (packed, oracle) =
-            (Reducer::new(inst, &index, &codec, spec), Reducer::new(inst, &index, &codec, spec));
+        let oracle = Reducer::new(inst, &index, &codec, spec);
         let init = NetworkState::initial(inst, &index);
         let mut s = NetworkState::from_parts(
             init.assignment(),
@@ -889,15 +937,18 @@ mod tests {
             (0..index.len()).map(|c| init.learned(c).clone()).collect(),
             queues,
         );
-        let mut words = Vec::new();
-        codec.encode_into(&s, &mut words).unwrap();
-        let (mut absorbed, mut packed_absorbed) = (Vec::new(), Vec::new());
-        packed.normalize_words(&mut words, 0, &mut packed_absorbed);
+        let (words, packed_absorbed, t) =
+            normalize_words(spec, &index, &codec, &encode(&codec, &s));
+        let mut absorbed = Vec::new();
         oracle.normalize(&mut s, &mut absorbed);
+        let stats = oracle.stats();
         assert_eq!(words, encode(&codec, &s));
         assert_eq!(packed_absorbed, absorbed);
-        assert_eq!(packed.stats(), oracle.stats());
-        (s, absorbed, oracle.stats())
+        assert_eq!(
+            (t.rewrites, t.pops, t.collapses),
+            (stats.canon_rewrites, stats.absorb_pops, stats.set_collapses)
+        );
+        (s, absorbed, stats)
     }
 
     #[test]

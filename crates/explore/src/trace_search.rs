@@ -21,6 +21,7 @@ use crate::exec_packed::{Applied, ExecTables, PackedScratch};
 use crate::frontier::{bfs, BfsOptions, Expand, SuccBuf};
 use crate::graph::{cell_of, ExploreConfig, StepCatalog};
 use crate::pack::StateCodec;
+use crate::reduce::ChannelMode;
 
 /// Which Definition 3.2 relation the found sequence must induce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,7 +215,7 @@ pub fn try_search(
         index: &index,
         spec: Spec::Uniform(model),
         codec: &codec,
-        tables: ExecTables::new(&index, &codec, false),
+        tables: ExecTables::new(&index, &codec, vec![ChannelMode::default(); index.len()]),
         target_ids: &target_ids,
         goal,
         last: (target.len() - 1) as u32,

@@ -163,8 +163,8 @@ fn figure(n: u8, cols: &[CommModel], published: &PaperTable) -> bool {
 }
 
 /// One Appendix A example: prints its report and says whether every claim
-/// held.
-type Example = fn(&ExploreConfig) -> bool;
+/// held, or why an exploration stopped without a verdict.
+type Example = fn(&ExploreConfig) -> Result<bool, ExpError>;
 
 /// The Appendix A examples by name. `--threads` (or `ROUTELAB_THREADS`)
 /// sizes the parallel expand phase inside each exploration, and every
@@ -191,11 +191,11 @@ fn examples(opts: &CommonOpts, args: &[String]) -> Result<bool, ExpError> {
         ..ExploreConfig::default()
     };
     let ok = match picked {
-        Some((_, example)) => example(&base),
+        Some((_, example)) => example(&base)?,
         None => {
             let mut ok = true;
             for (_, example) in EXAMPLES {
-                ok &= example(&base);
+                ok &= example(&base)?;
                 println!();
             }
             ok
@@ -214,23 +214,20 @@ fn print_run(run: &PaperRun) -> bool {
     steps.matches_paper
 }
 
+/// Prints the exhaustive verdict of every listed model on `inst` next to
+/// the paper's, and says whether each matched. A failed exploration is an
+/// error, not a mismatch.
 fn oscillation_claims(
     inst: &SppInstance,
     oscillating: &[&str],
     converging: &[&str],
     cfg: &ExploreConfig,
-) -> bool {
+) -> Result<bool, ExpError> {
     let mut table = Table::new(vec!["model".into(), "verdict".into(), "paper".into()]);
     let mut ok = true;
-    let mut check = |m: &str, want_oscillation: bool| {
-        let v = match try_analyze(inst, m.parse::<CommModel>().expect("model"), cfg) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ok = false;
-                return;
-            }
-        };
+    let claims = oscillating.iter().map(|m| (m, true)).chain(converging.iter().map(|m| (m, false)));
+    for (m, want_oscillation) in claims {
+        let v = try_analyze(inst, m.parse::<CommModel>().expect("model"), cfg)?;
         let (good, paper) = if want_oscillation {
             (matches!(v, Verdict::CanOscillate { .. }), "oscillates")
         } else {
@@ -238,18 +235,12 @@ fn oscillation_claims(
         };
         ok &= good;
         table.row(vec![m.to_string(), format!("{v:?}"), paper.into()]);
-    };
-    for m in oscillating {
-        check(m, true);
-    }
-    for m in converging {
-        check(m, false);
     }
     println!("{table}");
-    ok
+    Ok(ok)
 }
 
-fn a1(base: &ExploreConfig) -> bool {
+fn a1(base: &ExploreConfig) -> Result<bool, ExpError> {
     let (run, cycle) = paper_runs::a1_r1o();
     let mut ok = print_run(&run);
 
@@ -273,11 +264,11 @@ fn a1(base: &ExploreConfig) -> bool {
         &["R1O", "RMO"],
         &["REO", "REF", "R1A", "RMA", "REA"],
         base,
-    );
-    ok
+    )?;
+    Ok(ok)
 }
 
-fn a2(base: &ExploreConfig) -> bool {
+fn a2(base: &ExploreConfig) -> Result<bool, ExpError> {
     let (run, cycle) = paper_runs::a2_reo();
     let mut ok = print_run(&run);
     println!("driving the fair REO cycle (v, u, a) after the 13-step prefix:");
@@ -302,8 +293,8 @@ fn a2(base: &ExploreConfig) -> bool {
         max_steps_per_state: 20_000,
         ..base.clone()
     };
-    ok &= oscillation_claims(&run.instance, &["REO", "REF"], &["R1A", "RMA", "REA"], &cfg);
-    ok
+    ok &= oscillation_claims(&run.instance, &["REO", "REF"], &["R1A", "RMA", "REA"], &cfg)?;
+    Ok(ok)
 }
 
 fn search_claim(
@@ -312,7 +303,7 @@ fn search_claim(
     goal: SearchGoal,
     expect_found: bool,
     base: &ExploreConfig,
-) -> bool {
+) -> Result<bool, ExpError> {
     let target = Runner::trace_of(&run.instance, &run.seq);
     let cfg = ExploreConfig {
         channel_cap: 6,
@@ -320,13 +311,7 @@ fn search_claim(
         max_steps_per_state: 50_000,
         ..base.clone()
     };
-    let res = match try_search(&run.instance, model.parse().expect("model"), &target, goal, &cfg) {
-        Ok(res) => res,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return false;
-        }
-    };
+    let res = try_search(&run.instance, model.parse().expect("model"), &target, goal, &cfg)?;
     let ok = matches!(
         (&res, expect_found),
         (SearchResult::Found(_), true) | (SearchResult::Impossible { .. }, false)
@@ -346,39 +331,39 @@ fn search_claim(
         shown,
         if expect_found { "possible" } else { "impossible" }
     );
-    ok
+    Ok(ok)
 }
 
-fn a3(base: &ExploreConfig) -> bool {
+fn a3(base: &ExploreConfig) -> Result<bool, ExpError> {
     let run = paper_runs::a3_reo();
     let mut ok = print_run(&run);
     println!("Prop 3.10 via exhaustive search (Fig. 7):");
-    ok &= search_claim(&run, "R1O", SearchGoal::Exact, false, base);
-    ok &= search_claim(&run, "R1O", SearchGoal::Subsequence, true, base);
-    ok &= search_claim(&run, "RMS", SearchGoal::Exact, true, base);
-    ok
+    ok &= search_claim(&run, "R1O", SearchGoal::Exact, false, base)?;
+    ok &= search_claim(&run, "R1O", SearchGoal::Subsequence, true, base)?;
+    ok &= search_claim(&run, "RMS", SearchGoal::Exact, true, base)?;
+    Ok(ok)
 }
 
-fn a4(base: &ExploreConfig) -> bool {
+fn a4(base: &ExploreConfig) -> Result<bool, ExpError> {
     let run = paper_runs::a4_rea();
     let mut ok = print_run(&run);
     println!("Prop 3.11 via exhaustive search (Fig. 8):");
-    ok &= search_claim(&run, "R1O", SearchGoal::Repetition, false, base);
-    ok &= search_claim(&run, "R1O", SearchGoal::Subsequence, true, base);
-    ok &= search_claim(&run, "R1S", SearchGoal::Repetition, true, base);
-    ok
+    ok &= search_claim(&run, "R1O", SearchGoal::Repetition, false, base)?;
+    ok &= search_claim(&run, "R1O", SearchGoal::Subsequence, true, base)?;
+    ok &= search_claim(&run, "R1S", SearchGoal::Repetition, true, base)?;
+    Ok(ok)
 }
 
-fn a5(base: &ExploreConfig) -> bool {
+fn a5(base: &ExploreConfig) -> Result<bool, ExpError> {
     let run = paper_runs::a5_rea();
     let mut ok = print_run(&run);
     println!("Props 3.12/3.13 via exhaustive search (Fig. 9):");
-    ok &= search_claim(&run, "R1S", SearchGoal::Exact, false, base);
-    ok &= search_claim(&run, "RMS", SearchGoal::Exact, true, base);
-    ok
+    ok &= search_claim(&run, "R1S", SearchGoal::Exact, false, base)?;
+    ok &= search_claim(&run, "RMS", SearchGoal::Exact, true, base)?;
+    Ok(ok)
 }
 
-fn a6(_: &ExploreConfig) -> bool {
+fn a6(_: &ExploreConfig) -> Result<bool, ExpError> {
     println!("== Example A.6 (DISAGREE, multi-node polling) ==");
     let (inst, boot, cycle) = paper_runs::a6_multinode();
     let mut runner = Runner::new(&inst);
@@ -391,7 +376,7 @@ fn a6(_: &ExploreConfig) -> bool {
         inst.fmt_route(runner.state().chosen(y))
     );
     let mut sched = Cyclic::new(cycle);
-    match drive(&mut runner, &mut sched, 1_000) {
+    let oscillating = match drive(&mut runner, &mut sched, 1_000) {
         RunOutcome::CycleDetected { period, oscillating, .. } => {
             println!(
                 "simultaneous polling cycles with period {period}, oscillating = {oscillating}"
@@ -403,7 +388,8 @@ fn a6(_: &ExploreConfig) -> bool {
             println!("unexpected outcome {other:?}");
             false
         }
-    }
+    };
+    Ok(oscillating)
 }
 
 /// Probe-state budget for one survey gadget. Only FIG6 needs more than a
@@ -1214,4 +1200,64 @@ fn timers(_: &CommonOpts, args: &[String]) -> Result<bool, ExpError> {
     println!("network pays in *both* steps and messages — whereas making a patient again");
     println!("(reading everything before announcing) suppresses those spurious updates.");
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use routelab_spp::{NodeId, SppBuilder};
+
+    /// An instance whose route table overflows the u16 id space: 60 leaves
+    /// around a 7-node clique whose nodes all neighbor `d`, each leaf
+    /// permitting its simple paths to `d` through at most 4 clique nodes.
+    fn overflowing_instance() -> SppInstance {
+        fn extend(core: &[NodeId], d: NodeId, path: &mut Vec<NodeId>, out: &mut Vec<Vec<NodeId>>) {
+            for &c in core {
+                if path.contains(&c) {
+                    continue;
+                }
+                path.push(c);
+                out.push([path.as_slice(), &[d]].concat());
+                if path.len() < 5 {
+                    extend(core, d, path, out);
+                }
+                path.pop();
+            }
+        }
+        let mut b = SppBuilder::new();
+        let d = b.node("d");
+        let core: Vec<NodeId> = (0..7).map(|i| b.node(&format!("c{i}"))).collect();
+        for (i, &c) in core.iter().enumerate() {
+            b.edge_between(c, d).unwrap();
+            for &e in &core[i + 1..] {
+                b.edge_between(c, e).unwrap();
+            }
+        }
+        for i in 0..60 {
+            let leaf = b.node(&format!("l{i}"));
+            for &c in &core {
+                b.edge_between(leaf, c).unwrap();
+            }
+            let mut paths = Vec::new();
+            extend(&core, d, &mut vec![leaf], &mut paths);
+            // 7 + 7·6 + 7·6·5 + 7·6·5·4 ordered choices of clique nodes.
+            assert_eq!(paths.len(), 1_099);
+            b.prefer(leaf, paths).unwrap();
+        }
+        b.dest(d).unwrap();
+        b.build().unwrap()
+    }
+
+    /// A route table past the u16 id space (65,940 leaf routes) is an
+    /// exploration error, which `examples` reports with exit status 2 like
+    /// `survey` and `beyond`, not a claim that failed to reproduce (status
+    /// 1).
+    #[test]
+    fn a_failed_exploration_is_an_error_not_a_mismatch() {
+        let inst = overflowing_instance();
+        let cfg = ExploreConfig { threads: Some(1), ..ExploreConfig::default() };
+        let err = oscillation_claims(&inst, &["R1O"], &[], &cfg).unwrap_err();
+        let ExpError::Failed(e) = err else { panic!("expected a failed exploration, got {err:?}") };
+        assert!(e.to_string().contains("route table overflow (65942 routes"), "{e}");
+    }
 }
