@@ -6,12 +6,13 @@
 //! `reduce` off.
 //!
 //! For every thread count the run re-verifies the determinism contract —
-//! interned states, π fingerprints, and edge lists must be bit-identical
-//! to the single-thread build of the same mode — and that the reduced and
-//! unreduced builds agree on the oscillation verdict. Wall clock, the
-//! frontier statistics (candidates, dedup hits, peak frontier, resident
-//! payload bytes), and the reduction counters (class rewrites, absorbed
-//! reads, set collapses, symmetry hits, group order) go to
+//! interned states, π fingerprints, and edge stores (every edge and the
+//! step table) must be bit-identical to the single-thread build of the
+//! same mode — and that the reduced and unreduced builds agree on the
+//! oscillation verdict. Wall clock, the frontier statistics (candidates,
+//! dedup hits, peak frontier, resident payload bytes, edge-store bytes),
+//! and the reduction counters (class rewrites, absorbed reads, set
+//! collapses, symmetry hits, group order) go to
 //! `results/BENCH_explore.json`.
 //!
 //! The speedup column is only meaningful on a multi-core host; the JSON
@@ -36,6 +37,9 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// headline run staying above this.
 const BASELINE_UNREDUCED_STATES_PER_S: f64 = 10_881.6;
 
+/// The determinism contract: same states, π fingerprints, edge store
+/// (targets, step ids, π-change bits, group elements and the step table)
+/// and truncation flag.
 fn identical(a: &StateGraph, b: &StateGraph) -> bool {
     a.nodes == b.nodes && a.pi_fp == b.pi_fp && a.edges == b.edges && a.truncated == b.truncated
 }
@@ -77,13 +81,14 @@ fn main() {
                 println!(
                     "explore_scaling/FIG6×{model_s} {mode} t{threads}: {} states in {:.0} ms \
                      ({:.0} states/s, dedup hit-rate {:.1}%, peak frontier {}, \
-                     {:.1} MiB resident{})",
+                     {:.1} MiB resident, {:.1} MiB of edges{})",
                     g.len(),
                     wall_ms,
                     states_per_s,
                     g.stats.dedup_hit_rate() * 100.0,
                     g.stats.peak_frontier,
                     g.stats.bytes_resident as f64 / (1 << 20) as f64,
+                    g.stats.edge_bytes as f64 / (1 << 20) as f64,
                     if same { "" } else { ", MISMATCH vs 1-thread build" },
                 );
                 runs_json.push(JVal::obj([
@@ -95,6 +100,7 @@ fn main() {
                     ("dedup_hits", JVal::int(g.stats.dedup_hits as usize)),
                     ("peak_frontier", JVal::int(g.stats.peak_frontier)),
                     ("bytes_resident", JVal::int(g.stats.bytes_resident as usize)),
+                    ("edge_bytes", JVal::int(g.stats.edge_bytes as usize)),
                     ("identical_to_single_thread", JVal::Bool(same)),
                 ]));
                 walls.push(wall_ms);

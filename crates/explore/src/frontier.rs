@@ -13,36 +13,61 @@
 //! (`bfs_reference`, test-only). Each block runs in two phases:
 //!
 //! 1. *Expand*, in parallel: `std::thread::scope` workers expand contiguous
-//!    ranges of the block, each parent's successors landing in that
-//!    parent's own [`SuccBuf`], in the parent's canonical successor order.
-//! 2. *Merge*, serially: one pass walks the candidates in (parent,
-//!    successor) order, looks each up in one exact id table, and interns
-//!    first occurrences. That is exactly the numbering of a sequential
-//!    breadth-first loop, and a cap or an acceptance stops at exactly the
-//!    candidate where the sequential loop stops.
+//!    runs of the block's parents, each appending its parents' candidates,
+//!    in each parent's canonical successor order, to its own
+//!    [`Candidates`] buffer.
+//! 2. *Merge*, serially: one pass walks the buffers in (worker, parent,
+//!    successor) order — which is (parent, successor) order, since worker
+//!    `w` holds the `w`-th run — looks each candidate up in one exact id
+//!    table, interns first occurrences, and hands every edge and
+//!    first-discovery link to the client's [`Record`]. That is exactly the
+//!    numbering of a sequential breadth-first loop, and a cap or an
+//!    acceptance stops at exactly the candidate where the sequential loop
+//!    stops.
 //!
 //! Threads only change who expands a parent, never the order in which
 //! candidates are merged, so thread count and scheduling cannot leak into
 //! the output.
 //!
-//! Nodes are plain `u16` word buffers. Expansion writes successors straight
-//! into a reusable per-parent [`SuccBuf`] (no per-candidate allocation) and
-//! fingerprints each with [`hash_words`] on the worker. The id table keys
-//! on those fingerprints but verifies every match word for word against
-//! the interned node, so dedup stays *exact*. Interned nodes live in one
-//! flat [`NodeArena`], written only by the merge.
+//! **Block sizing.** A block gives each worker a run of
+//! `PARENTS_PER_WORKER` parents (the last run takes what is left, so a
+//! frontier narrower than one run is expanded inline), so the merge reads
+//! candidates a worker wrote moments before, while they are still in
+//! cache, and a worker's buffer holds one block's share of candidates at
+//! most. The size is a measured choice, not a tuning input: in a sweep on
+//! routebench's unreduced Fig. 6 workload at one thread, 64 to 256 parents
+//! per block ran 0.021–0.022 s per pass and 512 to 4,096 ran 0.027–0.030 s,
+//! and peak memory at 256 read 13.5 MB against 16.3 MB at 4,096; 256 is
+//! the largest size in the fast range (EXPERIMENTS.md, explorer memory).
+//! Block boundaries (and so [`FrontierStats::blocks`] and
+//! [`FrontierStats::peak_frontier`]) depend on the worker count; results
+//! do not.
+//!
+//! **Flat buffers.** Nodes are plain `u16` word buffers. A worker's
+//! [`Candidates`] keeps every candidate's words back to back, with its end
+//! offset, its fingerprint ([`hash_words`], computed on the worker) and its
+//! `Copy` label alongside, and per parent the end of its candidates and
+//! whether a bound cut its expansion. The buffer is cleared, capacity kept,
+//! for every block, so a search holds one buffer and one client scratch per
+//! worker however many blocks it takes, and expansion performs no
+//! per-candidate allocation. The id table keys on the fingerprints but
+//! verifies every match word for word against the interned node, so dedup
+//! stays *exact*. Interned nodes live in one flat [`NodeArena`], written
+//! only by the merge.
 //!
 //! The same contract as the run-level pool (`ROUTELAB_THREADS`), pushed
 //! down into a single gadget × model cell.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::arena::NodeArena;
 use crate::error::ExploreError;
 
-/// Frontier nodes expanded per parallel block. Purely a performance knob —
-/// the ordinal merge makes results independent of block size.
-const BLOCK: usize = 4096;
+/// Parents each worker expands per block (see the module doc's block
+/// sizing). Purely a performance choice — the ordinal merge makes results
+/// independent of block size.
+const PARENTS_PER_WORKER: usize = 256;
 
 /// Env var overriding the worker count of the explorer and of the
 /// run-level pool.
@@ -159,37 +184,39 @@ impl IdTable {
     }
 }
 
-/// A reusable per-parent successor buffer: candidate node words appended
-/// into one flat arena-style `Vec`, labels and fingerprints alongside.
-/// Cleared (capacity kept) for every parent, so steady-state expansion
-/// performs no per-candidate allocation for node storage.
+/// One worker's candidate successors for its run of a block's parents, in
+/// one flat buffer: every candidate's words back to back, with its end
+/// offset, fingerprint and label alongside, and per expanded parent the end
+/// of its candidates and its cut flag. [`Expand::expand`] appends one
+/// parent's candidates; the frontier closes the parent after it returns.
 #[derive(Debug)]
-pub struct SuccBuf<L> {
+pub struct Candidates<L> {
     words: Vec<u16>,
-    spans: Vec<(u32, u32)>,
+    /// End of each candidate in `words`; a candidate starts where the one
+    /// before it ends.
+    ends: Vec<usize>,
     hashes: Vec<u64>,
-    labels: Vec<Option<L>>,
+    labels: Vec<L>,
+    /// Per parent: the end of its candidates in `ends`, and whether a bound
+    /// cut its expansion.
+    parents: Vec<(usize, bool)>,
 }
 
-impl<L> Default for SuccBuf<L> {
+impl<L> Default for Candidates<L> {
     fn default() -> Self {
-        SuccBuf { words: Vec::new(), spans: Vec::new(), hashes: Vec::new(), labels: Vec::new() }
+        Candidates {
+            words: Vec::new(),
+            ends: Vec::new(),
+            hashes: Vec::new(),
+            labels: Vec::new(),
+            parents: Vec::new(),
+        }
     }
 }
 
-impl<L> SuccBuf<L> {
-    /// Number of committed candidates.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// `true` when no candidate has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
+impl<L: Copy> Candidates<L> {
     /// Marks the start of a new candidate; pass the mark to
-    /// [`SuccBuf::commit`] or [`SuccBuf::cancel`].
+    /// [`Candidates::commit`] or [`Candidates::cancel`].
     pub fn mark(&self) -> usize {
         self.words.len()
     }
@@ -206,10 +233,11 @@ impl<L> SuccBuf<L> {
 
     /// Commits the words written since `mark` as one candidate.
     pub fn commit(&mut self, mark: usize, label: L) {
+        debug_assert_eq!(mark, self.ends.last().copied().unwrap_or(0), "one candidate at a time");
         let end = self.words.len();
         self.hashes.push(hash_words(&self.words[mark..end]));
-        self.spans.push((mark as u32, end as u32));
-        self.labels.push(Some(label));
+        self.ends.push(end);
+        self.labels.push(label);
     }
 
     /// Discards the words written since `mark`.
@@ -226,38 +254,37 @@ impl<L> SuccBuf<L> {
 
     fn clear(&mut self) {
         self.words.clear();
-        self.spans.clear();
+        self.ends.clear();
         self.hashes.clear();
         self.labels.clear();
+        self.parents.clear();
+    }
+
+    /// Closes the current parent's candidates; `cut` is its expansion's
+    /// bound flag.
+    fn close(&mut self, cut: bool) {
+        self.parents.push((self.ends.len(), cut));
+    }
+
+    /// Each closed parent's candidate range and cut flag, in order.
+    fn parents(&self) -> impl Iterator<Item = (Range<usize>, bool)> + '_ {
+        let starts = std::iter::once(0).chain(self.parents.iter().map(|&(end, _)| end));
+        starts.zip(&self.parents).map(|(start, &(end, cut))| (start..end, cut))
     }
 
     fn node(&self, i: usize) -> &[u16] {
-        let (a, b) = self.spans[i];
-        &self.words[a as usize..b as usize]
-    }
-
-    fn hash(&self, i: usize) -> u64 {
-        self.hashes[i]
-    }
-
-    fn take_label(&mut self, i: usize) -> L {
-        self.labels[i].take().expect("label taken once")
-    }
-
-    fn clone_label(&self, i: usize) -> L
-    where
-        L: Clone,
-    {
-        self.labels[i].clone().expect("label still present")
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.words[start..self.ends[i]]
     }
 }
 
 /// A client of the frontier engine: how to expand a node, and which nodes
 /// finish the search.
 pub trait Expand: Sync {
-    /// Per-edge payload (labels for the state graph, replay steps for trace
-    /// search).
-    type Label: Clone + Send + Sync;
+    /// Per-edge payload, copied through the candidate buffer. A label may
+    /// refer into the expanding worker's scratch (a step catalog id, say):
+    /// the merge hands [`Record`] that scratch with it.
+    type Label: Copy + Send;
     /// Per-worker reusable scratch threaded through [`Expand::expand`]
     /// (step catalogs, encode buffers — whatever the client reuses to
     /// avoid per-candidate allocation). [`bfs`] keeps one per worker for
@@ -275,7 +302,7 @@ pub trait Expand: Sync {
         &self,
         id: u32,
         node: &[u16],
-        out: &mut SuccBuf<Self::Label>,
+        out: &mut Candidates<Self::Label>,
         scratch: &mut Self::Scratch,
     ) -> Result<bool, ExploreError>;
 
@@ -287,6 +314,19 @@ pub trait Expand: Sync {
     }
 }
 
+/// What a client keeps of a search, written by the merge in merge order,
+/// each call with the scratch of the worker whose expansion produced the
+/// label. Both methods default to keeping nothing.
+pub trait Record<L, S> {
+    /// Node `id` (never the root) was interned, first reached from `parent`
+    /// by `label`. Called before that candidate's [`Record::edge`].
+    fn node(&mut self, _id: u32, _parent: u32, _label: L, _scratch: &mut S) {}
+
+    /// The candidate `label` of `from` resolved to node `to`. Calls come in
+    /// (`from`, successor) order, so each node's edges arrive together.
+    fn edge(&mut self, _from: u32, _to: u32, _label: L, _scratch: &mut S) {}
+}
+
 /// Engine knobs. `threads` must already be resolved (≥ 1).
 #[derive(Debug, Clone)]
 pub struct BfsOptions {
@@ -294,11 +334,6 @@ pub struct BfsOptions {
     pub threads: usize,
     /// Maximum nodes interned; hitting the cap truncates the search.
     pub max_nodes: usize,
-    /// Record the full edge list (needed for SCC analysis).
-    pub record_edges: bool,
-    /// Record one (parent, label) link per node (needed to reconstruct a
-    /// path to an accepted node).
-    pub record_parents: bool,
     /// Heartbeat/progress label for long closures.
     pub progress_label: &'static str,
 }
@@ -321,6 +356,10 @@ pub struct FrontierStats {
     pub peak_frontier: usize,
     /// Bytes of node payload held at the end of the run.
     pub bytes_resident: u64,
+    /// Bytes of the edges the client kept: for a state graph, its edge
+    /// store and step table (`crate::graph::EdgeStore::bytes`); 0 when
+    /// nothing was kept.
+    pub edge_bytes: u64,
 }
 
 impl FrontierStats {
@@ -334,17 +373,12 @@ impl FrontierStats {
     }
 }
 
-/// Output of a frontier run.
+/// Output of a frontier run; edges and parent links went to its
+/// [`Record`].
 #[derive(Debug)]
-pub struct BfsResult<L> {
+pub struct BfsResult {
     /// Interned nodes; index = id, id 0 = root.
     pub nodes: NodeArena,
-    /// Outgoing `(to, label)` edges per node (empty unless `record_edges`;
-    /// value-preserving self-loops are kept — callers filter if needed).
-    pub edges: Vec<Vec<(u32, L)>>,
-    /// First-discovery `(parent, label)` link per node, `None` for the root
-    /// (empty unless `record_parents`).
-    pub parents: Vec<Option<(u32, L)>>,
     /// `true` when a bound cut the closure (expand-reported or node cap).
     pub truncated: bool,
     /// The first accepted node, if any.
@@ -353,58 +387,27 @@ pub struct BfsResult<L> {
     pub stats: FrontierStats,
 }
 
-impl<L> BfsResult<L> {
-    /// Reconstructs the label path root → `id` from the parent links.
-    pub fn path_to(&self, id: u32) -> Vec<L>
-    where
-        L: Clone,
-    {
-        let mut labels = Vec::new();
-        let mut cur = id;
-        while let Some(Some((p, l))) = self.parents.get(cur as usize) {
-            labels.push(l.clone());
-            cur = *p;
-        }
-        labels.reverse();
-        labels
-    }
-}
-
-/// One parent's expansion: its candidate successors plus the "budget cut
-/// here" flag returned by [`Expand::expand`].
-struct Slot<L> {
-    buf: SuccBuf<L>,
-    cut: bool,
-}
-
-impl<L> Default for Slot<L> {
-    fn default() -> Self {
-        Slot { buf: SuccBuf::default(), cut: false }
-    }
-}
-
-/// Expands parents `slots[i] ↔ id block_start + i`, filling each slot in
-/// place. Worker `w` expands the `w`-th contiguous range with
-/// `scratches[w]`; missing scratches are created, so the search keeps at
-/// most one per worker. Panics inside `expand` are caught and attributed
+/// Expands the parents of `block`: worker `w` takes the `w`-th run of
+/// [`PARENTS_PER_WORKER`] parents, appending their candidates to `bufs[w]`
+/// with `scratches[w]`. Panics inside `expand` are caught and attributed
 /// to `cell`.
 fn expand_block<E: Expand>(
     exp: &E,
     arena: &NodeArena,
-    block_start: usize,
-    slots: &mut [Slot<E::Label>],
-    scratches: &mut Vec<E::Scratch>,
-    threads: usize,
+    block: Range<usize>,
+    bufs: &mut [Candidates<E::Label>],
+    scratches: &mut [E::Scratch],
     cell: &str,
 ) -> Result<(), ExploreError> {
-    let run_range = |offset: usize, slots: &mut [Slot<E::Label>], scratch: &mut E::Scratch| {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let id = (block_start + offset + i) as u32;
-            let expanded = catch_unwind(AssertUnwindSafe(|| {
-                exp.expand(id, arena.node(id), &mut slot.buf, scratch)
-            }));
+    let run = |w: usize, buf: &mut Candidates<E::Label>, scratch: &mut E::Scratch| {
+        buf.clear();
+        let first = block.start + w * PARENTS_PER_WORKER;
+        for id in first..block.end.min(first + PARENTS_PER_WORKER) {
+            let id = id as u32;
+            let expanded =
+                catch_unwind(AssertUnwindSafe(|| exp.expand(id, arena.node(id), buf, scratch)));
             match expanded {
-                Ok(r) => slot.cut = r?,
+                Ok(cut) => buf.close(cut?),
                 Err(payload) => {
                     return Err(ExploreError::worker_panic(cell, panic_message(&*payload)))
                 }
@@ -412,20 +415,15 @@ fn expand_block<E: Expand>(
         }
         Ok(())
     };
-    let chunk = slots.len().div_ceil(threads.max(1));
-    let workers = slots.len().div_ceil(chunk);
-    while scratches.len() < workers {
-        scratches.push(E::Scratch::default());
-    }
-    if workers <= 1 {
-        return run_range(0, slots, &mut scratches[0]);
+    if let ([buf], [scratch]) = (&mut *bufs, &mut *scratches) {
+        return run(0, buf, scratch);
     }
     let mut failures: Vec<(usize, ExploreError)> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (w, (chunk_slots, scratch)) in slots.chunks_mut(chunk).zip(scratches).enumerate() {
-            let run_range = &run_range;
-            handles.push((w, scope.spawn(move || run_range(w * chunk, chunk_slots, scratch))));
+        for (w, (buf, scratch)) in bufs.iter_mut().zip(scratches).enumerate() {
+            let run = &run;
+            handles.push((w, scope.spawn(move || run(w, buf, scratch))));
         }
         for (w, h) in handles {
             match h.join() {
@@ -497,7 +495,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs the parallel breadth-first closure from the root node `root` (its
-/// raw words).
+/// raw words), writing edges and parent links to `record`.
 ///
 /// # Errors
 ///
@@ -508,24 +506,17 @@ pub fn bfs<E: Expand>(
     root: &[u16],
     cell: &str,
     opts: &BfsOptions,
-) -> Result<BfsResult<E::Label>, ExploreError> {
+    record: &mut impl Record<E::Label, E::Scratch>,
+) -> Result<BfsResult, ExploreError> {
     let threads = opts.threads.max(1);
     let mut stats = FrontierStats { threads, ..FrontierStats::default() };
 
     let mut arena = NodeArena::new();
     let mut table = IdTable::default();
-    let mut edges: Vec<Vec<(u32, E::Label)>> = Vec::new();
-    let mut parents: Vec<Option<(u32, E::Label)>> = Vec::new();
     let mut truncated = false;
     let mut accepted = None;
 
     table.insert(hash_words(root), arena.intern(root));
-    if opts.record_edges {
-        edges.push(Vec::new());
-    }
-    if opts.record_parents {
-        parents.push(None);
-    }
     if exp.accept(0, root) {
         accepted = Some(0);
     }
@@ -534,85 +525,71 @@ pub fn bfs<E: Expand>(
     let mut heartbeat = routelab_obs::Heartbeat::new(opts.progress_label, opts.max_nodes as u64);
     let mut expanded = 0usize;
     let mut done = accepted.is_some();
-    // Reusable per-parent successor slots: cleared and refilled every block,
-    // so candidate buffers keep their capacity across the whole search
-    // instead of being reallocated per block. Worker scratches (step
-    // catalogs, kernel buffers) likewise live for the whole search.
-    let mut slots: Vec<Slot<E::Label>> = Vec::new();
-    let mut scratches: Vec<E::Scratch> = Vec::new();
+    // One candidate buffer and one scratch (step catalogs, kernel buffers)
+    // per worker, each kept for the whole search, sized for the most
+    // workers a block can take so that none moves once created.
+    let most = threads.min(opts.max_nodes.div_ceil(PARENTS_PER_WORKER));
+    let mut bufs: Vec<Candidates<E::Label>> = Vec::with_capacity(most);
+    let mut scratches: Vec<E::Scratch> = Vec::with_capacity(most);
     while !done && expanded < arena.len() {
         stats.peak_frontier = stats.peak_frontier.max(arena.len() - expanded);
-        let block_start = expanded;
-        let block_len = (arena.len() - expanded).min(BLOCK);
-        expanded += block_len;
+        let width = PARENTS_PER_WORKER.saturating_mul(threads);
+        let block = expanded..arena.len().min(expanded.saturating_add(width));
+        let workers = block.len().div_ceil(PARENTS_PER_WORKER);
+        while bufs.len() < workers {
+            bufs.push(Candidates::default());
+            scratches.push(E::Scratch::default());
+        }
+        expanded = block.end;
         stats.blocks += 1;
-        stats.expanded += block_len as u64;
+        stats.expanded += block.len() as u64;
         heartbeat.tick(arena.len() as u64);
 
         let block_no = stats.blocks - 1;
 
-        // Phase 1 (parallel): expand every parent of the block into its own
-        // slot, in the parent's canonical successor order.
+        // Phase 1 (parallel): each worker expands its run of parents into
+        // its own buffer, in each parent's canonical successor order.
         profiler.start();
-        for slot in slots.iter_mut() {
-            slot.buf.clear();
-            slot.cut = false;
-        }
-        while slots.len() < block_len {
-            slots.push(Slot::default());
-        }
-        expand_block(
-            exp,
-            &arena,
-            block_start,
-            &mut slots[..block_len],
-            &mut scratches,
-            threads,
-            cell,
-        )?;
-        profiler.lap("frontier.expand_ns", "expand", block_no, &[("parents", block_len as u64)]);
+        let (bufs, scratches) = (&mut bufs[..workers], &mut scratches[..workers]);
+        expand_block(exp, &arena, block.clone(), bufs, scratches, cell)?;
+        profiler.lap("frontier.expand_ns", "expand", block_no, &[("parents", block.len() as u64)]);
 
-        // Phase 2 (serial): walk candidates in (parent, successor) order,
-        // interning first occurrences — exactly the numbering, the
+        // Phase 2 (serial): walk candidates in (worker, parent, successor)
+        // order, interning first occurrences — exactly the numbering, the
         // statistics and the cut point of the sequential reference.
         let interned_before = arena.len();
-        'merge: for (pi, slot) in slots[..block_len].iter_mut().enumerate() {
-            let from = (block_start + pi) as u32;
-            truncated |= slot.cut;
-            stats.candidates += slot.buf.len() as u64;
-            for si in 0..slot.buf.len() {
-                let (node, fp) = (slot.buf.node(si), slot.buf.hash(si));
-                let to = match table.find(&arena, node, fp) {
-                    Some(id) => {
-                        stats.dedup_hits += 1;
-                        id
+        'merge: for (w, (buf, scratch)) in bufs.iter().zip(scratches).enumerate() {
+            for (k, (candidates, cut)) in buf.parents().enumerate() {
+                let from = (block.start + w * PARENTS_PER_WORKER + k) as u32;
+                truncated |= cut;
+                stats.candidates += candidates.len() as u64;
+                for i in candidates {
+                    let (node, fp, label) = (buf.node(i), buf.hashes[i], buf.labels[i]);
+                    let to = match table.find(&arena, node, fp) {
+                        Some(id) => {
+                            stats.dedup_hits += 1;
+                            id
+                        }
+                        None => {
+                            if arena.len() >= opts.max_nodes {
+                                truncated = true;
+                                done = true;
+                                break 'merge;
+                            }
+                            let id = arena.intern(node);
+                            table.insert(fp, id);
+                            record.node(id, from, label, scratch);
+                            if exp.accept(id, node) {
+                                accepted = Some(id);
+                                done = true;
+                            }
+                            id
+                        }
+                    };
+                    record.edge(from, to, label, scratch);
+                    if done {
+                        break 'merge;
                     }
-                    None => {
-                        if arena.len() >= opts.max_nodes {
-                            truncated = true;
-                            done = true;
-                            break 'merge;
-                        }
-                        let id = arena.intern(node);
-                        table.insert(fp, id);
-                        if opts.record_edges {
-                            edges.push(Vec::new());
-                        }
-                        if opts.record_parents {
-                            parents.push(Some((from, slot.buf.clone_label(si))));
-                        }
-                        if exp.accept(id, node) {
-                            accepted = Some(id);
-                            done = true;
-                        }
-                        id
-                    }
-                };
-                if opts.record_edges {
-                    edges[from as usize].push((to, slot.buf.take_label(si)));
-                }
-                if done {
-                    break 'merge;
                 }
             }
         }
@@ -624,14 +601,14 @@ pub fn bfs<E: Expand>(
         );
     }
     stats.bytes_resident = arena.bytes_resident();
-    Ok(BfsResult { nodes: arena, edges, parents, truncated, accepted, stats })
+    Ok(BfsResult { nodes: arena, truncated, accepted, stats })
 }
 
 /// The plain sequential reference implementation: one queue, one exact
-/// (full-buffer-keyed) map, no blocks. Kept deliberately independent of
-/// [`bfs`]'s machinery — the differential tests assert the two agree
-/// bit-for-bit, which in particular cross-checks the fingerprint dedup
-/// against exact hashing.
+/// (full-buffer-keyed) map, no blocks, one parent's candidates at a time.
+/// Kept deliberately independent of [`bfs`]'s machinery — the differential
+/// tests assert the two agree bit-for-bit, which in particular
+/// cross-checks the fingerprint dedup against exact hashing.
 ///
 /// # Errors
 ///
@@ -642,29 +619,22 @@ pub(crate) fn bfs_reference<E: Expand>(
     root: &[u16],
     cell: &str,
     opts: &BfsOptions,
-) -> Result<BfsResult<E::Label>, ExploreError> {
+    record: &mut impl Record<E::Label, E::Scratch>,
+) -> Result<BfsResult, ExploreError> {
     let mut arena = NodeArena::new();
     let mut ids: std::collections::HashMap<Vec<u16>, u32> = Default::default();
-    let mut edges: Vec<Vec<(u32, E::Label)>> = Vec::new();
-    let mut parents: Vec<Option<(u32, E::Label)>> = Vec::new();
     let mut truncated = false;
     let mut accepted = None;
     let mut stats = FrontierStats { threads: 1, ..FrontierStats::default() };
 
     ids.insert(root.to_vec(), 0);
-    if opts.record_edges {
-        edges.push(Vec::new());
-    }
-    if opts.record_parents {
-        parents.push(None);
-    }
     if exp.accept(0, root) {
         accepted = Some(0);
     }
     arena.intern(root);
 
     let mut scratch = E::Scratch::default();
-    let mut buf: SuccBuf<E::Label> = SuccBuf::default();
+    let mut buf: Candidates<E::Label> = Candidates::default();
     'search: while expanded_lt(&arena, accepted, stats.expanded) {
         let from = stats.expanded as u32;
         stats.expanded += 1;
@@ -675,8 +645,8 @@ pub(crate) fn bfs_reference<E: Expand>(
         }))
         .map_err(|p| ExploreError::worker_panic(cell, panic_message(&*p)))??;
         truncated |= cut;
-        stats.candidates += buf.len() as u64;
-        for si in 0..buf.len() {
+        stats.candidates += buf.ends.len() as u64;
+        for si in 0..buf.ends.len() {
             let to = match ids.get(buf.node(si)) {
                 Some(&id) => {
                     stats.dedup_hits += 1;
@@ -689,21 +659,14 @@ pub(crate) fn bfs_reference<E: Expand>(
                     }
                     let id = arena.intern(buf.node(si));
                     ids.insert(buf.node(si).to_vec(), id);
-                    if opts.record_edges {
-                        edges.push(Vec::new());
-                    }
-                    if opts.record_parents {
-                        parents.push(Some((from, buf.clone_label(si))));
-                    }
+                    record.node(id, from, buf.labels[si], &mut scratch);
                     if exp.accept(id, buf.node(si)) {
                         accepted = Some(id);
                     }
                     id
                 }
             };
-            if opts.record_edges {
-                edges[from as usize].push((to, buf.take_label(si)));
-            }
+            record.edge(from, to, buf.labels[si], &mut scratch);
             if accepted.is_some() {
                 break 'search;
             }
@@ -711,7 +674,7 @@ pub(crate) fn bfs_reference<E: Expand>(
     }
     stats.blocks = stats.expanded;
     stats.bytes_resident = arena.bytes_resident();
-    Ok(BfsResult { nodes: arena, edges, parents, truncated, accepted, stats })
+    Ok(BfsResult { nodes: arena, truncated, accepted, stats })
 }
 
 /// Loop condition of the sequential reference (`expanded < len`, no
@@ -748,7 +711,7 @@ mod tests {
             &self,
             _id: u32,
             node: &[u16],
-            out: &mut SuccBuf<u64>,
+            out: &mut Candidates<u64>,
             _scratch: &mut (),
         ) -> Result<bool, ExploreError> {
             let node = dec(node);
@@ -768,34 +731,78 @@ mod tests {
     }
 
     fn opts(threads: usize) -> BfsOptions {
-        BfsOptions {
-            threads,
-            max_nodes: usize::MAX,
-            record_edges: true,
-            record_parents: true,
-            progress_label: "test.frontier",
+        BfsOptions { threads, max_nodes: usize::MAX, progress_label: "test.frontier" }
+    }
+
+    /// What a search hands its [`Record`]: each node's edges, and each
+    /// non-root node's first-discovery link.
+    #[derive(Debug, Default, PartialEq)]
+    struct Recorded {
+        edges: Vec<Vec<(u32, u64)>>,
+        links: Vec<(u32, u64)>,
+    }
+
+    impl<S> Record<u64, S> for Recorded {
+        fn node(&mut self, id: u32, parent: u32, label: u64, _scratch: &mut S) {
+            assert_eq!(id as usize, self.links.len() + 1, "nodes arrive in id order");
+            self.links.push((parent, label));
+        }
+
+        fn edge(&mut self, from: u32, to: u32, label: u64, _scratch: &mut S) {
+            let from = from as usize;
+            assert!(from + 1 >= self.edges.len(), "edges arrive grouped by source");
+            if self.edges.len() <= from {
+                self.edges.resize_with(from + 1, Vec::new);
+            }
+            self.edges[from].push((to, label));
         }
     }
 
-    fn assert_identical(a: &BfsResult<u64>, b: &BfsResult<u64>) {
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.edges, b.edges);
-        assert_eq!(a.parents, b.parents);
-        assert_eq!(a.truncated, b.truncated);
-        assert_eq!(a.accepted, b.accepted);
+    impl Recorded {
+        /// The label path root → `id`, from the first-discovery links.
+        fn path_to(&self, mut id: u32) -> Vec<u64> {
+            let mut labels = Vec::new();
+            while id != 0 {
+                let (parent, label) = self.links[id as usize - 1];
+                labels.push(label);
+                id = parent;
+            }
+            labels.reverse();
+            labels
+        }
+    }
+
+    /// A search with no record.
+    impl<L, S> Record<L, S> for () {}
+
+    fn parallel<E: Expand<Label = u64>>(g: &E, o: &BfsOptions) -> (BfsResult, Recorded) {
+        let mut rec = Recorded::default();
+        (bfs(g, &enc(0), "synthetic", o, &mut rec).unwrap(), rec)
+    }
+
+    fn reference<E: Expand<Label = u64>>(g: &E, o: &BfsOptions) -> (BfsResult, Recorded) {
+        let mut rec = Recorded::default();
+        (bfs_reference(g, &enc(0), "synthetic", o, &mut rec).unwrap(), rec)
+    }
+
+    fn assert_identical(a: &(BfsResult, Recorded), b: &(BfsResult, Recorded)) {
+        assert_eq!(a.0.nodes, b.0.nodes);
+        assert_eq!(a.1, b.1);
+        assert_eq!(a.0.truncated, b.0.truncated);
+        assert_eq!(a.0.accepted, b.0.accepted);
     }
 
     #[test]
     fn parallel_matches_reference_at_every_thread_count() {
         let g = Synthetic { limit: 5_000, fan: 7, accept_at: None };
-        let reference = bfs_reference(&g, &enc(0), "synthetic", &opts(1)).unwrap();
-        assert!(reference.nodes.len() > 1_000);
+        let reference = reference(&g, &opts(1));
+        assert!(reference.0.nodes.len() > 1_000);
         for threads in [1, 2, 3, 8] {
-            let par = bfs(&g, &enc(0), "synthetic", &opts(threads)).unwrap();
+            let par = parallel(&g, &opts(threads));
             assert_identical(&par, &reference);
-            assert_eq!(par.stats.threads, threads);
-            assert_eq!(par.stats.dedup_hits, reference.stats.dedup_hits);
-            assert_eq!(par.stats.candidates, reference.stats.candidates);
+            assert_eq!(par.0.stats.threads, threads);
+            assert_eq!(par.0.stats.dedup_hits, reference.0.stats.dedup_hits);
+            assert_eq!(par.0.stats.candidates, reference.0.stats.candidates);
         }
     }
 
@@ -804,42 +811,47 @@ mod tests {
         let g = Synthetic { limit: 50_000, fan: 9, accept_at: None };
         let mut o = opts(1);
         o.max_nodes = 1234;
-        let reference = bfs_reference(&g, &enc(0), "synthetic", &o).unwrap();
-        assert!(reference.truncated);
-        assert_eq!(reference.nodes.len(), 1234);
+        let reference = reference(&g, &o);
+        assert!(reference.0.truncated);
+        assert_eq!(reference.0.nodes.len(), 1234);
         for threads in [1, 2, 3, 8] {
             let mut o = opts(threads);
             o.max_nodes = 1234;
-            let par = bfs(&g, &enc(0), "synthetic", &o).unwrap();
+            let par = parallel(&g, &o);
             assert_identical(&par, &reference);
             // Candidates past the cut are neither counted nor deduped.
-            assert_eq!(par.stats.candidates, reference.stats.candidates, "@{threads}t");
-            assert_eq!(par.stats.dedup_hits, reference.stats.dedup_hits, "@{threads}t");
+            assert_eq!(par.0.stats.candidates, reference.0.stats.candidates, "@{threads}t");
+            assert_eq!(par.0.stats.dedup_hits, reference.0.stats.dedup_hits, "@{threads}t");
         }
     }
 
     #[test]
     fn acceptance_is_thread_invariant() {
         let g = Synthetic { limit: 5_000, fan: 7, accept_at: Some(4_321) };
-        let reference = bfs_reference(&g, &enc(0), "synthetic", &opts(1)).unwrap();
+        let reference = reference(&g, &opts(1));
         for threads in [1, 2, 3, 8] {
-            let par = bfs(&g, &enc(0), "synthetic", &opts(threads)).unwrap();
+            let par = parallel(&g, &opts(threads));
             assert_identical(&par, &reference);
         }
-        if let Some(id) = reference.accepted {
-            assert_eq!(dec(&reference.nodes.node_vec(id)), 4_321);
+        if let Some(id) = reference.0.accepted {
+            assert_eq!(dec(&reference.0.nodes.node_vec(id)), 4_321);
             // The parent chain replays to the accepted node.
-            let path = reference.path_to(id);
+            let path = reference.1.path_to(id);
             assert!(!path.is_empty());
         }
     }
 
-    /// Worker scratches live for the whole search: however many blocks it
-    /// takes, a search builds at most one scratch per worker.
+    /// Worker scratches and candidate buffers live for the whole search:
+    /// however many blocks it takes, a search builds at most one scratch
+    /// and fills at most one candidate buffer per worker, and its result
+    /// is the reference's.
     #[test]
     fn each_worker_builds_one_scratch_per_search() {
+        use std::collections::HashSet;
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
         static BUILT: AtomicUsize = AtomicUsize::new(0);
+        static BUFFERS: Mutex<Option<HashSet<usize>>> = Mutex::new(None);
 
         struct Counted;
         impl Default for Counted {
@@ -856,20 +868,29 @@ mod tests {
                 &self,
                 id: u32,
                 node: &[u16],
-                out: &mut SuccBuf<u64>,
+                out: &mut Candidates<u64>,
                 _scratch: &mut Counted,
             ) -> Result<bool, ExploreError> {
+                let buffer = std::ptr::from_ref(out) as usize;
+                BUFFERS.lock().unwrap().get_or_insert_with(HashSet::new).insert(buffer);
                 self.0.expand(id, node, out, &mut ())
             }
         }
 
         let g = Counting(Synthetic { limit: 20_000, fan: 7, accept_at: None });
-        for threads in [1, 2, 8] {
+        let want = reference(&g.0, &opts(1));
+        for threads in [1, 2, 3, 8] {
             BUILT.store(0, Ordering::Relaxed);
-            let r = bfs(&g, &enc(0), "synthetic", &opts(threads)).unwrap();
-            assert!(r.stats.blocks >= 3 && r.nodes.len() > 2 * BLOCK, "{:?}", r.stats);
+            *BUFFERS.lock().unwrap() = None;
+            let r = parallel(&g, &opts(threads));
+            let stats = r.0.stats;
+            assert!(stats.blocks >= 3, "{stats:?}");
+            assert!(r.0.nodes.len() > 2 * PARENTS_PER_WORKER * threads, "{stats:?}");
+            assert_identical(&r, &want);
             let built = BUILT.load(Ordering::Relaxed);
             assert!((1..=threads).contains(&built), "{built} scratches @{threads}t");
+            let buffers = BUFFERS.lock().unwrap().as_ref().map_or(0, HashSet::len);
+            assert!((1..=threads).contains(&buffers), "{buffers} buffers @{threads}t");
         }
     }
 
@@ -883,7 +904,7 @@ mod tests {
                 &self,
                 _id: u32,
                 node: &[u16],
-                out: &mut SuccBuf<()>,
+                out: &mut Candidates<()>,
                 _scratch: &mut (),
             ) -> Result<bool, ExploreError> {
                 let node = dec(node);
@@ -894,8 +915,11 @@ mod tests {
                 Ok(false)
             }
         }
-        for runner in [bfs::<Bomb>, bfs_reference::<Bomb>] {
-            let err = runner(&Bomb, &enc(0), "BOMB × R1O", &opts(2)).expect_err("must fail");
+        let errs = [
+            bfs(&Bomb, &enc(0), "BOMB × R1O", &opts(2), &mut ()).expect_err("must fail"),
+            bfs_reference(&Bomb, &enc(0), "BOMB × R1O", &opts(2), &mut ()).expect_err("must fail"),
+        ];
+        for err in errs {
             assert_eq!(err.cell, "BOMB × R1O");
             assert!(err.to_string().contains("boom at 3"), "{err}");
         }
@@ -904,7 +928,7 @@ mod tests {
     #[test]
     fn accept_on_root_short_circuits() {
         let g = Synthetic { limit: 10, fan: 2, accept_at: Some(0) };
-        let r = bfs(&g, &enc(0), "synthetic", &opts(4)).unwrap();
+        let r = bfs(&g, &enc(0), "synthetic", &opts(4), &mut ()).unwrap();
         assert_eq!(r.accepted, Some(0));
         assert_eq!(r.nodes.len(), 1);
         assert_eq!(r.stats.expanded, 0);

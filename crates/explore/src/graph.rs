@@ -14,6 +14,28 @@
 //! [`NetworkState`] per candidate, and steps the kernel can tell are
 //! self-loops are never written. Reduced builds then canonicalize each
 //! successor under the symmetry group ([`crate::reduce`]).
+//!
+//! **The edge store.** The frontier's merge writes every edge once, in
+//! place, into an [`EdgeStore`] in compressed sparse rows. The merge takes
+//! parents in id order, so each state's edges are already contiguous, and
+//! assembling the graph copies nothing. A build of `n` states and `E` edges
+//! holds
+//!
+//! - `4(n + 1)` bytes of `u32` row starts (state `s`'s edges are
+//!   `starts[s]..starts[s + 1]`),
+//! - `4E` bytes of `u32` targets,
+//! - `4E` bytes of `u32` ids into the build's step table,
+//! - `8⌈E/64⌉` bytes of π-change bitmap,
+//! - `2E` bytes of `u16` canonicalizing group elements, only when the
+//!   build's symmetry group is nontrivial,
+//!
+//! plus the step table: one [`StepInfo`] per distinct (step, attended,
+//! kept, dropped) content. Step ids number contents in order of first
+//! appearance in the merge, so they do not depend on the thread count:
+//! each worker's step catalog has ids of its own, and the merge maps them
+//! once per worker and id through the build's table. Readers see edges
+//! through borrowed views ([`Edges`], [`Edge`]); no edge holds an `Arc` or
+//! a `Vec` of its own.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -26,10 +48,10 @@ use routelab_engine::state::NetworkState;
 use routelab_spp::{NodeId, SppInstance};
 
 use crate::arena::NodeArena;
-use crate::effects::{CanonicalStep, Spec};
+use crate::effects::{CanonicalStep, ChannelEffect, Spec};
 use crate::error::ExploreError;
 use crate::exec_packed::{Applied, ExecTables, PackedScratch};
-use crate::frontier::{self, BfsOptions, BfsResult, FrontierStats, SuccBuf};
+use crate::frontier::{self, BfsOptions, BfsResult, Candidates, FrontierStats, Record};
 use crate::pack::StateCodec;
 use crate::reduce::{channel_modes, CanonScratch, Reducer, ReductionStats, SymTables};
 
@@ -73,12 +95,10 @@ impl ExploreConfig {
     }
 }
 
-/// The state-independent payload of an edge label: the canonical step and
-/// the channel sets derived from it. Shared behind an [`Arc`] — the
-/// expansion interns one `StepInfo` per distinct step and hands out
-/// handles, so labeling millions of edges costs reference counts, not
-/// allocations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The state-independent payload of an edge: the canonical step and the
+/// channel sets derived from it. Each distinct content is one entry of its
+/// build's step table, shared by every edge with that content.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StepInfo {
     /// The canonical step generating the transition (for witness replay).
     pub step: crate::effects::CanonicalStep,
@@ -90,15 +110,167 @@ pub struct StepInfo {
     pub dropped: Vec<usize>,
 }
 
-/// A labeled transition of the state graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgeLabel {
+impl StepInfo {
+    /// Bytes this entry holds, inline and on the heap.
+    pub(crate) fn bytes(&self) -> u64 {
+        let sets = self.attended.len() + self.kept.len() + self.dropped.len();
+        (size_of::<StepInfo>()
+            + self.step.effects.len() * size_of::<ChannelEffect>()
+            + sets * size_of::<usize>()) as u64
+    }
+}
+
+/// The edges of a state graph in compressed sparse rows, with the build's
+/// step table (layout and byte count in the module doc). Equality is by
+/// content, step table included.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EdgeStore {
+    /// Start of each state's edges, plus the end of the last state's.
+    starts: Vec<u32>,
+    targets: Vec<u32>,
+    /// Per edge, its id in `infos`.
+    steps: Vec<u32>,
+    /// Per edge, one bit: the step changes some π.
+    pi: Vec<u64>,
+    /// Per edge, the group element that canonicalized its successor; only
+    /// when the build's symmetry group is nontrivial.
+    sym: Option<Vec<u16>>,
+    /// The step table.
+    infos: Vec<StepInfo>,
+}
+
+impl EdgeStore {
+    /// An empty store that keeps group elements when `symmetric`.
+    pub(crate) fn new(symmetric: bool) -> Self {
+        EdgeStore { sym: symmetric.then(Vec::new), ..EdgeStore::default() }
+    }
+
+    /// Appends `info` to the step table and returns its id.
+    pub(crate) fn add_step(&mut self, info: StepInfo) -> u32 {
+        self.infos.push(info);
+        (self.infos.len() - 1) as u32
+    }
+
+    /// Appends the edge `from → to`. Edges arrive grouped by source, in
+    /// increasing source order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the `u32` edge offsets are exhausted.
+    pub(crate) fn push(&mut self, from: u32, to: u32, step: u32, changes_pi: bool, sym: u16) {
+        let e = self.targets.len();
+        assert!(e < u32::MAX as usize, "edge store offsets exhausted");
+        while self.starts.len() <= from as usize {
+            self.starts.push(e as u32);
+        }
+        self.targets.push(to);
+        self.steps.push(step);
+        if e.is_multiple_of(64) {
+            self.pi.push(0);
+        }
+        self.pi[e / 64] |= u64::from(changes_pi) << (e % 64);
+        if let Some(syms) = &mut self.sym {
+            syms.push(sym);
+        }
+    }
+
+    /// Closes the rows of a graph of `states` states.
+    pub(crate) fn finish(&mut self, states: usize) {
+        let e = self.targets.len() as u32;
+        self.starts.resize(states + 1, e);
+    }
+
+    /// Number of edges.
+    pub fn edge_count(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// State `s`'s outgoing edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not a state of the graph.
+    pub fn of(&self, s: usize) -> Edges<'_> {
+        let range = self.starts[s] as usize..self.starts[s + 1] as usize;
+        Edges { store: self, range }
+    }
+
+    /// Every state's outgoing edges, in state order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Edges<'_>> + '_ {
+        self.starts.windows(2).map(|w| Edges { store: self, range: w[0] as usize..w[1] as usize })
+    }
+
+    /// The step table, by id.
+    pub fn step_table(&self) -> &[StepInfo] {
+        &self.infos
+    }
+
+    /// Bytes held: the module doc's closed form of the rows plus the step
+    /// table's entries.
+    pub fn bytes(&self) -> u64 {
+        let rows = 4 * (self.starts.len() + self.targets.len() + self.steps.len())
+            + 8 * self.pi.len()
+            + 2 * self.sym.as_ref().map_or(0, Vec::len);
+        rows as u64 + self.infos.iter().map(StepInfo::bytes).sum::<u64>()
+    }
+
+    fn edge(&self, e: usize) -> Edge<'_> {
+        let step = self.steps[e];
+        Edge {
+            to: self.targets[e] as usize,
+            changes_pi: self.pi[e / 64] >> (e % 64) & 1 == 1,
+            sym: self.sym.as_ref().map_or(0, |syms| syms[e]),
+            step_id: step,
+            info: &self.infos[step as usize],
+        }
+    }
+}
+
+/// One state's outgoing edges, borrowed from its [`EdgeStore`].
+#[derive(Debug, Clone)]
+pub struct Edges<'a> {
+    store: &'a EdgeStore,
+    range: Range<usize>,
+}
+
+impl<'a> Edges<'a> {
+    /// Number of edges.
+    pub fn len(&self) -> usize {
+        self.range.len()
+    }
+
+    /// `true` when the state has no outgoing edge.
+    pub fn is_empty(&self) -> bool {
+        self.range.is_empty()
+    }
+
+    /// The `i`-th edge, if any.
+    pub fn get(&self, i: usize) -> Option<Edge<'a>> {
+        (i < self.len()).then(|| self.store.edge(self.range.start + i))
+    }
+
+    /// The edges, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Edge<'a>> + 'a {
+        let store = self.store;
+        self.range.clone().map(move |e| store.edge(e))
+    }
+
+    /// The edges' targets, in order.
+    pub fn targets(&self) -> &'a [u32] {
+        &self.store.targets[self.range.clone()]
+    }
+
+    /// The store-wide id of the first edge; the `i`-th edge's is `first_id() + i`.
+    pub(crate) fn first_id(&self) -> usize {
+        self.range.start
+    }
+}
+
+/// A labeled transition of the state graph: a view into an [`EdgeStore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Edge<'a> {
     /// Target state index.
     pub to: usize,
-    /// The shared step descriptor (step plus attended/kept/dropped sets);
-    /// equality is by content, so differential comparisons are unaffected
-    /// by which build interned the handle.
-    pub info: Arc<StepInfo>,
     /// `true` when the step changes some π.
     pub changes_pi: bool,
     /// Symmetry-group element that canonicalized the raw successor into
@@ -106,33 +278,36 @@ pub struct EdgeLabel {
     /// nonzero in reduced builds of symmetric instances; fairness analysis
     /// un-folds the quotient through these annotations.
     pub sym: u16,
+    /// The step's id in its store's step table.
+    pub(crate) step_id: u32,
+    info: &'a StepInfo,
 }
 
-impl EdgeLabel {
+impl<'a> Edge<'a> {
     /// Dense channel ids the step attends.
-    pub fn attended(&self) -> &[usize] {
+    pub fn attended(&self) -> &'a [usize] {
         &self.info.attended
     }
 
     /// Channels on which a message was learned (kept).
-    pub fn kept(&self) -> &[usize] {
+    pub fn kept(&self) -> &'a [usize] {
         &self.info.kept
     }
 
     /// Channels on which at least one message was dropped.
-    pub fn dropped(&self) -> &[usize] {
+    pub fn dropped(&self) -> &'a [usize] {
         &self.info.dropped
     }
 
     /// The canonical step generating this transition (for witness replay).
-    pub fn step(&self) -> &crate::effects::CanonicalStep {
+    pub fn step(&self) -> &'a crate::effects::CanonicalStep {
         &self.info.step
     }
 }
 
 /// The explored portion of a model's state graph. States live packed in a
-/// [`NodeArena`]; read them with [`StateGraph::packed`]/[`StateGraph::state`]
-/// or query the cheap packed predicates through [`StateGraph::codec`].
+/// [`NodeArena`]; read them with [`StateGraph::state`] or query the cheap
+/// packed predicates through [`StateGraph::codec`].
 #[derive(Debug)]
 pub struct StateGraph {
     /// The per-instance codec the packed states were interned with.
@@ -144,7 +319,7 @@ pub struct StateGraph {
     /// Fingerprint of each state's path assignment π (not the full state).
     pub pi_fp: Vec<u64>,
     /// Outgoing edges per state (state-preserving self-loops elided).
-    pub edges: Vec<Vec<EdgeLabel>>,
+    pub edges: EdgeStore,
     /// `true` when some transition was cut by the channel cap or the state
     /// or per-state step budget — absence verdicts are then bounded.
     pub truncated: bool,
@@ -182,11 +357,12 @@ impl StateGraph {
     }
 }
 
-/// The frontier label of a graph edge: [`EdgeLabel`] minus the target id
-/// (which only exists after dedup).
-#[derive(Debug, Clone)]
+/// The frontier label of a graph edge: its step as an id in the expanding
+/// worker's [`StepCatalog`], and its flags. The target id only exists
+/// after dedup.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct EdgePayload {
-    pub(crate) info: Arc<StepInfo>,
+    pub(crate) step: u32,
     pub(crate) changes_pi: bool,
     pub(crate) sym: u16,
 }
@@ -204,9 +380,8 @@ struct NodeSteps {
 /// node's canonical steps depend on the state only through the queue
 /// lengths of its own in-channels, so each node memoizes its step list on
 /// that short key, and a state's steps are its nodes' lists in node order.
-/// Lists hold ids into one table of shared [`StepInfo`] handles: a memo hit
-/// allocates nothing and hashes no step, and every edge a step generates
-/// shares its label data.
+/// Lists hold ids into the worker's own table of [`StepInfo`]s: a memo hit
+/// allocates nothing and hashes no step, and a candidate's label is an id.
 #[derive(Default)]
 pub(crate) struct StepCatalog {
     /// The `max_steps` the memo was filled at.
@@ -215,9 +390,13 @@ pub(crate) struct StepCatalog {
     memo: Vec<HashMap<Box<[u16]>, NodeSteps>>,
     /// The memoized lists, concatenated, as ids into `infos`.
     lists: Vec<u32>,
-    /// Every distinct step seen, by id.
-    infos: Vec<Arc<StepInfo>>,
+    /// Every distinct step seen, and every absorbing variant of one, by id.
+    infos: Vec<StepInfo>,
     ids: HashMap<CanonicalStep, u32>,
+    /// (step id, absorbed channels) → the id of the absorbing variant.
+    absorbing: HashMap<(u32, Vec<usize>), u32>,
+    /// The absorbing-variant lookup key under construction.
+    absorbing_key: (u32, Vec<usize>),
     /// The steps of the last enumerated state, as ids.
     steps: Vec<u32>,
     /// The lookup key under construction.
@@ -292,16 +471,52 @@ impl StepCatalog {
         cut
     }
 
-    /// The steps of the last [`StepCatalog::enumerate`]d state, in order.
-    pub(crate) fn steps(&self) -> impl Iterator<Item = &Arc<StepInfo>> + '_ {
-        self.steps.iter().map(|&id| &self.infos[id as usize])
+    /// The steps of the last [`StepCatalog::enumerate`]d state, in order,
+    /// as ids.
+    pub(crate) fn steps(&self) -> &[u32] {
+        &self.steps
+    }
+
+    /// The step with id `id`.
+    pub(crate) fn info(&self, id: u32) -> &StepInfo {
+        &self.infos[id as usize]
+    }
+
+    /// The id of step `id` with the absorbed reads `absorbed` merged in: a
+    /// reduced edge attends (and keeps on) the channels its normal form
+    /// drained. Interned on first sight.
+    fn absorbing(&mut self, id: u32, absorbed: &[usize]) -> u32 {
+        let key = &mut self.absorbing_key;
+        key.0 = id;
+        key.1.clear();
+        key.1.extend_from_slice(absorbed);
+        if let Some(&variant) = self.absorbing.get(key) {
+            return variant;
+        }
+        let base = &self.infos[id as usize];
+        let merge = |set: &[usize]| {
+            let mut v = [set, absorbed].concat();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let info = StepInfo {
+            step: base.step.clone(),
+            attended: merge(&base.attended),
+            kept: merge(&base.kept),
+            dropped: base.dropped.clone(),
+        };
+        let variant = self.infos.len() as u32;
+        self.infos.push(info);
+        self.absorbing.insert(key.clone(), variant);
+        variant
     }
 }
 
-/// The id of `cs` in the catalog's step table, interning its shared
-/// descriptor on first sight.
+/// The id of `cs` in the catalog's step table, interning its descriptor on
+/// first sight.
 fn intern(
-    infos: &mut Vec<Arc<StepInfo>>,
+    infos: &mut Vec<StepInfo>,
     ids: &mut HashMap<CanonicalStep, u32>,
     cs: CanonicalStep,
     spec: Spec<'_>,
@@ -313,28 +528,9 @@ fn intern(
     let attended = cs.attended(spec);
     let kept = cs.effects.iter().filter(|e| e.keep.is_some()).map(|e| e.channel).collect();
     let dropped = cs.effects.iter().filter(|e| e.dropped() > 0).map(|e| e.channel).collect();
-    infos.push(Arc::new(StepInfo { step: cs.clone(), attended, kept, dropped }));
+    infos.push(StepInfo { step: cs.clone(), attended, kept, dropped });
     ids.insert(cs, id);
     id
-}
-
-impl StepInfo {
-    /// This descriptor with absorbed reads merged in: the reduced edge
-    /// attends (and keeps on) the channels its normal form drained.
-    fn absorbing(&self, absorbed: &[usize]) -> StepInfo {
-        let merge = |base: &[usize]| {
-            let mut v = [base, absorbed].concat();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        StepInfo {
-            step: self.step.clone(),
-            attended: merge(&self.attended),
-            kept: merge(&self.kept),
-            dropped: self.dropped.clone(),
-        }
-    }
 }
 
 /// Reusable per-worker scratch of [`GraphExpand::successor`].
@@ -349,6 +545,9 @@ struct SuccessorScratch {
 pub(crate) struct GraphScratch {
     succ: SuccessorScratch,
     catalog: StepCatalog,
+    /// Per catalog id, its id in the build's step table (`u32::MAX` until
+    /// the merge first records it).
+    build_ids: Vec<u32>,
     /// Steps elided as self-loops before the kernel ran (a plain integer:
     /// the scratch is worker-private).
     self_loops: u64,
@@ -374,6 +573,36 @@ impl Drop for GraphScratch {
             routelab_obs::trace_counter("explore.stepcatalog.misses", misses);
             routelab_obs::trace_counter("explore.self_loops", self_loops);
         }
+    }
+}
+
+/// The merge's [`Record`] of a graph build: appends every edge to the
+/// build's [`EdgeStore`], mapping the expanding worker's catalog ids to
+/// build-wide step ids by content, first sight first.
+struct StoreWriter {
+    store: EdgeStore,
+    /// Step content → build-wide id.
+    ids: HashMap<StepInfo, u32>,
+}
+
+impl Record<EdgePayload, GraphScratch> for StoreWriter {
+    fn edge(&mut self, from: u32, to: u32, e: EdgePayload, scratch: &mut GraphScratch) {
+        let local = e.step as usize;
+        if scratch.build_ids.len() <= local {
+            scratch.build_ids.resize(local + 1, u32::MAX);
+        }
+        if scratch.build_ids[local] == u32::MAX {
+            let info = scratch.catalog.info(e.step);
+            scratch.build_ids[local] = match self.ids.get(info) {
+                Some(&id) => id,
+                None => {
+                    let id = self.store.add_step(info.clone());
+                    self.ids.insert(info.clone(), id);
+                    id
+                }
+            };
+        }
+        self.store.push(from, to, scratch.build_ids[local], e.changes_pi, e.sym);
     }
 }
 
@@ -412,20 +641,21 @@ impl<'a> GraphExpand<'a> {
         GraphExpand { spec, cfg, tables, reduce }
     }
 
-    /// Applies one step to `node` (whose per-parent data `scratch.packed`
-    /// holds), appending the successor's words, in normal form, to
-    /// `words`; on anything but [`Successor::Edge`] the caller discards
-    /// them. Self-loops are told apart before the kernel writes anything.
-    /// Reduced builds count the normal form's activity and canonicalize
-    /// the successor under the symmetry group.
+    /// Applies step `step` of `catalog` to `node` (whose per-parent data
+    /// `scratch.packed` holds), appending the successor's words, in normal
+    /// form, to `words`; on anything but [`Successor::Edge`] the caller
+    /// discards them. Self-loops are told apart before the kernel writes
+    /// anything. Reduced builds count the normal form's activity and
+    /// canonicalize the successor under the symmetry group.
     fn successor(
         &self,
         node: &[u16],
-        info: &Arc<StepInfo>,
+        step: u32,
+        catalog: &mut StepCatalog,
         words: &mut Vec<u16>,
         scratch: &mut SuccessorScratch,
     ) -> Successor {
-        let cs = &info.step;
+        let cs = &catalog.info(step).step;
         if self.tables.is_self_loop(&scratch.packed, cs) {
             return Successor::SelfLoop;
         }
@@ -444,7 +674,7 @@ impl<'a> GraphExpand<'a> {
         debug_assert_ne!(&words[mark..], node, "{cs:?} is a self-loop");
         let changes_pi = new_rid != node[cs.node.index()];
         let Some(red) = self.reduce else {
-            return Successor::Edge(EdgePayload { info: Arc::clone(info), changes_pi, sym: 0 });
+            return Successor::Edge(EdgePayload { step, changes_pi, sym: 0 });
         };
         let sym = red.canonicalize_words(&words[mark..], &mut scratch.canon);
         if sym != 0 {
@@ -452,12 +682,12 @@ impl<'a> GraphExpand<'a> {
             words.extend_from_slice(scratch.canon.image());
         }
         // Absorbed reads make the label state-dependent; only those edges
-        // get a descriptor of their own.
-        let info = match scratch.packed.absorbed.as_slice() {
-            [] => Arc::clone(info),
-            absorbed => Arc::new(info.absorbing(absorbed)),
+        // get a variant of the step.
+        let step = match scratch.packed.absorbed.as_slice() {
+            [] => step,
+            absorbed => catalog.absorbing(step, absorbed),
         };
-        Successor::Edge(EdgePayload { info, changes_pi, sym })
+        Successor::Edge(EdgePayload { step, changes_pi, sym })
     }
 }
 
@@ -473,16 +703,18 @@ impl frontier::Expand for GraphExpand<'_> {
         &self,
         _id: u32,
         node: &[u16],
-        out: &mut SuccBuf<EdgePayload>,
+        out: &mut Candidates<EdgePayload>,
         scratch: &mut GraphScratch,
     ) -> Result<bool, ExploreError> {
-        let GraphScratch { succ, catalog, self_loops } = scratch;
+        let GraphScratch { succ, catalog, self_loops, .. } = scratch;
         let mut truncated =
             catalog.enumerate(&self.tables, self.spec, self.cfg.max_steps_per_state, node);
         self.tables.prepare(node, &mut succ.packed);
-        for info in catalog.steps() {
+        // `successor` may intern absorbing variants into the catalog.
+        let steps = std::mem::take(&mut catalog.steps);
+        for &step in &steps {
             let mark = out.mark();
-            match self.successor(node, info, out.words(), succ) {
+            match self.successor(node, step, catalog, out.words(), succ) {
                 Successor::Edge(payload) => out.commit(mark, payload),
                 Successor::Capped => {
                     truncated = true;
@@ -491,41 +723,34 @@ impl frontier::Expand for GraphExpand<'_> {
                 Successor::SelfLoop => *self_loops += 1,
             }
         }
+        catalog.steps = steps;
         Ok(truncated)
     }
 }
 
-/// The cell descriptor used for error attribution and telemetry.
+/// The cell descriptor used for error attribution and telemetry: the
+/// instance's node count and destination, and the model (`hetero` for a
+/// mixed spec). One short line, however many paths the instance permits.
 pub(crate) fn cell_of(inst: &SppInstance, spec: Spec<'_>) -> String {
+    let (nodes, dest) = (inst.node_count(), inst.name(inst.dest()));
     match spec {
-        Spec::Uniform(m) => format!("{inst} × {m}"),
-        Spec::Hetero(_) => format!("{inst} × hetero"),
+        Spec::Uniform(m) => format!("{nodes}-node instance, dest {dest} × {m}"),
+        Spec::Hetero(_) => format!("{nodes}-node instance, dest {dest} × hetero"),
     }
 }
 
 fn assemble(
     codec: StateCodec,
     index: ChannelIndex,
-    r: BfsResult<EdgePayload>,
+    r: BfsResult,
+    mut edges: EdgeStore,
     reduction: ReductionStats,
     sym: Option<Arc<SymTables>>,
 ) -> StateGraph {
     let pi_fp =
         (0..r.nodes.len() as u32).map(|i| codec.pi_fingerprint_words(r.nodes.node(i))).collect();
-    let edges = r
-        .edges
-        .into_iter()
-        .map(|out| {
-            out.into_iter()
-                .map(|(to, p)| EdgeLabel {
-                    to: to as usize,
-                    info: p.info,
-                    changes_pi: p.changes_pi,
-                    sym: p.sym,
-                })
-                .collect()
-        })
-        .collect();
+    edges.finish(r.nodes.len());
+    let stats = FrontierStats { edge_bytes: edges.bytes(), ..r.stats };
     let g = StateGraph {
         codec,
         index,
@@ -533,7 +758,7 @@ fn assemble(
         pi_fp,
         edges,
         truncated: r.truncated,
-        stats: r.stats,
+        stats,
         reduction,
         sym,
     };
@@ -542,6 +767,7 @@ fn assemble(
         routelab_obs::gauge("explore.threads", g.stats.threads as u64);
         routelab_obs::gauge("explore.peak_frontier", g.stats.peak_frontier as u64);
         routelab_obs::gauge("explore.bytes_resident", g.stats.bytes_resident);
+        routelab_obs::gauge("explore.edge_bytes", g.stats.edge_bytes);
         routelab_obs::counter("explore.candidates", g.stats.candidates);
         routelab_obs::counter("explore.dedup_hits", g.stats.dedup_hits);
         routelab_obs::counter("explore.builds", 1);
@@ -607,7 +833,9 @@ pub fn try_build_spec(
     spec: Spec<'_>,
     cfg: &ExploreConfig,
 ) -> Result<StateGraph, ExploreError> {
-    build_with(inst, spec, cfg, |exp, root, cell, opts| frontier::bfs(exp, root, cell, opts))
+    build_with(inst, spec, cfg, |exp, root, cell, opts, store| {
+        frontier::bfs(exp, root, cell, opts, store)
+    })
 }
 
 /// The retained sequential reference build: same output contract as
@@ -619,13 +847,14 @@ pub(crate) fn build_spec_reference(
     spec: Spec<'_>,
     cfg: &ExploreConfig,
 ) -> Result<StateGraph, ExploreError> {
-    build_with(inst, spec, cfg, |exp, root, cell, opts| {
-        frontier::bfs_reference(exp, root, cell, opts)
+    build_with(inst, spec, cfg, |exp, root, cell, opts, store| {
+        frontier::bfs_reference(exp, root, cell, opts, store)
     })
 }
 
 /// Sets up the codec, reducer, kernel tables and root of a build, runs
-/// `search` over them, and assembles its result into a [`StateGraph`].
+/// `search` over them into one edge store, and assembles its result into a
+/// [`StateGraph`].
 fn build_with(
     inst: &SppInstance,
     spec: Spec<'_>,
@@ -635,7 +864,8 @@ fn build_with(
         &[u16],
         &str,
         &BfsOptions,
-    ) -> Result<BfsResult<EdgePayload>, ExploreError>,
+        &mut StoreWriter,
+    ) -> Result<BfsResult, ExploreError>,
 ) -> Result<StateGraph, ExploreError> {
     let _span = routelab_obs::span("explore.build");
     let cell = cell_of(inst, spec);
@@ -654,16 +884,16 @@ fn build_with(
     let opts = BfsOptions {
         threads: cfg.resolved_threads(),
         max_nodes: cfg.max_states,
-        record_edges: true,
-        record_parents: false,
         progress_label: "explore.states",
     };
-    let r = search(&exp, &root, &cell, &opts)?;
+    let symmetric = reducer.as_ref().is_some_and(|red| red.sym.is_some());
+    let mut store = StoreWriter { store: EdgeStore::new(symmetric), ids: HashMap::new() };
+    let r = search(&exp, &root, &cell, &opts, &mut store)?;
     let (reduction, sym) = match reducer {
         Some(red) => (red.stats(), red.sym.clone()),
         None => (ReductionStats::default(), None),
     };
-    Ok(assemble(codec, index, r, reduction, sym))
+    Ok(assemble(codec, index, r, store.store, reduction, sym))
 }
 
 #[cfg(test)]
@@ -677,7 +907,7 @@ mod tests {
     fn sccs(g: &StateGraph) -> Vec<Vec<usize>> {
         let mut tarjan = crate::oscillation::Tarjan::default();
         let all: Vec<u32> = (0..g.len() as u32).collect();
-        tarjan.run(g, &all, |_, _, _| true);
+        tarjan.run(g, &all, |_, _| true);
         tarjan.components().map(|c| c.iter().map(|&s| s as usize).collect()).collect()
     }
 
@@ -692,7 +922,7 @@ mod tests {
         let terminal = (0..g.len())
             .find(|&i| g.codec.is_quiescent_words(g.nodes.node(i as u32)))
             .expect("line2 reaches quiescence");
-        assert!(g.edges[terminal].is_empty());
+        assert!(g.edges.of(terminal).is_empty());
         assert!(g.state(terminal).is_quiescent());
     }
 
@@ -782,6 +1012,66 @@ mod tests {
         }
     }
 
+    /// The module doc's closed form of `g`'s edge store, checked against
+    /// [`EdgeStore::bytes`]; and, where an edge's target is its successor
+    /// as the kernel wrote it (no group element applied), its π-change
+    /// flag against the two states' packed π.
+    fn check_store(cell: &str, g: &StateGraph) {
+        let (n, e) = (g.len(), g.edges.edge_count());
+        assert_eq!(g.edges.iter().len(), n, "{cell}");
+        assert_eq!(g.edges.iter().map(|out| out.len()).sum::<usize>(), e, "{cell}");
+        let sym = if g.sym.is_some() { 2 * e } else { 0 };
+        let rows = 4 * (n + 1) + 8 * e + 8 * e.div_ceil(64) + sym;
+        let table: u64 = g.edges.step_table().iter().map(StepInfo::bytes).sum();
+        assert_eq!(g.edges.bytes(), rows as u64 + table, "{cell}");
+        assert_eq!(g.stats.edge_bytes, g.edges.bytes(), "{cell}");
+        let pi = |s: usize| g.codec.pi_ids_words(g.nodes.node(s as u32));
+        for (s, out) in g.edges.iter().enumerate() {
+            for edge in out.iter().filter(|edge| edge.sym == 0) {
+                assert_eq!(edge.changes_pi, pi(s) != pi(edge.to), "{cell}: {s} → {}", edge.to);
+            }
+        }
+    }
+
+    /// The edge store at 1, 2 and 8 threads against the reference build,
+    /// on every corpus gadget × the 24 models, reduced and unreduced, at
+    /// channel caps 2 and 3 under a 3,000-state budget: the same step
+    /// table and every edge the same (target, step, π change, group
+    /// element, order), in the layout whose byte count the module doc
+    /// states.
+    #[test]
+    fn edge_stores_match_the_reference_at_every_thread_count() {
+        let corpus = gadgets::corpus();
+        std::thread::scope(|s| {
+            for (name, inst) in &corpus {
+                s.spawn(move || {
+                    for model in CommModel::all() {
+                        let spec = Spec::Uniform(model);
+                        for (reduce, cap) in [(true, 2), (true, 3), (false, 2), (false, 3)] {
+                            let cell = format!("{name} × {model} reduce={reduce} @cap {cap}");
+                            let cfg = ExploreConfig {
+                                channel_cap: cap,
+                                max_states: 3_000,
+                                reduce,
+                                ..ExploreConfig::default()
+                            };
+                            let want = build_spec_reference(inst, spec, &cfg).unwrap();
+                            check_store(&cell, &want);
+                            for threads in [1, 2, 8] {
+                                let c = ExploreConfig { threads: Some(threads), ..cfg.clone() };
+                                let g = try_build_spec(inst, spec, &c).unwrap();
+                                let at = format!("{cell} @{threads}t");
+                                assert_eq!(g.edges.step_table(), want.edges.step_table(), "{at}");
+                                assert_eq!(g.edges, want.edges, "{at}");
+                                check_store(&at, &g);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+    }
+
     /// Walks the first 200 BFS states of `spec`'s build, reduced and
     /// unreduced, with one catalog per step budget, and checks every
     /// state's catalog steps and cut flag against [`crate::effects::all_steps`].
@@ -809,7 +1099,8 @@ mod tests {
                     let cut = catalog.enumerate(&tables, spec, budget, node);
                     let at = format!("{cell} reduce={reduce} budget {budget} state {i}");
                     assert_eq!(cut, want_cut, "{at}");
-                    let got: Vec<&CanonicalStep> = catalog.steps().map(|info| &info.step).collect();
+                    let got: Vec<&CanonicalStep> =
+                        catalog.steps().iter().map(|&id| &catalog.info(id).step).collect();
                     assert_eq!(got, want.iter().collect::<Vec<_>>(), "{at}");
                 }
                 assert!(catalog.hits > 0, "{cell} reduce={reduce} budget {budget}");
@@ -914,16 +1205,17 @@ mod tests {
                 all_steps(spec, index, &state, inst.node_count(), cfg.max_steps_per_state);
             let cut = scratch.catalog.enumerate(&exp.tables, spec, cfg.max_steps_per_state, &node);
             assert_eq!(cut, capped, "{cell}");
-            let infos: Vec<Arc<StepInfo>> = scratch.catalog.steps().cloned().collect();
-            assert_eq!(infos.len(), steps.len(), "{cell}");
+            let ids = scratch.catalog.steps().to_vec();
+            assert_eq!(ids.len(), steps.len(), "{cell}");
             exp.tables.prepare(&node, &mut scratch.succ.packed);
-            for (info, cs) in infos.iter().zip(steps) {
-                assert_eq!(info.step, cs, "{cell}");
+            for (&id, cs) in ids.iter().zip(steps) {
+                assert_eq!(scratch.catalog.info(id).step, cs, "{cell}");
                 let mut next = state.clone();
                 let effect = execute_step(inst, index, &mut next, &cs.to_activation(spec, index));
                 normalize(&mut next, &mut absorbed);
                 words.clear();
-                let got = exp.successor(&node, info, &mut words, &mut scratch.succ);
+                let got =
+                    exp.successor(&node, id, &mut scratch.catalog, &mut words, &mut scratch.succ);
                 let capped = exceeds_cap(&next);
                 codec.encode_into(&next, &mut enc).unwrap();
                 match got {
@@ -957,7 +1249,7 @@ mod tests {
                         }
                         let dropped = effect.dropped_on;
                         let want = StepInfo { step: cs, attended, kept, dropped };
-                        assert_eq!(*payload.info, want, "{cell}");
+                        assert_eq!(*scratch.catalog.info(payload.step), want, "{cell}");
                     }
                 }
                 assert_eq!(packed.stats(), oracle.stats(), "{cell}");

@@ -99,8 +99,8 @@ pub(crate) struct Tarjan {
 }
 
 impl Tarjan {
-    /// Decomposes the subgraph on `roots` whose edges `keep(state, edge
-    /// index, target)` admits; `keep` must reject every edge leaving
+    /// Decomposes the subgraph on `roots` whose edges `keep(store-wide
+    /// edge id, target)` admits; `keep` must reject every edge leaving
     /// `roots`. Roots and edges are taken in order, so the components (see
     /// [`Tarjan::components`]) come out in one fixed reverse topological
     /// order, each listed from the last state reached back to its root.
@@ -108,7 +108,7 @@ impl Tarjan {
         &mut self,
         g: &StateGraph,
         roots: &[u32],
-        keep: impl Fn(usize, usize, usize) -> bool,
+        keep: impl Fn(usize, usize) -> bool,
     ) {
         self.index.resize(g.len(), UNSEEN);
         self.low.resize(g.len(), 0);
@@ -128,10 +128,11 @@ impl Tarjan {
                     next += 1;
                     self.stack.push(v);
                 }
-                if let Some(e) = g.edges[vi].get(cursor) {
+                let out = g.edges.of(vi);
+                if let Some(&w) = out.targets().get(cursor) {
                     self.call.last_mut().expect("nonempty").1 += 1;
-                    let w = e.to;
-                    if keep(vi, cursor, w) {
+                    let w = w as usize;
+                    if keep(out.first_id() + cursor, w) {
                         if self.index[w] == UNSEEN {
                             self.call.push((w as u32, 0));
                         } else if self.on_stack[w] {
@@ -188,19 +189,11 @@ const DROPPED: u8 = 4;
 pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize>>, u64, u64) {
     let index = &g.index;
     let n = g.len();
-    // Global edge ids: state s's edges are first_edge[s] + edge index.
-    let mut first_edge = vec![0];
-    for out in &g.edges {
-        first_edge.push(first_edge[first_edge.len() - 1] + out.len());
-    }
-    // Edges drop fairness removed. A banned edge lies inside the component
-    // that banned it and live work items are disjoint, so one bitmap
-    // serves them all.
-    let mut banned = vec![0u64; first_edge[n].div_ceil(64)];
-    let is_banned = |banned: &[u64], s: usize, ei: usize| {
-        let id = first_edge[s] + ei;
-        banned[id / 64] >> (id % 64) & 1 == 1
-    };
+    // Edges drop fairness removed, by store-wide edge id. A banned edge
+    // lies inside the component that banned it and live work items are
+    // disjoint, so one bitmap serves them all.
+    let mut banned = vec![0u64; g.edges.edge_count().div_ceil(64)];
+    let is_banned = |banned: &[u64], id: usize| banned[id / 64] >> (id % 64) & 1 == 1;
     // `stamp[s] == mark`: s is in the current work item or component. Each
     // takes a fresh mark.
     let (mut stamp, mut mark) = (vec![0u32; n], 0u32);
@@ -214,7 +207,7 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize
         for &s in &nodes {
             stamp[s as usize] = mark;
         }
-        tarjan.run(g, &nodes, |s, ei, to| stamp[to] == mark && !is_banned(&banned, s, ei));
+        tarjan.run(g, &nodes, |e, to| stamp[to] == mark && !is_banned(&banned, e));
         for comp in tarjan.components() {
             mark = mark.checked_add(1).expect("fewer than 2^32 stamps");
             for &s in comp {
@@ -227,9 +220,9 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize
             let pi0 = g.pi_fp[comp[0] as usize];
             let mut pi_changes = comp.iter().any(|&s| g.pi_fp[s as usize] != pi0);
             for &s in comp {
-                let s = s as usize;
-                for (ei, e) in g.edges[s].iter().enumerate() {
-                    if stamp[e.to] != mark || is_banned(&banned, s, ei) {
+                let out = g.edges.of(s as usize);
+                for (ei, e) in out.iter().enumerate() {
+                    if stamp[e.to] != mark || is_banned(&banned, out.first_id() + ei) {
                         continue;
                     }
                     has_internal = true;
@@ -270,11 +263,11 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize
                 return (Some(comp.iter().map(|&s| s as usize).collect()), components, refinements);
             }
             for &s in comp {
-                let s = s as usize;
-                for (ei, e) in g.edges[s].iter().enumerate() {
+                let out = g.edges.of(s as usize);
+                for (ei, e) in out.iter().enumerate() {
                     // Re-banning an already banned edge is harmless.
                     if stamp[e.to] == mark && e.dropped().iter().any(offending) {
-                        let id = first_edge[s] + ei;
+                        let id = out.first_id() + ei;
                         banned[id / 64] |= 1 << (id % 64);
                     }
                 }
@@ -409,9 +402,9 @@ mod reference {
                     stack.push(v);
                     on_stack.insert(v, true);
                 }
-                if cursor < g.edges[v].len() {
+                if cursor < g.edges.of(v).len() {
                     call.last_mut().expect("nonempty").1 += 1;
-                    let e = &g.edges[v][cursor];
+                    let e = g.edges.of(v).get(cursor).expect("cursor < len");
                     if !in_set[e.to] || !edge_ok(v, cursor) {
                         continue;
                     }
@@ -476,7 +469,7 @@ mod reference {
                 // Internal (non-banned) edges as (state, edge index).
                 let mut internal: Vec<(usize, usize)> = Vec::new();
                 for &s in &comp {
-                    for (ei, e) in g.edges[s].iter().enumerate() {
+                    for (ei, e) in g.edges.of(s).iter().enumerate() {
                         if member[e.to] && edge_ok(s, ei) {
                             internal.push((s, ei));
                         }
@@ -485,7 +478,7 @@ mod reference {
                 if internal.is_empty() {
                     continue;
                 }
-                let edge = |&(s, ei): &(usize, usize)| &g.edges[s][ei];
+                let edge = |&(s, ei): &(usize, usize)| g.edges.of(s).get(ei).expect("internal");
                 // 1. π must change within the component (anti-monotone: a
                 //    π-constant component stays π-constant in every sub-walk).
                 let pi0 = g.pi_fp[comp[0]];
@@ -533,7 +526,7 @@ mod reference {
                 }
                 let mut banned2 = banned.clone();
                 for &(s, ei) in &internal {
-                    if g.edges[s][ei].dropped().iter().any(|c| offending.contains(c)) {
+                    if edge(&(s, ei)).dropped().iter().any(|c| offending.contains(c)) {
                         banned2.insert((s, ei));
                     }
                 }

@@ -63,7 +63,6 @@
 //! caveat), so running the Streett-style check directly on the quotient
 //! would be unsound.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -79,7 +78,7 @@ use routelab_spp::{
 
 use crate::arena::NodeArena;
 use crate::effects::Spec;
-use crate::graph::{EdgeLabel, StateGraph, StepInfo};
+use crate::graph::{EdgeStore, StateGraph, StepInfo};
 use crate::pack::StateCodec;
 
 /// Aggregated reduction activity of one graph build.
@@ -592,8 +591,11 @@ impl CanonScratch {
 /// attendance is not invariant under the group action, so the Streett-style
 /// fairness refinement must run here, not on the quotient itself.
 ///
-/// The `step` field of un-folded edges is *not* relabeled: witnesses are
-/// only ever extracted from unreduced graphs.
+/// The orbit graph's edges go to one [`EdgeStore`] of the same form, with
+/// one relabeled step per (quotient step, group element) in its table and
+/// no group elements of its own. The `step` field of relabeled steps is
+/// *not* relabeled: witnesses are only ever extracted from unreduced
+/// graphs.
 pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
     let t = g.sym.as_ref().expect("unfold_symmetry requires symmetry tables");
     let order = t.order();
@@ -606,34 +608,34 @@ pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
             *id = nodes.len() as u32;
             nodes.push((q, gi));
         }
-        *id as usize
+        *id
     };
-    // One relabeled descriptor per (original descriptor, group element);
-    // the pointer keys stay valid while `g` is borrowed.
-    let mut infos: HashMap<(*const StepInfo, usize), Arc<StepInfo>> = HashMap::new();
+    // The relabeled id of quotient step s under gi is at s * order + gi;
+    // u32::MAX until seen.
+    let mut steps = vec![u32::MAX; g.edges.step_table().len() * order];
+    let mut edges = EdgeStore::new(false);
     intern(0, 0, &mut nodes);
-    let mut edges: Vec<Vec<EdgeLabel>> = Vec::new();
     let mut head = 0usize;
     while head < nodes.len() {
         let (q, gi) = nodes[head];
-        let mut out = Vec::with_capacity(g.edges[q].len());
-        for e in &g.edges[q] {
+        for e in g.edges.of(q).iter() {
             let a = usize::from(e.sym);
             let to = intern(e.to, t.compose(gi, t.inverse(a)), &mut nodes);
-            let info = infos.entry((Arc::as_ptr(&e.info), gi)).or_insert_with(|| {
+            let step = &mut steps[e.step_id as usize * order + gi];
+            if *step == u32::MAX {
                 let map = |cs: &[usize]| cs.iter().map(|&c| t.map_channel(gi, c)).collect();
-                Arc::new(StepInfo {
+                *step = edges.add_step(StepInfo {
                     step: e.step().clone(),
                     attended: map(e.attended()),
                     kept: map(e.kept()),
                     dropped: map(e.dropped()),
-                })
-            });
-            out.push(EdgeLabel { to, info: Arc::clone(info), changes_pi: e.changes_pi, sym: 0 });
+                });
+            }
+            edges.push(head as u32, to, *step, e.changes_pi, 0);
         }
-        edges.push(out);
         head += 1;
     }
+    edges.finish(nodes.len());
     let (mut arena, mut pi_fp) = (NodeArena::new(), Vec::with_capacity(nodes.len()));
     for &(q, gi) in &nodes {
         let base = g.nodes.node(q as u32);
@@ -686,22 +688,26 @@ mod tests {
         }
     }
 
-    /// The unfolding relabels each quotient descriptor once per group
-    /// element instead of allocating one per unfolded edge.
+    /// The unfolding relabels each quotient step once per group element
+    /// instead of keeping one per unfolded edge, and writes the orbit graph
+    /// in the same row form: one row per unfolded state, no group elements.
     #[test]
     fn unfolding_shares_step_descriptors() {
-        use std::collections::HashSet;
         let inst = gadgets::bad_gadget();
         let cfg = crate::graph::ExploreConfig::default();
         let g = crate::graph::build(&inst, "REF".parse().unwrap(), &cfg);
         let order = g.sym.as_ref().expect("BAD-GADGET is symmetric").order();
-        let descriptors = |g: &StateGraph| {
-            g.edges.iter().flatten().map(|e| Arc::as_ptr(&e.info)).collect::<HashSet<_>>().len()
-        };
+        let descriptors = |g: &StateGraph| g.edges.step_table().len();
         let unfolded = unfold_symmetry(&g);
-        let edges: usize = unfolded.edges.iter().map(Vec::len).sum();
+        let edges: usize = unfolded.edges.iter().map(|e| e.len()).sum();
         assert!(edges > descriptors(&g) * order, "{edges} edges");
         assert!(descriptors(&unfolded) <= descriptors(&g) * order);
+        assert_eq!(unfolded.edges.iter().len(), unfolded.len());
+        assert_eq!(unfolded.edges.edge_count(), edges);
+        assert!(unfolded.edges.iter().all(|out| out.iter().all(|e| e.sym == 0)));
+        let rows = 4 * (unfolded.len() + 1) + 8 * edges + 8 * edges.div_ceil(64);
+        let table: u64 = unfolded.edges.step_table().iter().map(StepInfo::bytes).sum();
+        assert_eq!(unfolded.edges.bytes(), rows as u64 + table);
     }
 
     /// Unfolded labels are relabeled through each node's own group

@@ -9,16 +9,16 @@
 //! collapse, the configured channel cap.
 
 use routelab_core::model::CommModel;
-use routelab_core::step::{ActivationSeq, ActivationStep};
+use routelab_core::step::ActivationSeq;
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
 use routelab_engine::trace::PathTrace;
 use routelab_spp::SppInstance;
 
-use crate::effects::Spec;
+use crate::effects::{CanonicalStep, Spec};
 use crate::error::ExploreError;
 use crate::exec_packed::{Applied, ExecTables, PackedScratch};
-use crate::frontier::{bfs, BfsOptions, Expand, SuccBuf};
+use crate::frontier::{bfs, BfsOptions, Candidates, Expand, Record};
 use crate::graph::{cell_of, ExploreConfig, StepCatalog};
 use crate::pack::StateCodec;
 use crate::reduce::ChannelMode;
@@ -72,7 +72,6 @@ fn split_node(node: &[u16]) -> (&[u16], u32) {
 }
 
 struct SearchExpand<'a> {
-    index: &'a ChannelIndex,
     spec: Spec<'a>,
     codec: &'a StateCodec,
     tables: ExecTables<'a>,
@@ -117,14 +116,15 @@ struct SearchScratch {
 }
 
 impl Expand for SearchExpand<'_> {
-    type Label = ActivationStep;
+    /// A step id in the expanding worker's catalog.
+    type Label = u32;
     type Scratch = SearchScratch;
 
     fn expand(
         &self,
         _id: u32,
         node: &[u16],
-        out: &mut SuccBuf<ActivationStep>,
+        out: &mut Candidates<u32>,
         scratch: &mut SearchScratch,
     ) -> Result<bool, ExploreError> {
         let (packed, progress) = split_node(node);
@@ -133,9 +133,10 @@ impl Expand for SearchExpand<'_> {
             catalog.enumerate(&self.tables, self.spec, self.cfg.max_steps_per_state, packed);
         self.tables.prepare(packed, offsets);
         let cap = self.cfg.channel_cap;
-        for info in catalog.steps() {
+        for &step in catalog.steps() {
             let mark = out.mark();
-            let applied = self.tables.apply(packed, offsets, &info.step, cap, out.words());
+            let cs = &catalog.info(step).step;
+            let applied = self.tables.apply(packed, offsets, cs, cap, out.words());
             if applied == Applied::Capped {
                 truncated = true;
                 out.cancel(mark);
@@ -147,7 +148,7 @@ impl Expand for SearchExpand<'_> {
                 continue;
             };
             out.words().extend_from_slice(&[(next & 0xFFFF) as u16, (next >> 16) as u16]);
-            out.commit(mark, info.step.to_activation(self.spec, self.index));
+            out.commit(mark, step);
         }
         Ok(truncated)
     }
@@ -155,6 +156,31 @@ impl Expand for SearchExpand<'_> {
     fn accept(&self, _id: u32, node: &[u16]) -> bool {
         let (packed, progress) = split_node(node);
         progress == self.last && (!self.must_settle || self.codec.is_quiescent_words(packed))
+    }
+}
+
+/// The search's [`Record`]: every non-root node's first-discovery link
+/// (parent id and step), by id − 1.
+#[derive(Default)]
+struct Links(Vec<(u32, CanonicalStep)>);
+
+impl Record<u32, SearchScratch> for Links {
+    fn node(&mut self, _id: u32, parent: u32, step: u32, scratch: &mut SearchScratch) {
+        self.0.push((parent, scratch.catalog.info(step).step.clone()));
+    }
+}
+
+impl Links {
+    /// The steps from the root to node `id`.
+    fn path_to(&self, mut id: u32) -> Vec<&CanonicalStep> {
+        let mut steps = Vec::new();
+        while id != 0 {
+            let (parent, step) = &self.0[id as usize - 1];
+            steps.push(step);
+            id = *parent;
+        }
+        steps.reverse();
+        steps
     }
 }
 
@@ -212,7 +238,6 @@ pub fn try_search(
         })
         .collect();
     let exp = SearchExpand {
-        index: &index,
         spec: Spec::Uniform(model),
         codec: &codec,
         tables: ExecTables::new(&index, &codec, vec![ChannelMode::default(); index.len()]),
@@ -225,19 +250,20 @@ pub fn try_search(
     let opts = BfsOptions {
         threads: cfg.resolved_threads(),
         max_nodes: cfg.max_states,
-        record_edges: false,
-        record_parents: true,
         progress_label: "search.visited",
     };
     let mut root = Vec::new();
     codec.encode_into(&initial, &mut root)?;
     root.extend_from_slice(&[0, 0]); // progress trailer = 0
-    let r = bfs(&exp, &root, codec.cell(), &opts)?;
+    let mut links = Links::default();
+    let r = bfs(&exp, &root, codec.cell(), &opts, &mut links)?;
     if routelab_obs::enabled() {
         routelab_obs::gauge("search.visited", r.nodes.len() as u64);
     }
     Ok(match r.accepted {
-        Some(id) => SearchResult::Found(r.path_to(id)),
+        Some(id) => SearchResult::Found(
+            links.path_to(id).into_iter().map(|cs| cs.to_activation(exp.spec, &index)).collect(),
+        ),
         None if r.truncated => SearchResult::BoundExceeded { visited: r.nodes.len() },
         None => SearchResult::Impossible { visited: r.nodes.len() },
     })

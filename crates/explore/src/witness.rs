@@ -44,7 +44,7 @@ fn bfs_path(
     let mut prev = vec![(u32::MAX, 0u32); g.len()];
     let mut queue = VecDeque::from([from]);
     while let Some(s) = queue.pop_front() {
-        for (ei, e) in g.edges[s].iter().enumerate() {
+        for (ei, e) in g.edges.of(s).iter().enumerate() {
             if let Some(mask) = within {
                 if !mask[e.to] {
                     continue;
@@ -107,24 +107,26 @@ pub fn witness_from_graph(spec: Spec<'_>, g: &StateGraph) -> Option<OscillationW
     }
 
     // A π-changing internal edge must exist (π differs across the SCC).
-    let (ca, cei) = comp.iter().find_map(|&s| {
-        g.edges[s]
+    let (ca, cei, cb) = comp.iter().find_map(|&s| {
+        g.edges
+            .of(s)
             .iter()
             .enumerate()
             .find(|(_, e)| member[e.to] && e.changes_pi)
-            .map(|(ei, _)| (s, ei))
+            .map(|(ei, e)| (s, ei, e.to))
     })?;
-    let cb = g.edges[ca][cei].to;
 
     // Prefix: initial state -> ca (unrestricted).
     let prefix_edges = bfs_path(g, 0, ca, None)?;
     // Cycle: the changing edge plus a return path cb -> ca inside the SCC.
     let back = bfs_path(g, cb, ca, Some(&member))?;
 
-    let to_steps = |edges: &[(usize, usize)]| -> ActivationSeq {
-        edges.iter().map(|&(s, ei)| g.edges[s][ei].step().to_activation(spec, index)).collect()
+    let step = |&(s, ei): &(usize, usize)| {
+        let e = g.edges.of(s).get(ei).expect("an edge of the graph");
+        e.step().to_activation(spec, index)
     };
-    let mut cycle = vec![g.edges[ca][cei].step().to_activation(spec, index)];
+    let to_steps = |edges: &[(usize, usize)]| -> ActivationSeq { edges.iter().map(step).collect() };
+    let mut cycle = vec![step(&(ca, cei))];
     cycle.extend(to_steps(&back));
     Some(OscillationWitness { prefix: to_steps(&prefix_edges), cycle })
 }

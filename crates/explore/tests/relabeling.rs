@@ -36,7 +36,7 @@ fn relabeled(inst: &SppInstance, reverse: bool) -> SppInstance {
 }
 
 fn edge_count(g: &StateGraph) -> usize {
-    g.edges.iter().map(Vec::len).sum()
+    g.edges.iter().map(|e| e.len()).sum()
 }
 
 fn opposite(a: &Verdict, b: &Verdict) -> bool {

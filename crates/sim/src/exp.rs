@@ -1260,4 +1260,19 @@ mod tests {
         let ExpError::Failed(e) = err else { panic!("expected a failed exploration, got {err:?}") };
         assert!(e.to_string().contains("route table overflow (65942 routes"), "{e}");
     }
+
+    /// The overflow's error names its cell by node count, destination and
+    /// model, not by the instance's 65,942 paths: one line under 1 KB.
+    #[test]
+    fn an_overflow_error_renders_as_one_short_line() {
+        let inst = overflowing_instance();
+        let cfg = ExploreConfig { threads: Some(1), ..ExploreConfig::default() };
+        let model = "R1O".parse().unwrap();
+        let spec = routelab_explore::effects::Spec::Uniform(model);
+        let err = routelab_explore::graph::try_build_spec(&inst, spec, &cfg)
+            .expect_err("the route table overflows");
+        let msg = err.to_string();
+        assert!(!msg.contains('\n') && msg.len() < 1024, "{} bytes: {msg:.200}", msg.len());
+        assert_eq!(err.cell, "68-node instance, dest d × R1O");
+    }
 }
