@@ -42,7 +42,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use routelab_core::dims::NeighborScope;
-use routelab_core::model::CommModel;
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
 use routelab_spp::{NodeId, SppInstance};
@@ -799,35 +798,18 @@ fn assemble(
     g
 }
 
-/// Builds the reachable state graph of `inst` under `model`.
+/// Builds the reachable state graph of `inst` under a uniform or mixed
+/// model, reporting failures as typed errors attributed to the gadget ×
+/// model cell.
 ///
 /// For reliable all-messages models (`R1A`/`RMA`/`REA`) states are built
 /// modulo the queue-to-newest-message abstraction, which is a bisimulation
 /// there and keeps the polling state spaces finite without truncation.
 ///
-/// # Panics
-///
-/// Panics on an [`ExploreError`] (route universe overflow, worker panic);
-/// use [`try_build_spec`] to handle those.
-pub fn build(inst: &SppInstance, model: CommModel, cfg: &ExploreConfig) -> StateGraph {
-    build_spec(inst, Spec::Uniform(model), cfg)
-}
-
-/// Builds the reachable state graph for a uniform or heterogeneous model.
-///
-/// # Panics
-///
-/// Panics on an [`ExploreError`]; use [`try_build_spec`] to handle those.
-pub fn build_spec(inst: &SppInstance, spec: Spec<'_>, cfg: &ExploreConfig) -> StateGraph {
-    try_build_spec(inst, spec, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Builds the reachable state graph, reporting failures as typed errors
-/// attributed to the gadget × model cell.
-///
 /// # Errors
 ///
-/// Any [`ExploreError`] raised while interning or expanding states.
+/// Any [`ExploreError`] raised while interning or expanding states (route
+/// universe overflow, worker panic).
 pub fn try_build_spec(
     inst: &SppInstance,
     spec: Spec<'_>,
@@ -900,6 +882,7 @@ fn build_with(
 mod tests {
     use super::*;
     use routelab_core::hetero::HeteroModel;
+    use routelab_core::model::CommModel;
     use routelab_spp::gadgets;
 
     /// Every component of `g`: the analysis's Tarjan over all states, no
@@ -914,7 +897,9 @@ mod tests {
     #[test]
     fn line2_graph_is_tiny_and_complete() {
         let inst = gadgets::line2();
-        let g = build(&inst, "REA".parse().unwrap(), &ExploreConfig::default());
+        let g =
+            try_build_spec(&inst, Spec::Uniform("REA".parse().unwrap()), &ExploreConfig::default())
+                .unwrap();
         assert!(!g.truncated);
         // Initial, d-announced, v-learned, v-announcement-consumed…
         assert!(g.len() <= 8, "{}", g.len());
@@ -935,10 +920,14 @@ mod tests {
         // truncates. The class projection turns those announcements into
         // absorbed ε-reads, making the reduced build exhaustive. The
         // oscillating SCC must be inside the explored region either way.
-        let raw =
-            build(&inst, "R1O".parse().unwrap(), &ExploreConfig { reduce: false, ..cfg.clone() });
+        let raw = try_build_spec(
+            &inst,
+            Spec::Uniform("R1O".parse().unwrap()),
+            &ExploreConfig { reduce: false, ..cfg.clone() },
+        )
+        .unwrap();
         assert!(raw.truncated);
-        let g = build(&inst, "R1O".parse().unwrap(), &cfg);
+        let g = try_build_spec(&inst, Spec::Uniform("R1O".parse().unwrap()), &cfg).unwrap();
         assert!(!g.truncated);
         assert!(g.reduction.canon_rewrites > 0);
         for graph in [&raw, &g] {
@@ -951,7 +940,9 @@ mod tests {
     #[test]
     fn disagree_rma_graph_is_acyclic_besides_terminals() {
         let inst = gadgets::disagree();
-        let g = build(&inst, "RMA".parse().unwrap(), &ExploreConfig::default());
+        let g =
+            try_build_spec(&inst, Spec::Uniform("RMA".parse().unwrap()), &ExploreConfig::default())
+                .unwrap();
         assert!(!g.truncated);
         for comp in sccs(&g) {
             if comp.len() > 1 {
@@ -972,7 +963,7 @@ mod tests {
             max_steps_per_state: 4,
             ..ExploreConfig::default()
         };
-        let g = build(&inst, "RMS".parse().unwrap(), &cfg);
+        let g = try_build_spec(&inst, Spec::Uniform("RMS".parse().unwrap()), &cfg).unwrap();
         assert!(g.truncated);
         assert!(g.len() <= 4);
     }
@@ -980,7 +971,9 @@ mod tests {
     #[test]
     fn scc_decomposition_covers_all_states() {
         let inst = gadgets::disagree();
-        let g = build(&inst, "REO".parse().unwrap(), &ExploreConfig::default());
+        let g =
+            try_build_spec(&inst, Spec::Uniform("REO".parse().unwrap()), &ExploreConfig::default())
+                .unwrap();
         let comps = sccs(&g);
         let total: usize = comps.iter().map(Vec::len).sum();
         assert_eq!(total, g.len());

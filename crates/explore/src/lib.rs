@@ -18,12 +18,18 @@
 //! * [`witness`] — extraction of replayable oscillation lassos (prefix +
 //!   π-changing cycle) from a fair SCC.
 //!
-//! Heterogeneous (mixed) models from [`routelab_core::hetero`] are analyzed
-//! with [`oscillation::analyze_hetero`] — the paper's Sec. 5 open question.
+//! Each operation has one entry point. Those that explore (build a state
+//! graph or search) return `Result<_, ExploreError>`: a failure (a route
+//! table past the packed id width, a worker panic) is an [`ExploreError`]
+//! naming its gadget × model cell, never a panic. [`oscillation::analyze`]
+//! takes an [`effects::Spec`], so uniform models and the heterogeneous
+//! (mixed) models of [`routelab_core::hetero`] — the paper's Sec. 5 open
+//! question — go through the same call.
 //!
 //! # Example: DISAGREE oscillates in R1O but never in RMA (Example A.1)
 //!
 //! ```
+//! use routelab_explore::effects::Spec;
 //! use routelab_explore::oscillation::{analyze, Verdict};
 //! use routelab_explore::graph::ExploreConfig;
 //! use routelab_spp::gadgets;
@@ -31,13 +37,14 @@
 //! let inst = gadgets::disagree();
 //! let cfg = ExploreConfig::default();
 //! assert!(matches!(
-//!     analyze(&inst, "R1O".parse().unwrap(), &cfg),
+//!     analyze(&inst, Spec::Uniform("R1O".parse()?), &cfg)?,
 //!     Verdict::CanOscillate { .. }
 //! ));
 //! assert!(matches!(
-//!     analyze(&inst, "RMA".parse().unwrap(), &cfg),
+//!     analyze(&inst, Spec::Uniform("RMA".parse()?), &cfg)?,
 //!     Verdict::AlwaysConverges { .. }
 //! ));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,11 +63,12 @@ pub mod reduce;
 pub mod trace_search;
 pub mod witness;
 
+pub use effects::Spec;
 pub use error::{ExploreError, ExploreErrorKind};
 pub use frontier::FrontierStats;
 pub use graph::{ExploreConfig, StateGraph};
-pub use oscillation::{analyze, try_analyze, Verdict};
+pub use oscillation::{analyze, Verdict};
 pub use pack::StateCodec;
 pub use reduce::ReductionStats;
-pub use trace_search::{search, try_search, SearchGoal, SearchResult};
+pub use trace_search::{search, SearchGoal, SearchResult};
 pub use witness::{oscillation_witness, OscillationWitness};

@@ -17,14 +17,12 @@
 //! algorithm converges on every fair activation sequence of the model.
 
 use routelab_core::dims::NeighborScope;
-use routelab_core::hetero::HeteroModel;
-use routelab_core::model::CommModel;
 use routelab_engine::index::ChannelIndex;
 use routelab_spp::SppInstance;
 
 use crate::effects::Spec;
 use crate::error::ExploreError;
-use crate::graph::{build_spec, try_build_spec, ExploreConfig, StateGraph};
+use crate::graph::{try_build_spec, ExploreConfig, StateGraph};
 use crate::pack::StateCodec;
 
 /// Outcome of exhaustive oscillation analysis.
@@ -310,47 +308,15 @@ pub fn analyze_graph(spec: Spec<'_>, g: &StateGraph) -> Verdict {
     }
 }
 
-/// Builds the graph and analyzes it.
-pub fn analyze(inst: &SppInstance, model: CommModel, cfg: &ExploreConfig) -> Verdict {
-    analyze_spec(inst, Spec::Uniform(model), cfg)
-}
-
-/// Builds the graph and analyzes it for a heterogeneous model (the paper's
-/// open "mixed configuration" question, Sec. 5).
-pub fn analyze_hetero(inst: &SppInstance, model: &HeteroModel, cfg: &ExploreConfig) -> Verdict {
-    analyze_spec(inst, Spec::Hetero(model), cfg)
-}
-
-/// Builds the graph and analyzes it for any model view.
-///
-/// # Panics
-///
-/// Panics on an [`ExploreError`]; use [`try_analyze_spec`] to handle those.
-pub fn analyze_spec(inst: &SppInstance, spec: Spec<'_>, cfg: &ExploreConfig) -> Verdict {
-    let g = build_spec(inst, spec, cfg);
-    analyze_graph(spec, &g)
-}
-
-/// Builds the graph and analyzes it, reporting explorer failures as typed
-/// errors attributed to the gadget × model cell.
+/// Builds the graph of `inst` under a uniform or mixed model (mixed models
+/// are the paper's open "mixed configuration" question, Sec. 5) and
+/// analyzes it.
 ///
 /// # Errors
 ///
-/// Any [`ExploreError`] raised while building the state graph.
-pub fn try_analyze(
-    inst: &SppInstance,
-    model: CommModel,
-    cfg: &ExploreConfig,
-) -> Result<Verdict, ExploreError> {
-    try_analyze_spec(inst, Spec::Uniform(model), cfg)
-}
-
-/// Fallible variant of [`analyze_spec`].
-///
-/// # Errors
-///
-/// Any [`ExploreError`] raised while building the state graph.
-pub fn try_analyze_spec(
+/// Any [`ExploreError`] raised while building the state graph, attributed
+/// to its gadget × model cell.
+pub fn analyze(
     inst: &SppInstance,
     spec: Spec<'_>,
     cfg: &ExploreConfig,
@@ -540,10 +506,12 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use routelab_core::hetero::HeteroModel;
+    use routelab_core::model::CommModel;
     use routelab_spp::gadgets;
 
     fn verdict(inst: &routelab_spp::SppInstance, model: &str) -> Verdict {
-        analyze(inst, model.parse().unwrap(), &ExploreConfig::default())
+        analyze(inst, Spec::Uniform(model.parse().unwrap()), &ExploreConfig::default()).unwrap()
     }
 
     #[test]
@@ -560,7 +528,7 @@ mod tests {
         // never queues more than two messages) and keeps the graph small.
         let tight = ExploreConfig { channel_cap: 2, ..ExploreConfig::default() };
         for model in ["R1S", "RMS", "RES"] {
-            let v = analyze(&inst, model.parse().unwrap(), &tight);
+            let v = analyze(&inst, Spec::Uniform(model.parse().unwrap()), &tight).unwrap();
             assert!(
                 matches!(v, Verdict::CanOscillate { .. }),
                 "{model} must admit the DISAGREE oscillation (got {v:?})"
@@ -592,12 +560,12 @@ mod tests {
         // `routelab exp examples`.
         let inst = gadgets::fig6();
         let cfg = ExploreConfig { channel_cap: 3, ..ExploreConfig::default() };
-        let v = analyze(&inst, "REO".parse().unwrap(), &cfg);
+        let v = analyze(&inst, Spec::Uniform("REO".parse().unwrap()), &cfg).unwrap();
         assert!(
             matches!(v, Verdict::CanOscillate { .. }),
             "REO must admit the Fig. 6 oscillation (got {v:?})"
         );
-        let v = analyze(&inst, "REA".parse().unwrap(), &cfg);
+        let v = analyze(&inst, Spec::Uniform("REA".parse().unwrap()), &cfg).unwrap();
         assert!(
             matches!(v, Verdict::AlwaysConverges { .. }),
             "REA must force Fig. 6 to converge (got {v:?})"
@@ -618,7 +586,7 @@ mod tests {
             ..ExploreConfig::default()
         };
         for model in ["R1A", "RMA"] {
-            let v = analyze(&inst, model.parse().unwrap(), &cfg);
+            let v = analyze(&inst, Spec::Uniform(model.parse().unwrap()), &cfg).unwrap();
             assert!(
                 matches!(v, Verdict::AlwaysConverges { .. }),
                 "{model} must force Fig. 6 to converge (got {v:?})"
@@ -627,7 +595,7 @@ mod tests {
         // REF's reduced space is ≈128k states (≈278k raw) — close enough
         // to the 150k debug budget that it stays in this release-only
         // test, exhaustively oscillating here.
-        let v = analyze(&inst, "REF".parse().unwrap(), &cfg);
+        let v = analyze(&inst, Spec::Uniform("REF".parse().unwrap()), &cfg).unwrap();
         assert!(
             matches!(v, Verdict::CanOscillate { .. }),
             "REF must admit the Fig. 6 oscillation (got {v:?})"
@@ -683,8 +651,8 @@ mod tests {
         for model in ["R1O", "REA", "RMS", "U1O", "UEA"] {
             let m: CommModel = model.parse().unwrap();
             let h = HeteroModel::uniform(inst.node_count(), m);
-            let uniform = analyze(&inst, m, &cfg);
-            let hetero = analyze_hetero(&inst, &h, &cfg);
+            let uniform = analyze(&inst, Spec::Uniform(m), &cfg).unwrap();
+            let hetero = analyze(&inst, Spec::Hetero(&h), &cfg).unwrap();
             assert_eq!(
                 std::mem::discriminant(&uniform),
                 std::mem::discriminant(&hetero),
@@ -708,12 +676,18 @@ mod tests {
 
         let mut one = HeteroModel::uniform(inst.node_count(), "R1O".parse().unwrap());
         one.set_node(x, poll);
-        assert!(matches!(analyze_hetero(&inst, &one, &cfg), Verdict::CanOscillate { .. }));
+        assert!(matches!(
+            analyze(&inst, Spec::Hetero(&one), &cfg).unwrap(),
+            Verdict::CanOscillate { .. }
+        ));
 
         let mut both = HeteroModel::uniform(inst.node_count(), "R1O".parse().unwrap());
         both.set_node(x, poll);
         both.set_node(y, poll);
-        assert!(matches!(analyze_hetero(&inst, &both, &cfg), Verdict::AlwaysConverges { .. }));
+        assert!(matches!(
+            analyze(&inst, Spec::Hetero(&both), &cfg).unwrap(),
+            Verdict::AlwaysConverges { .. }
+        ));
     }
 
     #[test]
@@ -729,7 +703,10 @@ mod tests {
         let mut h = HeteroModel::uniform(inst.node_count(), "REA".parse().unwrap());
         h.set_lossy(Channel::new(x, y));
         h.set_lossy(Channel::new(y, x));
-        assert!(matches!(analyze_hetero(&inst, &h, &cfg), Verdict::AlwaysConverges { .. }));
+        assert!(matches!(
+            analyze(&inst, Spec::Hetero(&h), &cfg).unwrap(),
+            Verdict::AlwaysConverges { .. }
+        ));
     }
 
     /// DISAGREE plus an informant `z`: x learning any route of z's ends
@@ -783,7 +760,8 @@ mod tests {
         let (mut found, mut absent, mut refined) = (0, 0, 0);
         for (cell, inst, spec) in cells {
             for reduce in [false, true] {
-                let g = build_spec(inst, spec, &ExploreConfig { reduce, ..cfg.clone() });
+                let g =
+                    try_build_spec(inst, spec, &ExploreConfig { reduce, ..cfg.clone() }).unwrap();
                 let g = if g.sym.is_some() { crate::reduce::unfold_symmetry(&g) } else { g };
                 let (got, _, refinements) = find_fair_scc(spec, &g);
                 let want = reference::find_fair_scc(spec, &g);
@@ -809,7 +787,7 @@ mod tests {
             max_steps_per_state: 8,
             ..ExploreConfig::default()
         };
-        let v = analyze(&inst, "REA".parse().unwrap(), &cfg);
+        let v = analyze(&inst, Spec::Uniform("REA".parse().unwrap()), &cfg).unwrap();
         assert!(matches!(v, Verdict::NoOscillationWithinBound { .. }), "{v:?}");
     }
 }

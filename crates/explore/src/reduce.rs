@@ -695,7 +695,8 @@ mod tests {
     fn unfolding_shares_step_descriptors() {
         let inst = gadgets::bad_gadget();
         let cfg = crate::graph::ExploreConfig::default();
-        let g = crate::graph::build(&inst, "REF".parse().unwrap(), &cfg);
+        let g = crate::graph::try_build_spec(&inst, Spec::Uniform("REF".parse().unwrap()), &cfg)
+            .unwrap();
         let order = g.sym.as_ref().expect("BAD-GADGET is symmetric").order();
         let descriptors = |g: &StateGraph| g.edges.step_table().len();
         let unfolded = unfold_symmetry(&g);
@@ -719,7 +720,9 @@ mod tests {
         for (name, inst) in
             [("DISAGREE", gadgets::disagree()), ("BAD-GADGET", gadgets::bad_gadget())]
         {
-            let g = crate::graph::build(&inst, "U1O".parse().unwrap(), &cfg);
+            let g =
+                crate::graph::try_build_spec(&inst, Spec::Uniform("U1O".parse().unwrap()), &cfg)
+                    .unwrap();
             let unfolded = unfold_symmetry(&g);
             let mut drops = 0;
             for (s, out) in unfolded.edges.iter().enumerate() {

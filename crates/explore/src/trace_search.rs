@@ -200,26 +200,12 @@ impl Links {
 /// this causes π_s(10) = svbd". A subsequence realization constrains only a
 /// finite prefix, so it accepts as soon as the whole target has appeared.
 ///
-/// # Panics
-///
-/// On an internal [`ExploreError`]; use [`try_search`] to handle those.
-pub fn search(
-    inst: &SppInstance,
-    model: CommModel,
-    target: &PathTrace,
-    goal: SearchGoal,
-    cfg: &ExploreConfig,
-) -> SearchResult {
-    try_search(inst, model, target, goal, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`search`], attributing failures to their cell.
-///
 /// # Errors
 ///
 /// Any [`ExploreError`] raised while packing states or expanding the
-/// frontier (route-universe overflow, corrupt buffers, worker panics).
-pub fn try_search(
+/// frontier (route-universe overflow, corrupt buffers, worker panics),
+/// attributed to its cell.
+pub fn search(
     inst: &SppInstance,
     model: CommModel,
     target: &PathTrace,
@@ -302,7 +288,8 @@ mod tests {
     fn a3_trace_exactly_realizable_in_its_own_model() {
         let run = paper_runs::a3_reo();
         let target = target_of(&run);
-        let res = search(&run.instance, "REO".parse().unwrap(), &target, SearchGoal::Exact, &cfg());
+        let res = search(&run.instance, "REO".parse().unwrap(), &target, SearchGoal::Exact, &cfg())
+            .unwrap();
         let SearchResult::Found(seq) = res else { panic!("{res:?}") };
         let cand = Runner::trace_of(&run.instance, &seq);
         assert!(exact_then_settled(&target, &cand), "{}", cand.render(&run.instance));
@@ -314,7 +301,8 @@ mod tests {
         // Example A.3: the REO execution cannot be exactly realized in R1O.
         let run = paper_runs::a3_reo();
         let target = target_of(&run);
-        let res = search(&run.instance, "R1O".parse().unwrap(), &target, SearchGoal::Exact, &cfg());
+        let res = search(&run.instance, "R1O".parse().unwrap(), &target, SearchGoal::Exact, &cfg())
+            .unwrap();
         assert!(res.is_impossible(), "{res:?}");
     }
 
@@ -323,7 +311,8 @@ mod tests {
         let run = paper_runs::a3_reo();
         let target = target_of(&run);
         let res =
-            search(&run.instance, "R1O".parse().unwrap(), &target, SearchGoal::Subsequence, &cfg());
+            search(&run.instance, "R1O".parse().unwrap(), &target, SearchGoal::Subsequence, &cfg())
+                .unwrap();
         let SearchResult::Found(seq) = res else { panic!("{res:?}") };
         let cand = Runner::trace_of(&run.instance, &seq);
         assert!(is_subsequence(&target, &cand));
@@ -337,11 +326,13 @@ mod tests {
         let run = paper_runs::a4_rea();
         let target = target_of(&run);
         let res =
-            search(&run.instance, "R1O".parse().unwrap(), &target, SearchGoal::Repetition, &cfg());
+            search(&run.instance, "R1O".parse().unwrap(), &target, SearchGoal::Repetition, &cfg())
+                .unwrap();
         assert!(res.is_impossible(), "{res:?}");
         // …but it is realizable as a subsequence (the paper's remark).
         let res =
-            search(&run.instance, "R1O".parse().unwrap(), &target, SearchGoal::Subsequence, &cfg());
+            search(&run.instance, "R1O".parse().unwrap(), &target, SearchGoal::Subsequence, &cfg())
+                .unwrap();
         let SearchResult::Found(seq) = res else { panic!("{res:?}") };
         let cand = Runner::trace_of(&run.instance, &seq);
         assert!(is_subsequence(&target, &cand));
@@ -352,7 +343,8 @@ mod tests {
         // Example A.5: the REA execution cannot be exactly realized in R1S.
         let run = paper_runs::a5_rea();
         let target = target_of(&run);
-        let res = search(&run.instance, "R1S".parse().unwrap(), &target, SearchGoal::Exact, &cfg());
+        let res = search(&run.instance, "R1S".parse().unwrap(), &target, SearchGoal::Exact, &cfg())
+            .unwrap();
         assert!(res.is_impossible(), "{res:?}");
     }
 
@@ -362,7 +354,8 @@ mod tests {
         // exactly inducible in RMS.
         let run = paper_runs::a5_rea();
         let target = target_of(&run);
-        let res = search(&run.instance, "RMS".parse().unwrap(), &target, SearchGoal::Exact, &cfg());
+        let res = search(&run.instance, "RMS".parse().unwrap(), &target, SearchGoal::Exact, &cfg())
+            .unwrap();
         let SearchResult::Found(seq) = res else { panic!("{res:?}") };
         let cand = Runner::trace_of(&run.instance, &seq);
         assert!(exact_then_settled(&target, &cand), "{}", cand.render(&run.instance));
@@ -375,7 +368,8 @@ mod tests {
         let run = paper_runs::a4_rea();
         let target = target_of(&run);
         let res =
-            search(&run.instance, "R1S".parse().unwrap(), &target, SearchGoal::Repetition, &cfg());
+            search(&run.instance, "R1S".parse().unwrap(), &target, SearchGoal::Repetition, &cfg())
+                .unwrap();
         let SearchResult::Found(seq) = res else { panic!("{res:?}") };
         let cand = Runner::trace_of(&run.instance, &seq);
         assert!(is_repetition(&target, &cand));
@@ -386,7 +380,8 @@ mod tests {
         let run = paper_runs::a4_rea();
         let mut bogus = PathTrace::new();
         bogus.push(vec![routelab_spp::Route::empty(); run.instance.node_count()]);
-        let res = search(&run.instance, "REA".parse().unwrap(), &bogus, SearchGoal::Exact, &cfg());
+        let res = search(&run.instance, "REA".parse().unwrap(), &bogus, SearchGoal::Exact, &cfg())
+            .unwrap();
         assert!(res.is_impossible());
     }
 
@@ -402,7 +397,8 @@ mod tests {
             t.push(NetworkState::initial(&run.instance, &index).assignment());
             t
         };
-        let res = search(&run.instance, "REA".parse().unwrap(), &target, SearchGoal::Exact, &cfg());
+        let res = search(&run.instance, "REA".parse().unwrap(), &target, SearchGoal::Exact, &cfg())
+            .unwrap();
         assert!(res.is_impossible(), "{res:?}");
     }
 
@@ -416,7 +412,8 @@ mod tests {
             max_steps_per_state: 50_000,
             ..ExploreConfig::default()
         };
-        let res = search(&run.instance, "RMS".parse().unwrap(), &target, SearchGoal::Exact, &tight);
+        let res = search(&run.instance, "RMS".parse().unwrap(), &target, SearchGoal::Exact, &tight)
+            .unwrap();
         assert!(matches!(res, SearchResult::BoundExceeded { .. }), "{res:?}");
     }
 
@@ -429,7 +426,8 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let cfg = ExploreConfig { threads: Some(threads), ..cfg() };
             let res =
-                search(&run.instance, "REO".parse().unwrap(), &target, SearchGoal::Exact, &cfg);
+                search(&run.instance, "REO".parse().unwrap(), &target, SearchGoal::Exact, &cfg)
+                    .unwrap();
             let SearchResult::Found(seq) = res else { panic!("{res:?}") };
             found.push(seq);
         }

@@ -17,7 +17,8 @@ use routelab_core::step::ActivationSeq;
 use routelab_spp::SppInstance;
 
 use crate::effects::Spec;
-use crate::graph::{build_spec, ExploreConfig, StateGraph};
+use crate::error::ExploreError;
+use crate::graph::{try_build_spec, ExploreConfig, StateGraph};
 use crate::oscillation::find_fair_scc;
 
 /// A replayable divergence witness.
@@ -72,28 +73,24 @@ fn bfs_path(
 
 /// Extracts an oscillation witness for `inst` under `model`, or `None` when
 /// the analysis finds no fair oscillating SCC within the bounds.
-pub fn oscillation_witness(
-    inst: &SppInstance,
-    model: CommModel,
-    cfg: &ExploreConfig,
-) -> Option<OscillationWitness> {
-    oscillation_witness_spec(inst, Spec::Uniform(model), cfg)
-}
-
-/// Extracts an oscillation witness for any model view (uniform or mixed).
 ///
 /// The graph is always built *unreduced* (overriding `cfg.reduce`): witness
 /// steps are replayed literally against the execution engine, and edges of a
 /// reduced graph denote normalized/canonicalized transitions whose raw
 /// successors differ from the recorded targets.
-pub fn oscillation_witness_spec(
+///
+/// # Errors
+///
+/// Any [`ExploreError`] raised while building the state graph, attributed
+/// to its gadget × model cell.
+pub fn oscillation_witness(
     inst: &SppInstance,
-    spec: Spec<'_>,
+    model: CommModel,
     cfg: &ExploreConfig,
-) -> Option<OscillationWitness> {
-    let cfg = ExploreConfig { reduce: false, ..cfg.clone() };
-    let g = build_spec(inst, spec, &cfg);
-    witness_from_graph(spec, &g)
+) -> Result<Option<OscillationWitness>, ExploreError> {
+    let spec = Spec::Uniform(model);
+    let g = try_build_spec(inst, spec, &ExploreConfig { reduce: false, ..cfg.clone() })?;
+    Ok(witness_from_graph(spec, &g))
 }
 
 /// Extracts an oscillation witness from a prebuilt graph (used by the
@@ -161,6 +158,7 @@ mod tests {
     fn disagree_r1o_witness_replays() {
         let inst = gadgets::disagree();
         let w = oscillation_witness(&inst, "R1O".parse().unwrap(), &ExploreConfig::default())
+            .unwrap()
             .expect("R1O oscillates on DISAGREE");
         assert!(!w.cycle.is_empty());
         replay(&inst, "R1O", &w);
@@ -170,6 +168,7 @@ mod tests {
     fn bad_gadget_rea_witness_replays() {
         let inst = gadgets::bad_gadget();
         let w = oscillation_witness(&inst, "REA".parse().unwrap(), &ExploreConfig::default())
+            .unwrap()
             .expect("REA oscillates on BAD-GADGET");
         replay(&inst, "REA", &w);
     }
@@ -179,6 +178,7 @@ mod tests {
         let inst = gadgets::fig6();
         let cfg = ExploreConfig { channel_cap: 3, ..ExploreConfig::default() };
         let w = oscillation_witness(&inst, "REO".parse().unwrap(), &cfg)
+            .unwrap()
             .expect("REO oscillates on Fig. 6");
         replay(&inst, "REO", &w);
     }
@@ -186,19 +186,20 @@ mod tests {
     #[test]
     fn no_witness_for_converging_models() {
         let inst = gadgets::disagree();
-        assert!(
-            oscillation_witness(&inst, "RMA".parse().unwrap(), &ExploreConfig::default()).is_none()
-        );
+        assert!(oscillation_witness(&inst, "RMA".parse().unwrap(), &ExploreConfig::default())
+            .unwrap()
+            .is_none());
         let good = gadgets::good_gadget();
-        assert!(
-            oscillation_witness(&good, "R1O".parse().unwrap(), &ExploreConfig::default()).is_none()
-        );
+        assert!(oscillation_witness(&good, "R1O".parse().unwrap(), &ExploreConfig::default())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn unreliable_witness_respects_drop_fairness() {
         let inst = gadgets::disagree();
         let w = oscillation_witness(&inst, "U1O".parse().unwrap(), &ExploreConfig::default())
+            .unwrap()
             .expect("U1O oscillates on DISAGREE");
         replay(&inst, "U1O", &w);
     }

@@ -12,8 +12,9 @@
 //! assertion: a wheel is necessary for divergence, not sufficient.
 
 use routelab_core::model::CommModel;
+use routelab_explore::effects::Spec;
 use routelab_explore::graph::ExploreConfig;
-use routelab_explore::oscillation::{try_analyze, Verdict};
+use routelab_explore::oscillation::{analyze, Verdict};
 use routelab_spp::dispute::is_wheel_free;
 use routelab_spp::generator::{random_instance, RandomSppConfig};
 use routelab_spp::{gadgets, SppInstance};
@@ -52,7 +53,8 @@ fn wheel_free_instances_never_oscillate() {
     for (name, inst) in wheel_free_instances() {
         for model in CommModel::all() {
             let cell = format!("{name} × {model}");
-            let verdict = try_analyze(&inst, model, &cfg).unwrap_or_else(|e| panic!("{cell}: {e}"));
+            let verdict = analyze(&inst, Spec::Uniform(model), &cfg)
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
             assert!(!matches!(verdict, Verdict::CanOscillate { .. }), "{cell}: {verdict:?}");
             converges += usize::from(matches!(verdict, Verdict::AlwaysConverges { .. }));
         }

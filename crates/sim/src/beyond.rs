@@ -22,9 +22,10 @@
 use routelab_core::closure::{derive_bounds, BoundsMatrix};
 use routelab_core::edges::{foundational_facts, Facts, NegativeFact};
 use routelab_core::model::CommModel;
+use routelab_explore::effects::Spec;
 use routelab_explore::error::ExploreError;
 use routelab_explore::graph::ExploreConfig;
-use routelab_explore::oscillation::{try_analyze, Verdict};
+use routelab_explore::oscillation::{analyze, Verdict};
 use routelab_spp::SppInstance;
 
 /// An empirical separation: `instance` oscillates in `oscillates_in` but
@@ -40,24 +41,13 @@ pub struct Separation {
 }
 
 /// Harvests separations from one instance by checking the given models
-/// exhaustively (only unconditional verdicts contribute). Panics on an
-/// [`ExploreError`]; see [`try_harvest`].
-pub fn harvest(
-    name: &'static str,
-    inst: &SppInstance,
-    models: &[CommModel],
-    cfg: &ExploreConfig,
-) -> Vec<Separation> {
-    try_harvest(name, inst, models, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`harvest`].
+/// exhaustively (only unconditional verdicts contribute).
 ///
 /// # Errors
 ///
 /// Returns the first [`ExploreError`] any check hits; the error names the
 /// offending gadget × model cell.
-pub fn try_harvest(
+pub fn harvest(
     name: &'static str,
     inst: &SppInstance,
     models: &[CommModel],
@@ -66,7 +56,7 @@ pub fn try_harvest(
     let mut oscillating = Vec::new();
     let mut converging = Vec::new();
     for &m in models {
-        match try_analyze(inst, m, cfg)? {
+        match analyze(inst, Spec::Uniform(m), cfg)? {
             Verdict::CanOscillate { .. } => oscillating.push(m),
             Verdict::AlwaysConverges { .. } => converging.push(m),
             Verdict::NoOscillationWithinBound { .. } => {}
@@ -82,20 +72,14 @@ pub fn try_harvest(
 }
 
 /// The default harvesting run: every model on DISAGREE (all 24 state spaces
-/// are small there). Panics on an [`ExploreError`]; see
-/// [`try_disagree_separations`].
-pub fn disagree_separations(cfg: &ExploreConfig) -> Vec<Separation> {
-    try_disagree_separations(cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`disagree_separations`].
+/// are small there).
 ///
 /// # Errors
 ///
 /// Returns the first [`ExploreError`] any check hits.
-pub fn try_disagree_separations(cfg: &ExploreConfig) -> Result<Vec<Separation>, ExploreError> {
+pub fn disagree_separations(cfg: &ExploreConfig) -> Result<Vec<Separation>, ExploreError> {
     let inst = routelab_spp::gadgets::disagree();
-    try_harvest("DISAGREE", &inst, &CommModel::all(), cfg)
+    harvest("DISAGREE", &inst, &CommModel::all(), cfg)
 }
 
 /// Extends the foundational facts with empirical negatives and re-derives
@@ -143,7 +127,7 @@ mod tests {
 
     #[test]
     fn disagree_resolves_the_unreliable_weak_columns() {
-        let seps = disagree_separations(&cfg());
+        let seps = disagree_separations(&cfg()).unwrap();
         assert!(!seps.is_empty());
         let (_, bounds) = extended_bounds(&seps);
         // The headline: R1O's oscillations are not preserved by the five
@@ -165,7 +149,7 @@ mod tests {
     fn extension_is_consistent_with_the_published_tables() {
         // The extension must only tighten: zero conflicts against Figures
         // 3 and 4, and strictly more determined cells than the base.
-        let seps = disagree_separations(&cfg());
+        let seps = disagree_separations(&cfg()).unwrap();
         let (_, extended) = extended_bounds(&seps);
         for table in [figure3(), figure4()] {
             let cmp = compare(&extended, &table);
@@ -181,7 +165,7 @@ mod tests {
     fn harvest_is_symmetric_free() {
         // A model never separates from itself, and separations never point
         // from a converging model.
-        let seps = disagree_separations(&cfg());
+        let seps = disagree_separations(&cfg()).unwrap();
         for s in &seps {
             assert_ne!(s.oscillates_in, s.converges_in);
         }

@@ -32,9 +32,11 @@ use routelab_engine::outcome::{drive, RunOutcome};
 use routelab_engine::paper_runs::{self, PaperRun};
 use routelab_engine::runner::Runner;
 use routelab_engine::schedule::{Cyclic, Periodic};
+use routelab_explore::effects::Spec;
+use routelab_explore::error::ExploreError;
 use routelab_explore::graph::ExploreConfig;
-use routelab_explore::oscillation::{analyze_hetero, try_analyze, Verdict};
-use routelab_explore::trace_search::{try_search, SearchGoal, SearchResult};
+use routelab_explore::oscillation::{analyze, Verdict};
+use routelab_explore::trace_search::{search, SearchGoal, SearchResult};
 use routelab_obs::JVal;
 use routelab_realize::plan::fair_prefix;
 use routelab_realize::registry::Registry;
@@ -42,12 +44,12 @@ use routelab_realize::verify::{verify_edge, verify_path};
 use routelab_spp::generator::gao_rexford_instance;
 use routelab_spp::{dispute, gadgets, Channel, SppInstance};
 
-use crate::beyond::{extended_bounds, newly_determined, try_disagree_separations};
+use crate::beyond::{disagree_separations, extended_bounds, newly_determined};
 use crate::cli::{self, CommonOpts};
 use crate::examples::step_table;
 use crate::montecarlo::{pinned, try_run_grid_with, CellConfig, CellReport};
 use crate::report::{write_json, GroupReport, RunReport};
-use crate::survey::{try_survey_instance, SurveyConfig, SurveyOutcome};
+use crate::survey::{survey_instance, SurveyConfig, SurveyOutcome};
 use crate::table::Table;
 
 /// Why an experiment stopped without a verdict (exit status 2).
@@ -227,7 +229,7 @@ fn oscillation_claims(
     let mut ok = true;
     let claims = oscillating.iter().map(|m| (m, true)).chain(converging.iter().map(|m| (m, false)));
     for (m, want_oscillation) in claims {
-        let v = try_analyze(inst, m.parse::<CommModel>().expect("model"), cfg)?;
+        let v = analyze(inst, Spec::Uniform(m.parse().expect("model")), cfg)?;
         let (good, paper) = if want_oscillation {
             (matches!(v, Verdict::CanOscillate { .. }), "oscillates")
         } else {
@@ -311,7 +313,7 @@ fn search_claim(
         max_steps_per_state: 50_000,
         ..base.clone()
     };
-    let res = try_search(&run.instance, model.parse().expect("model"), &target, goal, &cfg)?;
+    let res = search(&run.instance, model.parse().expect("model"), &target, goal, &cfg)?;
     let ok = matches!(
         (&res, expect_found),
         (SearchResult::Found(_), true) | (SearchResult::Impossible { .. }, false)
@@ -467,7 +469,7 @@ fn survey(opts: &CommonOpts, args: &[String]) -> Result<bool, ExpError> {
         let mut gadget_span = routelab_obs::span("survey.gadget");
         gadget_span.field("gadget", *name);
         gadget_span.field("probe_budget", cfg.explore.max_states);
-        let entries = try_survey_instance(inst, &cfg).inspect_err(|_| opts.progress("failed"))?;
+        let entries = survey_instance(inst, &cfg).inspect_err(|_| opts.progress("failed"))?;
         surveys.push(entries);
         drop(gadget_span);
         let wall = g0.elapsed();
@@ -945,9 +947,10 @@ fn analyze_row(
     inst: &SppInstance,
     model: &HeteroModel,
     cfg: &ExploreConfig,
-) {
-    let v = analyze_hetero(inst, model, cfg);
+) -> Result<(), ExploreError> {
+    let v = analyze(inst, Spec::Hetero(model), cfg)?;
     table.row(vec![label.to_string(), verdict_str(&v)]);
+    Ok(())
 }
 
 /// E13: the paper's open questions from Sec. 5 — *mixed* configurations.
@@ -980,39 +983,39 @@ fn hetero(opts: &CommonOpts, args: &[String]) -> Result<bool, ExpError> {
         &inst,
         &HeteroModel::uniform(inst.node_count(), rea),
         &cfg,
-    );
+    )?;
     analyze_row(
         &mut table,
         "all nodes event-driven (R1O)",
         &inst,
         &HeteroModel::uniform(inst.node_count(), r1o),
         &cfg,
-    );
+    )?;
     let mut h = HeteroModel::uniform(inst.node_count(), r1o);
     h.set_node(x, POLL);
-    analyze_row(&mut table, "x polls, y event-driven", &inst, &h, &cfg);
+    analyze_row(&mut table, "x polls, y event-driven", &inst, &h, &cfg)?;
     let mut h = HeteroModel::uniform(inst.node_count(), r1o);
     h.set_node(x, POLL);
     h.set_node(y, POLL);
-    analyze_row(&mut table, "x and y poll, d event-driven", &inst, &h, &cfg);
+    analyze_row(&mut table, "x and y poll, d event-driven", &inst, &h, &cfg)?;
     println!("{table}");
 
     println!("== Mixed channel reliability on DISAGREE under polling (REA) ==\n");
     let mut table = Table::new(vec!["configuration".into(), "verdict".into()]);
     let mut h = HeteroModel::uniform(inst.node_count(), rea);
     h.set_lossy(Channel::new(x, y));
-    analyze_row(&mut table, "lossy x->y only", &inst, &h, &cfg);
+    analyze_row(&mut table, "lossy x->y only", &inst, &h, &cfg)?;
     let mut h = HeteroModel::uniform(inst.node_count(), rea);
     h.set_lossy(Channel::new(x, y));
     h.set_lossy(Channel::new(y, x));
-    analyze_row(&mut table, "lossy x<->y", &inst, &h, &cfg);
+    analyze_row(&mut table, "lossy x<->y", &inst, &h, &cfg)?;
     analyze_row(
         &mut table,
         "all channels lossy (UEA)",
         &inst,
         &HeteroModel::uniform(inst.node_count(), "UEA".parse().expect("model")),
         &cfg,
-    );
+    )?;
     println!("{table}");
 
     println!("== Mixed node behavior on Fig. 6 ==\n");
@@ -1023,14 +1026,14 @@ fn hetero(opts: &CommonOpts, args: &[String]) -> Result<bool, ExpError> {
     let mut table = Table::new(vec!["configuration".into(), "verdict".into()]);
     let mut h = HeteroModel::uniform(inst.node_count(), reo);
     h.set_node(u, POLL);
-    analyze_row(&mut table, "u polls, rest REO", &inst, &h, &cfg);
+    analyze_row(&mut table, "u polls, rest REO", &inst, &h, &cfg)?;
     let mut h = HeteroModel::uniform(inst.node_count(), reo);
     h.set_node(u, POLL);
     h.set_node(v, POLL);
-    analyze_row(&mut table, "u and v poll, rest REO", &inst, &h, &cfg);
+    analyze_row(&mut table, "u and v poll, rest REO", &inst, &h, &cfg)?;
     let mut h = HeteroModel::uniform(inst.node_count(), "REA".parse().expect("model"));
     h.set_node(u, EVENT);
-    analyze_row(&mut table, "u event-driven, rest REA", &inst, &h, &cfg);
+    analyze_row(&mut table, "u event-driven, rest REA", &inst, &h, &cfg)?;
     println!("{table}");
     Ok(true)
 }
@@ -1048,7 +1051,7 @@ fn beyond(opts: &CommonOpts, args: &[String]) -> Result<bool, ExpError> {
     };
     opts.progress("harvesting exhaustive verdicts for all 24 models on DISAGREE…");
     let mut harvest_span = routelab_obs::span("beyond.harvest");
-    let seps = try_disagree_separations(&cfg)?;
+    let seps = disagree_separations(&cfg)?;
     harvest_span.field("separations", seps.len());
     drop(harvest_span);
     println!("{} empirical separations found\n", seps.len());
@@ -1268,7 +1271,7 @@ mod tests {
         let inst = overflowing_instance();
         let cfg = ExploreConfig { threads: Some(1), ..ExploreConfig::default() };
         let model = "R1O".parse().unwrap();
-        let spec = routelab_explore::effects::Spec::Uniform(model);
+        let spec = Spec::Uniform(model);
         let err = routelab_explore::graph::try_build_spec(&inst, spec, &cfg)
             .expect_err("the route table overflows");
         let msg = err.to_string();

@@ -11,9 +11,10 @@
 use routelab_core::closure::derive_bounds;
 use routelab_core::edges::foundational_facts;
 use routelab_core::model::CommModel;
+use routelab_explore::effects::Spec;
 use routelab_explore::error::ExploreError;
 use routelab_explore::graph::ExploreConfig;
-use routelab_explore::oscillation::{try_analyze, Verdict};
+use routelab_explore::oscillation::{analyze, Verdict};
 use routelab_spp::SppInstance;
 
 /// How a survey answer was obtained.
@@ -85,16 +86,6 @@ impl Default for SurveyConfig {
     }
 }
 
-/// Surveys all 24 models on one instance, panicking on explorer failures.
-///
-/// A thin wrapper over [`try_survey_instance`] for callers (mostly tests)
-/// that treat an [`ExploreError`] as a bug; the experiment binaries use the
-/// fallible variant so an overflowing cell is reported and exits nonzero
-/// instead of tearing the process down mid-table.
-pub fn survey_instance(inst: &SppInstance, cfg: &SurveyConfig) -> Vec<SurveyEntry> {
-    try_survey_instance(inst, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Surveys all 24 models on one instance.
 ///
 /// Phase 1 checks the probe models exhaustively and transfers their verdicts
@@ -107,7 +98,7 @@ pub fn survey_instance(inst: &SppInstance, cfg: &SurveyConfig) -> Vec<SurveyEntr
 ///
 /// Returns the first [`ExploreError`] any probe or direct check hits; the
 /// error names the offending gadget × model cell.
-pub fn try_survey_instance(
+pub fn survey_instance(
     inst: &SppInstance,
     cfg: &SurveyConfig,
 ) -> Result<Vec<SurveyEntry>, ExploreError> {
@@ -117,7 +108,7 @@ pub fn try_survey_instance(
         .iter()
         .map(|&m| {
             let mut probe_span = routelab_obs::span("survey.probe");
-            let v = try_analyze(inst, m, &cfg.explore)?;
+            let v = analyze(inst, Spec::Uniform(m), &cfg.explore)?;
             probe_span.field("model", m.to_string());
             Ok((m, v))
         })
@@ -168,7 +159,7 @@ pub fn try_survey_instance(
                 None => {
                     let mut direct_span = routelab_obs::span("survey.direct");
                     direct_span.field("model", model.to_string());
-                    match try_analyze(inst, model, &phase2_cfg)? {
+                    match analyze(inst, Spec::Uniform(model), &phase2_cfg)? {
                         Verdict::CanOscillate { .. } => SurveyOutcome::Oscillates { via: None },
                         Verdict::AlwaysConverges { .. } => SurveyOutcome::Converges { via: None },
                         Verdict::NoOscillationWithinBound { .. } => SurveyOutcome::Unknown,
@@ -193,7 +184,7 @@ mod tests {
     #[test]
     fn disagree_survey_matches_example_a1() {
         let inst = gadgets::disagree();
-        let entries = survey_instance(&inst, &SurveyConfig::default());
+        let entries = survey_instance(&inst, &SurveyConfig::default()).unwrap();
         assert_eq!(entries.len(), 24);
         // The five weak models converge (Thm 3.8)…
         for m in ["REO", "REF", "R1A", "RMA", "REA"] {
@@ -241,7 +232,7 @@ mod tests {
             direct_fallback: false,
             direct_budget: None,
         };
-        let entries = survey_instance(&inst, &cfg);
+        let entries = survey_instance(&inst, &cfg).unwrap();
         assert!(matches!(outcome_of(&entries, "REO"), SurveyOutcome::Oscillates { via: None }));
         assert!(matches!(outcome_of(&entries, "REA"), SurveyOutcome::Converges { via: None }));
         // The queueing models inherit the oscillation (REO is realized
@@ -270,7 +261,7 @@ mod tests {
             },
             ..SurveyConfig::default()
         };
-        let entries = survey_instance(&inst, &cfg);
+        let entries = survey_instance(&inst, &cfg).unwrap();
         for m in ["REO", "REF"] {
             assert!(matches!(outcome_of(&entries, m), SurveyOutcome::Oscillates { .. }), "{m}");
         }
@@ -286,7 +277,7 @@ mod tests {
     #[test]
     fn good_gadget_converges_everywhere() {
         let inst = gadgets::good_gadget();
-        let entries = survey_instance(&inst, &SurveyConfig::default());
+        let entries = survey_instance(&inst, &SurveyConfig::default()).unwrap();
         for e in &entries {
             assert!(
                 matches!(e.outcome, SurveyOutcome::Converges { .. }),
@@ -306,7 +297,7 @@ mod tests {
             explore: ExploreConfig { max_states: 20_000, ..ExploreConfig::default() },
             ..SurveyConfig::default()
         };
-        let entries = survey_instance(&inst, &cfg);
+        let entries = survey_instance(&inst, &cfg).unwrap();
         for e in &entries {
             assert!(
                 matches!(e.outcome, SurveyOutcome::Oscillates { .. }),

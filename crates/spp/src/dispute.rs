@@ -6,7 +6,7 @@
 //! This module provides:
 //!
 //! * [`find_dispute_wheel`] — exact dispute-wheel detection via a cycle
-//!   search over `(pivot node, spoke path)` states,
+//!   search over `(pivot node, spoke path)` states, linear in memory,
 //! * [`dispute_digraph`] / [`digraph_is_acyclic`] — a lightweight
 //!   *single-hop* dispute digraph in the spirit of GSW 2002: its acyclicity
 //!   rules out every wheel whose rims extend the next spoke by one hop (the
@@ -82,101 +82,120 @@ impl DisputeWheel {
     }
 }
 
-/// State of the wheel search: a `(node, spoke)` pair.
-type SpokeState = (NodeId, Path);
-
-/// Finds a dispute wheel if one exists (exact, polynomial in the number of
-/// permitted paths).
+/// Finds a dispute wheel if one exists (exact, and linear in memory: the
+/// search keeps one entry per state and per distinct arc target of a node).
 ///
 /// The search graph has a state per `(node u, spoke Q ∈ P_u)` and an arc
 /// `(u, Q_u) → (w, Q_w)` whenever some permitted path `W ∈ P_u` has proper
 /// suffix `Q_w` and `λ_u(W) ≤ λ_u(Q_u)`; any cycle is exactly a dispute
 /// wheel, and vice versa.
+///
+/// `P_u` is sorted by rank, so the arcs of the spoke at position `p` come
+/// from the paths up to the end of its rank run (ranks tie only through the
+/// same next hop): a prefix of one list per node, which holds each target
+/// at its first occurrence in rank order, with its `W`. A later occurrence
+/// would only be tried after the depth-first search had closed that target,
+/// and so would a target in the part of the list that a closed spoke of the
+/// same node already covers; a spoke's search starts past that part.
 pub fn find_dispute_wheel(inst: &SppInstance) -> Option<DisputeWheel> {
-    let states: Vec<SpokeState> = inst
-        .nodes()
-        .filter(|&v| v != inst.dest())
-        .flat_map(|v| inst.permitted(v).iter().map(move |rp| (v, rp.path.clone())))
-        .collect();
-    let index: HashMap<&SpokeState, usize> =
-        states.iter().enumerate().map(|(i, s)| (s, i)).collect();
+    // State ids: the spokes of node u are first[u]..first[u + 1], in
+    // preference order; the destination has none.
+    let mut first = vec![0usize; inst.node_count() + 1];
+    for v in inst.nodes() {
+        let spokes = if v == inst.dest() { 0 } else { inst.permitted(v).len() };
+        first[v.index() + 1] = first[v.index()] + spokes;
+    }
+    let states = first[inst.node_count()];
+    let owner = |s: usize| NodeId(first.partition_point(|&f| f <= s) as u32 - 1);
 
-    // Arcs, labeled with the rim path that witnesses them.
-    let mut arcs: Vec<Vec<(usize, Path)>> = vec![Vec::new(); states.len()];
-    for (si, (u, spoke)) in states.iter().enumerate() {
-        let spoke_rank = inst.rank(*u, spoke).expect("spokes are permitted");
-        for rp in inst.permitted(*u) {
-            if rp.rank > spoke_rank {
-                continue;
-            }
+    // One list per node of (target state, position of its W in P_u), the
+    // lists concatenated; per state, the end of its prefix. Per node,
+    // `closed` marks the end of the part of its list whose targets are all
+    // Black, starting at the list's start.
+    let mut arcs: Vec<(usize, usize)> = Vec::new();
+    let mut end = vec![0usize; states];
+    let mut closed = vec![0usize; inst.node_count()];
+    let mut listed_by = vec![usize::MAX; states];
+    for u in inst.nodes().filter(|&u| u != inst.dest()) {
+        closed[u.index()] = arcs.len();
+        let paths = inst.permitted(u);
+        let ends = &mut end[first[u.index()]..first[u.index() + 1]];
+        for (pos, rp) in paths.iter().enumerate() {
             let w_path = &rp.path;
             // Every proper suffix of W starting strictly after u and before d
             // is a candidate next spoke Q_w at node w.
-            for start in 1..w_path.len() - 1 {
-                let w = w_path.as_slice()[start];
-                let q = w_path.suffix(start);
-                if let Some(&ti) = index.get(&(w, q.clone())) {
-                    arcs[si].push((ti, w_path.clone()));
+            for at in 1..w_path.len() - 1 {
+                let w = w_path.as_slice()[at];
+                let Some(q) = inst.preference_position(w, &w_path.suffix(at)) else { continue };
+                let t = first[w.index()] + q as usize;
+                if listed_by[t] != u.index() {
+                    listed_by[t] = u.index();
+                    arcs.push((t, pos));
                 }
+            }
+            ends[pos] = arcs.len();
+        }
+        // A spoke's prefix runs to the end of its rank run.
+        for pos in (1..paths.len()).rev() {
+            if paths[pos - 1].rank == paths[pos].rank {
+                ends[pos - 1] = ends[pos];
             }
         }
     }
 
-    // DFS cycle detection, recovering the cycle and its rim labels.
+    // DFS cycle detection. The stack is the current path: each entry holds a
+    // state and its next arc, so the arc it took is the one before.
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
         White,
         Gray,
         Black,
     }
-    let mut mark = vec![Mark::White; states.len()];
-    let mut stack: Vec<(usize, usize)> = Vec::new(); // (state, next arc index)
-    let mut path_states: Vec<usize> = Vec::new();
-    let mut path_rims: Vec<Path> = Vec::new();
-
-    for root in 0..states.len() {
+    let mut mark = vec![Mark::White; states];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..states {
         if mark[root] != Mark::White {
             continue;
         }
         mark[root] = Mark::Gray;
-        stack.push((root, 0));
-        path_states.push(root);
+        stack.push((root, closed[owner(root).index()].min(end[root])));
         while let Some(&(s, next)) = stack.last() {
-            if next < arcs[s].len() {
-                let (t, rim) = arcs[s][next].clone();
+            if next < end[s] {
+                let t = arcs[next].0;
                 stack.last_mut().expect("stack is non-empty").1 += 1;
                 match mark[t] {
                     Mark::Gray => {
-                        // Cycle found: states from t's position in path.
-                        let pos = path_states
+                        // Cycle found: the stack from t up, each with the rim
+                        // of the arc it took (the top's is the closing arc).
+                        let pos = stack
                             .iter()
-                            .position(|&x| x == t)
-                            .expect("gray states are on the path");
-                        let mut pivots = Vec::new();
-                        for (k, &si) in path_states[pos..].iter().enumerate() {
-                            let (node, spoke) = states[si].clone();
-                            let rim = if pos + k + 1 < path_states.len() {
-                                path_rims[pos + k].clone()
-                            } else {
-                                rim.clone() // closing arc
-                            };
-                            pivots.push(WheelPivot { node, spoke, rim });
-                        }
+                            .position(|&(x, _)| x == t)
+                            .expect("gray states are on the stack");
+                        let pivots = stack[pos..]
+                            .iter()
+                            .map(|&(s, next)| {
+                                let node = owner(s);
+                                let paths = inst.permitted(node);
+                                WheelPivot {
+                                    node,
+                                    spoke: paths[s - first[node.index()]].path.clone(),
+                                    rim: paths[arcs[next - 1].1].path.clone(),
+                                }
+                            })
+                            .collect();
                         return Some(DisputeWheel { pivots });
                     }
                     Mark::White => {
                         mark[t] = Mark::Gray;
-                        path_rims.push(rim);
-                        stack.push((t, 0));
-                        path_states.push(t);
+                        stack.push((t, closed[owner(t).index()].min(end[t])));
                     }
                     Mark::Black => {}
                 }
             } else {
                 mark[s] = Mark::Black;
+                let u = owner(s).index();
+                closed[u] = closed[u].max(end[s]);
                 stack.pop();
-                path_states.pop();
-                path_rims.pop();
             }
         }
     }
@@ -294,7 +313,7 @@ pub fn digraph_is_acyclic(g: &DisputeDigraph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gadgets;
+    use crate::{gadgets, RankedPath};
 
     #[test]
     fn disagree_has_a_wheel() {
@@ -360,6 +379,28 @@ mod tests {
         let s = wheel.display(&inst);
         assert!(s.contains("spoke"), "{s}");
         assert!(s.contains("rim"), "{s}");
+    }
+
+    /// Node 1 of a complete 9-node graph permits all 13,700 of its simple
+    /// paths to d, its direct path last; node 2 prefers `2 1 d` to `2 d`,
+    /// and every other node permits its direct path. A detector that stores
+    /// an arc per (spoke, W) pair holds about 94 million arcs here.
+    #[test]
+    fn a_node_with_every_simple_path_is_searched_in_linear_memory() {
+        let (g, names, mut permitted) = crate::generator::every_path_parts(9);
+        assert_eq!(permitted[1].len(), 13_700);
+        let (d, one, two) = (NodeId(0), NodeId(1), NodeId(2));
+        let path = |nodes: &[u32]| Path::new(nodes.iter().map(|&v| NodeId(v)).collect()).unwrap();
+        permitted[2] = vec![
+            RankedPath { path: path(&[2, 1, 0]), rank: 1 },
+            RankedPath { path: path(&[2, 0]), rank: 2 },
+        ];
+        let inst = SppInstance::from_parts(g, d, names, permitted).unwrap();
+        let wheel = find_dispute_wheel(&inst).expect("nodes 1 and 2 dispute");
+        assert!(wheel.verify(&inst), "{}", wheel.display(&inst));
+        let mut pivots: Vec<NodeId> = wheel.pivots.iter().map(|p| p.node).collect();
+        pivots.sort();
+        assert_eq!(pivots, [one, two], "{}", wheel.display(&inst));
     }
 
     #[test]

@@ -365,6 +365,32 @@ fn is_valley_free(p: &Path, rel: &std::collections::HashMap<(NodeId, NodeId), St
     true
 }
 
+/// The graph, names and permitted paths of a complete `n`-node graph with
+/// destination `n0`, where `n1` permits every simple path to it (13,700 for
+/// n = 9, 109,601 for n = 10), its direct path last, and every other node
+/// its direct path.
+#[cfg(test)]
+pub(crate) fn every_path_parts(n: usize) -> (Graph, Vec<String>, Vec<Vec<RankedPath>>) {
+    let mut g = Graph::new(n);
+    for a in 0..n as u32 {
+        for b in a + 1..n as u32 {
+            g.add_edge(NodeId(a), NodeId(b)).expect("distinct nodes of the graph");
+        }
+    }
+    let d = NodeId(0);
+    let mut paths = enumerate_simple_paths(&g, NodeId(1), d, n, usize::MAX);
+    paths.sort_by_key(|p| p.len() == 2);
+    let direct = |v: u32| {
+        let path = Path::new(vec![NodeId(v), d]).expect("a simple path");
+        vec![RankedPath { path, rank: 1 }]
+    };
+    let mut permitted = vec![vec![RankedPath { path: Path::trivial(d), rank: 0 }]];
+    permitted.extend((1..n as u32).map(direct));
+    permitted[1] = (1..).zip(paths).map(|(rank, path)| RankedPath { path, rank }).collect();
+    let names = (0..n).map(|i| format!("n{i}")).collect();
+    (g, names, permitted)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

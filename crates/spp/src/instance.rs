@@ -822,21 +822,9 @@ mod tests {
     /// linear validation does not.
     #[test]
     fn a_node_with_every_simple_path_validates() {
-        let n = 10;
-        let mut g = Graph::new(n);
-        for a in 0..n as u32 {
-            for b in a + 1..n as u32 {
-                g.add_edge(NodeId(a), NodeId(b)).unwrap();
-            }
-        }
-        let d = NodeId(0);
-        let paths = crate::generator::enumerate_simple_paths(&g, NodeId(1), d, n, usize::MAX);
-        assert_eq!(paths.len(), 109_601);
-        let mut permitted = vec![Vec::new(); n];
-        permitted[0] = vec![RankedPath { path: Path::trivial(d), rank: 0 }];
-        permitted[1] = (1..).zip(paths).map(|(rank, path)| RankedPath { path, rank }).collect();
-        let names = (0..n).map(|i| format!("n{i}")).collect();
-        let inst = SppInstance::from_parts(g, d, names, permitted).unwrap();
+        let (g, names, permitted) = crate::generator::every_path_parts(10);
+        assert_eq!(permitted[1].len(), 109_601);
+        let inst = SppInstance::from_parts(g, NodeId(0), names, permitted).unwrap();
         assert_eq!(inst.permitted(NodeId(1)).len(), 109_601);
     }
 }

@@ -1,14 +1,23 @@
 //! Property tests for the SPP substrate.
 
+mod support {
+    pub mod dispute_oracle;
+}
+
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use routelab_spp::dispute::{digraph_is_acyclic, dispute_digraph, find_dispute_wheel};
-use routelab_spp::format;
 use routelab_spp::generator::{
     enumerate_simple_paths, gao_rexford_instance, random_connected_graph, random_instance,
     shortest_path_instance, RandomSppConfig,
 };
 use routelab_spp::solve::{enumerate_stable_assignments, is_consistent, is_stable};
-use routelab_spp::{NodeId, Path, Route, RouteId, RouteTable, SppInstance, NO_CANDIDATE};
+use routelab_spp::{
+    format, gadgets, NodeId, Path, Route, RouteId, RouteTable, SppBuilder, SppInstance,
+    NO_CANDIDATE,
+};
+use support::dispute_oracle::find_dispute_wheel_reference;
 
 fn arb_instance() -> impl Strategy<Value = SppInstance> {
     (2usize..9, 0usize..6, 0u64..5_000).prop_map(|(nodes, extra, seed)| {
@@ -21,6 +30,33 @@ fn arb_instance() -> impl Strategy<Value = SppInstance> {
         })
         .expect("generator output validates")
     })
+}
+
+/// `inst` with each permitted path's rank tied, on a seeded coin, to that of
+/// the path before it when both leave through the same next hop (the ties
+/// `validate` allows).
+fn with_rank_ties(inst: &SppInstance, seed: u64) -> SppInstance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let permitted = inst
+        .nodes()
+        .map(|v| {
+            let mut perms = inst.permitted(v).to_vec();
+            for i in 1..perms.len() {
+                if perms[i].path.next_hop() == perms[i - 1].path.next_hop() && rng.gen_bool(0.5) {
+                    perms[i].rank = perms[i - 1].rank;
+                }
+            }
+            perms
+        })
+        .collect();
+    let names = inst.nodes().map(|v| inst.name(v).to_string()).collect();
+    SppInstance::from_parts(inst.graph().clone(), inst.dest(), names, permitted)
+        .expect("ties through one next hop validate")
+}
+
+/// `true` when two of a node's permitted paths share a rank.
+fn has_rank_tie(inst: &SppInstance) -> bool {
+    inst.nodes().any(|v| inst.permitted(v).windows(2).any(|w| w[0].rank == w[1].rank))
 }
 
 proptest! {
@@ -63,6 +99,13 @@ proptest! {
         if let Some(wheel) = find_dispute_wheel(&inst) {
             prop_assert!(wheel.verify(&inst));
         }
+    }
+
+    #[test]
+    fn wheel_detection_matches_the_reference(inst in arb_instance(), tie_seed in 0u64..1_000) {
+        prop_assert_eq!(find_dispute_wheel(&inst), find_dispute_wheel_reference(&inst));
+        let tied = with_rank_ties(&inst, tie_seed);
+        prop_assert_eq!(find_dispute_wheel(&tied), find_dispute_wheel_reference(&tied));
     }
 
     #[test]
@@ -116,6 +159,7 @@ proptest! {
         let g = random_connected_graph(n, extra, &mut rng);
         let inst = shortest_path_instance(g, NodeId(0), 5, 6).expect("valid instance");
         prop_assert!(find_dispute_wheel(&inst).is_none());
+        prop_assert!(find_dispute_wheel_reference(&inst).is_none());
     }
 
     #[test]
@@ -123,6 +167,7 @@ proptest! {
         let inst = gao_rexford_instance(n, seed, 6, 5).expect("valid instance");
         prop_assert!(inst.validate().is_ok());
         prop_assert!(find_dispute_wheel(&inst).is_none());
+        prop_assert!(find_dispute_wheel_reference(&inst).is_none());
     }
 
     #[test]
@@ -211,4 +256,62 @@ proptest! {
         prop_assert!(q.has_suffix(&p));
         prop_assert_eq!(q.len(), p.len() + 1);
     }
+}
+
+/// Equal ranks are equally preferred: u's spoke `uad` ties with `uavd`, a
+/// rim onto v's spoke `vd`, so u and v dispute although `uavd` sorts after
+/// `uad`.
+fn tied_spokes() -> SppInstance {
+    let mut b = SppBuilder::new();
+    let [d, u, v, a] = ["d", "u", "v", "a"].map(|name| b.node(name));
+    for (x, y) in [(u, a), (a, d), (a, v), (v, d), (u, v)] {
+        b.edge_between(x, y).unwrap();
+    }
+    b.dest(d).unwrap();
+    for (at, nodes, rank) in [
+        (u, vec![u, a, d], 1),
+        (u, vec![u, a, v, d], 1),
+        (v, vec![v, u, a, d], 1),
+        (v, vec![v, d], 2),
+    ] {
+        b.permit_with_rank(at, Path::new(nodes).unwrap(), rank).unwrap();
+    }
+    b.build().expect("the tie is through one next hop")
+}
+
+/// The linear-memory detector returns the reference's wheel, pivot for
+/// pivot, on every corpus gadget, on `tied_spokes`, and on seeded random
+/// instances of 2 to 8 nodes, each also with some of its ranks tied.
+#[test]
+fn wheel_detection_matches_the_reference_on_the_corpus_and_seeded_instances() {
+    for (name, inst) in gadgets::corpus().into_iter().chain([("TIED-SPOKES", tied_spokes())]) {
+        assert_eq!(find_dispute_wheel(&inst), find_dispute_wheel_reference(&inst), "{name}");
+    }
+    let (mut wheels, mut free, mut tied_wheels) = (0, 0, 0);
+    for nodes in 2..9 {
+        for seed in 0..300 {
+            let cfg = RandomSppConfig {
+                nodes,
+                extra_edges: 4,
+                max_paths_per_node: 5,
+                max_path_len: 6,
+                seed,
+            };
+            let inst = random_instance(&cfg).expect("generator output validates");
+            let wheel = find_dispute_wheel(&inst);
+            assert_eq!(wheel, find_dispute_wheel_reference(&inst), "{cfg:?}");
+            if wheel.is_some() {
+                wheels += 1;
+            } else {
+                free += 1;
+            }
+            let tied = with_rank_ties(&inst, seed);
+            let wheel = find_dispute_wheel(&tied);
+            assert_eq!(wheel, find_dispute_wheel_reference(&tied), "{cfg:?}, tied: {tied}");
+            tied_wheels += usize::from(wheel.is_some() && has_rank_tie(&tied));
+        }
+    }
+    // Floors, so that the comparison cannot pass vacuously.
+    assert!(wheels >= 300 && free >= 300, "{wheels} with a wheel, {free} without");
+    assert!(tied_wheels >= 300, "{tied_wheels} with a rank tie and a wheel");
 }

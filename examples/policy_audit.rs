@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SurveyConfig::default()
     };
     println!("\nper-model verdicts:");
-    for entry in survey_instance(&inst, &cfg) {
+    for entry in survey_instance(&inst, &cfg)? {
         let verdict = match entry.outcome {
             SurveyOutcome::Oscillates { via: None } => "can oscillate (exhaustive)".to_string(),
             SurveyOutcome::Oscillates { via: Some(p) } => {

@@ -45,12 +45,14 @@
 //! transform route between two models and validates it end to end on a fair
 //! run before printing it.
 
+use std::error::Error;
 use std::process::ExitCode;
 
 use routelab::core::model::CommModel;
 use routelab::engine::outcome::{drive, RunOutcome};
 use routelab::engine::runner::Runner;
 use routelab::engine::schedule::Cyclic;
+use routelab::explore::effects::Spec;
 use routelab::explore::graph::ExploreConfig;
 use routelab::explore::oscillation::{analyze, Verdict};
 use routelab::explore::witness::oscillation_witness;
@@ -63,6 +65,9 @@ use routelab::sim::pool::PoolConfig;
 use routelab::sim::survey::{survey_instance, SurveyConfig, SurveyOutcome};
 use routelab::spp::solve::{enumerate_stable_assignments, fmt_assignment};
 use routelab::spp::{dispute, format, gadgets, SppInstance};
+
+/// A subcommand's outcome; `main` prints an error as one `error:` line.
+type CliResult = Result<(), Box<dyn Error>>;
 
 fn load_instance(spec: &str) -> Result<SppInstance, String> {
     for (name, inst) in gadgets::corpus() {
@@ -87,9 +92,9 @@ fn cmd_models() {
     println!("message per channel; queueing = unrestricted (closest to deployed BGP).");
 }
 
-fn cmd_audit(inst: &SppInstance) -> Result<(), String> {
+fn cmd_audit(inst: &SppInstance) -> CliResult {
     print!("{inst}");
-    let solutions = enumerate_stable_assignments(inst, 10_000_000).map_err(|e| e.to_string())?;
+    let solutions = enumerate_stable_assignments(inst, 10_000_000)?;
     println!("stable path assignments: {}", solutions.len());
     for s in solutions.iter().take(8) {
         println!("  {}", fmt_assignment(inst, s));
@@ -106,7 +111,7 @@ fn cmd_audit(inst: &SppInstance) -> Result<(), String> {
         explore: ExploreConfig { channel_cap: 3, ..ExploreConfig::default() },
         ..SurveyConfig::default()
     };
-    for entry in survey_instance(inst, &cfg) {
+    for entry in survey_instance(inst, &cfg)? {
         let v = match entry.outcome {
             SurveyOutcome::Oscillates { via: None } => "can oscillate".into(),
             SurveyOutcome::Oscillates { via: Some(p) } => format!("can oscillate (via {p})"),
@@ -119,8 +124,8 @@ fn cmd_audit(inst: &SppInstance) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solve(inst: &SppInstance) -> Result<(), String> {
-    let solutions = enumerate_stable_assignments(inst, 50_000_000).map_err(|e| e.to_string())?;
+fn cmd_solve(inst: &SppInstance) -> CliResult {
+    let solutions = enumerate_stable_assignments(inst, 50_000_000)?;
     println!("{} stable path assignment(s)", solutions.len());
     for s in &solutions {
         println!("  {}", fmt_assignment(inst, s));
@@ -128,13 +133,13 @@ fn cmd_solve(inst: &SppInstance) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_check(inst: &SppInstance, model: CommModel, want_witness: bool) -> Result<(), String> {
+fn cmd_check(inst: &SppInstance, model: CommModel, want_witness: bool) -> CliResult {
     let cfg = ExploreConfig { channel_cap: 3, max_states: 1_000_000, ..ExploreConfig::default() };
-    match analyze(inst, model, &cfg) {
+    match analyze(inst, Spec::Uniform(model), &cfg)? {
         Verdict::CanOscillate { states, scc_size } => {
             println!("{model}: CAN OSCILLATE (fair SCC of {scc_size} states; {states} explored)");
             if want_witness {
-                let w = oscillation_witness(inst, model, &cfg)
+                let w = oscillation_witness(inst, model, &cfg)?
                     .ok_or("witness extraction failed unexpectedly")?;
                 println!("witness prefix ({} steps):", w.prefix.len());
                 for s in &w.prefix {
@@ -164,14 +169,9 @@ fn cmd_check(inst: &SppInstance, model: CommModel, want_witness: bool) -> Result
     Ok(())
 }
 
-fn cmd_realize(
-    inst: &SppInstance,
-    from: CommModel,
-    to: CommModel,
-    steps: usize,
-) -> Result<(), String> {
+fn cmd_realize(inst: &SppInstance, from: CommModel, to: CommModel, steps: usize) -> CliResult {
     let seq = fair_prefix(inst, from, steps);
-    match verify_path(inst, &seq, from, to).map_err(|e| e.to_string())? {
+    match verify_path(inst, &seq, from, to)? {
         Some(report) => {
             println!("{report}");
             println!("holds: {}", report.holds());
@@ -181,20 +181,19 @@ fn cmd_realize(
     Ok(())
 }
 
-fn cmd_plan(args: &[String]) -> Result<(), String> {
+fn cmd_plan(args: &[String]) -> CliResult {
     let usage = "usage: routelab plan <from-model> <to-model> [instance]";
     let from = parse_model(args.first().ok_or(usage)?)?;
     let to = parse_model(args.get(1).ok_or(usage)?)?;
     let spec = args.get(2).map(String::as_str).unwrap_or("FIG6");
     let inst = load_instance(spec)?;
     let reg = routelab::realize::Registry::global();
-    let out = routelab::sim::pipeline::render_plan(reg, &inst, spec, from, to)
-        .map_err(|e| e.to_string())?;
+    let out = routelab::sim::pipeline::render_plan(reg, &inst, spec, from, to)?;
     print!("{out}");
     Ok(())
 }
 
-fn cmd_pipeline(args: &[String]) -> Result<(), String> {
+fn cmd_pipeline(args: &[String]) -> CliResult {
     let usage = "usage: routelab pipeline \"<source> | <stage> | …\"\n\
                  \u{20}  e.g. routelab pipeline \"fig6 | split | pad | verify\"";
     let spec = match args {
@@ -204,12 +203,12 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
         many => many.join(" "),
     };
     let reg = routelab::realize::Registry::global();
-    let out = routelab::sim::pipeline::render_pipeline(reg, &spec).map_err(|e| e.to_string())?;
+    let out = routelab::sim::pipeline::render_pipeline(reg, &spec)?;
     print!("{out}");
     Ok(())
 }
 
-fn cmd_transforms(args: &[String]) -> Result<(), String> {
+fn cmd_transforms(args: &[String]) -> CliResult {
     let usage = "usage: routelab transforms list";
     match args.first().map(String::as_str) {
         Some("list") => {
@@ -221,16 +220,11 @@ fn cmd_transforms(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_simulate(
-    inst: &SppInstance,
-    model: CommModel,
-    runs: usize,
-    pool: &PoolConfig,
-) -> Result<(), String> {
+fn cmd_simulate(inst: &SppInstance, model: CommModel, runs: usize, pool: &PoolConfig) -> CliResult {
     let cfg = CellConfig { runs, max_steps: 30_000, seed: 42, drop_prob: 0.25 };
     // One cell, decomposed into per-run jobs on the worker pool; the
     // statistics are identical for every thread count.
-    let cells = try_run_grid_with(inst, &[model], &cfg, pool).map_err(|e| e.to_string())?;
+    let cells = try_run_grid_with(inst, &[model], &cfg, pool)?;
     let stats = cells[0].stats;
     println!(
         "{model}: {}/{} runs converged (rate {:.2}), mean steps {:.1}, mean messages {:.1}, mean drops {:.1}",
@@ -244,7 +238,7 @@ fn cmd_simulate(
     Ok(())
 }
 
-fn cmd_obs_summarize(args: &[String]) -> Result<(), String> {
+fn cmd_obs_summarize(args: &[String]) -> CliResult {
     let usage = "usage: routelab obs summarize <telemetry-dir> [--json]";
     match args.first().map(String::as_str) {
         Some("summarize") => {
@@ -289,7 +283,7 @@ fn witness_config() -> ExploreConfig {
     ExploreConfig { channel_cap: 3, max_states: 1_000_000, ..ExploreConfig::default() }
 }
 
-fn cmd_trace(args: &[String], opts: &CommonOpts) -> Result<(), String> {
+fn cmd_trace(args: &[String], opts: &CommonOpts) -> CliResult {
     let usage = "usage: routelab trace record <instance> <model>\n\
                  \u{20}      routelab trace explain <trace.ndjson>\n\
                  \u{20}      routelab trace export-chrome <trace.ndjson> [-o <out.json>]";
@@ -319,7 +313,7 @@ fn cmd_trace_record(
     spec: &str,
     model: CommModel,
     opts: &CommonOpts,
-) -> Result<(), String> {
+) -> CliResult {
     // Enable tracing before the exploration so the explorer's phase spans
     // land in the same file (idempotent when --trace already enabled it).
     let path = routelab::obs::enable_trace_to_dir(&routelab::obs::telemetry_dir(), "routelab")
@@ -327,7 +321,7 @@ fn cmd_trace_record(
     routelab::obs::trace_note("gadget", spec);
     routelab::obs::trace_note("model", &model.to_string());
     opts.progress(format!("searching {spec} × {model} for a fair oscillation …"));
-    let w = oscillation_witness(inst, model, &witness_config()).ok_or_else(|| {
+    let w = oscillation_witness(inst, model, &witness_config())?.ok_or_else(|| {
         format!(
             "{spec} under {model}: no fair oscillation within bounds — nothing to record \
              (try a divergent cell such as FIG6 REO or DISAGREE R1O)"
@@ -345,7 +339,7 @@ fn cmd_trace_record(
         RunOutcome::CycleDetected { period, oscillating, .. } => {
             opts.progress(format!("cycle confirmed: period {period}, oscillating {oscillating}"));
         }
-        other => return Err(format!("witness replay did not cycle: {other:?}")),
+        other => return Err(format!("witness replay did not cycle: {other:?}").into()),
     }
     routelab::obs::shutdown();
     // The trace path is the last stdout line so scripts can `tail -n 1` it.
@@ -356,7 +350,7 @@ fn cmd_trace_record(
 /// Reconstructs the oscillation cycle recorded in a trace file and, when the
 /// trace names its gadget × model cell, cross-checks the cycle's route
 /// adoptions against a fresh replay of the explorer's witness.
-fn cmd_trace_explain(path: &str, opts: &CommonOpts) -> Result<(), String> {
+fn cmd_trace_explain(path: &str, opts: &CommonOpts) -> CliResult {
     let content =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     let tf = parse_trace(&content)?;
@@ -369,7 +363,7 @@ fn cmd_trace_explain(path: &str, opts: &CommonOpts) -> Result<(), String> {
     let inst = load_instance(gadget)?;
     let model = parse_model(model)?;
     opts.progress(format!("cross-checking against the explorer's witness for {gadget} × {model}"));
-    let w = oscillation_witness(&inst, model, &witness_config()).ok_or_else(|| {
+    let w = oscillation_witness(&inst, model, &witness_config())?.ok_or_else(|| {
         format!("cross-check failed: the explorer finds no oscillation for {gadget} × {model}")
     })?;
     // Replay the witness exactly as `trace record` did and collect the route
@@ -409,11 +403,12 @@ fn cmd_trace_explain(path: &str, opts: &CommonOpts) -> Result<(), String> {
             "witness cross-check MISMATCH:\n  trace:   {}\n  witness: {}",
             fmt(&report.pi_changes),
             fmt(&expected)
-        ))
+        )
+        .into())
     }
 }
 
-fn cmd_trace_export(path: &str, out: Option<&str>) -> Result<(), String> {
+fn cmd_trace_export(path: &str, out: Option<&str>) -> CliResult {
     let content =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     let tf = parse_trace(&content)?;
@@ -431,7 +426,7 @@ fn cmd_trace_export(path: &str, out: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn run(opts: &CommonOpts) -> Result<(), String> {
+fn run(opts: &CommonOpts) -> CliResult {
     let args = &opts.rest;
     let usage = "usage: routelab <models|audit|solve|check|realize|plan|pipeline|transforms|\
          simulate|exp|obs|trace> …\n\
@@ -487,7 +482,7 @@ fn run(opts: &CommonOpts) -> Result<(), String> {
             println!("           `trace explain <file>` reconstructs its oscillation cycle,");
             println!("           `trace export-chrome <file>` emits Perfetto-loadable JSON");
         }
-        Some(other) => return Err(format!("unknown subcommand {other:?}\n{usage}")),
+        Some(other) => return Err(format!("unknown subcommand {other:?}\n{usage}").into()),
     }
     Ok(())
 }

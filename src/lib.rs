@@ -28,21 +28,21 @@
 //!
 //! ```
 //! use routelab::spp::gadgets;
-//! use routelab::explore::{analyze, Verdict, ExploreConfig};
+//! use routelab::explore::{analyze, ExploreConfig, Spec, Verdict};
 //!
 //! // DISAGREE (Fig. 5) oscillates under event-driven message passing…
 //! let disagree = gadgets::disagree();
 //! let cfg = ExploreConfig::default();
 //! assert!(matches!(
-//!     analyze(&disagree, "R1O".parse()?, &cfg),
+//!     analyze(&disagree, Spec::Uniform("R1O".parse()?), &cfg)?,
 //!     Verdict::CanOscillate { .. }
 //! ));
 //! // …but always converges when nodes poll their neighbors' current state.
 //! assert!(matches!(
-//!     analyze(&disagree, "REA".parse()?, &cfg),
+//!     analyze(&disagree, Spec::Uniform("REA".parse()?), &cfg)?,
 //!     Verdict::AlwaysConverges { .. }
 //! ));
-//! # Ok::<(), routelab::core::model::ParseModelError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub use routelab_core as core;

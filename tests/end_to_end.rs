@@ -8,6 +8,7 @@ use routelab::engine::runner::Runner;
 use routelab::engine::schedule::{RandomFair, RoundRobin, Scheduler};
 use routelab::explore::graph::ExploreConfig;
 use routelab::explore::oscillation::{analyze, Verdict};
+use routelab::explore::Spec;
 use routelab::realize::verify::verify_path;
 use routelab::spp::{format, gadgets};
 
@@ -31,11 +32,9 @@ fn parsed_instance_behaves_like_the_gadget() {
     assert_eq!(inst, gadgets::disagree());
     // It oscillates in R1O and converges in REA, like the built-in one.
     let cfg = ExploreConfig::default();
-    assert!(matches!(analyze(&inst, "R1O".parse().unwrap(), &cfg), Verdict::CanOscillate { .. }));
-    assert!(matches!(
-        analyze(&inst, "REA".parse().unwrap(), &cfg),
-        Verdict::AlwaysConverges { .. }
-    ));
+    let verdict = |model: &str| analyze(&inst, Spec::Uniform(model.parse().unwrap()), &cfg);
+    assert!(matches!(verdict("R1O").unwrap(), Verdict::CanOscillate { .. }));
+    assert!(matches!(verdict("REA").unwrap(), Verdict::AlwaysConverges { .. }));
 }
 
 #[test]

@@ -13,6 +13,7 @@ use routelab::engine::schedule::Cyclic;
 use routelab::explore::graph::ExploreConfig;
 use routelab::explore::oscillation::{analyze, Verdict};
 use routelab::explore::trace_search::{search, SearchGoal};
+use routelab::explore::Spec;
 use routelab::realize::verify::verify_path;
 use routelab::spp::gadgets;
 
@@ -55,12 +56,10 @@ fn appendix_a_step_tables_replay_exactly() {
 fn disagree_separation_thm_3_8() {
     let inst = gadgets::disagree();
     let cfg = ExploreConfig::default();
-    assert!(matches!(analyze(&inst, "R1O".parse().unwrap(), &cfg), Verdict::CanOscillate { .. }));
+    let verdict = |model: &str| analyze(&inst, Spec::Uniform(model.parse().unwrap()), &cfg);
+    assert!(matches!(verdict("R1O").unwrap(), Verdict::CanOscillate { .. }));
     for weak in ["REO", "REF", "R1A", "RMA", "REA"] {
-        assert!(
-            matches!(analyze(&inst, weak.parse().unwrap(), &cfg), Verdict::AlwaysConverges { .. }),
-            "{weak}"
-        );
+        assert!(matches!(verdict(weak).unwrap(), Verdict::AlwaysConverges { .. }), "{weak}");
     }
 }
 
@@ -89,23 +88,24 @@ fn negative_examples_a3_a4_a5_via_search() {
     };
     let a3 = paper_runs::a3_reo();
     let t3 = Runner::trace_of(&a3.instance, &a3.seq);
-    assert!(
-        search(&a3.instance, "R1O".parse().unwrap(), &t3, SearchGoal::Exact, &cfg).is_impossible()
-    );
+    assert!(search(&a3.instance, "R1O".parse().unwrap(), &t3, SearchGoal::Exact, &cfg)
+        .unwrap()
+        .is_impossible());
 
     let a4 = paper_runs::a4_rea();
     let t4 = Runner::trace_of(&a4.instance, &a4.seq);
     assert!(search(&a4.instance, "R1O".parse().unwrap(), &t4, SearchGoal::Repetition, &cfg)
+        .unwrap()
         .is_impossible());
-    assert!(
-        search(&a4.instance, "R1O".parse().unwrap(), &t4, SearchGoal::Subsequence, &cfg).is_found()
-    );
+    assert!(search(&a4.instance, "R1O".parse().unwrap(), &t4, SearchGoal::Subsequence, &cfg)
+        .unwrap()
+        .is_found());
 
     let a5 = paper_runs::a5_rea();
     let t5 = Runner::trace_of(&a5.instance, &a5.seq);
-    assert!(
-        search(&a5.instance, "R1S".parse().unwrap(), &t5, SearchGoal::Exact, &cfg).is_impossible()
-    );
+    assert!(search(&a5.instance, "R1S".parse().unwrap(), &t5, SearchGoal::Exact, &cfg)
+        .unwrap()
+        .is_impossible());
 }
 
 #[test]
