@@ -37,11 +37,11 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// headline run staying above this.
 const BASELINE_UNREDUCED_STATES_PER_S: f64 = 10_881.6;
 
-/// The determinism contract: same states, π fingerprints, edge store
+/// The determinism contract: same states, edge store
 /// (targets, step ids, π-change bits, group elements and the step table)
 /// and truncation flag.
 fn identical(a: &StateGraph, b: &StateGraph) -> bool {
-    a.nodes == b.nodes && a.pi_fp == b.pi_fp && a.edges == b.edges && a.truncated == b.truncated
+    a.nodes == b.nodes && a.edges == b.edges && a.truncated == b.truncated
 }
 
 fn main() {

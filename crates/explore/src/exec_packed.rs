@@ -16,7 +16,7 @@
 //! same rule the engine's interned kernel runs; announcing appends one
 //! word to each out-channel queue. No routes are ever materialized.
 //!
-//! Every state a build stores is in its normal form ([`channel_modes`]):
+//! Every state a build stores is in its normal form (`channel_modes`):
 //! the root has empty queues, successors are written in it, and symmetry
 //! images keep it. A step changes only the channels it consumes from or
 //! appends to, so only those can leave the normal form. The kernel settles
@@ -24,7 +24,7 @@
 //! set collapse, absorbed-head pops) and cap-checks it; every other channel
 //! copies verbatim. A step that consumes nothing changes no queue and no ρ,
 //! so it is a self-loop exactly when its updater's choice already equals
-//! the route it has chosen and announced ([`ExecTables::is_self_loop`]).
+//! the route it has chosen and announced (`ExecTables::is_self_loop`).
 //!
 //! Equivalence with the engine (pinned by the differential tests below and
 //! in [`crate::graph`], and by the graph-level suites):
@@ -40,7 +40,6 @@
 //!
 //! [`NetworkState`]: routelab_engine::state::NetworkState
 //! [`NetworkState::collapse_queues_to_newest`]: routelab_engine::state::NetworkState::collapse_queues_to_newest
-//! [`channel_modes`]: crate::reduce::channel_modes
 
 use routelab_engine::index::ChannelIndex;
 use routelab_spp::{NodeId, RouteId, RouteTable};

@@ -45,7 +45,7 @@
 //!
 //! **Flat buffers.** Nodes are plain `u16` word buffers. A worker's
 //! [`Candidates`] keeps every candidate's words back to back, with its end
-//! offset, its fingerprint ([`hash_words`], computed on the worker) and its
+//! offset, its fingerprint (`hash_words`, computed on the worker) and its
 //! `Copy` label alongside, and per parent the end of its candidates and
 //! whether a bound cut its expansion. The buffer is cleared, capacity kept,
 //! for every block, so a search holds one buffer and one client scratch per

@@ -39,7 +39,6 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use routelab_core::dims::NeighborScope;
 use routelab_engine::index::ChannelIndex;
@@ -213,14 +212,17 @@ impl EdgeStore {
         rows as u64 + self.infos.iter().map(StepInfo::bytes).sum::<u64>()
     }
 
+    /// The group element of edge `e` (0 when the store keeps none).
+    pub(crate) fn sym(&self, e: usize) -> u16 {
+        self.sym.as_ref().map_or(0, |syms| syms[e])
+    }
+
     fn edge(&self, e: usize) -> Edge<'_> {
-        let step = self.steps[e];
         Edge {
             to: self.targets[e] as usize,
             changes_pi: self.pi[e / 64] >> (e % 64) & 1 == 1,
-            sym: self.sym.as_ref().map_or(0, |syms| syms[e]),
-            step_id: step,
-            info: &self.infos[step as usize],
+            sym: self.sym(e),
+            info: &self.infos[self.steps[e] as usize],
         }
     }
 }
@@ -275,10 +277,8 @@ pub struct Edge<'a> {
     /// Symmetry-group element that canonicalized the raw successor into
     /// `to` (0 = identity, i.e. the successor was already canonical). Only
     /// nonzero in reduced builds of symmetric instances; fairness analysis
-    /// un-folds the quotient through these annotations.
+    /// walks the quotient's orbit unfolding through these annotations.
     pub sym: u16,
-    /// The step's id in its store's step table.
-    pub(crate) step_id: u32,
     info: &'a StepInfo,
 }
 
@@ -315,8 +315,6 @@ pub struct StateGraph {
     pub index: ChannelIndex,
     /// The state arena, index 0 = initial.
     pub nodes: NodeArena,
-    /// Fingerprint of each state's path assignment π (not the full state).
-    pub pi_fp: Vec<u64>,
     /// Outgoing edges per state (state-preserving self-loops elided).
     pub edges: EdgeStore,
     /// `true` when some transition was cut by the channel cap or the state
@@ -328,8 +326,8 @@ pub struct StateGraph {
     pub reduction: ReductionStats,
     /// Symmetry tables of the build, when reduction was on and the
     /// instance's automorphism group is nontrivial. Fairness analysis uses
-    /// them to un-fold the quotient.
-    pub(crate) sym: Option<Arc<SymTables>>,
+    /// them to walk the quotient's orbit unfolding.
+    pub(crate) sym: Option<SymTables>,
 }
 
 impl StateGraph {
@@ -744,17 +742,14 @@ fn assemble(
     r: BfsResult,
     mut edges: EdgeStore,
     reduction: ReductionStats,
-    sym: Option<Arc<SymTables>>,
+    sym: Option<SymTables>,
 ) -> StateGraph {
-    let pi_fp =
-        (0..r.nodes.len() as u32).map(|i| codec.pi_fingerprint_words(r.nodes.node(i))).collect();
     edges.finish(r.nodes.len());
     let stats = FrontierStats { edge_bytes: edges.bytes(), ..r.stats };
     let g = StateGraph {
         codec,
         index,
         nodes: r.nodes,
-        pi_fp,
         edges,
         truncated: r.truncated,
         stats,
@@ -872,7 +867,7 @@ fn build_with(
     let mut store = StoreWriter { store: EdgeStore::new(symmetric), ids: HashMap::new() };
     let r = search(&exp, &root, &cell, &opts, &mut store)?;
     let (reduction, sym) = match reducer {
-        Some(red) => (red.stats(), red.sym.clone()),
+        Some(red) => (red.stats(), red.sym),
         None => (ReductionStats::default(), None),
     };
     Ok(assemble(codec, index, r, store.store, reduction, sym))
@@ -944,12 +939,12 @@ mod tests {
             try_build_spec(&inst, Spec::Uniform("RMA".parse().unwrap()), &ExploreConfig::default())
                 .unwrap();
         assert!(!g.truncated);
+        let pi = |s: usize| g.codec.pi_ids_words(g.nodes.node(s as u32));
         for comp in sccs(&g) {
             if comp.len() > 1 {
                 // Any multi-state SCC must keep π constant (checked fully in
-                // oscillation.rs; here ensure π fp equality).
-                let fp = g.pi_fp[comp[0]];
-                assert!(comp.iter().all(|&s| g.pi_fp[s] == fp));
+                // oscillation.rs; here ensure π equality).
+                assert!(comp.iter().all(|&s| pi(s) == pi(comp[0])));
             }
         }
     }
@@ -998,7 +993,6 @@ mod tests {
                 let c = ExploreConfig { threads: Some(threads), ..cfg.clone() };
                 let g = try_build_spec(&inst, spec, &c).unwrap();
                 assert_eq!(g.nodes, reference.nodes, "{model} @{threads}");
-                assert_eq!(g.pi_fp, reference.pi_fp, "{model} @{threads}");
                 assert_eq!(g.edges, reference.edges, "{model} @{threads}");
                 assert_eq!(g.truncated, reference.truncated, "{model} @{threads}");
             }

@@ -22,8 +22,9 @@ use routelab_spp::SppInstance;
 
 use crate::effects::Spec;
 use crate::error::ExploreError;
-use crate::graph::{try_build_spec, ExploreConfig, StateGraph};
+use crate::graph::{try_build_spec, Edge, ExploreConfig, StateGraph};
 use crate::pack::StateCodec;
+use crate::reduce::SymTables;
 
 /// Outcome of exhaustive oscillation analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,6 +77,106 @@ fn noop_attendable(
     }
 }
 
+/// A graph [`find_fair_scc`] walks. State `q·order + g` is group element
+/// `g` applied to state `q` of the stored [`Walk::graph`], and the stored
+/// edge with store-wide id `e`, taken from element `g`, has id `e·order +
+/// g`; its channels are the stored ones mapped through `g`. The defaults
+/// are those of the trivial group: a plain [`StateGraph`] is its own walk,
+/// while [`Orbit`] unfolds a symmetry quotient in place.
+pub(crate) trait Walk {
+    /// The stored graph.
+    fn graph(&self) -> &StateGraph;
+
+    /// The order of the group the walk unfolds.
+    fn order(&self) -> usize {
+        1
+    }
+
+    /// The element at the target of stored edge `e`, taken from element
+    /// `g`.
+    fn follow(&self, _g: usize, _e: usize) -> usize {
+        0
+    }
+
+    /// Stored channel `c` seen from element `g`.
+    fn channel(&self, _g: usize, c: usize) -> usize {
+        c
+    }
+
+    /// State `s`'s `k`-th edge, if any: its id and its target.
+    fn arc(&self, s: usize, k: usize) -> Option<(usize, usize)> {
+        let (order, g) = (self.order(), s % self.order());
+        let out = self.graph().edges.of(s / order);
+        let &to = out.targets().get(k)?;
+        let e = out.first_id() + k;
+        Some((e * order + g, to as usize * order + self.follow(g, e)))
+    }
+
+    /// The element state `s` applies, and its edges in order: each one's
+    /// id, target and stored view, whose channels that element maps.
+    fn out(&self, s: usize) -> (usize, impl Iterator<Item = (usize, usize, Edge<'_>)>) {
+        let (order, g) = (self.order(), s % self.order());
+        let out = self.graph().edges.of(s / order);
+        let first = out.first_id();
+        let arcs = out.iter().enumerate().map(move |(k, e)| {
+            let id = first + k;
+            (id * order + g, e.to * order + self.follow(g, id), e)
+        });
+        (g, arcs)
+    }
+
+    /// Marks attended in `flags` every channel state `s` can attend without
+    /// changing, tested on its stored state's own channels.
+    fn noop_attend(&self, spec: Spec<'_>, s: usize, flags: &mut [u8]) {
+        let (g, el) = (self.graph(), s % self.order());
+        let ws = g.nodes.node((s / self.order()) as u32);
+        for c in 0..flags.len() {
+            let f = &mut flags[self.channel(el, c)];
+            if *f & ATTENDED == 0 && noop_attendable(spec, &g.codec, &g.index, ws, c) {
+                *f |= ATTENDED;
+            }
+        }
+    }
+}
+
+/// The unreduced or asymmetric graph, walked as built.
+impl Walk for StateGraph {
+    fn graph(&self) -> &StateGraph {
+        self
+    }
+}
+
+/// The orbit unfolding of a symmetry quotient, walked in place. Its states
+/// are (quotient state, group element) pairs, the real state being the
+/// element's image of the quotient state. A quotient edge whose target
+/// element `a` canonicalized continues from `(q, g)` to `(q', g ∘ a⁻¹)`,
+/// its channels mapped through `g`. Per-channel attendance is not
+/// invariant under the group action, so the Streett-style fairness
+/// refinement must run here, not on the quotient itself (the
+/// Emerson–Sistla caveat).
+struct Orbit<'a> {
+    g: &'a StateGraph,
+    t: &'a SymTables,
+}
+
+impl Walk for Orbit<'_> {
+    fn graph(&self) -> &StateGraph {
+        self.g
+    }
+
+    fn order(&self) -> usize {
+        self.t.order()
+    }
+
+    fn follow(&self, g: usize, e: usize) -> usize {
+        self.t.compose(g, self.t.inverse(usize::from(self.g.edges.sym(e))))
+    }
+
+    fn channel(&self, g: usize, c: usize) -> usize {
+        self.t.map_channel(g, c)
+    }
+}
+
 /// `Tarjan::index` of a state the running call has not reached.
 const UNSEEN: u32 = u32::MAX;
 
@@ -97,20 +198,21 @@ pub(crate) struct Tarjan {
 }
 
 impl Tarjan {
-    /// Decomposes the subgraph on `roots` whose edges `keep(store-wide
-    /// edge id, target)` admits; `keep` must reject every edge leaving
-    /// `roots`. Roots and edges are taken in order, so the components (see
-    /// [`Tarjan::components`]) come out in one fixed reverse topological
-    /// order, each listed from the last state reached back to its root.
-    pub(crate) fn run(
+    /// Decomposes the part of `w` that `roots` reach over the edges
+    /// `keep(edge id, target)` admits. Roots and edges are taken in order,
+    /// so the components (see [`Tarjan::components`]) come out in one fixed
+    /// reverse topological order, each listed from the last state reached
+    /// back to its root.
+    pub(crate) fn run<W: Walk>(
         &mut self,
-        g: &StateGraph,
+        w: &W,
         roots: &[u32],
         keep: impl Fn(usize, usize) -> bool,
     ) {
-        self.index.resize(g.len(), UNSEEN);
-        self.low.resize(g.len(), 0);
-        self.on_stack.resize(g.len(), false);
+        let n = w.graph().len() * w.order();
+        self.index.resize(n, UNSEEN);
+        self.low.resize(n, 0);
+        self.on_stack.resize(n, false);
         self.comps.clear();
         self.ends.clear();
         let mut next = 0u32;
@@ -120,21 +222,19 @@ impl Tarjan {
             }
             self.call.push((root, 0));
             while let Some(&(v, cursor)) = self.call.last() {
-                let (vi, cursor) = (v as usize, cursor as usize);
+                let vi = v as usize;
                 if cursor == 0 {
                     (self.index[vi], self.low[vi], self.on_stack[vi]) = (next, next, true);
                     next += 1;
                     self.stack.push(v);
                 }
-                let out = g.edges.of(vi);
-                if let Some(&w) = out.targets().get(cursor) {
+                if let Some((e, to)) = w.arc(vi, cursor as usize) {
                     self.call.last_mut().expect("nonempty").1 += 1;
-                    let w = w as usize;
-                    if keep(out.first_id() + cursor, w) {
-                        if self.index[w] == UNSEEN {
-                            self.call.push((w as u32, 0));
-                        } else if self.on_stack[w] {
-                            self.low[vi] = self.low[vi].min(self.index[w]);
+                    if keep(e, to) {
+                        if self.index[to] == UNSEEN {
+                            self.call.push((to as u32, 0));
+                        } else if self.on_stack[to] {
+                            self.low[vi] = self.low[vi].min(self.index[to]);
                         }
                     }
                     continue;
@@ -157,7 +257,8 @@ impl Tarjan {
                 }
             }
         }
-        for &s in roots {
+        // Every state the run reached lies in one of its components.
+        for &s in &self.comps {
             self.index[s as usize] = UNSEEN;
         }
     }
@@ -174,60 +275,60 @@ const ATTENDED: u8 = 1;
 const KEPT: u8 = 2;
 const DROPPED: u8 = 4;
 
-/// Finds the first reachable component witnessing a fair oscillation, with
-/// the number of components it examined (those with an internal edge) and
-/// of work items drop fairness pushed. Time is linear in states plus edges
-/// per refinement level.
+/// Finds the first component reachable in `w` that witnesses a fair
+/// oscillation, with the number of components it examined (those with an
+/// internal edge) and of work items drop fairness pushed. Time is linear in
+/// states plus edges per refinement level.
 ///
 /// Drop fairness needs *iterative refinement* (as in Streett acceptance):
 /// if a component drops on a channel it never delivers on, a fair walk must
 /// eventually avoid those dropping edges, so they are removed and the
 /// component re-decomposed until either a component passes every condition
 /// or nothing is left.
-pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize>>, u64, u64) {
-    let index = &g.index;
-    let n = g.len();
-    // Edges drop fairness removed, by store-wide edge id. A banned edge
-    // lies inside the component that banned it and live work items are
-    // disjoint, so one bitmap serves them all.
-    let mut banned = vec![0u64; g.edges.edge_count().div_ceil(64)];
+pub(crate) fn find_fair_scc<W: Walk>(spec: Spec<'_>, w: &W) -> (Option<Vec<usize>>, u64, u64) {
+    let (g, order) = (w.graph(), w.order());
+    // Edges drop fairness removed, by edge id. A banned edge lies inside
+    // the component that banned it and live work items are disjoint, so
+    // one bitmap serves them all.
+    let mut banned = vec![0u64; (g.edges.edge_count() * order).div_ceil(64)];
     let is_banned = |banned: &[u64], id: usize| banned[id / 64] >> (id % 64) & 1 == 1;
     // `stamp[s] == mark`: s is in the current work item or component. Each
-    // takes a fresh mark.
-    let (mut stamp, mut mark) = (vec![0u32; n], 0u32);
+    // takes a fresh mark. The first work item is everything the root
+    // reaches, so every state starts in it.
+    let (mut stamp, mut mark) = (vec![1u32; g.len() * order], 0u32);
     let mut tarjan = Tarjan::default();
-    let mut flags = vec![0u8; index.len()];
+    let mut flags = vec![0u8; g.index.len()];
     let (mut components, mut refinements) = (0, 0);
-    let mut work: Vec<Vec<u32>> = vec![(0..n as u32).collect()];
+    let mut work: Vec<Vec<u32>> = vec![vec![0]];
 
     while let Some(nodes) = work.pop() {
         mark = mark.checked_add(1).expect("fewer than 2^32 stamps");
         for &s in &nodes {
             stamp[s as usize] = mark;
         }
-        tarjan.run(g, &nodes, |e, to| stamp[to] == mark && !is_banned(&banned, e));
+        tarjan.run(w, &nodes, |e, to| stamp[to] == mark && !is_banned(&banned, e));
         for comp in tarjan.components() {
             mark = mark.checked_add(1).expect("fewer than 2^32 stamps");
             for &s in comp {
                 stamp[s as usize] = mark;
             }
             flags.fill(0);
-            let mut has_internal = false;
             // 1. π must change within the component (anti-monotone: a
             //    π-constant component stays π-constant in every sub-walk).
-            let pi0 = g.pi_fp[comp[0] as usize];
-            let mut pi_changes = comp.iter().any(|&s| g.pi_fp[s as usize] != pi0);
+            //    Its members are joined by internal edges, so they differ
+            //    in π exactly when one of those edges changes it.
+            let (mut has_internal, mut pi_changes) = (false, false);
             for &s in comp {
-                let out = g.edges.of(s as usize);
-                for (ei, e) in out.iter().enumerate() {
-                    if stamp[e.to] != mark || is_banned(&banned, out.first_id() + ei) {
+                let (el, out) = w.out(s as usize);
+                for (id, to, e) in out {
+                    if stamp[to] != mark || is_banned(&banned, id) {
                         continue;
                     }
                     has_internal = true;
                     pi_changes |= e.changes_pi;
                     let sets = [(e.attended(), ATTENDED), (e.kept(), KEPT), (e.dropped(), DROPPED)];
                     for (set, flag) in sets {
-                        set.iter().for_each(|&c| flags[c] |= flag);
+                        set.iter().for_each(|&c| flags[w.channel(el, c)] |= flag);
                     }
                 }
             }
@@ -243,12 +344,7 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize
                 if !unattended(&flags) {
                     break;
                 }
-                let ws = g.nodes.node(s);
-                for (c, f) in flags.iter_mut().enumerate() {
-                    if *f & ATTENDED == 0 && noop_attendable(spec, &g.codec, index, ws, c) {
-                        *f |= ATTENDED;
-                    }
-                }
+                w.noop_attend(spec, s as usize, &mut flags);
             }
             if unattended(&flags) {
                 continue;
@@ -256,16 +352,16 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize
             // 3. Drop fairness: channels dropped on but never delivered on
             //    must not be dropped infinitely often — remove their
             //    dropping edges and re-decompose.
-            let offending = |c: &usize| flags[*c] & (DROPPED | KEPT) == DROPPED;
-            if !(0..flags.len()).any(|c| offending(&c)) {
+            let offending = |c: usize| flags[c] & (DROPPED | KEPT) == DROPPED;
+            if !(0..flags.len()).any(offending) {
                 return (Some(comp.iter().map(|&s| s as usize).collect()), components, refinements);
             }
             for &s in comp {
-                let out = g.edges.of(s as usize);
-                for (ei, e) in out.iter().enumerate() {
+                let (el, out) = w.out(s as usize);
+                for (id, to, e) in out {
                     // Re-banning an already banned edge is harmless.
-                    if stamp[e.to] == mark && e.dropped().iter().any(offending) {
-                        let id = out.first_id() + ei;
+                    if stamp[to] == mark && e.dropped().iter().any(|&c| offending(w.channel(el, c)))
+                    {
                         banned[id / 64] |= 1 << (id % 64);
                     }
                 }
@@ -279,19 +375,18 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> (Option<Vec<usize
 
 /// Analyzes a prebuilt graph.
 ///
-/// A symmetry-reduced graph is analyzed on its orbit un-folding
-/// ([`crate::reduce::unfold_symmetry`]): per-channel attendance is not
-/// invariant under the group action, so the fairness refinement on the raw
-/// quotient would be unsound (the Emerson–Sistla caveat). The reported
-/// `states` counts are always the built graph's — the quotient's, for
-/// reduced builds.
+/// A symmetry-reduced graph is analyzed on its orbit unfolding, walked in
+/// place: per-channel attendance is not invariant under the group action,
+/// so the fairness refinement on the raw quotient would be unsound (the
+/// Emerson–Sistla caveat). The reported `states` counts are always the
+/// built graph's — the quotient's, for reduced builds.
 pub fn analyze_graph(spec: Spec<'_>, g: &StateGraph) -> Verdict {
     // One relaxed load when telemetry is off.
     let obs = routelab_obs::enabled();
     let _span = obs.then(|| routelab_obs::span("explore.analyze"));
     let states = g.len();
-    let (fair, components, refinements) = match g.sym {
-        Some(_) => find_fair_scc(spec, &crate::reduce::unfold_symmetry(g)),
+    let (fair, components, refinements) = match &g.sym {
+        Some(t) => find_fair_scc(spec, &Orbit { g, t }),
         None => find_fair_scc(spec, g),
     };
     if obs {
@@ -328,11 +423,70 @@ pub fn analyze(
 #[cfg(test)]
 mod reference {
     //! The analysis as it stood before the flat rewrite, kept unchanged as
-    //! the oracle the flat search is tested against.
+    //! the oracle the flat search is tested against, and the orbit graph it
+    //! runs on for a symmetry quotient, built as a copy.
 
     use std::collections::HashMap;
 
     use super::*;
+    use crate::arena::NodeArena;
+    use crate::graph::{EdgeStore, StepInfo};
+
+    /// Un-folds a symmetry quotient into a copy of its orbit graph: nodes
+    /// are (representative, group element) pairs, numbered breadth-first
+    /// from the root, and hold the element's image of the representative.
+    /// A quotient edge annotated with canonicalizer `a` continues from `(q,
+    /// g)` to `(q', g ∘ a⁻¹)`, with its channel labels mapped through `g`.
+    /// Also returns, per [`Orbit`] state `q·order + g`, its node here
+    /// (`u32::MAX` when the root does not reach it).
+    pub(crate) fn unfold_symmetry(g: &StateGraph) -> (StateGraph, Vec<u32>) {
+        let t = g.sym.as_ref().expect("unfold_symmetry requires symmetry tables");
+        let order = t.order();
+        let mut ids = vec![u32::MAX; g.len() * order];
+        let mut nodes: Vec<(usize, usize)> = Vec::new();
+        let mut intern = |q: usize, gi: usize, nodes: &mut Vec<(usize, usize)>| {
+            let id = &mut ids[q * order + gi];
+            if *id == u32::MAX {
+                *id = nodes.len() as u32;
+                nodes.push((q, gi));
+            }
+            *id
+        };
+        let mut edges = EdgeStore::new(false);
+        intern(0, 0, &mut nodes);
+        let mut head = 0usize;
+        while head < nodes.len() {
+            let (q, gi) = nodes[head];
+            for e in g.edges.of(q).iter() {
+                let to = intern(e.to, t.compose(gi, t.inverse(usize::from(e.sym))), &mut nodes);
+                let map = |cs: &[usize]| cs.iter().map(|&c| t.map_channel(gi, c)).collect();
+                let step = edges.add_step(StepInfo {
+                    step: e.step().clone(),
+                    attended: map(e.attended()),
+                    kept: map(e.kept()),
+                    dropped: map(e.dropped()),
+                });
+                edges.push(head as u32, to, step, e.changes_pi, 0);
+            }
+            head += 1;
+        }
+        edges.finish(nodes.len());
+        let mut arena = NodeArena::new();
+        for &(q, gi) in &nodes {
+            arena.intern(&t.transform(g.nodes.node(q as u32), gi));
+        }
+        let unfolded = StateGraph {
+            codec: g.codec.clone(),
+            index: g.index.clone(),
+            nodes: arena,
+            edges,
+            truncated: g.truncated,
+            stats: g.stats,
+            reduction: g.reduction,
+            sym: None,
+        };
+        (unfolded, ids)
+    }
 
     /// SCC decomposition restricted to the states of `nodes` and to edges the
     /// filter admits. Returns components as state lists.
@@ -447,8 +601,8 @@ mod reference {
                 let edge = |&(s, ei): &(usize, usize)| g.edges.of(s).get(ei).expect("internal");
                 // 1. π must change within the component (anti-monotone: a
                 //    π-constant component stays π-constant in every sub-walk).
-                let pi0 = g.pi_fp[comp[0]];
-                let pi_changes = comp.iter().any(|&s| g.pi_fp[s] != pi0)
+                let pi = |s: usize| g.codec.pi_ids_words(g.nodes.node(s as u32));
+                let pi_changes = comp.iter().any(|&s| pi(s) != pi(comp[0]))
                     || internal.iter().map(edge).any(|e| e.changes_pi);
                 if !pi_changes {
                     continue;
@@ -721,9 +875,10 @@ mod tests {
 
     /// The flat search against the retained reference, on every corpus
     /// gadget × the 24 models and on `INFORMED_DISAGREE` × the 12 reliable
-    /// models with `z → x` lossy, at channel cap 2, unreduced and reduced
-    /// (through the orbit unfolding the analysis runs on): the same
-    /// component, its states in the same order.
+    /// models with `z → x` lossy, at channel cap 2, unreduced and reduced:
+    /// the same component, its states in the same order. A reduced build's
+    /// orbit, walked in place, is compared with the reference on a copy of
+    /// the orbit graph, its states mapped to the copy's.
     #[test]
     fn fair_scc_search_matches_the_reference() {
         let cfg = ExploreConfig {
@@ -762,9 +917,18 @@ mod tests {
             for reduce in [false, true] {
                 let g =
                     try_build_spec(inst, spec, &ExploreConfig { reduce, ..cfg.clone() }).unwrap();
-                let g = if g.sym.is_some() { crate::reduce::unfold_symmetry(&g) } else { g };
-                let (got, _, refinements) = find_fair_scc(spec, &g);
-                let want = reference::find_fair_scc(spec, &g);
+                let (got, want, refinements) = match &g.sym {
+                    Some(t) => {
+                        let (got, _, refinements) = find_fair_scc(spec, &Orbit { g: &g, t });
+                        let (unfolded, ids) = reference::unfold_symmetry(&g);
+                        let got = got.map(|c| c.iter().map(|&s| ids[s] as usize).collect());
+                        (got, reference::find_fair_scc(spec, &unfolded), refinements)
+                    }
+                    None => {
+                        let (got, _, refinements) = find_fair_scc(spec, &g);
+                        (got, reference::find_fair_scc(spec, &g), refinements)
+                    }
+                };
                 assert_eq!(got, want, "{cell}, reduce {reduce}");
                 if got.is_some() {
                     found += 1;
@@ -776,6 +940,46 @@ mod tests {
         }
         // Floors, so that the comparison cannot pass vacuously.
         assert!(found >= 40 && absent >= 300 && refined >= 4, "{found} {absent} {refined}");
+    }
+
+    /// Orbit labels and noop attendance are seen from each state's own
+    /// group element, against the element's image of its stored state:
+    /// every channel an orbit edge drops on holds a message there, and the
+    /// channels credited as noop-attendable are those the image can attend
+    /// without changing.
+    #[test]
+    fn orbit_labels_match_the_image() {
+        let cfg = ExploreConfig::default();
+        let (mut drops, mut noops) = (0, 0);
+        for (name, inst) in
+            [("DISAGREE", gadgets::disagree()), ("BAD-GADGET", gadgets::bad_gadget())]
+        {
+            for model in ["U1O", "REO", "UEA"] {
+                let spec = Spec::Uniform(model.parse().unwrap());
+                let g = try_build_spec(&inst, spec, &cfg).unwrap();
+                let t = g.sym.as_ref().expect("the gadget is symmetric");
+                let orbit = Orbit { g: &g, t };
+                for s in 0..g.len() * t.order() {
+                    let (q, el) = (s / t.order(), s % t.order());
+                    let image = t.transform(g.nodes.node(q as u32), el);
+                    for (_, _, e) in orbit.out(s).1 {
+                        for &c in e.dropped() {
+                            let c = orbit.channel(el, c);
+                            assert!(!g.codec.queue_empty_words(&image, c), "{name} × {model}: {s}");
+                            drops += 1;
+                        }
+                    }
+                    let mut flags = vec![0u8; g.index.len()];
+                    orbit.noop_attend(spec, s, &mut flags);
+                    for (c, f) in flags.iter().enumerate() {
+                        let want = noop_attendable(spec, &g.codec, &g.index, &image, c);
+                        assert_eq!(*f == ATTENDED, want, "{name} × {model}: {s}, channel {c}");
+                        noops += usize::from(want);
+                    }
+                }
+            }
+        }
+        assert!(drops > 0 && noops > 0, "{drops} drops, {noops} noop channels");
     }
 
     #[test]

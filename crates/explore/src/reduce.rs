@@ -44,27 +44,26 @@
 //!    are therefore exempt from the channel cap — the `U·A` state spaces
 //!    become finite and the survey's `?` cells decidable.
 //!
-//! These are per-channel modes ([`ChannelMode`], chosen by
-//! [`channel_modes`]), and the step kernel ([`crate::exec_packed`]) applies
+//! These are per-channel modes (`ChannelMode`, chosen by
+//! `channel_modes`), and the step kernel ([`crate::exec_packed`]) applies
 //! them as it writes a successor, to the channels the step consumes from or
 //! appends to and to no other: every stored state is already in normal
 //! form (the root has empty queues, successors are written in it, and
 //! symmetry images keep it), and a channel the step leaves alone keeps its
 //! ρ and its queue. On a touched channel, only an appended word can need
-//! projecting ([`ChannelMode::project`]); [`ChannelMode::settle`] then
+//! projecting (`ChannelMode::project`); `ChannelMode::settle` then
 //! collapses the queue and pops its absorbed heads against the new ρ.
 //!
 //! On top, **symmetry reduction**: states are canonicalized to the
 //! lexicographically least image under the instance's automorphism group
 //! (detected once per gadget in `routelab_spp::automorphism`). Each edge
 //! records which group element canonicalized its target; fairness analysis
-//! un-folds the quotient into the orbit graph ([`unfold_symmetry`]) because
-//! per-channel attendance is not group-invariant (the Emerson–Sistla
-//! caveat), so running the Streett-style check directly on the quotient
-//! would be unsound.
+//! walks the quotient's orbit unfolding through these elements, in place,
+//! because per-channel attendance is not group-invariant (the
+//! Emerson–Sistla caveat), so running the Streett-style check directly on
+//! the quotient would be unsound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use routelab_core::dims::{MessagePolicy, NeighborScope, Reliability};
 use routelab_engine::index::ChannelIndex;
@@ -76,9 +75,7 @@ use routelab_spp::{
     automorphisms, Channel, NodeId, RouteId, RouteTable, SppInstance, NO_CANDIDATE,
 };
 
-use crate::arena::NodeArena;
 use crate::effects::Spec;
-use crate::graph::{EdgeStore, StateGraph, StepInfo};
 use crate::pack::StateCodec;
 
 /// Aggregated reduction activity of one graph build.
@@ -224,7 +221,7 @@ impl ChannelMode {
 /// normal form itself ([`channel_modes`]) runs inside the step kernel.
 #[derive(Debug)]
 pub(crate) struct Reducer {
-    pub(crate) sym: Option<Arc<SymTables>>,
+    pub(crate) sym: Option<SymTables>,
     canon_rewrites: AtomicU64,
     pops: AtomicU64,
     set_collapses: AtomicU64,
@@ -285,7 +282,7 @@ impl Reducer {
         spec: Spec<'_>,
     ) -> Self {
         Reducer {
-            sym: SymTables::detect(inst, index, codec, spec).map(Arc::new),
+            sym: SymTables::detect(inst, index, codec, spec),
             canon_rewrites: AtomicU64::new(0),
             pops: AtomicU64::new(0),
             set_collapses: AtomicU64::new(0),
@@ -495,6 +492,7 @@ impl SymTables {
     }
 
     /// The image of a packed buffer under element `g` (same layout).
+    #[cfg(test)]
     pub(crate) fn transform(&self, p: &[u16], g: usize) -> Vec<u16> {
         let (mut off, mut out) = (Vec::new(), Vec::new());
         self.queue_offsets(p, &mut off);
@@ -583,80 +581,6 @@ impl CanonScratch {
     }
 }
 
-/// Un-folds a symmetry quotient into the orbit graph the fairness check
-/// runs on: nodes are (representative, group element) pairs — the real
-/// state is the element's image of the representative — and a quotient
-/// edge annotated with canonicalizer `a` continues from `(q, g)` to
-/// `(q', g ∘ a⁻¹)`, with its channel labels mapped through `g`. Per-channel
-/// attendance is not invariant under the group action, so the Streett-style
-/// fairness refinement must run here, not on the quotient itself.
-///
-/// The orbit graph's edges go to one [`EdgeStore`] of the same form, with
-/// one relabeled step per (quotient step, group element) in its table and
-/// no group elements of its own. The `step` field of relabeled steps is
-/// *not* relabeled: witnesses are only ever extracted from unreduced
-/// graphs.
-pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
-    let t = g.sym.as_ref().expect("unfold_symmetry requires symmetry tables");
-    let order = t.order();
-    // The unfolded id of (q, gi) is at q * order + gi; u32::MAX until seen.
-    let mut ids = vec![u32::MAX; g.len() * order];
-    let mut nodes: Vec<(usize, usize)> = Vec::new();
-    let mut intern = |q: usize, gi: usize, nodes: &mut Vec<(usize, usize)>| {
-        let id = &mut ids[q * order + gi];
-        if *id == u32::MAX {
-            *id = nodes.len() as u32;
-            nodes.push((q, gi));
-        }
-        *id
-    };
-    // The relabeled id of quotient step s under gi is at s * order + gi;
-    // u32::MAX until seen.
-    let mut steps = vec![u32::MAX; g.edges.step_table().len() * order];
-    let mut edges = EdgeStore::new(false);
-    intern(0, 0, &mut nodes);
-    let mut head = 0usize;
-    while head < nodes.len() {
-        let (q, gi) = nodes[head];
-        for e in g.edges.of(q).iter() {
-            let a = usize::from(e.sym);
-            let to = intern(e.to, t.compose(gi, t.inverse(a)), &mut nodes);
-            let step = &mut steps[e.step_id as usize * order + gi];
-            if *step == u32::MAX {
-                let map = |cs: &[usize]| cs.iter().map(|&c| t.map_channel(gi, c)).collect();
-                *step = edges.add_step(StepInfo {
-                    step: e.step().clone(),
-                    attended: map(e.attended()),
-                    kept: map(e.kept()),
-                    dropped: map(e.dropped()),
-                });
-            }
-            edges.push(head as u32, to, *step, e.changes_pi, 0);
-        }
-        head += 1;
-    }
-    edges.finish(nodes.len());
-    let (mut arena, mut pi_fp) = (NodeArena::new(), Vec::with_capacity(nodes.len()));
-    for &(q, gi) in &nodes {
-        let base = g.nodes.node(q as u32);
-        let image = (gi != 0).then(|| t.transform(base, gi));
-        let ws = image.as_deref().unwrap_or(base);
-        pi_fp.push(g.codec.pi_fingerprint_words(ws));
-        arena.intern(ws);
-    }
-    StateGraph {
-        codec: g.codec.clone(),
-        index: g.index.clone(),
-        nodes: arena,
-        pi_fp,
-        edges,
-        truncated: g.truncated,
-        stats: g.stats,
-        reduction: g.reduction,
-        sym: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,54 +609,6 @@ mod tests {
         match t.canonicalize_words(&p, &mut scratch) {
             0 => (p, 0),
             g => (scratch.image().to_vec(), g),
-        }
-    }
-
-    /// The unfolding relabels each quotient step once per group element
-    /// instead of keeping one per unfolded edge, and writes the orbit graph
-    /// in the same row form: one row per unfolded state, no group elements.
-    #[test]
-    fn unfolding_shares_step_descriptors() {
-        let inst = gadgets::bad_gadget();
-        let cfg = crate::graph::ExploreConfig::default();
-        let g = crate::graph::try_build_spec(&inst, Spec::Uniform("REF".parse().unwrap()), &cfg)
-            .unwrap();
-        let order = g.sym.as_ref().expect("BAD-GADGET is symmetric").order();
-        let descriptors = |g: &StateGraph| g.edges.step_table().len();
-        let unfolded = unfold_symmetry(&g);
-        let edges: usize = unfolded.edges.iter().map(|e| e.len()).sum();
-        assert!(edges > descriptors(&g) * order, "{edges} edges");
-        assert!(descriptors(&unfolded) <= descriptors(&g) * order);
-        assert_eq!(unfolded.edges.iter().len(), unfolded.len());
-        assert_eq!(unfolded.edges.edge_count(), edges);
-        assert!(unfolded.edges.iter().all(|out| out.iter().all(|e| e.sym == 0)));
-        let rows = 4 * (unfolded.len() + 1) + 8 * edges + 8 * edges.div_ceil(64);
-        let table: u64 = unfolded.edges.step_table().iter().map(StepInfo::bytes).sum();
-        assert_eq!(unfolded.edges.bytes(), rows as u64 + table);
-    }
-
-    /// Unfolded labels are relabeled through each node's own group
-    /// element: every channel an unfolded edge drops on holds a message in
-    /// the edge's source state.
-    #[test]
-    fn unfolded_drops_read_nonempty_queues() {
-        let cfg = crate::graph::ExploreConfig::default();
-        for (name, inst) in
-            [("DISAGREE", gadgets::disagree()), ("BAD-GADGET", gadgets::bad_gadget())]
-        {
-            let g =
-                crate::graph::try_build_spec(&inst, Spec::Uniform("U1O".parse().unwrap()), &cfg)
-                    .unwrap();
-            let unfolded = unfold_symmetry(&g);
-            let mut drops = 0;
-            for (s, out) in unfolded.edges.iter().enumerate() {
-                let ws = unfolded.nodes.node(s as u32);
-                for &c in out.iter().flat_map(|e| e.dropped()) {
-                    assert!(!g.codec.queue_empty_words(ws, c), "{name}: state {s}, channel {c}");
-                    drops += 1;
-                }
-            }
-            assert!(drops > 0, "{name}");
         }
     }
 

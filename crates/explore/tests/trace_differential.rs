@@ -59,7 +59,6 @@ fn drive_outcomes() -> Vec<RunOutcome> {
 
 fn assert_same_graph(threads: usize, on: &StateGraph, off: &StateGraph) {
     assert_eq!(on.nodes, off.nodes, "@{threads}t: interned states differ with tracing on");
-    assert_eq!(on.pi_fp, off.pi_fp, "@{threads}t: π fingerprints differ with tracing on");
     assert_eq!(on.edges, off.edges, "@{threads}t: edge lists differ with tracing on");
     assert_eq!(on.truncated, off.truncated, "@{threads}t: truncation differs with tracing on");
 }

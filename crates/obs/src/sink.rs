@@ -1,6 +1,6 @@
 //! The global telemetry sink and thread-local buffers.
 //!
-//! Write path: instrumentation calls land in a thread-local [`LocalBuf`]
+//! Write path: instrumentation calls land in a thread-local `LocalBuf`
 //! (plain `Vec` pushes, no locks, no syscalls). When a buffer fills — or a
 //! thread exits, or someone calls [`flush`] — the buffered events are encoded
 //! into an NDJSON chunk and pushed onto a lock-free Treiber stack shared by

@@ -96,7 +96,7 @@ struct RecorderState {
     ring: EventRing,
 }
 
-/// The process-global flight recorder: a header list plus an [`EventRing`],
+/// The process-global flight recorder: a header list plus an `EventRing`,
 /// persisted to one NDJSON file by [`flush_trace`].
 #[derive(Debug)]
 pub struct TraceRecorder {

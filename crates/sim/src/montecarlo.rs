@@ -8,7 +8,7 @@
 //!
 //! Execution decomposes into run-granularity jobs — run `i` of a cell is a
 //! pure function of `(instance, model, run_seed(cfg.seed, i))` — scheduled
-//! on the shared [`pool`](crate::pool) and merged back in run order, so a
+//! on the shared [`pool`] and merged back in run order, so a
 //! grid's statistics are bit-identical for every worker count.
 
 use std::fmt;

@@ -17,6 +17,9 @@
 //!   [`SppInstance::fmt_path`] style (single-character names concatenated,
 //!   multi-character names joined by `-`), so node names cannot contain
 //!   `-`.
+//! * Paths of equal rank are joined by a `=` token: `prefs u uad = uavd vd`
+//!   ranks `uad` and `uavd` first and `vd` second. Validation allows a tie
+//!   only between paths through one next hop.
 //! * `dest` must name a node of the instance.
 //! * `#` begins a comment; blank lines are ignored.
 
@@ -51,9 +54,12 @@ pub fn to_text(inst: &SppInstance) -> String {
         if v == inst.dest() || inst.permitted(v).is_empty() {
             continue;
         }
-        let paths: Vec<String> =
-            inst.permitted(v).iter().map(|rp| inst.fmt_path(&rp.path)).collect();
-        out.push_str(&format!("prefs {} {}\n", inst.name(v), paths.join(" ")));
+        let groups: Vec<String> = inst
+            .permitted(v)
+            .chunk_by(|a, b| a.rank == b.rank)
+            .map(|tie| tie.iter().map(|rp| inst.fmt_path(&rp.path)).collect::<Vec<_>>().join(" = "))
+            .collect();
+        out.push_str(&format!("prefs {} {}\n", inst.name(v), groups.join(" ")));
     }
     out
 }
@@ -67,7 +73,7 @@ pub fn to_text(inst: &SppInstance) -> String {
 pub fn from_text(text: &str) -> Result<SppInstance, SppError> {
     let mut builder = SppBuilder::new();
     let mut dest: Option<(String, usize)> = None;
-    let mut prefs: Vec<(String, Vec<String>)> = Vec::new();
+    let mut prefs: Vec<(&str, Vec<(&str, u32)>)> = Vec::new();
     let mut saw_header = false;
 
     for (ln, raw) in text.lines().enumerate() {
@@ -100,11 +106,28 @@ pub fn from_text(text: &str) -> Result<SppInstance, SppError> {
             }
             "prefs" => {
                 let v = tokens.next().ok_or_else(|| err("prefs needs a node"))?;
-                let paths: Vec<String> = tokens.map(str::to_string).collect();
+                // Each path with its place in the preference; `=` ties the
+                // next path to the one before it.
+                let mut paths: Vec<(&str, u32)> = Vec::new();
+                let mut tied = false;
+                for token in tokens {
+                    match (token, paths.last()) {
+                        ("=", Some(_)) if !tied => tied = true,
+                        ("=", _) => return Err(err("`=` must stand between two paths")),
+                        (path, last) => {
+                            let place = last.map_or(0, |&(_, p)| p + u32::from(!tied));
+                            paths.push((path, place));
+                            tied = false;
+                        }
+                    }
+                }
                 if paths.is_empty() {
                     return Err(err("prefs needs at least one path"));
                 }
-                prefs.push((v.to_string(), paths));
+                if tied {
+                    return Err(err("`=` must stand between two paths"));
+                }
+                prefs.push((v, paths));
             }
             other => {
                 return Err(SppError::Parse {
@@ -126,8 +149,7 @@ pub fn from_text(text: &str) -> Result<SppInstance, SppError> {
     })?;
     builder.dest(d)?;
     for (v, paths) in &prefs {
-        let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
-        builder.prefer_named(v, &refs)?;
+        builder.prefer_named_ranked(v, paths.iter().copied())?;
     }
     builder.build()
 }
@@ -222,6 +244,34 @@ prefs y yxd yd
     fn unknown_path_name_rejected() {
         let text = "spp v1\nnode d\nnode x\nedge x d\ndest d\nprefs x xzd\n";
         assert!(matches!(from_text(text), Err(SppError::UnknownName { .. })));
+    }
+
+    #[test]
+    fn rank_ties_round_trip() {
+        let text = "spp v1\nnode d\nnode u\nnode v\nnode a\nedge d v\nedge d a\nedge u v\n\
+                    edge u a\nedge v a\ndest d\nprefs u uad = uavd\nprefs v vuad vd\n";
+        let inst = from_text(text).unwrap();
+        let u = inst.node_by_name("u").unwrap();
+        let ranks: Vec<u32> = inst.permitted(u).iter().map(|rp| rp.rank).collect();
+        assert_eq!(ranks, [1, 1]);
+        assert_eq!(to_text(&inst), text);
+        assert_eq!(from_text(&to_text(&inst)).unwrap(), inst);
+    }
+
+    #[test]
+    fn misplaced_tie_tokens_rejected() {
+        let head = "spp v1\nnode d\nnode x\nnode y\nedge x d\nedge y d\nedge x y\ndest d\n";
+        for prefs in ["prefs x = xd", "prefs x xd =", "prefs x xyd = = xd", "prefs x ="] {
+            let e = from_text(&format!("{head}{prefs}\n")).unwrap_err();
+            assert!(matches!(e, SppError::Parse { line: 9, .. }), "{prefs}: {e}");
+        }
+    }
+
+    #[test]
+    fn ties_through_two_next_hops_are_rank_tie_errors() {
+        let text = "spp v1\nnode d\nnode x\nnode y\nedge x d\nedge y d\nedge x y\ndest d\n\
+                    prefs x xyd = xd\n";
+        assert!(matches!(from_text(text), Err(SppError::RankTie { rank: 1, .. })));
     }
 
     #[test]

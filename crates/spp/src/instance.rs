@@ -494,9 +494,26 @@ impl SppBuilder {
     ///
     /// Returns [`SppError::UnknownName`] for names not yet added.
     pub fn prefer_named(&mut self, v: &str, paths: &[&str]) -> Result<&mut Self, SppError> {
+        self.prefer_named_ranked(v, paths.iter().copied().zip(0..))
+    }
+
+    /// Declares `v`'s permitted paths by paper-style strings, each with its
+    /// place in `v`'s preference (0 first; paths of equal place tie). Ranks
+    /// continue from any previously declared paths at `v`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SppError::UnknownName`] for names not yet added, and path
+    /// construction errors; ties are checked by [`SppBuilder::build`].
+    pub(crate) fn prefer_named_ranked<'p>(
+        &mut self,
+        v: &str,
+        paths: impl IntoIterator<Item = (&'p str, u32)>,
+    ) -> Result<&mut Self, SppError> {
         let vid = self.node_id(v)?;
-        let mut parsed = Vec::with_capacity(paths.len());
-        for s in paths {
+        let paths = paths.into_iter();
+        let mut parsed = Vec::with_capacity(paths.size_hint().0);
+        for (s, rank) in paths {
             let names: Vec<String> = if s.contains('-') {
                 s.split('-').map(str::to_string).collect()
             } else {
@@ -506,9 +523,13 @@ impl SppBuilder {
             for n in &names {
                 ids.push(self.node_id(n)?);
             }
-            parsed.push(ids);
+            parsed.push((ids, rank));
         }
-        self.prefer(vid, parsed)?;
+        let base = self.permitted[vid.index()].iter().map(|rp| rp.rank).max().unwrap_or(0);
+        for (ids, rank) in parsed {
+            let path = Path::new(ids)?;
+            self.permitted[vid.index()].push(RankedPath { path, rank: base + 1 + rank });
+        }
         Ok(self)
     }
 

@@ -16,7 +16,7 @@
 //!   Gao–Rexford-style customer/peer/provider policies),
 //! * [`table`] — interned route tables ([`RouteTable`]) backing the engine's
 //!   allocation-free hot path,
-//! * [`format`] — a small text format for instances.
+//! * [`format`](mod@format) — a small text format for instances.
 //!
 //! # Example
 //!

@@ -14,7 +14,7 @@ use routelab_spp::generator::{
 };
 use routelab_spp::solve::{enumerate_stable_assignments, is_consistent, is_stable};
 use routelab_spp::{
-    format, gadgets, NodeId, Path, Route, RouteId, RouteTable, SppBuilder, SppInstance,
+    format, gadgets, NodeId, Path, RankedPath, Route, RouteId, RouteTable, SppBuilder, SppInstance,
     NO_CANDIDATE,
 };
 use support::dispute_oracle::find_dispute_wheel_reference;
@@ -277,6 +277,40 @@ fn tied_spokes() -> SppInstance {
         b.permit_with_rank(at, Path::new(nodes).unwrap(), rank).unwrap();
     }
     b.build().expect("the tie is through one next hop")
+}
+
+/// Each node's permitted paths in their rank groups, most preferred first.
+fn rank_groups(inst: &SppInstance) -> Vec<Vec<Vec<Path>>> {
+    let group = |tie: &[RankedPath]| tie.iter().map(|rp| rp.path.clone()).collect();
+    inst.nodes()
+        .map(|v| inst.permitted(v).chunk_by(|a, b| a.rank == b.rank).map(group).collect())
+        .collect()
+}
+
+/// The text format keeps rank ties: `tied_spokes`, whose only wheel runs
+/// through a tie, and seeded random instances with ties read back with the
+/// same paths in the same rank groups, and with the same dispute wheel.
+#[test]
+fn text_format_keeps_rank_ties() {
+    assert!(find_dispute_wheel(&tied_spokes()).is_some());
+    let mut tied = 0;
+    let random = (0..200).map(|seed| {
+        let cfg = RandomSppConfig {
+            nodes: 6,
+            extra_edges: 4,
+            max_paths_per_node: 5,
+            max_path_len: 6,
+            seed,
+        };
+        with_rank_ties(&random_instance(&cfg).expect("generator output validates"), seed)
+    });
+    for inst in [tied_spokes()].into_iter().chain(random) {
+        let back = format::from_text(&format::to_text(&inst)).expect("serialized instances parse");
+        assert_eq!(rank_groups(&back), rank_groups(&inst), "{inst}");
+        assert_eq!(find_dispute_wheel(&back), find_dispute_wheel(&inst), "{inst}");
+        tied += usize::from(has_rank_tie(&inst));
+    }
+    assert!(tied >= 100, "{tied} instances with a rank tie");
 }
 
 /// The linear-memory detector returns the reference's wheel, pivot for

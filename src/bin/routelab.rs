@@ -21,8 +21,10 @@
 //!
 //! Every subcommand also accepts `--obs` (write NDJSON telemetry under the
 //! results dir; equivalent to `ROUTELAB_OBS=1`), `--trace` (record a causal
-//! flight-recorder trace; equivalent to `ROUTELAB_TRACE=1`) and `--quiet`
-//! (suppress progress/heartbeat output on stderr). `trace record` captures a
+//! flight-recorder trace; equivalent to `ROUTELAB_TRACE=1`), `--quiet`
+//! (suppress progress/heartbeat output on stderr), `--threads N` (worker
+//! threads; equivalent to `ROUTELAB_THREADS=N`) and `--no-reduce` (explore
+//! raw states, without the state-space reduction). `trace record` captures a
 //! divergent run of a gadget × model cell; `trace explain` reconstructs its
 //! oscillation cycle and cross-checks it against the explorer's witness;
 //! `trace export-chrome` emits Chrome `trace_event` JSON loadable in
@@ -92,7 +94,7 @@ fn cmd_models() {
     println!("message per channel; queueing = unrestricted (closest to deployed BGP).");
 }
 
-fn cmd_audit(inst: &SppInstance) -> CliResult {
+fn cmd_audit(inst: &SppInstance, opts: &CommonOpts) -> CliResult {
     print!("{inst}");
     let solutions = enumerate_stable_assignments(inst, 10_000_000)?;
     println!("stable path assignments: {}", solutions.len());
@@ -108,7 +110,7 @@ fn cmd_audit(inst: &SppInstance) -> CliResult {
     }
     println!("\nper-model verdicts:");
     let cfg = SurveyConfig {
-        explore: ExploreConfig { channel_cap: 3, ..ExploreConfig::default() },
+        explore: explore_config(opts, ExploreConfig { channel_cap: 3, ..ExploreConfig::default() }),
         ..SurveyConfig::default()
     };
     for entry in survey_instance(inst, &cfg)? {
@@ -133,8 +135,13 @@ fn cmd_solve(inst: &SppInstance) -> CliResult {
     Ok(())
 }
 
-fn cmd_check(inst: &SppInstance, model: CommModel, want_witness: bool) -> CliResult {
-    let cfg = ExploreConfig { channel_cap: 3, max_states: 1_000_000, ..ExploreConfig::default() };
+fn cmd_check(
+    inst: &SppInstance,
+    model: CommModel,
+    want_witness: bool,
+    opts: &CommonOpts,
+) -> CliResult {
+    let cfg = witness_config(opts);
     match analyze(inst, Spec::Uniform(model), &cfg)? {
         Verdict::CanOscillate { states, scc_size } => {
             println!("{model}: CAN OSCILLATE (fair SCC of {scc_size} states; {states} explored)");
@@ -276,11 +283,18 @@ fn cmd_obs_summarize(args: &[String]) -> CliResult {
     }
 }
 
+/// A command's own exploration bounds `cfg`, with the worker count and the
+/// reduction switch of the shared `--threads` and `--no-reduce` flags.
+fn explore_config(opts: &CommonOpts, cfg: ExploreConfig) -> ExploreConfig {
+    ExploreConfig { threads: opts.pool.threads, reduce: opts.reduce(), ..cfg }
+}
+
 /// The exploration bounds shared by `check`, `trace record`, and the
 /// `trace explain` cross-check: identical bounds keep the recomputed witness
 /// bit-identical to the one the trace was recorded from.
-fn witness_config() -> ExploreConfig {
-    ExploreConfig { channel_cap: 3, max_states: 1_000_000, ..ExploreConfig::default() }
+fn witness_config(opts: &CommonOpts) -> ExploreConfig {
+    let cfg = ExploreConfig { channel_cap: 3, max_states: 1_000_000, ..ExploreConfig::default() };
+    explore_config(opts, cfg)
 }
 
 fn cmd_trace(args: &[String], opts: &CommonOpts) -> CliResult {
@@ -321,7 +335,7 @@ fn cmd_trace_record(
     routelab::obs::trace_note("gadget", spec);
     routelab::obs::trace_note("model", &model.to_string());
     opts.progress(format!("searching {spec} × {model} for a fair oscillation …"));
-    let w = oscillation_witness(inst, model, &witness_config())?.ok_or_else(|| {
+    let w = oscillation_witness(inst, model, &witness_config(opts))?.ok_or_else(|| {
         format!(
             "{spec} under {model}: no fair oscillation within bounds — nothing to record \
              (try a divergent cell such as FIG6 REO or DISAGREE R1O)"
@@ -363,7 +377,7 @@ fn cmd_trace_explain(path: &str, opts: &CommonOpts) -> CliResult {
     let inst = load_instance(gadget)?;
     let model = parse_model(model)?;
     opts.progress(format!("cross-checking against the explorer's witness for {gadget} × {model}"));
-    let w = oscillation_witness(&inst, model, &witness_config())?.ok_or_else(|| {
+    let w = oscillation_witness(&inst, model, &witness_config(opts))?.ok_or_else(|| {
         format!("cross-check failed: the explorer finds no oscillation for {gadget} × {model}")
     })?;
     // Replay the witness exactly as `trace record` did and collect the route
@@ -435,7 +449,7 @@ fn run(opts: &CommonOpts) -> CliResult {
         Some("models") => cmd_models(),
         Some("audit") => {
             let inst = load_instance(args.get(1).ok_or(usage)?)?;
-            cmd_audit(&inst)?;
+            cmd_audit(&inst, opts)?;
         }
         Some("solve") => {
             let inst = load_instance(args.get(1).ok_or(usage)?)?;
@@ -445,7 +459,7 @@ fn run(opts: &CommonOpts) -> CliResult {
             let inst = load_instance(args.get(1).ok_or(usage)?)?;
             let model = parse_model(args.get(2).ok_or(usage)?)?;
             let witness = args.iter().any(|a| a == "--witness");
-            cmd_check(&inst, model, witness)?;
+            cmd_check(&inst, model, witness, opts)?;
         }
         Some("realize") => {
             let inst = load_instance(args.get(1).ok_or(usage)?)?;

@@ -3,6 +3,7 @@
 //! count outside 1..=100000, and `--family gao-rexford` a family of fewer
 //! than two nodes, instead of running an empty or endless grid or panicking
 //! in the generator. A missing or unknown experiment name lists the names.
+//! A claim that does not hold exits 1.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -61,6 +62,18 @@ fn a_two_node_family_runs() {
     let out = family("2", &results);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(results.join("exp-montecarlo-family.json").exists());
+}
+
+#[test]
+fn an_unconverged_reliable_run_is_a_mismatch() {
+    // Gao–Rexford instances are wheel-free, so every REA run must converge;
+    // one step cannot.
+    let results = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_montecarlo_unconverged");
+    let args = ["2", "--family", "gao-rexford", "--nodes", "50", "--max-steps", "1", "--quiet"];
+    let out = run(&args, &results);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

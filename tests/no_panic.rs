@@ -2,8 +2,9 @@
 //!
 //! Seeded mutations (byte flips, deletions, duplications, truncations and
 //! splices) of every input format parse to a value or a typed error: corpus
-//! SPP texts, the golden pipeline strings, a recorded flight-recorder trace
-//! (also reconstructed and exported) and telemetry NDJSON (summarized).
+//! SPP texts and one with a rank tie, the golden pipeline strings, a
+//! recorded flight-recorder trace (also reconstructed and exported) and
+//! telemetry NDJSON (summarized).
 //!
 //! Large valid instances go through the binary: a route table past the
 //! explorer's u16 route ids, one node permitting 109,601 paths, and
@@ -100,10 +101,17 @@ fn fuzz(inputs: &[String], count: usize, mut check: impl FnMut(&str) -> bool) ->
     (ok, err)
 }
 
+/// An instance whose only dispute wheel runs through a rank tie, written
+/// with the `=` token.
+const TIED_SPOKES: &str = "spp v1\nnode d\nnode u\nnode v\nnode a\nedge d v\nedge d a\n\
+                           edge u v\nedge u a\nedge v a\ndest d\nprefs u uad = uavd\n\
+                           prefs v vuad vd\n";
+
 #[test]
 fn mutated_spp_texts_parse_or_fail_typed() {
-    let texts: Vec<String> =
+    let mut texts: Vec<String> =
         gadgets::corpus().iter().map(|(_, inst)| format::to_text(inst)).collect();
+    texts.push(TIED_SPOKES.to_string());
     let (ok, err) = fuzz(&texts, 2_500, |text| format::from_text(text).is_ok());
     assert!(ok >= 300 && err >= 10_000, "{ok} parsed, {err} rejected");
 }
