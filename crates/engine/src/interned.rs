@@ -7,13 +7,14 @@
 //! messages are `Copy` and an activation step allocates nothing in steady
 //! state. Steps arrive as an [`IdStep`]: Definition 2.2's `(U, X, f, g)` on
 //! dense channel ids, with drop sets that never allocate.
-//! [`execute_step_interned`] is a line-for-line mirror of
+//! [`execute_step_interned`] executes the three phases of
 //! [`crate::exec::execute_step`]: phase 1 processes channels with the
 //! `(f, g)` rule, phase 2 re-chooses through [`RouteTable::choose`] (a min
 //! over in-channels of preference positions), and phase 3 announces
-//! changes. The [`crate::runner::Runner`] decodes ids back to routes only
-//! at the rendering/trace boundary, keeping all visible output
-//! byte-identical to the route-value engine.
+//! changes. Phases 2 and 3 run node by node, since announcing never
+//! changes what a node chooses. The [`crate::runner::Runner`] decodes ids
+//! back to routes only at the rendering/trace boundary, keeping all
+//! visible output byte-identical to the route-value engine.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -183,8 +184,6 @@ pub struct InternedEffect {
     pub kept_on: Vec<usize>,
     /// Dense channel ids on which at least one message was dropped.
     pub dropped_on: Vec<usize>,
-    /// Phase-2 scratch: each updater's decision, in update order.
-    pub decisions: Vec<(NodeId, RouteId)>,
 }
 
 impl InternedEffect {
@@ -197,7 +196,6 @@ impl InternedEffect {
         self.attended.clear();
         self.kept_on.clear();
         self.dropped_on.clear();
-        self.decisions.clear();
     }
 }
 
@@ -371,17 +369,12 @@ pub fn execute_step_interned(
         }
     }
 
-    // Phase 2: choose the most preferred path from the known routes — a
-    // min over in-channels of precomputed preference positions.
+    // Phases 2 and 3, node by node: choose the most preferred path (a min
+    // over in-channels of precomputed preference positions), then announce
+    // a change; announcing never writes ρ, all that choosing reads. Both
+    // branches leave chosen == announced == new, so mismatches only drop.
     for &(v, _) in &step.updates {
-        let choice = table.choose(v, index.in_channels(v), |c| state.learned[c]);
-        effect.decisions.push((v, choice));
-    }
-
-    // Phase 3: announce changes. Both branches leave the node with
-    // chosen == announced == new, so the mismatch counter can only drop.
-    for k in 0..effect.decisions.len() {
-        let (v, new) = effect.decisions[k];
+        let new = table.choose(v, index.in_channels(v), |c| state.learned[c]);
         let vi = v.index();
         let was_mismatched = state.chosen[vi] != state.announced[vi];
         if new != state.announced[vi] {

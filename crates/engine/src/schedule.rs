@@ -14,7 +14,7 @@
 //! steps, and the others lift the id steps they build.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use routelab_core::dims::{MessagePolicy, NeighborScope, Reliability};
 use routelab_core::model::CommModel;
@@ -337,6 +337,11 @@ impl Scheduler for Periodic {
     }
 }
 
+/// A fair coin, `1` on heads: bit 63 clear, exactly `rng.gen_bool(0.5)`.
+fn heads(rng: &mut StdRng) -> usize {
+    usize::from(rng.next_u64() >> 63 == 0)
+}
+
 /// Randomized fair scheduler: picks random nodes, random legal actions, and
 /// forces attendance of any channel starved longer than `window` steps, so
 /// every finite prefix of length `≥ window · |C|` attends every channel.
@@ -409,15 +414,15 @@ impl RandomFair {
             .then_some(c)
     }
 
-    /// Moves the channels this step attended to the back of `order`,
-    /// largest id first. They are in-channels of the updating node `v`, and
-    /// those are listed in increasing id order.
-    fn log_attendance(&mut self, v: NodeId) {
+    /// Moves the channels in `chosen` that this step attended to the back
+    /// of `order`, largest id first. `chosen` is in id order, except that a
+    /// forced channel the scope-`M` coins missed comes last: sort it first.
+    fn log_attendance(&mut self) {
+        if self.chosen.windows(2).last().is_some_and(|w| w[0] > w[1]) {
+            self.chosen.sort_unstable();
+        }
         let sentinel = self.last_attended.len();
-        for &c in self.index.in_channels(v).iter().rev() {
-            if self.last_attended[c] != self.step_no {
-                continue;
-            }
+        for &c in self.chosen.iter().rev().filter(|&&c| self.last_attended[c] == self.step_no) {
             let (prev, next) = self.order[c];
             self.order[prev as usize].1 = next;
             self.order[next as usize].0 = prev;
@@ -493,11 +498,13 @@ impl RandomFair {
                     self.chosen.push(c);
                 }
                 NeighborScope::Multiple => {
-                    self.chosen.extend(ins.iter().copied().filter(|_| self.rng.gen_bool(0.5)));
-                    if let Some(c) = forced {
-                        if !self.chosen.contains(&c) {
-                            self.chosen.push(c);
-                        }
+                    // Keep each in-channel on heads, without a branch.
+                    for &c in ins {
+                        self.chosen.push(c);
+                        self.chosen.truncate(self.chosen.len() - 1 + heads(&mut self.rng));
+                    }
+                    if let Some(c) = forced.filter(|c| !self.chosen.contains(c)) {
+                        self.chosen.push(c);
                     }
                 }
             }
@@ -509,7 +516,7 @@ impl RandomFair {
             let (take, dropped) = self.read_for(cid, state.queue_len(cid), forced == Some(cid));
             out.push_read(cid, take, dropped);
         }
-        self.log_attendance(v);
+        self.log_attendance();
     }
 }
 
@@ -840,6 +847,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn heads_is_gen_bool_one_half() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut count = 0;
+        for k in 0..100_000 {
+            let mut twin = rng.clone();
+            let coin = heads(&mut rng);
+            assert_eq!(coin == 1, twin.gen_bool(0.5), "draw {k}");
+            assert_eq!(rng, twin, "draw {k} consumed a different number of words");
+            count += coin;
+        }
+        assert!((49_000..51_000).contains(&count), "{count} heads");
     }
 
     #[test]

@@ -179,18 +179,7 @@ impl SppInstance {
     /// Returns [`SppError::UnknownName`] for unknown node names or path
     /// errors for malformed sequences.
     pub fn parse_path(&self, s: &str) -> Result<Path, SppError> {
-        let names: Vec<String> = if s.contains('-') {
-            s.split('-').map(str::to_string).collect()
-        } else {
-            s.chars().map(|c| c.to_string()).collect()
-        };
-        let mut ids = Vec::with_capacity(names.len());
-        for n in &names {
-            let id =
-                self.node_by_name(n).ok_or_else(|| SppError::UnknownName { name: n.clone() })?;
-            ids.push(id);
-        }
-        Path::new(ids)
+        Path::new(path_node_ids(s, |name| self.node_by_name(name))?)
     }
 
     /// Validates every structural invariant of the instance. Builders call
@@ -401,6 +390,26 @@ impl fmt::Display for SppInstance {
     }
 }
 
+/// The node ids of a paper-style path: one name per character (`xyd`), or
+/// `-`-separated names when the path holds a `-` (`v10-dst`). Each name is
+/// a slice of `s`, looked up with `lookup` as it is split off.
+///
+/// # Errors
+///
+/// Returns [`SppError::UnknownName`] naming the first piece `lookup` does
+/// not know.
+fn path_node_ids(
+    s: &str,
+    lookup: impl Fn(&str) -> Option<NodeId>,
+) -> Result<Vec<NodeId>, SppError> {
+    let id = |name: &str| lookup(name).ok_or_else(|| SppError::UnknownName { name: name.into() });
+    if s.contains('-') {
+        s.split('-').map(id).collect()
+    } else {
+        s.char_indices().map(|(i, c)| id(&s[i..i + c.len_utf8()])).collect()
+    }
+}
+
 /// Incremental builder for [`SppInstance`].
 ///
 /// The destination's trivial path is added automatically. Ranks given via
@@ -514,16 +523,7 @@ impl SppBuilder {
         let paths = paths.into_iter();
         let mut parsed = Vec::with_capacity(paths.size_hint().0);
         for (s, rank) in paths {
-            let names: Vec<String> = if s.contains('-') {
-                s.split('-').map(str::to_string).collect()
-            } else {
-                s.chars().map(|c| c.to_string()).collect()
-            };
-            let mut ids = Vec::with_capacity(names.len());
-            for n in &names {
-                ids.push(self.node_id(n)?);
-            }
-            parsed.push((ids, rank));
+            parsed.push((path_node_ids(s, |name| self.by_name.get(name).copied())?, rank));
         }
         let base = self.permitted[vid.index()].iter().map(|rp| rp.rank).max().unwrap_or(0);
         for (ids, rank) in parsed {
@@ -767,6 +767,26 @@ mod tests {
         let p = inst.parse_path("v10-dst").unwrap();
         assert_eq!(inst.fmt_path(&p), "v10-dst");
         assert!(inst.parse_path("bogus-dst").is_err());
+        assert!(matches!(
+            inst.parse_path("v10-v1"),
+            Err(SppError::UnknownName { name }) if name == "v1"
+        ));
+    }
+
+    #[test]
+    fn multibyte_one_character_names_stay_whole() {
+        let mut b = SppBuilder::new();
+        b.edge("é", "d").unwrap().edge("x", "é").unwrap();
+        b.dest(b.node_id("d").unwrap()).unwrap();
+        b.prefer_named("é", &["éd"]).unwrap().prefer_named("x", &["xéd"]).unwrap();
+        let inst = b.build().unwrap();
+        let p = inst.parse_path("xéd").unwrap();
+        assert_eq!(inst.permitted(inst.node_by_name("x").unwrap())[0].path, p);
+        assert_eq!(inst.fmt_path(&p), "xéd");
+        assert!(matches!(
+            inst.parse_path("xüd"),
+            Err(SppError::UnknownName { name }) if name == "ü"
+        ));
     }
 
     /// The linear validation against the pairwise scan it replaced, on
